@@ -19,7 +19,7 @@ forward / 1/(H*W) inverse convention.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse as _sparse
@@ -123,10 +123,6 @@ class Tensor:
 def parameter(data, name: str) -> Tensor:
     """A named trainable leaf tensor."""
     return Tensor(data, requires_grad=True, name=name)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
 
 
 class Tape:
@@ -443,6 +439,111 @@ def ifft2(real, imag) -> tuple[Tensor, Tensor]:
     return out_r, out_i
 
 
+def _product_cover(nodes: Array, width: int) -> tuple[Array, Array, Array | None]:
+    """Smallest row x column product set of grid nodes that covers ``nodes``.
+
+    Returns the sorted rows, the sorted columns and the position of each of
+    ``nodes`` in the row-major product set, or None when ``nodes`` already is
+    that product set in row-major order.
+    """
+    rows, cols = np.divmod(nodes, width)
+    cover_rows, cover_cols = np.unique(rows), np.unique(cols)
+    pick = np.searchsorted(cover_rows, rows) * len(cover_cols) + np.searchsorted(cover_cols, cols)
+    if len(pick) == len(cover_rows) * len(cover_cols) and np.array_equal(pick, np.arange(len(pick))):
+        return cover_rows, cover_cols, None
+    return cover_rows, cover_cols, pick
+
+
+def _cos_sin(freqs: Array, n: int) -> tuple[Array, Array]:
+    """cos and sin of 2*pi*k*m/n for k in ``freqs`` (rows) and m < n (columns)."""
+    phase = (2.0 * np.pi / n) * (np.outer(freqs, np.arange(n)) % n)
+    return np.cos(phase), np.sin(phase)
+
+
+class _SpectralPlan(NamedTuple):
+    """Index sets and real DFT matrices of one spectral_channel_mix geometry.
+
+    Matrix axes that pair a frequency with re/im are laid out (freq, re/im);
+    ones that pair a sample with re/im are laid out (re/im, sample).
+    """
+
+    in_shape: tuple[int, int]  # rows x columns of the spectrum that is read
+    in_pick: Array | None  # retained modes within it (no adjacency)
+    mix_in: _sparse.csr_matrix | None  # A[mode_idx, read nodes]
+    mix_in_t: _sparse.csr_matrix | None
+    out_shape: tuple[int, int]  # rows x columns covering the retained modes
+    out_pick: Array | None  # retained modes within it
+    dft_h: Array  # (2R, H): real field -> complex DFT along H
+    dft_w: Array  # (2S, 2W): complex -> complex DFT along W
+    idft_w: Array  # (2W, 2S'): complex inverse DFT along W
+    idft_h: Array  # (H, 2R'): real part of the inverse along H, times 1/(H*W)
+
+
+def _build_plan(idx: Array, height: int, width: int, adjacency_rows) -> _SpectralPlan:
+    n_nodes = height * width
+    if len(idx) == 0 or idx.min() < 0 or idx.max() >= n_nodes or len(np.unique(idx)) != len(idx):
+        raise ContractViolation("spectral_channel_mix: mode_idx must be unique indices below H*W")
+    if adjacency_rows is not None and adjacency_rows.shape != (len(idx), n_nodes):
+        raise ContractViolation("spectral_channel_mix: adjacency_rows must be (K, H*W)")
+    out_rows, out_cols, out_pick = _product_cover(idx, width)
+    mix_in = mix_in_t = None
+    if adjacency_rows is None:
+        in_rows, in_cols, in_pick = out_rows, out_cols, out_pick
+    else:
+        in_rows, in_cols, _ = _product_cover(np.unique(adjacency_rows.indices), width)
+        in_pick = None
+        read = (in_rows[:, None] * width + in_cols[None, :]).reshape(-1)
+        position = np.zeros(n_nodes, dtype=adjacency_rows.indices.dtype)
+        position[read] = np.arange(len(read))
+        # Same entries in the same per-row order, columns renumbered to ``read``.
+        mix_in = _sparse.csr_matrix(
+            (adjacency_rows.data, position[adjacency_rows.indices], adjacency_rows.indptr),
+            shape=(len(idx), len(read)),
+        )
+        mix_in_t = mix_in.T.tocsr()
+
+    cos, sin = _cos_sin(in_rows, height)
+    dft_h = np.stack([cos, -sin], axis=1).reshape(-1, height)
+    cos, sin = _cos_sin(in_cols, width)
+    dft_w = np.stack(
+        [np.concatenate([cos, sin], axis=1), np.concatenate([-sin, cos], axis=1)], axis=1
+    ).reshape(-1, 2 * width)
+    cos, sin = _cos_sin(out_cols, width)
+    idft_w = np.concatenate(
+        [
+            np.stack([cos.T, -sin.T], axis=2).reshape(width, -1),
+            np.stack([sin.T, cos.T], axis=2).reshape(width, -1),
+        ]
+    )
+    cos, sin = _cos_sin(out_rows, height)
+    idft_h = np.stack([cos.T, -sin.T], axis=2).reshape(height, -1) / n_nodes
+    return _SpectralPlan(
+        (len(in_rows), len(in_cols)), in_pick, mix_in, mix_in_t,
+        (len(out_rows), len(out_cols)), out_pick, dft_h, dft_w, idft_w, idft_h,
+    )
+
+
+_PLANS: dict[tuple, _SpectralPlan] = {}
+_MAX_PLANS = 16
+
+
+def _spectral_plan(idx: Array, height: int, width: int, adjacency_rows) -> _SpectralPlan:
+    """The plan for this geometry, memoized on the content of its inputs."""
+    key = (height, width, idx.tobytes())
+    if adjacency_rows is not None:
+        key += (
+            adjacency_rows.indptr.tobytes(),
+            adjacency_rows.indices.tobytes(),
+            adjacency_rows.data.tobytes(),
+        )
+    plan = _PLANS.get(key)
+    if plan is None:
+        if len(_PLANS) >= _MAX_PLANS:
+            del _PLANS[next(iter(_PLANS))]
+        plan = _PLANS[key] = _build_plan(idx, height, width, adjacency_rows)
+    return plan
+
+
 def spectral_channel_mix(
     x,
     w_real,
@@ -450,82 +551,99 @@ def spectral_channel_mix(
     mode_idx: Array,
     height: int,
     width: int,
-    adjacency: _sparse.csr_matrix | None = None,
-    adjacency_t: _sparse.csr_matrix | None = None,
     adjacency_rows: _sparse.csr_matrix | None = None,
-    adjacency_rows_t: _sparse.csr_matrix | None = None,
 ) -> Tensor:
-    """Fused spectral branch: real(ifft2(trunc(A @ fft2(x)) @ W)).
+    """Fused spectral branch: real(IDFT(trunc(A @ DFT(x)) @ W)), on grid nodes.
 
-    x: (..., C_in, H, W). w_real/w_imag: (K, C_in, C_out) per retained mode.
-    ``mode_idx`` holds K unique flat spatial indices of retained modes; all
-    other modes are zeroed. ``adjacency`` optionally mixes spectral
-    coefficients across grid nodes before the per-mode channel mixing;
-    passing the pre-sliced ``adjacency_rows`` = A[mode_idx, :] (with its
-    transpose) computes the same values while skipping the discarded rows.
+    x: (..., H*W, C_in) in the row-major node layout (node r*W + c) that the
+    graph layers hold; the output is (..., H*W, C_out) in the same layout.
+    w_real/w_imag: (K, C_in, C_out), the complex channel mix of each retained
+    mode. ``mode_idx`` holds K unique flat spectrum indices kr*W + kc (DFT
+    layout); every other mode is zeroed. ``adjacency_rows`` = A[mode_idx, :]
+    optionally mixes spectral coefficients across grid nodes before the
+    channel mix, giving the retained rows of A @ DFT(x).
 
-    One tape node: keeps memory per evaluation at O(K) instead of storing
-    every full-spectrum intermediate of the composed primitive chain.
+    The transforms are truncated separable DFTs made of real GEMMs, never a
+    full FFT. The forward DFT runs along H, then along W, only over the rows
+    and columns of the spectrum that are read: those the columns of
+    ``adjacency_rows`` touch, else the retained modes' bounding row x column
+    product set (gathered when the modes do not fill it). The inverse runs
+    from the retained modes' product set straight to the real field. DFTs
+    are unnormalized forward and 1/(H*W) inverse, as ``fft2`` and ``ifft2``.
+    The DFT matrices and index sets are built once per geometry and reused.
+
+    One tape node. The VJP applies the transposes of the same matrices and
+    keeps only the truncated coefficients (K x 2 x B x C_in, real and
+    imaginary parts) for the weight gradient, so the memory kept per
+    evaluation is O(K), not O(H*W).
     """
     x, w_real, w_imag = _as_tensor(x), _as_tensor(w_real), _as_tensor(w_imag)
     idx = np.asarray(mode_idx, dtype=np.int64)
+    k = len(idx)
     n_nodes = height * width
-    lead = x.shape[:-3]
-    c_in = x.shape[-3]
-    if x.shape[-2:] != (height, width):
-        raise ContractViolation("spectral_channel_mix: spatial shape mismatch")
-    if w_real.ndim != 3 or w_real.shape[:2] != (len(idx), c_in) or w_imag.shape != w_real.shape:
+    if x.ndim < 2 or x.shape[-2] != n_nodes:
+        raise ContractViolation("spectral_channel_mix: node count does not match the grid")
+    lead, c_in = x.shape[:-2], x.shape[-1]
+    if w_real.ndim != 3 or w_real.shape[:2] != (k, c_in) or w_imag.shape != w_real.shape:
         raise ContractViolation("spectral_channel_mix: weight shape mismatch")
     c_out = w_real.shape[-1]
     batch = int(np.prod(lead)) if lead else 1
+    plan = _spectral_plan(idx, height, width, adjacency_rows)
+    (in_r, in_s), (out_r, out_s) = plan.in_shape, plan.out_shape
+    wr, wi = w_real.data, w_imag.data
 
-    xd = x.data.reshape(batch, c_in, height, width)
-    spectrum = np.fft.fft2(xd, axes=(-2, -1))
-    nodes = spectrum.reshape(batch * c_in, n_nodes).T  # (N, B*C_in)
-    if adjacency_rows is not None:
-        picked = adjacency_rows @ nodes.real + 1j * (adjacency_rows @ nodes.imag)
-    elif adjacency is not None:
-        mixed_nodes = adjacency @ nodes.real + 1j * (adjacency @ nodes.imag)
-        picked = mixed_nodes[idx]
-    else:
-        picked = nodes[idx]
-    trunc = picked.reshape(len(idx), batch, c_in)  # saved for grad_w
-    weights = w_real.data + 1j * w_imag.data
-    mixed = trunc @ weights  # (K, B, C_out)
-    full = np.zeros((n_nodes, batch * c_out), dtype=np.complex128)
-    full[idx] = mixed.reshape(len(idx), batch * c_out)
-    out_spec = full.T.reshape(batch, c_out, height, width)
-    out_data = np.fft.ifft2(out_spec, axes=(-2, -1)).real
-    out = Tensor(np.ascontiguousarray(out_data.reshape(lead + (c_out, height, width))))
-
-    adj_t = adjacency_t
-    if adjacency is not None and adjacency_rows is None and adj_t is None:
-        adj_t = adjacency.T.tocsr()
+    # Grid axes are GEMM rows; (batch, channel) ride along as columns.
+    xt = x.data.reshape(batch, height, width, c_in).transpose(1, 2, 0, 3)
+    xt = xt.reshape(height, width * batch * c_in)
+    part = (plan.dft_h @ xt).reshape(in_r, 2 * width, batch * c_in)
+    spec = (plan.dft_w @ part).reshape(in_r * in_s, 2 * batch * c_in)
+    if plan.mix_in is not None:
+        spec = plan.mix_in @ spec
+    elif plan.in_pick is not None:
+        spec = spec[plan.in_pick]
+    trunc = spec.reshape(k, 2 * batch, c_in)  # rows (re/im, batch); saved for the VJP
+    u, v = trunc @ wr, trunc @ wi
+    mixed = np.empty((k, 2, batch, c_out))
+    np.subtract(u[:, :batch], v[:, batch:], out=mixed[:, 0])
+    np.add(v[:, :batch], u[:, batch:], out=mixed[:, 1])
+    mixed = mixed.reshape(k, 2 * batch * c_out)
+    if plan.out_pick is not None:
+        full = np.zeros((out_r * out_s, 2 * batch * c_out))
+        full[plan.out_pick] = mixed
+        mixed = full
+    field = plan.idft_w @ mixed.reshape(out_r, 2 * out_s, batch * c_out)
+    field = plan.idft_h @ field.reshape(2 * out_r, width * batch * c_out)
+    field = field.reshape(height, width, batch, c_out).transpose(2, 0, 1, 3)
+    out = Tensor(np.ascontiguousarray(field).reshape(lead + (n_nodes, c_out)))
 
     def vjp(g):
-        gd = g.reshape(batch, c_out, height, width)
-        # real() of ifft2: cotangent of the complex spectrum is conj(ifft2(g)).
-        g_full = np.conj(np.fft.ifft2(gd, axes=(-2, -1)))
-        g_mixed = g_full.reshape(batch * c_out, n_nodes).T[idx]
-        g_mixed = g_mixed.reshape(len(idx), batch, c_out)
-        g_w = np.conj(trunc).swapaxes(-1, -2) @ g_mixed  # (K, C_in, C_out)
-        g_trunc = g_mixed @ np.conj(weights).swapaxes(-1, -2)  # (K, B, C_in)
-        g_flat = g_trunc.reshape(len(idx), batch * c_in)
-        if adjacency_rows is not None:
-            g_nodes = adjacency_rows_t @ g_flat.real + 1j * (adjacency_rows_t @ g_flat.imag)
-        else:
-            g_nodes = np.zeros((n_nodes, batch * c_in), dtype=np.complex128)
-            g_nodes[idx] = g_flat
-            if adjacency is not None:
-                g_nodes = adj_t @ g_nodes.real + 1j * (adj_t @ g_nodes.imag)
-        g_spec = g_nodes.T.reshape(batch, c_in, height, width)
-        # fft2 of a real input: cotangent is real(fft2(conj(g_spec))).
-        g_x = np.fft.fft2(np.conj(g_spec), axes=(-2, -1)).real
-        return (
-            np.ascontiguousarray(g_x.reshape(x.shape)),
-            np.ascontiguousarray(g_w.real),
-            np.ascontiguousarray(g_w.imag),
-        )
+        gt = g.reshape(batch, height, width, c_out).transpose(1, 2, 0, 3)
+        gt = gt.reshape(height, width * batch * c_out)
+        g_field = (plan.idft_h.T @ gt).reshape(out_r, 2 * width, batch * c_out)
+        g_mixed = (plan.idft_w.T @ g_field).reshape(out_r * out_s, 2, batch, c_out)
+        if plan.out_pick is not None:
+            g_mixed = g_mixed[plan.out_pick]
+        g_u = g_mixed.reshape(k, 2 * batch, c_out)
+        g_v = np.empty((k, 2, batch, c_out))
+        g_v[:, 0] = g_mixed[:, 1]
+        np.negative(g_mixed[:, 0], out=g_v[:, 1])
+        g_v = g_v.reshape(k, 2 * batch, c_out)
+        trunc_t = trunc.swapaxes(-1, -2)
+        g_wr, g_wi = trunc_t @ g_u, trunc_t @ g_v
+        if not x.requires_grad:
+            return (None, g_wr, g_wi)
+        g_spec = g_u @ wr.swapaxes(-1, -2) + g_v @ wi.swapaxes(-1, -2)
+        g_spec = g_spec.reshape(k, 2 * batch * c_in)
+        if plan.mix_in_t is not None:
+            g_spec = plan.mix_in_t @ g_spec
+        elif plan.in_pick is not None:
+            full_g = np.zeros((in_r * in_s, 2 * batch * c_in))
+            full_g[plan.in_pick] = g_spec
+            g_spec = full_g
+        g_part = plan.dft_w.T @ g_spec.reshape(in_r, 2 * in_s, batch * c_in)
+        g_xt = plan.dft_h.T @ g_part.reshape(2 * in_r, width * batch * c_in)
+        g_x = g_xt.reshape(height, width, batch, c_in).transpose(2, 0, 1, 3)
+        return (np.ascontiguousarray(g_x).reshape(x.shape), g_wr, g_wi)
 
     return _record(out, (x, w_real, w_imag), vjp, "spectral_channel_mix")
 

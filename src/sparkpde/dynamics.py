@@ -5,7 +5,10 @@ node-wise temporal attention (scores against the tanh-transformed mean
 state), evolved by a stack of ODE layers combining a spectral branch
 (adjacency applied to Fourier coefficients, per-mode channel mixing over
 retained modes) with a spatial graph branch, and decoded to observations by
-a separate two-layer MLP. Integration is classical fixed-step RK4 (or Euler)
+a separate two-layer MLP. The spectral branch is one fused op
+(``ad.spectral_channel_mix``) that takes and returns the (B, N, D) node
+layout and computes only the retained modes, by truncated DFTs made of real
+matrix products. Integration is classical fixed-step RK4 (or Euler)
 unrolled on the tape, so gradients are exact for the discretized system.
 """
 
@@ -169,12 +172,6 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
     if n != grid.n_nodes:
         raise ContractViolation("node count does not match grid")
 
-    def to_images(x: Tensor) -> Tensor:
-        return ad.transpose(x.reshape(b, hg, wg, d), (0, 3, 1, 2))
-
-    def to_nodes(x: Tensor) -> Tensor:
-        return ad.transpose(x, (0, 2, 3, 1)).reshape(b, n, d)
-
     def apply_adjacency(x: Tensor) -> Tensor:
         flat = ad.transpose(x, (1, 0, 2)).reshape(n, b * d)
         out = ad.sparse_matmul(grid.adjacency, flat, grid.adjacency_t)
@@ -182,31 +179,16 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
 
     state = h3
     total: Tensor | None = None
-    adj_rows, adj_rows_t = grid.adjacency_row_slice(w.mode_idx)
+    adj_rows = grid.adjacency_row_slice(w.mode_idx)
     for layer in w.layers:
         if w.spectral_adjacency == "spectral":
-            spectral = to_nodes(
-                ad.spectral_channel_mix(
-                    to_images(state),
-                    layer.wf_real,
-                    layer.wf_imag,
-                    w.mode_idx,
-                    hg,
-                    wg,
-                    adjacency_rows=adj_rows,
-                    adjacency_rows_t=adj_rows_t,
-                )
+            spectral = ad.spectral_channel_mix(
+                state, layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg,
+                adjacency_rows=adj_rows,
             )
         else:
-            spectral = to_nodes(
-                ad.spectral_channel_mix(
-                    to_images(apply_adjacency(state)),
-                    layer.wf_real,
-                    layer.wf_imag,
-                    w.mode_idx,
-                    hg,
-                    wg,
-                )
+            spectral = ad.spectral_channel_mix(
+                apply_adjacency(state), layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg
             )
         spatial = ad.matmul(apply_adjacency(state), layer.w)
         y = apply_activation(spectral + spatial + layer.b, w.activation)
@@ -476,6 +458,22 @@ def train_dynamics(
     decision_gen = substream(aug.seed if aug is not None else cfg.seed, "curriculum")
     history: list[EpochRow] = []
 
+    def train_step(batch, decisions, lr: float, epoch: int) -> float:
+        # The step's graph lives in these locals only, so it is released
+        # before the next step records.
+        with Tape() as tape:
+            y_hat, y = _forecast_batch(
+                latents, ds, batch, weights, cfg,
+                augmented=decisions if aug is not None else None,
+                aug_fn=aug_fn,
+            )
+            loss, mse_value = dynamics_loss(y_hat, y, weights, cfg.lambda_reg)
+        if not np.isfinite(mse_value):
+            raise NumericError(f"dynamics training diverged at epoch {epoch}")
+        grads = backward(loss, tape, params=params.values())
+        adam_step(params, grads, state, lr=lr)
+        return mse_value
+
     for epoch in range(cfg.epochs):
         ratio = curriculum_ratio(epoch, aug) if aug is not None else 0.0
         lr = scheduled_lr(cfg.lr, epoch, cfg.epochs, cfg.lr_decay)
@@ -484,17 +482,7 @@ def train_dynamics(
         for lo in range(0, len(train_windows), cfg.batch_size):
             batch = train_windows[lo : lo + cfg.batch_size]
             decisions = augmentation_decisions(decision_gen, len(batch), ratio)
-            with Tape() as tape:
-                y_hat, y = _forecast_batch(
-                    latents, ds, batch, weights, cfg,
-                    augmented=decisions if aug is not None else None,
-                    aug_fn=aug_fn,
-                )
-                loss, mse_value = dynamics_loss(y_hat, y, weights, cfg.lambda_reg)
-            if not np.isfinite(mse_value):
-                raise NumericError(f"dynamics training diverged at epoch {epoch}")
-            grads = backward(loss, tape, params=params.values())
-            adam_step(params, grads, state, lr=lr)
+            mse_value = train_step(batch, decisions, lr, epoch)
             total += mse_value * len(batch)
             count += len(batch)
         train_mse = total / count
@@ -519,7 +507,7 @@ def train_dynamics(
                 wallclock=time.perf_counter() - start_time,
             )
         )
-        log.debug(
+        log.info(
             "dynamics epoch %d train %.6f val %.6f aug %.2f",
             epoch, train_mse, val_mse, ratio,
         )

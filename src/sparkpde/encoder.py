@@ -147,7 +147,6 @@ def channel_attention(
             f"({w.w1_1.shape[0]})"
         )
 
-    batch = x.shape[0] if batched else 1
     x3 = x if batched else x.reshape(1, n, d_obs)
     delta2 = delta if delta.ndim == 2 else delta.reshape(1, delta.shape[-1])
 
@@ -157,12 +156,7 @@ def channel_attention(
     a2 = a2.reshape(a2.shape[0], 1, d_obs)
 
     branch1 = ad.matmul(x3, w.g1)
-
-    images = ad.transpose(x3.reshape(batch, h_grid, w_grid, d_obs), (0, 3, 1, 2))
-    mixed = ad.spectral_channel_mix(
-        images, w.g2_real, w.g2_imag, w.mode_idx, h_grid, w_grid
-    )
-    branch2 = ad.transpose(mixed, (0, 2, 3, 1)).reshape(batch, n, d_obs)
+    branch2 = ad.spectral_channel_mix(x3, w.g2_real, w.g2_imag, w.mode_idx, h_grid, w_grid)
 
     out = x3 + a1 * branch1 + a2 * branch2
     return out if batched else out.reshape(n, d_obs)

@@ -7,6 +7,8 @@ truth frames. Augmentation is never applied here.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,8 @@ from .dynamics import DynTrainConfig, DynamicsWeights, _forecast_batch, episode_
 from .encoder import EncoderStack
 from .errors import ContractViolation
 from .metrics import MetricReport, energy_spectrum, mse, psnr, ssim
+
+log = logging.getLogger("sparkpde")
 
 
 @dataclass
@@ -47,6 +51,7 @@ def evaluate_split(
     batch_size: int = 8,
     with_spectra: bool = True,
 ) -> tuple[MetricReport, PredictionDump]:
+    start_time = time.perf_counter()
     stride = eval_stride if eval_stride > 0 else cfg.horizon
     windows = _eval_windows(ds, cfg, split, stride)
     if not windows:
@@ -105,4 +110,8 @@ def evaluate_split(
         extras={"windows": len(windows), "split": split},
     )
     dump = PredictionDump(windows=windows, predictions=predictions, targets=truth)
+    log.info(
+        "eval split %s: %d windows in %.2f s",
+        split, len(windows), time.perf_counter() - start_time,
+    )
     return report, dump

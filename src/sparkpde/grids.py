@@ -102,8 +102,8 @@ class GridGraph:
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency.toarray()
 
-    def adjacency_row_slice(self, rows: np.ndarray):
-        """(A[rows, :], A[rows, :].T) as CSR, cached per row set.
+    def adjacency_row_slice(self, rows: np.ndarray) -> sparse.csr_matrix:
+        """A[rows, :] as CSR, cached per row set.
 
         Row-slicing before a sparse product keeps the per-row dot products
         (and so the results) bit-identical to slicing afterwards.
@@ -111,21 +111,8 @@ class GridGraph:
         key = rows.tobytes()
         cached = self._row_slice_cache.get(key)
         if cached is None:
-            sliced = self.adjacency[rows, :].tocsr()
-            cached = (sliced, sliced.T.tocsr())
-            self._row_slice_cache[key] = cached
+            cached = self._row_slice_cache[key] = self.adjacency[rows, :].tocsr()
         return cached
-
-    def node_index(self, row: int, col: int) -> int:
-        return row * self.width + col
-
-    def to_field(self, values: np.ndarray) -> np.ndarray:
-        """(N, ...) node layout -> (H, W, ...) field layout."""
-        return values.reshape(self.height, self.width, *values.shape[1:])
-
-    def to_nodes(self, field: np.ndarray) -> np.ndarray:
-        """(H, W, ...) field layout -> (N, ...) node layout."""
-        return field.reshape(self.n_nodes, *field.shape[2:])
 
     def describe(self) -> dict:
         return {

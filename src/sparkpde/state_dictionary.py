@@ -281,6 +281,22 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainConfig) -> PretrainResult:
     perplexity_history: list[float] = []
     reseed_gen = substream(cfg.seed, "pretrain/reseed")
 
+    def train_step(xs: np.ndarray, deltas: np.ndarray, lr: float, epoch: int) -> float:
+        # The step's graph lives in these locals only, so it is released
+        # before the next step records.
+        with Tape() as tape:
+            x_in = Tensor(xs)
+            h = encoder.encode(x_in, deltas, grid)
+            q = quantize(h, codebook)
+            x_hat = reconstruct(q.straight_through, encoder.decoder)
+            loss = pretrain_loss(x_in, x_hat, h, q.codes, cfg.mu, cfg.gamma)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise NumericError(f"pretraining diverged at epoch {epoch}")
+        grads = backward(loss, tape, params=params.values())
+        adam_step(params, grads, state, lr=lr)
+        return value
+
     for epoch in range(cfg.epochs):
         shuffle_gen.shuffle(order)
         codebook.reset_usage()
@@ -290,17 +306,7 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainConfig) -> PretrainResult:
         for lo in range(0, len(order), cfg.batch_size):
             batch = [frames[i] for i in order[lo : lo + cfg.batch_size]]
             xs, deltas = _gather_batch(ds, batch, cfg)
-            with Tape() as tape:
-                x_in = Tensor(xs)
-                h = encoder.encode(x_in, deltas, grid)
-                q = quantize(h, codebook)
-                x_hat = reconstruct(q.straight_through, encoder.decoder)
-                loss = pretrain_loss(x_in, x_hat, h, q.codes, cfg.mu, cfg.gamma)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"pretraining diverged at epoch {epoch}")
-            grads = backward(loss, tape, params=params.values())
-            adam_step(params, grads, state, lr=lr)
+            value = train_step(xs, deltas, lr, epoch)
             total += value * len(batch)
             count += len(batch)
         loss_history.append(total / count)
@@ -319,7 +325,7 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainConfig) -> PretrainResult:
                 latents = encoder.encode(xs, deltas, grid).data.reshape(-1, cfg.d_latent)
                 for j in dead:
                     codebook.embeddings.data[j] = latents[reseed_gen.integer(latents.shape[0])]
-        log.debug(
+        log.info(
             "pretrain epoch %d loss %.6f perplexity %.2f",
             epoch,
             loss_history[-1],

@@ -36,12 +36,18 @@ def tape_gradients(build_loss, values: dict[str, np.ndarray]) -> dict[str, np.nd
     return backward(loss, tape, params=params.values())
 
 
-def check_gradients(build_loss, values, step=1e-6, rtol=1e-4) -> float:
-    """Assert tape gradients match finite differences; returns worst relative error."""
+def check_gradients(build_loss, values, step=1e-6, rtol=1e-4, fd_loss=None) -> float:
+    """Assert tape gradients match finite differences; returns worst relative error.
+
+    The finite differences are taken of ``fd_loss`` when given (a function
+    whose derivative the tape is meant to compute, such as one with its
+    stop-gradient operands frozen), else of ``build_loss`` itself.
+    """
+    reference = build_loss if fd_loss is None else fd_loss
 
     def scalar_fn(arrays):
         params = {name: Tensor(v) for name, v in arrays.items()}
-        return build_loss(params).item()
+        return reference(params).item()
 
     fd = finite_difference(scalar_fn, values, step=step)
     ad = tape_gradients(build_loss, values)

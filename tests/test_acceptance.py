@@ -22,7 +22,17 @@ from sparkpde.augment import (
     interpolate_topk,
     snap,
 )
-from sparkpde.autodiff import Tape, Tensor, backward, fft2, ifft2, square, tensor_sum
+from sparkpde.autodiff import (
+    Tape,
+    Tensor,
+    backward,
+    fft2,
+    gather_rows,
+    ifft2,
+    square,
+    tensor_mean,
+    tensor_sum,
+)
 from sparkpde.datagen import (
     SPLIT_IN,
     SPLIT_OUT,
@@ -184,7 +194,34 @@ def test_gradient_integrity():
         x_hat = reconstruct(q2.straight_through, w)
         return pretrain_loss(Tensor(x_obs), x_hat, p["h"], q2.codes, mu=0.25, gamma=1.0)
 
-    worst = max(worst, check_gradients(pre_loss, p_values))
+    # The tape differentiates pre_loss with its stop-gradient operands held
+    # fixed: sg(codes), sg(h) and the straight-through offset codes - h. The
+    # oracle is therefore central FD of that surrogate, frozen at the base
+    # point, not of the forward value (whose h-derivative ignores the
+    # straight-through identity and whose codes jump with h).
+    base_idx = nearest_indices(p_values["h"], p_values["E"])
+    base_codes = p_values["E"][base_idx]
+    base_offset = base_codes - p_values["h"]
+
+    def pre_surrogate(p):
+        from sparkpde.encoder import MlpDecoderWeights
+
+        w = MlpDecoderWeights(
+            w_a=p["encoder.decoder.w_a"],
+            b_a=p["encoder.decoder.b_a"],
+            w_b=p["encoder.decoder.w_b"],
+            b_b=p["encoder.decoder.b_b"],
+        )
+        x_hat = reconstruct(p["h"] + Tensor(base_offset), w)
+        recon = tensor_mean(tensor_sum(square(x_hat - Tensor(x_obs)), axis=-1))
+        commit = tensor_mean(tensor_sum(square(p["h"] - Tensor(base_codes)), axis=-1))
+        codes = gather_rows(p["E"], base_idx)
+        dictionary = tensor_mean(
+            tensor_sum(square(Tensor(p_values["h"]) - codes), axis=-1)
+        )
+        return recon + 0.25 * commit + 1.0 * dictionary
+
+    worst = max(worst, check_gradients(pre_loss, p_values, fd_loss=pre_surrogate))
 
     elapsed = time.perf_counter() - start
     _report(

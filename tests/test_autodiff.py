@@ -184,64 +184,86 @@ def test_sparse_matmul_gradient():
 def test_spectral_channel_mix_gradient_small():
     grid = GridGraph(4, 4, normalization="row")
     idx = np.array([0, 1, 4, 5, 12, 15])
+    rows = grid.adjacency_row_slice(idx)
     gen = rng.substream(29, "mix")
     values = {
-        "x": gen.normal_array((2, 4, 4)),
+        "x": gen.normal_array((16, 2)),
         "wr": gen.normal_array((6, 2, 2)),
         "wi": gen.normal_array((6, 2, 2)),
     }
 
     def loss(p):
-        y = spectral_channel_mix(
-            p["x"], p["wr"], p["wi"], idx, 4, 4,
-            adjacency=grid.adjacency, adjacency_t=grid.adjacency_t,
-        )
+        y = spectral_channel_mix(p["x"], p["wr"], p["wi"], idx, 4, 4, adjacency_rows=rows)
         return tensor_sum(square(y))
 
     check_gradients(loss, values)
 
+    # Two calls give bit-identical outputs and VJPs.
+    g = gen.normal_array((16, 2))
+    runs = []
+    for _ in range(2):
+        params = [Tensor(values[k], requires_grad=True) for k in ("x", "wr", "wi")]
+        with Tape():
+            out = spectral_channel_mix(*params, idx, 4, 4, adjacency_rows=rows)
+        runs.append([out.data] + list(out._vjp(g)))
+    for first, second in zip(*runs):
+        assert first.tobytes() == second.tobytes()
+
 
 def test_spectral_channel_mix_matches_composed_primitives():
+    # A 4x4 grid with modes that fill no product set and no batch axis, and
+    # the production shape: 32x32, k_max 8, spectral adjacency, batch 2.
+    for h, k_max, batch, channels in [(4, None, None, 3), (32, 8, 2, 4)]:
+        _check_fused_against_composed(h, k_max, batch, channels)
+
+
+def _check_fused_against_composed(h, k_max, batch, channels):
     # Independent route: compose the generic fft2/gather/matmul/scatter/ifft2
     # primitives and compare against the fused node, values and gradients.
-    from sparkpde.autodiff import fft2, ifft2, mul as t_mul, reshape, sub as t_sub
+    from sparkpde.autodiff import fft2, ifft2, reshape, sub as t_sub
+    from sparkpde.grids import retained_mode_indices
 
-    h = w = 4
+    w = h
     n = h * w
-    idx = np.array([0, 2, 5, 9])
-    gen = rng.substream(31, "fused-vs-composed")
-    x0 = gen.normal_array((3, h, w))
-    wr0 = gen.normal_array((len(idx), 3, 3))
-    wi0 = gen.normal_array((len(idx), 3, 3))
+    idx = np.array([0, 2, 5, 9]) if k_max is None else retained_mode_indices(h, w, k_max)
+    k = len(idx)
+    b = 1 if batch is None else batch
+    c = channels
+    lead = () if batch is None else (batch,)
+    gen = rng.substream(31, f"fused-vs-composed/{h}")
+    x0 = gen.normal_array(lead + (n, c))
+    wr0 = gen.normal_array((k, c, c))
+    wi0 = gen.normal_array((k, c, c))
     grid = GridGraph(h, w, normalization="row")
 
     def composed(p):
-        sr, si = fft2(p["x"], Tensor(np.zeros((3, h, w))))
-        sr = transpose(reshape(sr, (3, n)), (1, 0))
-        si = transpose(reshape(si, (3, n)), (1, 0))
+        images = transpose(reshape(p["x"], (b, h, w, c)), (0, 3, 1, 2))
+        sr, si = fft2(images, Tensor(np.zeros((b, c, h, w))))
+        sr = transpose(reshape(sr, (b * c, n)), (1, 0))
+        si = transpose(reshape(si, (b * c, n)), (1, 0))
         sr = sparse_matmul(grid.adjacency, sr, grid.adjacency_t)
         si = sparse_matmul(grid.adjacency, si, grid.adjacency_t)
-        tr = reshape(gather_rows(sr, idx), (len(idx), 1, 3))
-        ti = reshape(gather_rows(si, idx), (len(idx), 1, 3))
+        tr = reshape(gather_rows(sr, idx), (k, b, c))
+        ti = reshape(gather_rows(si, idx), (k, b, c))
         yr = t_sub(matmul(tr, p["wr"]), matmul(ti, p["wi"]))
         yi = matmul(tr, p["wi"]) + matmul(ti, p["wr"])
-        fr = scatter_rows(reshape(yr, (len(idx), 3)), idx, n)
-        fi = scatter_rows(reshape(yi, (len(idx), 3)), idx, n)
-        fr = reshape(transpose(fr, (1, 0)), (3, h, w))
-        fi = reshape(transpose(fi, (1, 0)), (3, h, w))
+        fr = scatter_rows(reshape(yr, (k, b * c)), idx, n)
+        fi = scatter_rows(reshape(yi, (k, b * c)), idx, n)
+        fr = reshape(transpose(fr, (1, 0)), (b, c, h, w))
+        fi = reshape(transpose(fi, (1, 0)), (b, c, h, w))
         out_r, _ = ifft2(fr, fi)
-        return out_r
+        return reshape(transpose(out_r, (0, 2, 3, 1)), lead + (n, c))
 
     def fused(p):
         return spectral_channel_mix(
             p["x"], p["wr"], p["wi"], idx, h, w,
-            adjacency=grid.adjacency, adjacency_t=grid.adjacency_t,
+            adjacency_rows=grid.adjacency_row_slice(idx),
         )
 
     values = {"x": x0, "wr": wr0, "wi": wi0}
-    params = {k: Tensor(v) for k, v in values.items()}
+    params = {key: Tensor(v) for key, v in values.items()}
     np.testing.assert_allclose(
-        fused(params).data, composed(params).data, atol=1e-12
+        fused(params).data, composed(params).data, rtol=1e-12, atol=1e-12
     )
 
     def loss_fused(p):
@@ -252,8 +274,8 @@ def test_spectral_channel_mix_matches_composed_primitives():
 
     g1 = tape_gradients(loss_fused, values)
     g2 = tape_gradients(loss_composed, values)
-    for k in values:
-        np.testing.assert_allclose(g1[k], g2[k], atol=1e-10)
+    for key in values:
+        np.testing.assert_allclose(g1[key], g2[key], rtol=1e-10, atol=1e-10)
 
 
 def test_backward_deterministic_bit_identical():
