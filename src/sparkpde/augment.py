@@ -9,47 +9,12 @@ weights (k = 1 reduces exactly to snap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import AugmentSection, resolved_curriculum
 from .errors import ContractViolation
 from .rng import Xoshiro256StarStar
 from .state_dictionary import Codebook, nearest_indices
-
-AUG_MODES = ("snap", "interpolate")
-
-
-@dataclass
-class CurriculumConfig:
-    start_epoch: int = 4
-    ramp_epochs: int = 6
-    max_ratio: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 <= self.max_ratio <= 1.0):
-            raise ContractViolation("curriculum max_ratio must be in [0, 1]")
-        if self.start_epoch < 0 or self.ramp_epochs < 0:
-            raise ContractViolation("curriculum epochs must be non-negative")
-
-
-@dataclass
-class AugmentConfig:
-    mode: str = "interpolate"
-    k: int = 3
-    tau: float | None = None  # None: calibrated from data (mean nearest sq. distance)
-    curriculum: CurriculumConfig = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in AUG_MODES:
-            raise ContractViolation(f"augment mode must be one of {AUG_MODES}")
-        if self.k < 1:
-            raise ContractViolation("augment k must be at least 1")
-        if self.tau is not None and self.tau <= 0:
-            raise ContractViolation("augment tau must be positive")
-        if self.curriculum is None:
-            self.curriculum = CurriculumConfig()
 
 
 def snap(h: np.ndarray, cb: Codebook) -> np.ndarray:
@@ -95,27 +60,27 @@ def calibrate_tau(latents: np.ndarray, cb: Codebook) -> float:
     return float(max(d2.mean(), 1e-12))
 
 
-def augment_latents(h: np.ndarray, cb: Codebook, cfg: AugmentConfig, tau: float) -> np.ndarray:
+def augment_latents(h: np.ndarray, cb: Codebook, cfg: AugmentSection, tau: float) -> np.ndarray:
     if cfg.mode == "snap":
         return snap(h, cb)
     return interpolate_topk(h, cb, cfg.k, tau)
 
 
-def curriculum_ratio(epoch: int, cfg: AugmentConfig) -> float:
+def curriculum_ratio(epoch: int, cfg: AugmentSection, epochs: int) -> float:
     """Proportion of samples replaced by augmented versions at this epoch.
 
     Zero before the start epoch, then a linear ramp to max_ratio over
-    ramp_epochs, constant afterwards.
+    ramp_epochs, constant afterwards; ``epochs`` resolves the -1 defaults.
     """
     if epoch < 0:
         raise ContractViolation("epoch must be non-negative")
-    cur = cfg.curriculum
-    if epoch < cur.start_epoch:
+    start, ramp, max_ratio = resolved_curriculum(cfg, epochs)
+    if epoch < start:
         return 0.0
-    if cur.ramp_epochs == 0:
-        return cur.max_ratio
-    progress = (epoch - cur.start_epoch) / cur.ramp_epochs
-    return cur.max_ratio * min(progress, 1.0)
+    if ramp == 0:
+        return max_ratio
+    progress = (epoch - start) / ramp
+    return max_ratio * min(progress, 1.0)
 
 
 def augmentation_decisions(

@@ -14,7 +14,8 @@ Layout (little-endian):
     crc32            u32 over every preceding byte
 
 Frozen-section checksums are verified on load, as is the trailing CRC.
-Round trips are bit-exact and contain no timestamps.
+Round trips are bit-exact and contain no timestamps; the file is written
+atomically (``container.write_container``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import pack_str, read_container, write_container
 from .errors import FormatError
 
 MAGIC = b"SPARKCK1"
@@ -44,18 +46,13 @@ class ModelCheckpoint:
     dft_tag: str = DFT_TAG
 
 
-def _pack_str(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
 def save_checkpoint(ckpt: ModelCheckpoint, path: str) -> None:
     names = sorted(ckpt.tensors)
     parts = [
         MAGIC,
         struct.pack("<I", FORMAT_VERSION),
-        _pack_str(ckpt.dft_tag),
-        _pack_str(json.dumps(ckpt.config, sort_keys=True, separators=(",", ":"))),
+        pack_str(ckpt.dft_tag),
+        pack_str(json.dumps(ckpt.config, sort_keys=True, separators=(",", ":"))),
         struct.pack("<I", len(names)),
     ]
     payloads = []
@@ -65,7 +62,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str) -> None:
             arr = arr.astype(np.float64)
         tag = _DTYPE_TAGS[arr.dtype]
         raw = arr.astype(_DTYPES[tag]).tobytes()
-        parts.append(_pack_str(name))
+        parts.append(pack_str(name))
         parts.append(struct.pack("<BI", tag, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
         parts.append(struct.pack("<Q", len(raw)))
@@ -76,56 +73,13 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str) -> None:
         if name not in ckpt.tensors:
             raise FormatError(f"frozen name {name!r} is not a stored tensor")
         arr = np.ascontiguousarray(ckpt.tensors[name])
-        parts.append(_pack_str(name))
+        parts.append(pack_str(name))
         parts.append(struct.pack("<I", zlib.crc32(arr.tobytes()) & 0xFFFFFFFF))
-    body = b"".join(parts)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", crc))
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.offset = 0
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise FormatError("checkpoint file is truncated")
-        out = self.blob[self.offset : self.offset + n]
-        self.offset += n
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+    write_container(path, b"".join(parts))
 
 
 def load_checkpoint(path: str) -> ModelCheckpoint:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise FormatError(f"checkpoint not found: {path}")
-    if len(blob) < len(MAGIC) + 4:
-        raise FormatError("checkpoint file is truncated")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise FormatError("bad magic bytes: not a checkpoint file")
-    body, crc_raw = blob[:-4], blob[-4:]
-    expected = struct.unpack("<I", crc_raw)[0]
-    if zlib.crc32(body) & 0xFFFFFFFF != expected:
-        raise FormatError("checkpoint checksum mismatch")
-    r = _Reader(body)
-    r.take(len(MAGIC))
+    r = read_container(path, MAGIC, "checkpoint")
     version = r.u32()
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint format version {version}")
@@ -158,7 +112,7 @@ def load_checkpoint(path: str) -> ModelCheckpoint:
         if actual != stored_crc:
             raise FormatError(f"frozen tensor {name!r} failed its checksum")
         frozen_names.append(name)
-    if r.offset != len(body):
+    if not r.at_end():
         raise FormatError("trailing bytes after checkpoint frozen table")
     return ModelCheckpoint(
         config=config, tensors=tensors, frozen_names=frozen_names, dft_tag=dft_tag

@@ -1,7 +1,8 @@
 """Command-line orchestration.
 
 Commands: gen-data, pretrain, train, eval, inspect-codebook, sweep-k.
-Common flags: --config PATH, --seed U64, --out DIR, --threads N.
+Common flags: --config PATH, --seed U64, --out DIR. Config values and flag
+overrides are validated before any work starts.
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure,
 4 checkpoint/dataset incompatibility. SPARK_LOG={error|info|debug} controls
 logging. Every command is reproducible from (config, seed): re-runs produce
@@ -11,7 +12,7 @@ byte-identical dataset and checkpoint payloads (manifest timestamps aside).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import dataclasses
 import datetime
 import logging
 import os
@@ -22,13 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import AugmentConfig, CurriculumConfig
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .config import (
     ExperimentConfig,
     describe_config,
     load_config,
     resolved_curriculum,
+    validate_config,
 )
 from .datagen import (
     SPLIT_IN,
@@ -40,7 +41,7 @@ from .datagen import (
     simulate_navier_stokes,
     simulate_reaction_diffusion,
 )
-from .dynamics import DynTrainConfig, train_dynamics
+from .dynamics import train_dynamics
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -63,7 +64,7 @@ from .serialization import (
     rebuild_dynamics,
     rebuild_pretrained,
 )
-from .state_dictionary import PretrainConfig, codebook_perplexity, pretrain
+from .state_dictionary import codebook_perplexity, pretrain
 
 log = logging.getLogger("sparkpde")
 
@@ -97,12 +98,25 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _with_augment(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
+    """A validated copy of ``cfg`` with augment keys replaced; ``cfg`` is untouched."""
+    run = dataclasses.replace(cfg, augment=dataclasses.replace(cfg.augment, **changes))
+    validate_config(run)
+    return run
+
+
+def _input_file(path: str | None, what: str) -> str:
+    if not path or not Path(path).exists():
+        raise ConfigError(f"{what} not found: {path}")
+    if not Path(path).is_file():
+        raise ConfigError(f"{what} is not a file: {path}")
+    return path
+
+
 def _load_dataset(path: str) -> EpisodeDataset:
     if not path:
         raise ConfigError("--dataset is required")
-    if not Path(path).exists():
-        raise ConfigError(f"dataset not found: {path}")
-    return load_dataset(path)
+    return load_dataset(_input_file(path, "dataset"))
 
 
 def _grid_from_config(cfg: ExperimentConfig) -> GridGraph:
@@ -188,19 +202,7 @@ def cmd_gen_data(args) -> int:
                 stream = f"datagen/{delta!r}/{rep}"
                 jobs.append((delta, split, derive_seed(cfg.seed, stream)))
 
-    episodes = [None] * len(jobs)
-    workers = max(1, args.threads)
-    if workers == 1:
-        for i, (delta, split, seed) in enumerate(jobs):
-            episodes[i] = _simulate_episode(cfg, grid, delta, split, seed)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_simulate_episode, cfg, grid, delta, split, seed): i
-                for i, (delta, split, seed) in enumerate(jobs)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                episodes[futures[fut]] = fut.result()
+    episodes = [_simulate_episode(cfg, grid, delta, split, seed) for delta, split, seed in jobs]
 
     channel_names = (
         ["vorticity"] if ds_cfg.generator == "navier_stokes" else ["u", "v"]
@@ -234,28 +236,6 @@ def cmd_gen_data(args) -> int:
 # -- pretrain ----------------------------------------------------------------------
 
 
-def _pretrain_config(cfg: ExperimentConfig) -> PretrainConfig:
-    p = cfg.pretrain
-    return PretrainConfig(
-        epochs=p.epochs,
-        batch_size=p.batch_size,
-        lr=p.lr,
-        lr_decay=p.lr_decay,
-        mu=p.mu,
-        gamma=p.gamma,
-        codebook_size=p.codebook_size,
-        d_latent=p.d_latent,
-        hidden=p.hidden,
-        attention_hidden=p.attention_hidden,
-        gnn_layers=p.gnn_layers,
-        k_max=p.k_max,
-        activation=p.activation,
-        param_transform=p.param_transform,
-        reseed_dead_codes=p.reseed_dead_codes,
-        seed=cfg.seed,
-    )
-
-
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     ds = _load_dataset(args.dataset)
@@ -263,7 +243,7 @@ def cmd_pretrain(args) -> int:
     out = _out_dir(args, cfg)
     ckpt_path = out / "pretrain.ckpt"
     try:
-        result = pretrain(ds, _pretrain_config(cfg))
+        result = pretrain(ds, cfg.pretrain, seed=cfg.seed)
     except NumericError as exc:
         (out / "pretrain.failed").write_text(str(exc) + "\n", encoding="utf-8")
         raise
@@ -296,63 +276,29 @@ def cmd_pretrain(args) -> int:
 # -- train -------------------------------------------------------------------------
 
 
-def _augment_config(cfg: ExperimentConfig, args) -> AugmentConfig | None:
-    if getattr(args, "no_augment", False):
-        return None
-    a = cfg.augment
-    mode = getattr(args, "aug_mode", None) or a.mode
-    k = getattr(args, "aug_k", None) or a.k
-    tau = getattr(args, "aug_tau", None)
-    if tau is None:
-        tau = a.tau
-    epochs = cfg.dynamics.epochs
-    if getattr(args, "curriculum", None):
-        pieces = args.curriculum.split(",")
-        if len(pieces) != 3:
-            raise ConfigError("--curriculum expects E0,R,pmax")
-        start, ramp, pmax = int(pieces[0]), int(pieces[1]), float(pieces[2])
-    else:
-        start, ramp, pmax = resolved_curriculum(a, epochs)
-    return AugmentConfig(
-        mode=mode,
-        k=k,
-        tau=tau,
-        curriculum=CurriculumConfig(start_epoch=start, ramp_epochs=ramp, max_ratio=pmax),
-        seed=derive_seed(cfg.seed, "augment"),
-    )
-
-
-def _dyn_config(cfg: ExperimentConfig) -> DynTrainConfig:
-    d = cfg.dynamics
-    return DynTrainConfig(
-        t0=d.t0,
-        horizon=d.horizon,
-        lambda_reg=d.lambda_reg,
-        solver=d.solver,
-        substeps=d.substeps,
-        ode_layers=d.ode_layers,
-        k_max=d.k_max,
-        decoder_hidden=d.decoder_hidden,
-        epochs=d.epochs,
-        lr=d.lr,
-        lr_decay=d.lr_decay,
-        batch_size=d.batch_size,
-        val_fraction=d.val_fraction,
-        window_stride=d.window_stride,
-        activation=d.activation,
-        attention_activation=d.attention_activation,
-        spectral_adjacency=d.spectral_adjacency,
-        layer_output=d.layer_output,
-        seed=cfg.seed,
-    )
+def _train_config(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """``cfg`` with the --aug-*/--curriculum overrides applied, validated."""
+    changes = {}
+    for key, value in (("mode", args.aug_mode), ("k", args.aug_k), ("tau", args.aug_tau)):
+        if value is not None:
+            changes[key] = value
+    if args.curriculum:
+        try:
+            start, ramp, pmax = args.curriculum.split(",")
+            changes.update(start_epoch=int(start), ramp_epochs=int(ramp), max_ratio=float(pmax))
+        except ValueError:
+            raise ConfigError(
+                f"--curriculum expects E0,R,PMAX (two integers and a ratio), "
+                f"got {args.curriculum!r}"
+            )
+    return _with_augment(cfg, **changes)
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    aug = None if args.no_augment else _train_config(cfg, args).augment
     ds = _load_dataset(args.dataset)
-    if not args.checkpoint or not Path(args.checkpoint).exists():
-        raise ConfigError(f"pretrain checkpoint not found: {args.checkpoint}")
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(_input_file(args.checkpoint, "pretrain checkpoint"))
     if ckpt.config.get("kind") != KIND_PRETRAIN:
         raise IncompatibilityError("train expects a pretrain checkpoint")
     check_dataset_compatibility(ckpt.config, ds)
@@ -360,10 +306,8 @@ def cmd_train(args) -> int:
     _, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
     _attach_grid(ds, grid)
 
-    dyn_cfg = _dyn_config(cfg)
-    aug = _augment_config(cfg, args)
     result = train_dynamics(
-        ds, encoder, codebook, dyn_cfg, aug=aug,
+        ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug,
         param_transform=cfg.pretrain.param_transform,
     )
 
@@ -372,11 +316,10 @@ def cmd_train(args) -> int:
     meta["d_latent"] = codebook.dim
     meta["augmented"] = aug is not None
     if aug is not None:
+        start, ramp, pmax = resolved_curriculum(aug, cfg.dynamics.epochs)
         meta["augment"] = {
             "mode": aug.mode, "k": aug.k, "tau": result.tau,
-            "start_epoch": aug.curriculum.start_epoch,
-            "ramp_epochs": aug.curriculum.ramp_epochs,
-            "max_ratio": aug.curriculum.max_ratio,
+            "start_epoch": start, "ramp_epochs": ramp, "max_ratio": pmax,
         }
     snapshot = checkpoint_config(cfg, KIND_DYNAMICS, meta)
     tensors = dynamics_tensors(result.weights)
@@ -408,9 +351,7 @@ def cmd_train(args) -> int:
 
 
 def _load_dynamics_checkpoint(path: str):
-    if not path or not Path(path).exists():
-        raise ConfigError(f"checkpoint not found: {path}")
-    ckpt = load_checkpoint(path)
+    ckpt = load_checkpoint(_input_file(path, "checkpoint"))
     if ckpt.config.get("kind") != KIND_DYNAMICS:
         raise IncompatibilityError("eval expects a dynamics checkpoint")
     return ckpt
@@ -428,11 +369,9 @@ def cmd_eval(args) -> int:
     split = {"in": SPLIT_IN, "out": SPLIT_OUT}[args.split]
     if not ds.split_episodes(split):
         raise ContractViolation(f"dataset has no '{split}' episodes")
-    dyn_cfg = _dyn_config(cfg)
     report, dump = evaluate_split(
-        ds, encoder, weights, dyn_cfg, split,
+        ds, encoder, weights, cfg.dynamics, split,
         param_transform=cfg.pretrain.param_transform,
-        eval_stride=cfg.dynamics.eval_stride,
     )
     out = _out_dir(args, cfg)
     _write_csv(
@@ -465,9 +404,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_codebook(args) -> int:
-    if not args.checkpoint or not Path(args.checkpoint).exists():
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     if "codebook.embeddings" not in ckpt.tensors:
         raise IncompatibilityError("checkpoint holds no codebook")
     entries = ckpt.tensors["codebook.embeddings"]
@@ -495,39 +432,25 @@ def cmd_inspect_codebook(args) -> int:
 
 def cmd_sweep_k(args) -> int:
     cfg = _load_config(args)
+    augs = [_with_augment(cfg, mode="interpolate", k=k).augment for k in K_SWEEP_GRID]
     ds = _load_dataset(args.dataset)
-    if not args.checkpoint or not Path(args.checkpoint).exists():
-        raise ConfigError(f"pretrain checkpoint not found: {args.checkpoint}")
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(_input_file(args.checkpoint, "pretrain checkpoint"))
     check_dataset_compatibility(ckpt.config, ds)
     out = _out_dir(args, cfg)
     rows = []
-    for k in K_SWEEP_GRID:
+    for k, aug in zip(K_SWEEP_GRID, augs):
         _, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
         _attach_grid(ds, grid)
-        dyn_cfg = _dyn_config(cfg)
-        epochs = cfg.dynamics.epochs
-        start, ramp, pmax = resolved_curriculum(cfg.augment, epochs)
-        aug = AugmentConfig(
-            mode="interpolate",
-            k=k,
-            tau=cfg.augment.tau,
-            curriculum=CurriculumConfig(
-                start_epoch=start, ramp_epochs=ramp, max_ratio=pmax
-            ),
-            seed=derive_seed(cfg.seed, "augment"),
-        )
         result = train_dynamics(
-            ds, encoder, codebook, dyn_cfg, aug=aug,
+            ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug,
             param_transform=cfg.pretrain.param_transform,
         )
         row = [k, result.history[-1].train_mse, result.history[-1].val_mse]
         for split in (SPLIT_IN, SPLIT_OUT):
             if ds.split_episodes(split):
                 report, _ = evaluate_split(
-                    ds, encoder, result.weights, dyn_cfg, split,
+                    ds, encoder, result.weights, cfg.dynamics, split,
                     param_transform=cfg.pretrain.param_transform,
-                    eval_stride=cfg.dynamics.eval_stride,
                     with_spectra=False,
                 )
                 row.append(report.mse)
@@ -562,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", help="YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the root seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
         if dataset:
             p.add_argument("--dataset", help="dataset file (.spds)")
         if checkpoint:

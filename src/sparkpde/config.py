@@ -3,21 +3,30 @@
 Config files are YAML with four sections (dataset, pretrain, dynamics,
 augment) plus top-level seed/out_dir. Parsing is strict: unknown keys are
 rejected with their dotted path, wrong types are rejected, and every field
-has the default listed in ``describe_config``.
+has the default listed in ``describe_config``. The sections are also the
+runtime configs of the stages; ``validate_config`` holds every value rule
+and runs at load, so no stage sees an invalid value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import yaml
 
+from .datagen.reaction_diffusion import FEED_RANGE, KILL_RANGE
 from .errors import ConfigError
+from .grids import NORMALIZATIONS
 
 GENERATORS = ("navier_stokes", "reaction_diffusion")
+ACTIVATIONS = ("gelu", "tanh", "identity")
+SOLVERS = ("rk4", "euler")
+AUG_MODES = ("snap", "interpolate")
+LR_DECAYS = ("none", "cosine")
 
 
 @dataclass
@@ -245,29 +254,141 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+def _one_of(*choices):
+    return (lambda v: v in choices, f"must be one of {' | '.join(map(str, choices))}")
+
+
+def _at_least(low):
+    return (lambda v: v >= low, f"must be at least {low}")
+
+
+def _within(low, high):
+    return (lambda v: low <= v <= high, f"must lie in [{low}, {high}]")
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = _at_least(0)
+_EPOCH_OR_DEFAULT = (lambda v: v >= -1, "must be -1 (percent-of-epochs default) or >= 0")
+
+
+def _param_values(value) -> list[float] | None:
+    """The components of one parameter entry (a number or a list of numbers),
+    or None if it is not one. Numeric strings count: YAML 1.1 reads 3e-05
+    as a string."""
+    values = value if isinstance(value, list) else [value]
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError):
+        return None
+    return out if out and all(math.isfinite(v) for v in out) else None
+
+
+def _params_ok(entries) -> bool:
+    return all(_param_values(p) is not None for p in entries)
+
+
+# One rule per documented key that constrains its value on its own; the
+# cross-field rules are in ``validate_config``.
+RULES = {
+    "dataset.generator": _one_of(*GENERATORS),
+    "dataset.grid.height": _at_least(1),
+    "dataset.grid.width": _at_least(1),
+    "dataset.grid.connectivity": _one_of(4, 8),
+    "dataset.grid.normalization": _one_of(*NORMALIZATIONS),
+    "dataset.params": (
+        lambda v: bool(v) and _params_ok(v),
+        "must be a non-empty list of numbers or lists of numbers",
+    ),
+    "dataset.ood.mode": _one_of("explicit", "threshold"),
+    "dataset.ood.out_values": (_params_ok, "entries must be numbers or lists of numbers"),
+    "dataset.ood.direction": _one_of("below", "above"),
+    "dataset.episodes_per_param": _at_least(1),
+    "dataset.dt": _POSITIVE,
+    "dataset.record_every": _at_least(1),
+    "dataset.ic_modes": _at_least(1),
+    "dataset.ic_amplitude": _NON_NEGATIVE,
+    "dataset.feed": _within(*FEED_RANGE),
+    "dataset.kill": _within(*KILL_RANGE),
+    "dataset.reaction_strength": _NON_NEGATIVE,
+    "pretrain.epochs": _at_least(1),
+    "pretrain.batch_size": _at_least(1),
+    "pretrain.lr": _POSITIVE,
+    "pretrain.lr_decay": _one_of(*LR_DECAYS),
+    "pretrain.mu": _NON_NEGATIVE,
+    "pretrain.gamma": _NON_NEGATIVE,
+    "pretrain.codebook_size": _at_least(2),
+    "pretrain.d_latent": _at_least(1),
+    "pretrain.hidden": _at_least(1),
+    "pretrain.attention_hidden": _at_least(1),
+    "pretrain.gnn_layers": _at_least(1),
+    "pretrain.k_max": _NON_NEGATIVE,
+    "pretrain.activation": _one_of(*ACTIVATIONS),
+    "pretrain.param_transform": _one_of("log10", "identity"),
+    "dynamics.t0": _at_least(1),
+    "dynamics.horizon": _at_least(1),
+    "dynamics.lambda_reg": _NON_NEGATIVE,
+    "dynamics.solver": _one_of(*SOLVERS),
+    "dynamics.substeps": _at_least(1),
+    "dynamics.ode_layers": _at_least(1),
+    "dynamics.k_max": _NON_NEGATIVE,
+    "dynamics.decoder_hidden": _at_least(1),
+    "dynamics.epochs": _at_least(1),
+    "dynamics.lr": _POSITIVE,
+    "dynamics.lr_decay": _one_of(*LR_DECAYS),
+    "dynamics.batch_size": _at_least(1),
+    "dynamics.val_fraction": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "dynamics.window_stride": _at_least(1),
+    "dynamics.activation": _one_of(*ACTIVATIONS),
+    "dynamics.attention_activation": _one_of("identity", "tanh"),
+    "dynamics.spectral_adjacency": _one_of("spectral", "field"),
+    "dynamics.layer_output": _one_of("sum", "last"),
+    "dynamics.eval_stride": _NON_NEGATIVE,
+    "augment.mode": _one_of(*AUG_MODES),
+    "augment.k": _at_least(1),
+    "augment.tau": (lambda v: v is None or v > 0, "must be positive or null"),
+    "augment.start_epoch": _EPOCH_OR_DEFAULT,
+    "augment.ramp_epochs": _EPOCH_OR_DEFAULT,
+    "augment.max_ratio": _within(0.0, 1.0),
+}
+
+
+def _lookup(cfg: ExperimentConfig, key: str):
+    value = cfg
+    for part in key.split("."):
+        value = getattr(value, part)
+    return value
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    ds = cfg.dataset
-    if ds.generator not in GENERATORS:
-        raise ConfigError(f"dataset.generator must be one of {GENERATORS}")
-    if not ds.params:
-        raise ConfigError("dataset.params must be non-empty")
-    if ds.episodes_per_param < 1:
-        raise ConfigError("dataset.episodes_per_param must be positive")
-    if ds.t_total < cfg.dynamics.t0 + cfg.dynamics.horizon:
+    """Every value rule of the schema; raises ConfigError naming the key."""
+    for key, (ok, what) in RULES.items():
+        value = _lookup(cfg, key)
+        if not ok(value):
+            raise ConfigError(f"{key} {what} (got {value!r})")
+    ds, pre, dyn, aug = cfg.dataset, cfg.pretrain, cfg.dynamics, cfg.augment
+    if ds.t_total < dyn.t0 + dyn.horizon:
         raise ConfigError(
             f"dataset.t_total={ds.t_total} too short for t0+horizon="
-            f"{cfg.dynamics.t0 + cfg.dynamics.horizon}"
+            f"{dyn.t0 + dyn.horizon}"
         )
-    if ds.ood.mode not in ("explicit", "threshold"):
-        raise ConfigError("dataset.ood.mode must be explicit or threshold")
-    if cfg.augment.mode not in ("snap", "interpolate"):
-        raise ConfigError("augment.mode must be snap or interpolate")
-    if cfg.augment.k < 1:
-        raise ConfigError("augment.k must be at least 1")
-    if not (0.0 <= cfg.augment.max_ratio <= 1.0):
-        raise ConfigError("augment.max_ratio must lie in [0, 1]")
-    if cfg.dynamics.solver not in ("rk4", "euler"):
-        raise ConfigError("dynamics.solver must be rk4 or euler")
+    half = min(ds.grid.height, ds.grid.width) // 2
+    for key, k_max in (("pretrain.k_max", pre.k_max), ("dynamics.k_max", dyn.k_max)):
+        if k_max > half:
+            raise ConfigError(
+                f"{key}={k_max} exceeds floor(min(height, width)/2)={half}"
+            )
+    if aug.k > pre.codebook_size:
+        raise ConfigError(
+            f"augment.k={aug.k} exceeds pretrain.codebook_size={pre.codebook_size}"
+        )
+    # navier_stokes reads a viscosity, reaction_diffusion two diffusivities
+    positive = ds.generator == "navier_stokes"
+    for p in ds.params:
+        if any(v <= 0 if positive else v < 0 for v in _param_values(p)):
+            raise ConfigError(
+                f"dataset.params entry {p!r} must be "
+                f"{'positive' if positive else 'non-negative'} for {ds.generator}"
+            )
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

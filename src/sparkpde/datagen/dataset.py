@@ -18,18 +18,19 @@ File layout (all integers little-endian):
     crc32               u32 over every preceding byte
 
 Round trips are bit-exact; magic, version, truncation, and checksum failures
-raise distinct errors without returning partial data.
+raise distinct errors without returning partial data. The file is written
+atomically (``container.write_container``).
 """
 
 from __future__ import annotations
 
 import struct
 import warnings
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..container import pack_str, read_container, write_container
 from ..errors import ContractViolation, FormatError
 from ..grids import GridGraph
 
@@ -47,7 +48,6 @@ class Episode:
     x: np.ndarray  # (T_total, N, d)
     seed: int
     split: str = SPLIT_IN
-    generator_id: str = ""
 
     def __post_init__(self):
         self.delta = np.asarray(self.delta, dtype=np.float64).reshape(-1)
@@ -96,12 +96,6 @@ class EpisodeDataset:
         means, stds = self.stats
         return (x - means) / stds
 
-    def denormalize(self, x: np.ndarray) -> np.ndarray:
-        if self.stats is None:
-            raise ContractViolation("dataset has no normalization statistics")
-        means, stds = self.stats
-        return x * stds + means
-
 
 def make_ood_split(
     param_grid: list, ood_rule: dict
@@ -147,39 +141,6 @@ def make_ood_split(
 # -- binary container ---------------------------------------------------------
 
 
-def _pack_str(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.offset = 0
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise FormatError("dataset file is truncated")
-        out = self.blob[self.offset : self.offset + n]
-        self.offset += n
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64s(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * n), dtype="<f8").copy()
-
-    def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
-
-
 def save_dataset(ds: EpisodeDataset, path: str) -> None:
     if ds.stats is None:
         ds.compute_normalization()
@@ -192,7 +153,7 @@ def save_dataset(ds: EpisodeDataset, path: str) -> None:
         struct.pack("<I", len(ds.episodes)),
     ]
     for name in ds.channel_names:
-        parts.append(_pack_str(name))
+        parts.append(pack_str(name))
     for c in range(ds.n_channels):
         parts.append(struct.pack("<dd", means[c], stds[c]))
     n = ds.grid.n_nodes
@@ -205,29 +166,11 @@ def save_dataset(ds: EpisodeDataset, path: str) -> None:
         parts.append(struct.pack("<Q", ep.seed & (2**64 - 1)))
         parts.append(struct.pack("<I", ep.t_total))
         parts.append(np.ascontiguousarray(ep.x, dtype="<f8").tobytes())
-    body = b"".join(parts)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", crc))
+    write_container(path, b"".join(parts))
 
 
 def load_dataset(path: str) -> EpisodeDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + 4:
-        raise FormatError("dataset file is truncated")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise FormatError("bad magic bytes: not a dataset file")
-    body, crc_bytes = blob[:-4], blob[-4:]
-    expected = struct.unpack("<I", crc_bytes)[0]
-    actual = zlib.crc32(body) & 0xFFFFFFFF
-    if actual != expected:
-        raise FormatError(
-            f"dataset checksum mismatch (stored {expected:#010x}, computed {actual:#010x})"
-        )
-    reader = _Reader(body)
-    reader.take(len(MAGIC))
+    reader = read_container(path, MAGIC, "dataset")
     version = reader.u32()
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported dataset format version {version}")
@@ -256,6 +199,6 @@ def load_dataset(path: str) -> EpisodeDataset:
                 split=split,
             )
         )
-    if reader.offset != len(body):
+    if not reader.at_end():
         raise FormatError("trailing bytes after final episode record")
     return EpisodeDataset(grid=grid, channel_names=names, episodes=episodes, stats=(means, stds))

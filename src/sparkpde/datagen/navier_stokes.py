@@ -23,8 +23,6 @@ from .fields import band_limited_field
 
 CFL_SAFETY = 0.5
 
-GENERATOR_ID = "navier_stokes_2d"
-
 
 def _wavenumbers(grid: GridGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ky = 2.0 * np.pi * np.fft.fftfreq(grid.height, d=1.0 / grid.height)
@@ -137,5 +135,4 @@ def simulate_navier_stokes(
         x=trajectory,
         seed=ic_seed,
         split=SPLIT_IN,
-        generator_id=GENERATOR_ID,
     )

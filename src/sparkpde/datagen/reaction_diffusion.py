@@ -18,8 +18,6 @@ from ..rng import Xoshiro256StarStar
 from .dataset import SPLIT_IN, Episode
 from .fields import band_limited_field
 
-GENERATOR_ID = "gray_scott_2d"
-
 FEED_RANGE = (0.0, 0.3)
 KILL_RANGE = (0.0, 0.3)
 
@@ -105,5 +103,4 @@ def simulate_reaction_diffusion(
         x=trajectory,
         seed=ic_seed,
         split=SPLIT_IN,
-        generator_id=GENERATOR_ID,
     )

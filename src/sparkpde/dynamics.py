@@ -24,23 +24,21 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import (
-    AugmentConfig,
     augment_latents,
     augmentation_decisions,
     calibrate_tau,
     curriculum_ratio,
 )
 from .autodiff import AdamState, Tape, Tensor, adam_step, backward
+from .config import SOLVERS, AugmentSection, DynamicsSection
 from .datagen import EpisodeDataset
 from .encoder import EncoderStack, MlpDecoderWeights, apply_activation, init_mlp_decoder
 from .errors import ContractViolation, NumericError
 from .grids import GridGraph, retained_mode_indices
-from .rng import Xoshiro256StarStar, substream
+from .rng import Xoshiro256StarStar, derive_seed, substream
 from .state_dictionary import Codebook, scheduled_lr, transform_params
 
 log = logging.getLogger("sparkpde")
-
-SOLVERS = ("rk4", "euler")
 
 
 @dataclass
@@ -74,29 +72,18 @@ class DynamicsWeights:
 
 def init_dynamics(
     gen: Xoshiro256StarStar,
+    cfg: DynamicsSection,
+    grid: GridGraph,
     d_latent: int,
     d_obs: int,
-    grid: GridGraph,
-    n_layers: int = 2,
-    k_max: int = 8,
-    decoder_hidden: int = 64,
-    activation: str = "gelu",
-    attention_activation: str = "identity",
-    spectral_adjacency: str = "spectral",
-    layer_output: str = "sum",
 ) -> DynamicsWeights:
-    if n_layers < 1:
-        raise ContractViolation("dynamics needs at least one ODE layer")
-    if spectral_adjacency not in ("spectral", "field"):
-        raise ContractViolation("spectral_adjacency must be 'spectral' or 'field'")
-    if layer_output not in ("sum", "last"):
-        raise ContractViolation("layer_output must be 'sum' or 'last'")
-    mode_idx = retained_mode_indices(grid.height, grid.width, k_max)
+    """The forecaster ``cfg`` describes, for d_latent latents and d_obs channels."""
+    mode_idx = retained_mode_indices(grid.height, grid.width, cfg.k_max)
     k = len(mode_idx)
     spectral_std = 0.1 / np.sqrt(d_latent)
     spatial_std = 0.5 / np.sqrt(d_latent)
     layers = []
-    for i in range(n_layers):
+    for i in range(cfg.ode_layers):
         layers.append(
             OdeLayer(
                 wf_real=ad.parameter(
@@ -115,7 +102,7 @@ def init_dynamics(
             )
         )
     decoder = init_mlp_decoder(
-        gen, d_latent, decoder_hidden, d_obs, activation, prefix="dynamics.decoder"
+        gen, d_latent, cfg.decoder_hidden, d_obs, cfg.activation, prefix="dynamics.decoder"
     )
     return DynamicsWeights(
         w_alpha=ad.parameter(
@@ -125,11 +112,11 @@ def init_dynamics(
         layers=layers,
         decoder=decoder,
         mode_idx=mode_idx,
-        k_max=k_max,
-        activation=activation,
-        attention_activation=attention_activation,
-        spectral_adjacency=spectral_adjacency,
-        layer_output=layer_output,
+        k_max=cfg.k_max,
+        activation=cfg.activation,
+        attention_activation=cfg.attention_activation,
+        spectral_adjacency=cfg.spectral_adjacency,
+        layer_output=cfg.layer_output,
     )
 
 
@@ -181,16 +168,21 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
     total: Tensor | None = None
     adj_rows = grid.adjacency_row_slice(w.mode_idx)
     for layer in w.layers:
+        # A.H feeds the spatial branch and, in field mode, the spectral one.
+        # Recording order sets the order gradients accumulate in; spectral
+        # mode keeps the spectral op first so checkpoints stay byte-identical.
         if w.spectral_adjacency == "spectral":
             spectral = ad.spectral_channel_mix(
                 state, layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg,
                 adjacency_rows=adj_rows,
             )
+            adjacent = apply_adjacency(state)
         else:
+            adjacent = apply_adjacency(state)
             spectral = ad.spectral_channel_mix(
-                apply_adjacency(state), layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg
+                adjacent, layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg
             )
-        spatial = ad.matmul(apply_adjacency(state), layer.w)
+        spatial = ad.matmul(adjacent, layer.w)
         y = apply_activation(spectral + spatial + layer.b, w.activation)
         total = y if total is None else total + y
         state = y
@@ -259,35 +251,6 @@ def decode(h_t: Tensor | np.ndarray, w: DynamicsWeights) -> Tensor:
 
 
 @dataclass
-class DynTrainConfig:
-    t0: int = 10
-    horizon: int = 10
-    lambda_reg: float = 1e-6
-    solver: str = "rk4"
-    substeps: int = 4
-    ode_layers: int = 2
-    k_max: int = 8
-    decoder_hidden: int = 64
-    epochs: int = 20
-    lr: float = 3e-3
-    lr_decay: str = "cosine"
-    batch_size: int = 8
-    val_fraction: float = 0.15
-    window_stride: int = 1
-    activation: str = "gelu"
-    attention_activation: str = "identity"
-    spectral_adjacency: str = "spectral"
-    layer_output: str = "sum"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.t0 < 1 or self.horizon < 1:
-            raise ContractViolation("t0 and horizon must be at least 1")
-        if self.lambda_reg < 0:
-            raise ContractViolation("lambda_reg must be non-negative")
-
-
-@dataclass
 class EpochRow:
     epoch: int
     train_mse: float
@@ -342,7 +305,10 @@ def dynamics_loss(
     return err, mse_value
 
 
-def _windows(ds: EpisodeDataset, cfg: DynTrainConfig, split: str) -> list[tuple[int, int]]:
+def _windows(
+    ds: EpisodeDataset, cfg: DynamicsSection, split: str, stride: int
+) -> list[tuple[int, int]]:
+    """(episode, start) of every t0+horizon window of ``split``, ``stride`` apart."""
     spans = []
     needed = cfg.t0 + cfg.horizon
     for e_idx, ep in enumerate(ds.episodes):
@@ -352,7 +318,7 @@ def _windows(ds: EpisodeDataset, cfg: DynTrainConfig, split: str) -> list[tuple[
             raise ContractViolation(
                 f"episode {e_idx} has {ep.t_total} frames; needs >= {needed}"
             )
-        for start in range(0, ep.t_total - needed + 1, cfg.window_stride):
+        for start in range(0, ep.t_total - needed + 1, stride):
             spans.append((e_idx, start))
     return spans
 
@@ -362,7 +328,7 @@ def _forecast_batch(
     ds: EpisodeDataset,
     batch: list[tuple[int, int]],
     weights: DynamicsWeights,
-    cfg: DynTrainConfig,
+    cfg: DynamicsSection,
     augmented: np.ndarray | None = None,
     aug_fn=None,
 ) -> tuple[Tensor, Tensor]:
@@ -394,15 +360,17 @@ def train_dynamics(
     ds: EpisodeDataset,
     encoder: EncoderStack,
     codebook: Codebook,
-    cfg: DynTrainConfig,
-    aug: AugmentConfig | None = None,
+    cfg: DynamicsSection,
+    seed: int = 0,
+    aug: AugmentSection | None = None,
     param_transform: str = "log10",
 ) -> DynTrainResult:
     """Train the forecaster on in-domain windows with optional augmentation.
 
     The encoder and codebook stay frozen (verified by checksum). Augmentation
     replaces whole history windows with their codebook-guided versions at the
-    curriculum ratio; it never touches validation windows.
+    curriculum ratio; it never touches validation windows. All randomness
+    derives from the root ``seed``.
     """
     start_time = time.perf_counter()
     checksum_before = frozen_checksum(encoder, codebook)
@@ -410,19 +378,8 @@ def train_dynamics(
         ds.compute_normalization()
 
     d_latent = codebook.dim
-    init_gen = substream(cfg.seed, "dynamics/init")
     weights = init_dynamics(
-        init_gen,
-        d_latent=d_latent,
-        d_obs=ds.n_channels,
-        grid=ds.grid,
-        n_layers=cfg.ode_layers,
-        k_max=cfg.k_max,
-        decoder_hidden=cfg.decoder_hidden,
-        activation=cfg.activation,
-        attention_activation=cfg.attention_activation,
-        spectral_adjacency=cfg.spectral_adjacency,
-        layer_output=cfg.layer_output,
+        substream(seed, "dynamics/init"), cfg, ds.grid, d_latent=d_latent, d_obs=ds.n_channels
     )
 
     in_episodes = [i for i, ep in enumerate(ds.episodes) if ep.split == "in"]
@@ -432,8 +389,8 @@ def train_dynamics(
         i: episode_latents(ds, encoder, i, param_transform) for i in in_episodes
     }
 
-    windows = _windows(ds, cfg, "in")
-    order_gen = substream(cfg.seed, "dynamics/shuffle")
+    windows = _windows(ds, cfg, "in", cfg.window_stride)
+    order_gen = substream(seed, "dynamics/shuffle")
     order_gen.shuffle(windows)
     n_val = int(round(len(windows) * cfg.val_fraction))
     val_windows = windows[:n_val]
@@ -455,7 +412,9 @@ def train_dynamics(
 
     params = weights.params()
     state = AdamState()
-    decision_gen = substream(aug.seed if aug is not None else cfg.seed, "curriculum")
+    decision_gen = substream(
+        derive_seed(seed, "augment") if aug is not None else seed, "curriculum"
+    )
     history: list[EpochRow] = []
 
     def train_step(batch, decisions, lr: float, epoch: int) -> float:
@@ -475,7 +434,7 @@ def train_dynamics(
         return mse_value
 
     for epoch in range(cfg.epochs):
-        ratio = curriculum_ratio(epoch, aug) if aug is not None else 0.0
+        ratio = curriculum_ratio(epoch, aug, cfg.epochs) if aug is not None else 0.0
         lr = scheduled_lr(cfg.lr, epoch, cfg.epochs, cfg.lr_decay)
         order_gen.shuffle(train_windows)
         total, count = 0.0, 0

@@ -23,11 +23,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import PretrainSection
 from .errors import ContractViolation
 from .grids import GridGraph, retained_mode_indices
 from .rng import Xoshiro256StarStar
-
-ACTIVATIONS = ("gelu", "tanh", "identity")
 
 
 def apply_activation(x: Tensor, kind: str) -> Tensor:
@@ -315,20 +314,17 @@ class EncoderStack:
 
 def init_encoder_stack(
     gen: Xoshiro256StarStar,
+    cfg: PretrainSection,
+    grid: GridGraph,
     d_obs: int,
     d_delta: int,
-    d_latent: int,
-    grid: GridGraph,
-    hidden: int = 64,
-    attention_hidden: int = 32,
-    gnn_layers: int = 2,
-    k_max: int = 8,
-    activation: str = "gelu",
 ) -> EncoderStack:
+    """The encoder stack ``cfg`` describes, for d_obs channels and d_delta parameters."""
+    act = cfg.activation
     return EncoderStack(
         attention=init_channel_attention(
-            gen, d_obs, d_delta, attention_hidden, grid, k_max, activation
+            gen, d_obs, d_delta, cfg.attention_hidden, grid, cfg.k_max, act
         ),
-        gnn=init_gnn_encoder(gen, d_obs, hidden, d_latent, gnn_layers, activation),
-        decoder=init_mlp_decoder(gen, d_latent, hidden, d_obs, activation),
+        gnn=init_gnn_encoder(gen, d_obs, cfg.hidden, cfg.d_latent, cfg.gnn_layers, act),
+        decoder=init_mlp_decoder(gen, cfg.d_latent, cfg.hidden, d_obs, act),
     )

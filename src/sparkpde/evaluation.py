@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DynamicsSection
 from .datagen import EpisodeDataset
-from .dynamics import DynTrainConfig, DynamicsWeights, _forecast_batch, episode_latents
+from .dynamics import DynamicsWeights, _forecast_batch, _windows, episode_latents
 from .encoder import EncoderStack
 from .errors import ContractViolation
 from .metrics import MetricReport, energy_spectrum, mse, psnr, ssim
@@ -29,31 +30,18 @@ class PredictionDump:
     targets: np.ndarray  # (W, T, N, d)
 
 
-def _eval_windows(ds: EpisodeDataset, cfg: DynTrainConfig, split: str, stride: int):
-    spans = []
-    needed = cfg.t0 + cfg.horizon
-    for e_idx, ep in enumerate(ds.episodes):
-        if ep.split != split:
-            continue
-        for start in range(0, ep.t_total - needed + 1, stride):
-            spans.append((e_idx, start))
-    return spans
-
-
 def evaluate_split(
     ds: EpisodeDataset,
     encoder: EncoderStack,
     weights: DynamicsWeights,
-    cfg: DynTrainConfig,
+    cfg: DynamicsSection,
     split: str,
     param_transform: str = "log10",
-    eval_stride: int = 0,
     batch_size: int = 8,
     with_spectra: bool = True,
 ) -> tuple[MetricReport, PredictionDump]:
     start_time = time.perf_counter()
-    stride = eval_stride if eval_stride > 0 else cfg.horizon
-    windows = _eval_windows(ds, cfg, split, stride)
+    windows = _windows(ds, cfg, split, cfg.eval_stride or cfg.horizon)
     if not windows:
         raise ContractViolation(f"dataset has no '{split}' windows to evaluate")
     if ds.stats is None:

@@ -1,9 +1,8 @@
 """Regular-grid observation graphs.
 
-Nodes live on an H x W lattice in row-major order (node i = r*W + c) with
-positions (c/W, r/H) in [0,1)^2. The adjacency is the sparse 4- or
-8-neighbor stencil, optionally periodic, normalized row-stochastically,
-symmetrically, or kept binary.
+Nodes live on an H x W lattice in row-major order (node i = r*W + c). The
+adjacency is the sparse 4- or 8-neighbor stencil, optionally periodic,
+normalized row-stochastically, symmetrically, or kept binary.
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ class GridGraph:
         self.periodic = periodic
         self.normalization = normalization
         self.self_loops = self_loops
-
-        cols, rows_idx = np.meshgrid(np.arange(width), np.arange(height))
-        self.positions = np.stack(
-            [cols.reshape(-1) / width, rows_idx.reshape(-1) / height], axis=1
-        ).astype(np.float64)
 
         binary = self._build_binary()
         degrees = np.asarray(binary.sum(axis=1)).reshape(-1)
@@ -98,9 +92,6 @@ class GridGraph:
             return (inv @ binary).tocsr()
         inv_sqrt = sparse.diags(1.0 / np.sqrt(degrees))
         return (inv_sqrt @ binary @ inv_sqrt).tocsr()
-
-    def dense_adjacency(self) -> np.ndarray:
-        return self.adjacency.toarray()
 
     def adjacency_row_slice(self, rows: np.ndarray) -> sparse.csr_matrix:
         """A[rows, :] as CSR, cached per row set.

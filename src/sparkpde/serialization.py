@@ -1,4 +1,9 @@
-"""Mapping between live models and checkpoint tensor tables."""
+"""Mapping between live models and checkpoint tensor tables.
+
+Rebuilds go through the same ``init_encoder_stack``/``init_dynamics`` as
+training, so the config-to-model mapping is written once; they draw no random
+numbers, since every parameter is then assigned from the checkpoint.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,6 @@ from .dynamics import DynamicsWeights, init_dynamics
 from .encoder import EncoderStack, init_encoder_stack
 from .errors import IncompatibilityError
 from .grids import GridGraph
-from .rng import substream
 from .state_dictionary import Codebook, new_codebook
 
 KIND_PRETRAIN = "pretrain"
@@ -49,20 +53,13 @@ def pretrained_tensors(encoder: EncoderStack, codebook: Codebook) -> dict[str, n
     return out
 
 
-def build_encoder_from_config(cfg: ExperimentConfig, grid: GridGraph, meta: dict) -> EncoderStack:
-    pre = cfg.pretrain
-    return init_encoder_stack(
-        substream(0, "rebuild/encoder"),
-        d_obs=int(meta["d_obs"]),
-        d_delta=int(meta["d_delta"]),
-        d_latent=pre.d_latent,
-        grid=grid,
-        hidden=pre.hidden,
-        attention_hidden=pre.attention_hidden,
-        gnn_layers=pre.gnn_layers,
-        k_max=pre.k_max,
-        activation=pre.activation,
-    )
+class _NoDraws:
+    """Generator stand-in for rebuilds: parameters start at zero and are then
+    overwritten from the checkpoint, so nothing is drawn."""
+
+    @staticmethod
+    def normal_array(shape: tuple[int, ...]) -> np.ndarray:
+        return np.zeros(shape)
 
 
 def rebuild_pretrained(snapshot: dict, tensors: dict[str, np.ndarray]) -> tuple[
@@ -71,7 +68,9 @@ def rebuild_pretrained(snapshot: dict, tensors: dict[str, np.ndarray]) -> tuple[
     cfg = config_from_dict(snapshot["experiment"])
     meta = snapshot["meta"]
     grid = GridGraph(**meta["grid"])
-    encoder = build_encoder_from_config(cfg, grid, meta)
+    encoder = init_encoder_stack(
+        _NoDraws(), cfg.pretrain, grid, d_obs=int(meta["d_obs"]), d_delta=int(meta["d_delta"])
+    )
     _assign(encoder.params(), tensors, "encoder")
     if "codebook.embeddings" not in tensors:
         raise IncompatibilityError("checkpoint has no codebook")
@@ -89,20 +88,7 @@ def rebuild_dynamics(
     snapshot: dict, tensors: dict[str, np.ndarray], grid: GridGraph, d_obs: int, d_latent: int
 ) -> DynamicsWeights:
     cfg = config_from_dict(snapshot["experiment"])
-    dyn = cfg.dynamics
-    weights = init_dynamics(
-        substream(0, "rebuild/dynamics"),
-        d_latent=d_latent,
-        d_obs=d_obs,
-        grid=grid,
-        n_layers=dyn.ode_layers,
-        k_max=dyn.k_max,
-        decoder_hidden=dyn.decoder_hidden,
-        activation=dyn.activation,
-        attention_activation=dyn.attention_activation,
-        spectral_adjacency=dyn.spectral_adjacency,
-        layer_output=dyn.layer_output,
-    )
+    weights = init_dynamics(_NoDraws(), cfg.dynamics, grid, d_latent=d_latent, d_obs=d_obs)
     _assign(weights.params(), tensors, "dynamics")
     return weights
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, adam_step, backward
+from .config import PretrainSection
 from .datagen import EpisodeDataset
 from .encoder import EncoderStack, init_encoder_stack, reconstruct
 from .errors import ContractViolation, NumericError
@@ -156,34 +157,6 @@ def kmeans_plusplus(points: np.ndarray, k: int, gen: Xoshiro256StarStar) -> np.n
     return centers
 
 
-@dataclass
-class PretrainConfig:
-    epochs: int = 20
-    batch_size: int = 32
-    lr: float = 2e-3
-    mu: float = 0.25
-    gamma: float = 1.0
-    codebook_size: int = 64
-    d_latent: int = 32
-    hidden: int = 64
-    attention_hidden: int = 32
-    gnn_layers: int = 2
-    k_max: int = 8
-    activation: str = "gelu"
-    param_transform: str = "log10"
-    reseed_dead_codes: bool = False
-    lr_decay: str = "cosine"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mu < 0 or self.gamma < 0:
-            raise ContractViolation("mu and gamma must be non-negative")
-        if self.codebook_size < 2:
-            raise ContractViolation("codebook size must be at least 2")
-        if self.lr_decay not in ("none", "cosine"):
-            raise ContractViolation("lr_decay must be 'none' or 'cosine'")
-
-
 def scheduled_lr(base: float, epoch: int, epochs: int, mode: str) -> float:
     """Cosine decay to 2% of the base rate; Adam cannot settle without it."""
     if mode == "none" or epochs <= 1:
@@ -226,7 +199,7 @@ def _episode_frames(ds: EpisodeDataset) -> list[tuple[int, int]]:
 
 
 def _gather_batch(
-    ds: EpisodeDataset, frames: list[tuple[int, int]], cfg: PretrainConfig
+    ds: EpisodeDataset, frames: list[tuple[int, int]], cfg: PretrainSection
 ) -> tuple[np.ndarray, np.ndarray]:
     xs = np.stack([ds.episodes[e].x[t] for e, t in frames])
     deltas = np.stack(
@@ -235,13 +208,13 @@ def _gather_batch(
     return ds.normalize(xs), deltas
 
 
-def pretrain(ds: EpisodeDataset, cfg: PretrainConfig) -> PretrainResult:
+def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> PretrainResult:
     """Reconstruction pretraining of encoder, decoder, and state dictionary.
 
     Three stages per batch: parameter-fused encoding, vector quantization,
     reconstruction; the combined loss is optimized with Adam. The codebook is
     seeded with k-means++ over the first batch's encoder outputs. Uses
-    in-domain episodes only.
+    in-domain episodes only. All randomness derives from the root ``seed``.
     """
     start = time.perf_counter()
     frames = _episode_frames(ds)
@@ -252,34 +225,24 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainConfig) -> PretrainResult:
 
     grid = ds.grid
     d_delta = ds.episodes[0].delta.size
-    init_gen = substream(cfg.seed, "pretrain/init")
     encoder = init_encoder_stack(
-        init_gen,
-        d_obs=ds.n_channels,
-        d_delta=d_delta,
-        d_latent=cfg.d_latent,
-        grid=grid,
-        hidden=cfg.hidden,
-        attention_hidden=cfg.attention_hidden,
-        gnn_layers=cfg.gnn_layers,
-        k_max=cfg.k_max,
-        activation=cfg.activation,
+        substream(seed, "pretrain/init"), cfg, grid, d_obs=ds.n_channels, d_delta=d_delta
     )
 
-    shuffle_gen = substream(cfg.seed, "pretrain/shuffle")
+    shuffle_gen = substream(seed, "pretrain/shuffle")
     order = list(range(len(frames)))
     shuffle_gen.shuffle(order)
     first = [frames[i] for i in order[: min(cfg.batch_size, len(order))]]
     x0, d0 = _gather_batch(ds, first, cfg)
     z0 = encoder.encode(x0, d0, grid).data.reshape(-1, cfg.d_latent)
-    seed_gen = substream(cfg.seed, "pretrain/kmeans")
+    seed_gen = substream(seed, "pretrain/kmeans")
     codebook = new_codebook(kmeans_plusplus(z0, cfg.codebook_size, seed_gen))
 
     params = {**encoder.params(), **codebook.params()}
     state = AdamState()
     loss_history: list[float] = []
     perplexity_history: list[float] = []
-    reseed_gen = substream(cfg.seed, "pretrain/reseed")
+    reseed_gen = substream(seed, "pretrain/reseed")
 
     def train_step(xs: np.ndarray, deltas: np.ndarray, lr: float, epoch: int) -> float:
         # The step's graph lives in these locals only, so it is released

@@ -16,8 +16,6 @@ import pytest
 
 from sparkpde import rng
 from sparkpde.augment import (
-    AugmentConfig,
-    CurriculumConfig,
     curriculum_ratio,
     interpolate_topk,
     snap,
@@ -33,6 +31,7 @@ from sparkpde.autodiff import (
     tensor_mean,
     tensor_sum,
 )
+from sparkpde.config import AugmentSection, DynamicsSection, PretrainSection
 from sparkpde.datagen import (
     SPLIT_IN,
     SPLIT_OUT,
@@ -40,7 +39,6 @@ from sparkpde.datagen import (
     simulate_navier_stokes,
 )
 from sparkpde.dynamics import (
-    DynTrainConfig,
     decode,
     encode_history,
     init_dynamics,
@@ -63,7 +61,6 @@ from sparkpde.grids import GridGraph
 from sparkpde.metrics import energy_spectrum, psnr, ssim
 from sparkpde.rng import derive_seed
 from sparkpde.state_dictionary import (
-    PretrainConfig,
     nearest_indices,
     new_codebook,
     pretrain,
@@ -140,7 +137,9 @@ def test_gradient_integrity():
     assert st_err < 1e-8
 
     # temporal attention + ODE rhs + unrolled RK4 + decoder, end to end
-    dyn = init_dynamics(gen, 3, 1, grid, n_layers=1, k_max=1, decoder_hidden=3)
+    dyn = init_dynamics(
+        gen, DynamicsSection(ode_layers=1, k_max=1, decoder_hidden=3), grid, d_latent=3, d_obs=1
+    )
     d_values = {name: t.data.copy() for name, t in dyn.params().items()}
     h_seq0 = gen.normal_array((2, grid.n_nodes, 3))
     y0 = gen.normal_array((2, grid.n_nodes, 1))
@@ -402,11 +401,11 @@ def test_pretraining_progress():
     n_in = len(ds.split_episodes(SPLIT_IN))
     assert n_in == 40
 
-    cfg = PretrainConfig(
+    cfg = PretrainSection(
         epochs=10, batch_size=32, lr=2e-3, codebook_size=64, d_latent=32,
-        hidden=64, attention_hidden=32, gnn_layers=2, k_max=8, seed=3,
+        hidden=64, attention_hidden=32, gnn_layers=2, k_max=8,
     )
-    result = pretrain(ds, cfg)
+    result = pretrain(ds, cfg, seed=3)
     elapsed = time.perf_counter() - start
     initial, final = result.loss_history[0], result.loss_history[-1]
     perplexity = result.perplexity_history[-1]
@@ -439,23 +438,24 @@ def test_ood_improvement():
     for seed in seeds:
         pre = pretrain(
             ds,
-            PretrainConfig(
+            PretrainSection(
                 epochs=10, batch_size=32, lr=2e-3, codebook_size=64, d_latent=32,
-                hidden=64, attention_hidden=32, gnn_layers=2, k_max=8, seed=seed,
+                hidden=64, attention_hidden=32, gnn_layers=2, k_max=8,
             ),
+            seed=seed,
         )
-        dyn_cfg = DynTrainConfig(
+        dyn_cfg = DynamicsSection(
             t0=t0, horizon=horizon, epochs=14, lr=3e-3, batch_size=8,
             ode_layers=2, k_max=8, decoder_hidden=64, solver="euler", substeps=1,
-            val_fraction=0.15, lambda_reg=1e-6, seed=seed,
+            val_fraction=0.15, lambda_reg=1e-6,
         )
-        aug = AugmentConfig(
-            mode="interpolate", k=3, tau=None,
-            curriculum=CurriculumConfig(start_epoch=3, ramp_epochs=4, max_ratio=0.5),
-            seed=derive_seed(seed, "augment"),
+        aug = AugmentSection(
+            mode="interpolate", k=3, tau=None, start_epoch=3, ramp_epochs=4, max_ratio=0.5
         )
         for label, aug_cfg, sink in (("aug", aug, out_aug), ("noaug", None, out_noaug)):
-            res = train_dynamics(ds, pre.encoder, pre.codebook, dyn_cfg, aug=aug_cfg)
+            res = train_dynamics(
+                ds, pre.encoder, pre.codebook, dyn_cfg, seed=seed, aug=aug_cfg
+            )
             report, _ = evaluate_split(
                 ds, pre.encoder, res.weights, dyn_cfg, SPLIT_OUT, with_spectra=False
             )
@@ -654,14 +654,12 @@ augment:
         )
         == 0
     )
-    aug = AugmentConfig(
-        curriculum=CurriculumConfig(start_epoch=1, ramp_epochs=2, max_ratio=0.6)
-    )
+    aug = AugmentSection(start_epoch=1, ramp_epochs=2, max_ratio=0.6)
     lines = (d / "dyn" / "metrics.csv").read_text().strip().splitlines()
     conforms = True
     for line in lines[1:]:
         cells = line.split(",")
-        if float(cells[3]) != curriculum_ratio(int(cells[0]), aug):
+        if float(cells[3]) != curriculum_ratio(int(cells[0]), aug, epochs=5):
             conforms = False
 
     code = main(

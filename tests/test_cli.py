@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import yaml
 
-from sparkpde.augment import AugmentConfig, CurriculumConfig, curriculum_ratio
+from sparkpde.augment import curriculum_ratio
 from sparkpde.checkpoint import load_checkpoint
 from sparkpde.cli import main
-from sparkpde.config import resolved_curriculum, load_config
+from sparkpde.config import FIELD_DOCS, RULES, load_config
+from sparkpde.rng import Xoshiro256StarStar
+from sparkpde.serialization import rebuild_dynamics, rebuild_pretrained
 
 MICRO_CONFIG = """\
 seed: 42
@@ -102,18 +105,10 @@ def test_manifest_reports_split_sizes(workspace):
     assert "episodes: 4 (in-domain 2, out-domain 2)" in text
 
 
-def test_gen_data_reproducible_and_thread_invariant(workspace, tmp_path):
+def test_gen_data_reproducible(workspace, tmp_path):
     out2 = tmp_path / "again"
     assert main(["gen-data", "--config", str(workspace["config"]), "--out", str(out2)]) == 0
     assert (out2 / "dataset.spds").read_bytes() == workspace["dataset"].read_bytes()
-    out3 = tmp_path / "threaded"
-    assert (
-        main(
-            ["gen-data", "--config", str(workspace["config"]), "--out", str(out3), "--threads", "2"]
-        )
-        == 0
-    )
-    assert (out3 / "dataset.spds").read_bytes() == workspace["dataset"].read_bytes()
 
 
 def test_pretrain_reproducible(workspace, tmp_path):
@@ -151,10 +146,6 @@ def test_train_reproducible(workspace, tmp_path):
 
 def test_metrics_follow_curriculum(workspace):
     cfg = load_config(str(workspace["config"]))
-    start, ramp, pmax = resolved_curriculum(cfg.augment, cfg.dynamics.epochs)
-    aug = AugmentConfig(
-        curriculum=CurriculumConfig(start_epoch=start, ramp_epochs=ramp, max_ratio=pmax)
-    )
     lines = workspace["metrics"].read_text().strip().splitlines()
     header = lines[0].split(",")
     idx_epoch = header.index("epoch")
@@ -162,7 +153,9 @@ def test_metrics_follow_curriculum(workspace):
     for line in lines[1:]:
         cells = line.split(",")
         epoch = int(cells[idx_epoch])
-        assert float(cells[idx_ratio]) == curriculum_ratio(epoch, aug)
+        assert float(cells[idx_ratio]) == curriculum_ratio(
+            epoch, cfg.augment, cfg.dynamics.epochs
+        )
 
 
 def test_no_augment_run(workspace, tmp_path):
@@ -307,6 +300,149 @@ def test_unreadable_config_rejected(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("dataset: {generator: warp_drive}\n", encoding="utf-8")
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+
+# (dotted key, invalid value): every key with a rule, plus the cross-field
+# probes (k_max > min(H,W)/2 = 8, augment.k > codebook_size = 12,
+# t_total < t0 + horizon = 6, a non-positive viscosity).
+INVALID_VALUES = [
+    ("dataset.generator", "warp_drive"),
+    ("dataset.grid.height", 0),
+    ("dataset.grid.width", -16),
+    ("dataset.grid.connectivity", 6),
+    ("dataset.grid.normalization", "max"),
+    ("dataset.params", []),
+    ("dataset.params", ["fast"]),
+    ("dataset.params", [1.0e-2, -1.0e-3]),
+    ("dataset.ood.mode", "random"),
+    ("dataset.ood.out_values", [[1.0e-3, "x"]]),
+    ("dataset.ood.direction", "sideways"),
+    ("dataset.episodes_per_param", 0),
+    ("dataset.t_total", 0),
+    ("dataset.t_total", 5),
+    ("dataset.dt", 0.0),
+    ("dataset.record_every", 0),
+    ("dataset.ic_modes", 0),
+    ("dataset.ic_amplitude", -1.0),
+    ("dataset.feed", 0.5),
+    ("dataset.kill", -0.1),
+    ("dataset.reaction_strength", -1.0),
+    ("pretrain.epochs", 0),
+    ("pretrain.batch_size", 0),
+    ("pretrain.lr", 0.0),
+    ("pretrain.lr_decay", "bogus"),
+    ("pretrain.mu", -0.25),
+    ("pretrain.gamma", -1.0),
+    ("pretrain.codebook_size", 1),
+    ("pretrain.d_latent", 0),
+    ("pretrain.hidden", 0),
+    ("pretrain.attention_hidden", 0),
+    ("pretrain.gnn_layers", 0),
+    ("pretrain.k_max", -1),
+    ("pretrain.k_max", 9),
+    ("pretrain.activation", "relu"),
+    ("pretrain.param_transform", "log2"),
+    ("dynamics.t0", 0),
+    ("dynamics.horizon", 0),
+    ("dynamics.lambda_reg", -1.0e-6),
+    ("dynamics.solver", "rk9"),
+    ("dynamics.substeps", 0),
+    ("dynamics.ode_layers", 0),
+    ("dynamics.k_max", -1),
+    ("dynamics.k_max", 9),
+    ("dynamics.decoder_hidden", 0),
+    ("dynamics.epochs", 0),
+    ("dynamics.lr", -3.0e-3),
+    ("dynamics.lr_decay", "bogus"),
+    ("dynamics.batch_size", 0),
+    ("dynamics.val_fraction", -0.5),
+    ("dynamics.val_fraction", 1.0),
+    ("dynamics.window_stride", 0),
+    ("dynamics.activation", "relu"),
+    ("dynamics.attention_activation", "gelu"),
+    ("dynamics.spectral_adjacency", "both"),
+    ("dynamics.layer_output", "mean"),
+    ("dynamics.eval_stride", -1),
+    ("augment.mode", "mixup"),
+    ("augment.k", 0),
+    ("augment.k", 13),
+    ("augment.tau", -1.0),
+    ("augment.tau", 0.0),
+    ("augment.start_epoch", -2),
+    ("augment.ramp_epochs", -2),
+    ("augment.max_ratio", 1.5),
+]
+
+
+def test_invalid_values_cover_every_rule():
+    keys = {key for key, _ in INVALID_VALUES}
+    assert set(RULES) <= keys <= set(FIELD_DOCS)
+
+
+@pytest.mark.parametrize("key,value", INVALID_VALUES, ids=lambda v: str(v))
+def test_invalid_config_value_exits_2_before_any_work(key, value, tmp_path, capsys):
+    data = yaml.safe_load(MICRO_CONFIG)
+    *parents, leaf = key.split(".")
+    section = data
+    for part in parents:
+        section = section.setdefault(part, {})
+    section[leaf] = value
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(data), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--aug-k", "0"], "augment.k"),
+        (["--aug-k", "13"], "augment.k"),
+        (["--aug-tau", "-1"], "augment.tau"),
+        (["--curriculum", "x,1,0.5"], "--curriculum"),
+        (["--curriculum", "1,2"], "--curriculum"),
+        (["--curriculum", "1,2,1.5"], "augment.max_ratio"),
+    ],
+)
+def test_train_overrides_validated_before_any_work(workspace, tmp_path, capsys, extra, message):
+    out = tmp_path / "train"
+    argv = [
+        "train",
+        "--config", str(workspace["config"]),
+        "--dataset", str(workspace["dataset"]),
+        "--checkpoint", str(workspace["pretrain_ckpt"]),
+        "--out", str(out),
+    ]
+    assert main(argv + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dataset_directory_is_config_error(workspace, tmp_path, capsys):
+    out = tmp_path / "pre"
+    code = main(
+        ["pretrain", "--config", str(workspace["config"]), "--dataset", str(tmp_path),
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert "dataset is not a file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_rebuild_draws_no_random_numbers(workspace, monkeypatch):
+    def no_draws(self, n=None):
+        raise AssertionError("a checkpoint rebuild drew random numbers")
+
+    monkeypatch.setattr(Xoshiro256StarStar, "normal", no_draws)
+    pre = load_checkpoint(str(workspace["pretrain_ckpt"]))
+    _, encoder, codebook, grid = rebuild_pretrained(pre.config, pre.tensors)
+    dyn = load_checkpoint(str(workspace["dynamics_ckpt"]))
+    weights = rebuild_dynamics(dyn.config, dyn.tensors, grid, d_obs=1, d_latent=codebook.dim)
+    for params, tensors in ((encoder.params(), pre.tensors), (weights.params(), dyn.tensors)):
+        for name, t in params.items():
+            assert t.data.tobytes() == tensors[name].tobytes()
 
 
 def test_help_documents_config_keys(capsys):

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from sparkpde import rng
-from sparkpde.augment import AugmentConfig, CurriculumConfig
 from sparkpde.autodiff import Tape, Tensor, backward, square, tensor_sum
+from sparkpde.config import AugmentSection, DynamicsSection, PretrainSection
 from sparkpde.datagen import Episode, EpisodeDataset
 from sparkpde.dynamics import (
-    DynTrainConfig,
     DynamicsWeights,
     decode,
     encode_history,
@@ -35,7 +34,8 @@ def grid():
 
 def _weights(grid, d_latent=3, d_obs=1, seed=3, **kwargs):
     gen = rng.substream(seed, "dyn")
-    return init_dynamics(gen, d_latent, d_obs, grid, n_layers=1, k_max=1, decoder_hidden=4, **kwargs)
+    cfg = DynamicsSection(ode_layers=1, k_max=1, decoder_hidden=4, **kwargs)
+    return init_dynamics(gen, cfg, grid, d_latent=d_latent, d_obs=d_obs)
 
 
 # -- encode_history ---------------------------------------------------------------
@@ -124,7 +124,7 @@ def _dense_rhs_oracle(h, grid, w):
             mr, mc = divmod(m, wg)
             f_mat[k, m] = np.exp(-2j * np.pi * (kr * mr / hg + kc * mc / wg))
     f_inv = np.conj(f_mat) / n
-    a_dense = grid.dense_adjacency()
+    a_dense = grid.adjacency.toarray()
     mode_idx = w.mode_idx
     act = {
         "identity": lambda v: v,
@@ -161,23 +161,27 @@ def _erf_np(x):
 @pytest.mark.parametrize("layer_output", ["sum", "last"])
 def test_rhs_matches_dense_oracle(grid, mode, layer_output):
     gen = rng.substream(6, f"oracle/{mode}/{layer_output}")
-    w = init_dynamics(
-        gen, 3, 1, grid, n_layers=2, k_max=1, decoder_hidden=4,
+    cfg = DynamicsSection(
+        ode_layers=2, k_max=1, decoder_hidden=4,
         spectral_adjacency=mode, layer_output=layer_output,
     )
+    w = init_dynamics(gen, cfg, grid, d_latent=3, d_obs=1)
     h = gen.normal_array((grid.n_nodes, 3))
-    got = ode_rhs(h, grid, w).data
+    with Tape() as tape:
+        got = ode_rhs(Tensor(h, requires_grad=True), grid, w).data
     expected = _dense_rhs_oracle(h, grid, w)
     np.testing.assert_allclose(got, expected, atol=1e-8)
+    # A.H is formed once per layer and shared by the spectral (field mode)
+    # and spatial branches.
+    ops = [node._op for node in tape._nodes]
+    assert ops.count("sparse_matmul") == len(w.layers)
 
 
 def test_rhs_translation_equivariance_field_mode():
     grid = GridGraph(8, 8)
     gen = rng.substream(7, "equiv")
-    w = init_dynamics(
-        gen, 2, 1, grid, n_layers=2, k_max=2, decoder_hidden=4,
-        spectral_adjacency="field",
-    )
+    cfg = DynamicsSection(ode_layers=2, k_max=2, decoder_hidden=4, spectral_adjacency="field")
+    w = init_dynamics(gen, cfg, grid, d_latent=2, d_obs=1)
     h = gen.normal_array((grid.n_nodes, 2))
     out = ode_rhs(h, grid, w).data
 
@@ -285,7 +289,9 @@ def test_decode_zero_weights(grid):
 def test_end_to_end_gradient_small_instance():
     grid = GridGraph(4, 4)
     gen = rng.substream(11, "e2e")
-    w = init_dynamics(gen, 4, 1, grid, n_layers=1, k_max=1, decoder_hidden=3)
+    w = init_dynamics(
+        gen, DynamicsSection(ode_layers=1, k_max=1, decoder_hidden=3), grid, d_latent=4, d_obs=1
+    )
     h_seq0 = gen.normal_array((2, grid.n_nodes, 4))
     target = gen.normal_array((2, grid.n_nodes, 1))
     names = dict(w.params())
@@ -339,29 +345,30 @@ def _constant_dataset(grid, episodes=2, t_total=8):
 
 def _frozen_stack(grid, d_latent=4):
     gen = rng.substream(77, "frozen")
-    encoder = init_encoder_stack(
-        gen, d_obs=1, d_delta=1, d_latent=d_latent, grid=grid,
-        hidden=8, attention_hidden=4, gnn_layers=1, k_max=1,
-    )
+    cfg = PretrainSection(d_latent=d_latent, hidden=8, attention_hidden=4, gnn_layers=1, k_max=1)
+    encoder = init_encoder_stack(gen, cfg, grid, d_obs=1, d_delta=1)
     codebook = new_codebook(gen.normal_array((6, d_latent)))
     return encoder, codebook
+
+
+SEED = 5
 
 
 def _tiny_dyn_config(**overrides):
     base = dict(
         t0=2, horizon=2, epochs=6, lr=5e-3, batch_size=4,
         ode_layers=1, k_max=1, decoder_hidden=6, substeps=1,
-        val_fraction=0.25, lambda_reg=0.0, seed=5,
+        val_fraction=0.25, lambda_reg=0.0,
     )
     base.update(overrides)
-    return DynTrainConfig(**base)
+    return DynamicsSection(**base)
 
 
 def test_train_constant_dataset_reaches_tiny_mse():
     grid = GridGraph(8, 8)
     ds = _constant_dataset(grid)
     encoder, codebook = _frozen_stack(grid)
-    result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(epochs=25, lr=1e-2))
+    result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(epochs=25, lr=1e-2), seed=SEED)
     assert result.history[-1].val_mse < 1e-5
 
 
@@ -379,8 +386,8 @@ def test_weight_decay_shrinks_norms():
     def total_norm(result):
         return sum(float(np.sum(t.data**2)) for t in result.weights.params().values())
 
-    free = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(lambda_reg=0.0))
-    decayed = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(lambda_reg=10.0))
+    free = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(lambda_reg=0.0), seed=SEED)
+    decayed = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(lambda_reg=10.0), seed=SEED)
     assert total_norm(decayed) < total_norm(free)
 
 
@@ -389,7 +396,7 @@ def test_frozen_components_unchanged_and_checksummed():
     ds = _constant_dataset(grid)
     encoder, codebook = _frozen_stack(grid)
     before = frozen_checksum(encoder, codebook)
-    result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config())
+    result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(), seed=SEED)
     assert frozen_checksum(encoder, codebook) == before == result.frozen_checksum
 
 
@@ -397,7 +404,7 @@ def test_no_augment_never_calls_augmentation():
     grid = GridGraph(8, 8)
     ds = _constant_dataset(grid)
     encoder, codebook = _frozen_stack(grid)
-    result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(), aug=None)
+    result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(), seed=SEED, aug=None)
     assert result.augment_calls == 0
 
 
@@ -405,16 +412,12 @@ def test_augmented_run_logs_curriculum_ratio_exactly():
     grid = GridGraph(8, 8)
     ds = _constant_dataset(grid, episodes=3, t_total=10)
     encoder, codebook = _frozen_stack(grid)
-    aug = AugmentConfig(
-        mode="snap",
-        curriculum=CurriculumConfig(start_epoch=2, ramp_epochs=4, max_ratio=0.6),
-        seed=9,
-    )
+    aug = AugmentSection(mode="snap", start_epoch=2, ramp_epochs=4, max_ratio=0.6)
     from sparkpde.augment import curriculum_ratio
 
-    result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(epochs=8), aug=aug)
+    result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(epochs=8), seed=SEED, aug=aug)
     for row in result.history:
-        assert row.aug_ratio == curriculum_ratio(row.epoch, aug)
+        assert row.aug_ratio == curriculum_ratio(row.epoch, aug, epochs=8)
     assert result.augment_calls > 0
     assert result.tau is not None
 
@@ -425,7 +428,7 @@ def test_training_deterministic():
 
     def run():
         ds = _constant_dataset(grid)
-        result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(epochs=3))
+        result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(epochs=3), seed=SEED)
         return [row.train_mse for row in result.history]
 
     assert run() == run()

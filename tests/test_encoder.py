@@ -9,6 +9,7 @@ import pytest
 
 from sparkpde import rng
 from sparkpde.autodiff import Tensor, square, tensor_sum
+from sparkpde.config import PretrainSection
 from sparkpde.encoder import (
     GnnEncoderWeights,
     GnnLayer,
@@ -160,7 +161,7 @@ def test_gnn_aggregate_only_matches_dense_oracle(grid):
     w = GnnEncoderWeights(layers=[layer], activation="identity")
     x = gen.normal_array((grid.n_nodes, d_in))
     out = gnn_encode(x, grid, w).data
-    expected = grid.dense_adjacency() @ x @ proj
+    expected = grid.adjacency.toarray() @ x @ proj
     np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
@@ -286,7 +287,8 @@ def test_reconstruct_gradients():
 def test_full_stack_finite_gradients():
     grid = GridGraph(4, 4)
     gen = rng.substream(16, "stack")
-    stack = init_encoder_stack(gen, 1, 1, 4, grid, hidden=6, attention_hidden=3, k_max=1)
+    cfg = PretrainSection(d_latent=4, hidden=6, attention_hidden=3, k_max=1)
+    stack = init_encoder_stack(gen, cfg, grid, d_obs=1, d_delta=1)
     x = gen.normal_array((grid.n_nodes, 1))
     from sparkpde.autodiff import Tape, backward
 

@@ -7,12 +7,12 @@ import pytest
 
 from sparkpde import rng
 from sparkpde.autodiff import Tape, Tensor, backward, square, tensor_mean, tensor_sum
+from sparkpde.config import PretrainSection
 from sparkpde.datagen import Episode, EpisodeDataset
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 from sparkpde.state_dictionary import (
     Codebook,
-    PretrainConfig,
     codebook_perplexity,
     kmeans_plusplus,
     nearest_indices,
@@ -214,7 +214,10 @@ def _constant_dataset(value=0.7, episodes=1, t_total=8) -> EpisodeDataset:
     return ds
 
 
-def _tiny_config(**overrides) -> PretrainConfig:
+SEED = 11
+
+
+def _tiny_config(**overrides) -> PretrainSection:
     base = dict(
         epochs=8,
         batch_size=8,
@@ -225,15 +228,14 @@ def _tiny_config(**overrides) -> PretrainConfig:
         attention_hidden=6,
         gnn_layers=1,
         k_max=2,
-        seed=11,
     )
     base.update(overrides)
-    return PretrainConfig(**base)
+    return PretrainSection(**base)
 
 
 def test_pretrain_constant_dataset_converges():
     ds = _constant_dataset()
-    result = pretrain(ds, _tiny_config(epochs=30, lr=2e-3))
+    result = pretrain(ds, _tiny_config(epochs=30, lr=2e-3), seed=SEED)
     # reconstruction error on the (degenerate) training data
     from sparkpde.encoder import reconstruct
     from sparkpde.state_dictionary import transform_params
@@ -254,8 +256,8 @@ def test_pretrain_constant_dataset_converges():
 def test_pretrain_deterministic_across_runs():
     ds1 = _constant_dataset(episodes=2)
     ds2 = _constant_dataset(episodes=2)
-    r1 = pretrain(ds1, _tiny_config(epochs=3))
-    r2 = pretrain(ds2, _tiny_config(epochs=3))
+    r1 = pretrain(ds1, _tiny_config(epochs=3), seed=SEED)
+    r2 = pretrain(ds2, _tiny_config(epochs=3), seed=SEED)
     assert r1.loss_history == r2.loss_history
     assert (
         r1.codebook.embeddings.data.tobytes() == r2.codebook.embeddings.data.tobytes()
@@ -267,4 +269,4 @@ def test_pretrain_requires_in_domain_episodes():
     for ep in ds.episodes:
         ep.split = "out"
     with pytest.raises(ContractViolation):
-        pretrain(ds, _tiny_config())
+        pretrain(ds, _tiny_config(), seed=SEED)
