@@ -111,9 +111,6 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        return transpose(self, axes)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractViolation("item() requires a scalar tensor")
@@ -375,16 +372,26 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), vjp, "matmul")
 
 
-def sparse_matmul(matrix: _sparse.csr_matrix, x, matrix_t: _sparse.csr_matrix | None = None) -> Tensor:
-    """``matrix @ x`` for a constant sparse matrix; x is (N, ...) flattened to 2-D."""
+def _along_nodes(matrix: _sparse.csr_matrix, a: Array) -> Array:
+    """``matrix`` applied to axis -2 of ``a``: nodes are the product's rows and
+    every (leading, channel) pair a column; returns the (..., N, D) view."""
+    moved = np.moveaxis(a, -2, 0)
+    flat = matrix @ moved.reshape(moved.shape[0], -1)
+    return np.moveaxis(flat.reshape(moved.shape), 0, -2)
+
+
+def sparse_matmul(matrix: _sparse.csr_matrix, x, matrix_t: _sparse.csr_matrix) -> Tensor:
+    """A constant sparse (N, N) ``matrix`` applied along the node axis (-2)
+    of an (..., N, D) tensor, as one tape node; the VJP applies ``matrix_t``,
+    its transpose. Each leading slice gets exactly ``matrix @ x[idx]``.
+    """
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ContractViolation("sparse_matmul expects a 2-D dense operand")
-    mt = matrix_t if matrix_t is not None else matrix.T.tocsr()
-    out = Tensor(matrix @ x.data)
+    if x.ndim < 2:
+        raise ContractViolation("sparse_matmul expects an (..., N, D) operand")
+    out = Tensor(_along_nodes(matrix, x.data))
 
     def vjp(g):
-        return (mt @ g,)
+        return (_along_nodes(matrix_t, g),)
 
     return _record(out, (x,), vjp, "sparse_matmul")
 
@@ -654,13 +661,12 @@ def spectral_channel_mix(
 def backward(
     loss: Tensor,
     tape: Tape,
-    params: Iterable[Tensor] | None = None,
+    params: Iterable[Tensor],
 ) -> dict[str, Array]:
     """Accumulate gradients of ``loss`` through ``tape``.
 
     Returns a map from parameter name to gradient for ``params`` (zeros for
-    parameters the loss does not reach). With ``params=None``, returns
-    gradients for every named leaf parameter encountered on the tape.
+    parameters the loss does not reach).
     """
     if loss.data.size != 1:
         raise ContractViolation(
@@ -685,18 +691,6 @@ def backward(
                 grads[key] = grads[key] + contrib
             else:
                 grads[key] = contrib
-
-    if params is None:
-        named = {}
-        seen = set()
-        for node in tape._nodes:
-            for parent in node._parents:
-                if parent.name and parent._vjp is None and id(parent) not in seen:
-                    seen.add(id(parent))
-                    named[parent.name] = grads.get(
-                        id(parent), np.zeros(parent.shape, dtype=np.float64)
-                    )
-        return named
 
     result = {}
     for p in params:

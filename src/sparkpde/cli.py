@@ -306,10 +306,7 @@ def cmd_train(args) -> int:
     _, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
     _attach_grid(ds, grid)
 
-    result = train_dynamics(
-        ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug,
-        param_transform=cfg.pretrain.param_transform,
-    )
+    result = train_dynamics(ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug)
 
     out = _out_dir(args, cfg)
     meta = dataset_meta(ds)
@@ -369,10 +366,7 @@ def cmd_eval(args) -> int:
     split = {"in": SPLIT_IN, "out": SPLIT_OUT}[args.split]
     if not ds.split_episodes(split):
         raise ContractViolation(f"dataset has no '{split}' episodes")
-    report, dump = evaluate_split(
-        ds, encoder, weights, cfg.dynamics, split,
-        param_transform=cfg.pretrain.param_transform,
-    )
+    report, dump = evaluate_split(ds, encoder, weights, cfg.dynamics, split)
     out = _out_dir(args, cfg)
     _write_csv(
         out / f"metrics_{args.split}.csv",
@@ -436,22 +430,18 @@ def cmd_sweep_k(args) -> int:
     ds = _load_dataset(args.dataset)
     ckpt = load_checkpoint(_input_file(args.checkpoint, "pretrain checkpoint"))
     check_dataset_compatibility(ckpt.config, ds)
+    check_config_compatibility(ckpt.config, cfg)
     out = _out_dir(args, cfg)
     rows = []
     for k, aug in zip(K_SWEEP_GRID, augs):
         _, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
         _attach_grid(ds, grid)
-        result = train_dynamics(
-            ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug,
-            param_transform=cfg.pretrain.param_transform,
-        )
+        result = train_dynamics(ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug)
         row = [k, result.history[-1].train_mse, result.history[-1].val_mse]
         for split in (SPLIT_IN, SPLIT_OUT):
             if ds.split_episodes(split):
                 report, _ = evaluate_split(
-                    ds, encoder, result.weights, cfg.dynamics, split,
-                    param_transform=cfg.pretrain.param_transform,
-                    with_spectra=False,
+                    ds, encoder, result.weights, cfg.dynamics, split, with_spectra=False
                 )
                 row.append(report.mse)
             else:

@@ -192,9 +192,24 @@ FIELD_DOCS = {
     "augment.max_ratio": "final fraction of augmented samples",
 }
 
+
+def _finite_float(value) -> float | None:
+    """``value`` as a finite float, or None if it is not a finite number.
+    Numeric strings count: YAML 1.1 reads 1e-3 and 3e-05 as strings."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        return None
+    return out if math.isfinite(out) else None
+
+
 def _coerce(value: Any, target_type: type, path: str) -> Any:
     if target_type is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
+    if target_type is float and isinstance(value, str):
+        parsed = _finite_float(value)
+        if parsed is not None:
+            return parsed
     if target_type is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if target_type is bool and isinstance(value, bool):
@@ -272,15 +287,11 @@ _EPOCH_OR_DEFAULT = (lambda v: v >= -1, "must be -1 (percent-of-epochs default) 
 
 
 def _param_values(value) -> list[float] | None:
-    """The components of one parameter entry (a number or a list of numbers),
-    or None if it is not one. Numeric strings count: YAML 1.1 reads 3e-05
-    as a string."""
+    """The components of one parameter entry (a number or a list of finite
+    numbers, numeric strings included), or None if it is not one."""
     values = value if isinstance(value, list) else [value]
-    try:
-        out = [float(v) for v in values]
-    except (TypeError, ValueError):
-        return None
-    return out if out and all(math.isfinite(v) for v in out) else None
+    out = [_finite_float(v) for v in values]
+    return out if out and None not in out else None
 
 
 def _params_ok(entries) -> bool:

@@ -5,11 +5,13 @@ node-wise temporal attention (scores against the tanh-transformed mean
 state), evolved by a stack of ODE layers combining a spectral branch
 (adjacency applied to Fourier coefficients, per-mode channel mixing over
 retained modes) with a spatial graph branch, and decoded to observations by
-a separate two-layer MLP. The spectral branch is one fused op
-(``ad.spectral_channel_mix``) that takes and returns the (B, N, D) node
-layout and computes only the retained modes, by truncated DFTs made of real
-matrix products. Integration is classical fixed-step RK4 (or Euler)
-unrolled on the tape, so gradients are exact for the discretized system.
+a separate two-layer MLP. Every layer works on the (..., N, D) node
+layout at any leading rank: the spectral branch is one fused op
+(``ad.spectral_channel_mix``) that computes only the retained modes, by
+truncated DFTs made of real matrix products, and the graph adjacency is one
+``ad.sparse_matmul`` along the node axis. Integration is classical
+fixed-step RK4 (or Euler) unrolled on the tape, so gradients are exact for
+the discretized system.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .encoder import EncoderStack, MlpDecoderWeights, apply_activation, init_mlp
 from .errors import ContractViolation, NumericError
 from .grids import GridGraph, retained_mode_indices
 from .rng import Xoshiro256StarStar, derive_seed, substream
-from .state_dictionary import Codebook, scheduled_lr, transform_params
+from .state_dictionary import Codebook, scheduled_lr
 
 log = logging.getLogger("sparkpde")
 
@@ -123,48 +125,36 @@ def init_dynamics(
 def encode_history(h_seq: Tensor | np.ndarray, w: DynamicsWeights) -> Tensor:
     """Attention-pooled initial state from a latent history.
 
-    h_seq: (T0, N, D) or (B, T0, N, D). Per node, scores are
-    alpha_t = <h_t, tanh(mean_t(h) @ W_alpha)>; the pooled state is the
-    time-mean of act(alpha_t * h_t).
+    h_seq: (..., T0, N, D), time on axis -3. Per node, scores are
+    alpha_t = <h_t, tanh(mean_t(h) @ W_alpha)>; the pooled state
+    (..., N, D) is the time-mean of act(alpha_t * h_t).
     """
     h_seq = h_seq if isinstance(h_seq, Tensor) else Tensor(h_seq)
-    batched = h_seq.ndim == 4
-    hs = h_seq if batched else h_seq.reshape(1, *h_seq.shape)
-    if hs.ndim != 4:
-        raise ContractViolation("encode_history expects (T0, N, D) or (B, T0, N, D)")
-    b, t0, n, d = hs.shape
-    mean_state = ad.tensor_mean(hs, axis=1)  # (B, N, D)
-    target = ad.tanh(ad.matmul(mean_state, w.w_alpha))  # (B, N, D)
-    scores = ad.tensor_sum(hs * target.reshape(b, 1, n, d), axis=-1, keepdims=True)
+    if h_seq.ndim < 3:
+        raise ContractViolation("encode_history expects (..., T0, N, D)")
+    mean_state = ad.tensor_mean(h_seq, axis=-3)  # (..., N, D)
+    target = ad.tanh(ad.matmul(mean_state, w.w_alpha))
+    target = target.reshape(target.shape[:-2] + (1,) + target.shape[-2:])
+    scores = ad.tensor_sum(h_seq * target, axis=-1, keepdims=True)
     pooled = ad.tensor_mean(
-        apply_activation(scores * hs, w.attention_activation), axis=1
+        apply_activation(scores * h_seq, w.attention_activation), axis=-3
     )
     if not np.all(np.isfinite(pooled.data)):
         raise NumericError("non-finite values in encoded history")
-    return pooled if batched else pooled.reshape(n, d)
+    return pooled
 
 
 def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tensor:
-    """dH/dt per the layered spectral + spatial graph update.
+    """dH/dt per the layered spectral + spatial graph update, h: (..., N, D).
 
     Per layer: Y = act(IFFT(trunc(A.F(H)) W_F) + A H W + b), feeding Y to the
     next layer; the returned derivative is the sum of all layer outputs (or
     the last, per ``layer_output``).
     """
-    h = h if isinstance(h, Tensor) else Tensor(h)
-    batched = h.ndim == 3
-    h3 = h if batched else h.reshape(1, *h.shape)
-    b, n, d = h3.shape
-    hg, wg = grid.height, grid.width
-    if n != grid.n_nodes:
+    state = h if isinstance(h, Tensor) else Tensor(h)
+    if state.shape[-2] != grid.n_nodes:
         raise ContractViolation("node count does not match grid")
-
-    def apply_adjacency(x: Tensor) -> Tensor:
-        flat = ad.transpose(x, (1, 0, 2)).reshape(n, b * d)
-        out = ad.sparse_matmul(grid.adjacency, flat, grid.adjacency_t)
-        return ad.transpose(out.reshape(n, b, d), (1, 0, 2))
-
-    state = h3
+    hg, wg = grid.height, grid.width
     total: Tensor | None = None
     adj_rows = grid.adjacency_row_slice(w.mode_idx)
     for layer in w.layers:
@@ -176,9 +166,9 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
                 state, layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg,
                 adjacency_rows=adj_rows,
             )
-            adjacent = apply_adjacency(state)
+            adjacent = ad.sparse_matmul(grid.adjacency, state, grid.adjacency_t)
         else:
-            adjacent = apply_adjacency(state)
+            adjacent = ad.sparse_matmul(grid.adjacency, state, grid.adjacency_t)
             spectral = ad.spectral_channel_mix(
                 adjacent, layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg
             )
@@ -186,8 +176,7 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
         y = apply_activation(spectral + spatial + layer.b, w.activation)
         total = y if total is None else total + y
         state = y
-    out = state if w.layer_output == "last" else total
-    return out if batched else out.reshape(n, d)
+    return state if w.layer_output == "last" else total
 
 
 def integrate(
@@ -277,17 +266,11 @@ def frozen_checksum(encoder: EncoderStack, codebook: Codebook) -> int:
     return crc & 0xFFFFFFFF
 
 
-def episode_latents(
-    ds: EpisodeDataset,
-    encoder: EncoderStack,
-    episode_idx: int,
-    param_transform: str,
-) -> np.ndarray:
+def episode_latents(ds: EpisodeDataset, encoder: EncoderStack, episode_idx: int) -> np.ndarray:
     """Frozen-encoder latents for every frame of one episode."""
     ep = ds.episodes[episode_idx]
     x = ds.normalize(ep.x)
-    delta = np.tile(transform_params(ep.delta, param_transform), (x.shape[0], 1))
-    return encoder.encode(x, delta, ds.grid).data
+    return encoder.encode(x, np.tile(ep.delta, (x.shape[0], 1)), ds.grid).data
 
 
 def dynamics_loss(
@@ -363,7 +346,6 @@ def train_dynamics(
     cfg: DynamicsSection,
     seed: int = 0,
     aug: AugmentSection | None = None,
-    param_transform: str = "log10",
 ) -> DynTrainResult:
     """Train the forecaster on in-domain windows with optional augmentation.
 
@@ -374,8 +356,6 @@ def train_dynamics(
     """
     start_time = time.perf_counter()
     checksum_before = frozen_checksum(encoder, codebook)
-    if ds.stats is None:
-        ds.compute_normalization()
 
     d_latent = codebook.dim
     weights = init_dynamics(
@@ -385,9 +365,7 @@ def train_dynamics(
     in_episodes = [i for i, ep in enumerate(ds.episodes) if ep.split == "in"]
     if not in_episodes:
         raise ContractViolation("dataset has no in-domain episodes")
-    latents = {
-        i: episode_latents(ds, encoder, i, param_transform) for i in in_episodes
-    }
+    latents = {i: episode_latents(ds, encoder, i) for i in in_episodes}
 
     windows = _windows(ds, cfg, "in", cfg.window_stride)
     order_gen = substream(seed, "dynamics/shuffle")
@@ -402,6 +380,7 @@ def train_dynamics(
     aug_fn = None
     aug_calls = 0
     if aug is not None:
+        decision_gen = substream(derive_seed(seed, "augment"), "curriculum")
         all_latents = np.concatenate([latents[i].reshape(-1, d_latent) for i in in_episodes])
         tau = aug.tau if aug.tau is not None else calibrate_tau(all_latents, codebook)
 
@@ -412,9 +391,6 @@ def train_dynamics(
 
     params = weights.params()
     state = AdamState()
-    decision_gen = substream(
-        derive_seed(seed, "augment") if aug is not None else seed, "curriculum"
-    )
     history: list[EpochRow] = []
 
     def train_step(batch, decisions, lr: float, epoch: int) -> float:
@@ -423,8 +399,7 @@ def train_dynamics(
         with Tape() as tape:
             y_hat, y = _forecast_batch(
                 latents, ds, batch, weights, cfg,
-                augmented=decisions if aug is not None else None,
-                aug_fn=aug_fn,
+                augmented=decisions, aug_fn=aug_fn,
             )
             loss, mse_value = dynamics_loss(y_hat, y, weights, cfg.lambda_reg)
         if not np.isfinite(mse_value):
@@ -440,7 +415,9 @@ def train_dynamics(
         total, count = 0.0, 0
         for lo in range(0, len(train_windows), cfg.batch_size):
             batch = train_windows[lo : lo + cfg.batch_size]
-            decisions = augmentation_decisions(decision_gen, len(batch), ratio)
+            decisions = None  # drawn only when augmenting
+            if aug is not None:
+                decisions = augmentation_decisions(decision_gen, len(batch), ratio)
             mse_value = train_step(batch, decisions, lr, epoch)
             total += mse_value * len(batch)
             count += len(batch)

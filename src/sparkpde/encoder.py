@@ -128,37 +128,35 @@ def channel_attention(
 ) -> Tensor:
     """Fuse physical parameters into node features.
 
-    x: (N, d) or (B, N, d); delta: (d_delta,) or (B, d_delta). Nodes must be
-    the row-major layout of the grid (the spectral branch reshapes to H x W).
+    x: (..., N, d) in the row-major node layout of the grid; delta:
+    (..., d_delta) with the same leading shape, one parameter vector per
+    leading index.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     delta = delta if isinstance(delta, Tensor) else Tensor(np.atleast_1d(delta))
-    batched = x.ndim == 3
-    h_grid, w_grid, n = grid.height, grid.width, grid.n_nodes
-    if x.shape[-2] != n:
+    if x.shape[-2] != grid.n_nodes:
         raise ContractViolation(
-            f"node count {x.shape[-2]} does not match grid ({h_grid}x{w_grid})"
+            f"node count {x.shape[-2]} does not match grid ({grid.height}x{grid.width})"
         )
-    d_obs = x.shape[-1]
-    if delta.shape[-1] != w.w1_1.shape[0]:
+    d_obs, d_delta = x.shape[-1], delta.shape[-1]
+    if d_delta != w.w1_1.shape[0]:
         raise ContractViolation(
-            f"parameter dimension {delta.shape[-1]} does not match weights "
-            f"({w.w1_1.shape[0]})"
+            f"parameter dimension {d_delta} does not match weights ({w.w1_1.shape[0]})"
         )
 
-    x3 = x if batched else x.reshape(1, n, d_obs)
-    delta2 = delta if delta.ndim == 2 else delta.reshape(1, delta.shape[-1])
+    # The gating MLPs run as 2-D GEMMs on (samples, d_delta) rows at any
+    # leading rank; each gate then broadcasts over its sample's nodes.
+    rows = delta.reshape(-1, d_delta)
+    gate_shape = delta.shape[:-1] + (1, d_obs)
+    a1 = _attention_vector(rows, w.w1_1, w.b1_1, w.w2_1, w.b2_1, w.activation)
+    a2 = _attention_vector(rows, w.w1_2, w.b1_2, w.w2_2, w.b2_2, w.activation)
+    a1, a2 = a1.reshape(gate_shape), a2.reshape(gate_shape)
 
-    a1 = _attention_vector(delta2, w.w1_1, w.b1_1, w.w2_1, w.b2_1, w.activation)
-    a2 = _attention_vector(delta2, w.w1_2, w.b1_2, w.w2_2, w.b2_2, w.activation)
-    a1 = a1.reshape(a1.shape[0], 1, d_obs)
-    a2 = a2.reshape(a2.shape[0], 1, d_obs)
-
-    branch1 = ad.matmul(x3, w.g1)
-    branch2 = ad.spectral_channel_mix(x3, w.g2_real, w.g2_imag, w.mode_idx, h_grid, w_grid)
-
-    out = x3 + a1 * branch1 + a2 * branch2
-    return out if batched else out.reshape(n, d_obs)
+    branch1 = ad.matmul(x, w.g1)
+    branch2 = ad.spectral_channel_mix(
+        x, w.g2_real, w.g2_imag, w.mode_idx, grid.height, grid.width
+    )
+    return x + a1 * branch1 + a2 * branch2
 
 
 # -- GNN encoder -----------------------------------------------------------------
@@ -220,31 +218,23 @@ def init_gnn_encoder(
 
 def gnn_encode(h: Tensor | np.ndarray, grid: GridGraph, w: GnnEncoderWeights) -> Tensor:
     """L rounds of aggregate (neighbor mean via the normalized adjacency)
-    and residual combine. h: (N, d) or (B, N, d) -> (..., D_latent).
+    and residual combine. h: (..., N, d) -> (..., N, D_latent).
 
     Zero rows of the adjacency (isolated nodes, if a custom graph ever allows
     them) contribute a zero aggregate by construction of the sparse product.
     """
     h = h if isinstance(h, Tensor) else Tensor(h)
-    batched = h.ndim == 3
-    n = grid.n_nodes
-    if h.shape[-2] != n:
+    if h.shape[-2] != grid.n_nodes:
         raise ContractViolation("node count does not match grid")
-    h3 = h if batched else h.reshape(1, n, h.shape[-1])
-    batch = h3.shape[0]
-
     for layer in w.layers:
-        din = h3.shape[-1]
-        flat = ad.transpose(h3, (1, 0, 2)).reshape(n, batch * din)
-        agg = ad.sparse_matmul(grid.adjacency, flat, grid.adjacency_t)
-        agg = ad.transpose(agg.reshape(n, batch, din), (1, 0, 2))
-        combined = ad.matmul(ad.concat([h3, agg], axis=-1), layer.combine_w)
+        agg = ad.sparse_matmul(grid.adjacency, h, grid.adjacency_t)
+        combined = ad.matmul(ad.concat([h, agg], axis=-1), layer.combine_w)
         combined = apply_activation(combined + layer.combine_b, w.activation)
         if layer.resid_w is not None:
-            h3 = ad.matmul(h3, layer.resid_w) + combined
+            h = ad.matmul(h, layer.resid_w) + combined
         else:
-            h3 = h3 + combined
-    return h3 if batched else h3.reshape(n, h3.shape[-1])
+            h = h + combined
+    return h
 
 
 # -- MLP decoder -------------------------------------------------------------------
@@ -293,13 +283,32 @@ def reconstruct(z: Tensor | np.ndarray, w: MlpDecoderWeights) -> Tensor:
 # -- assembled stack -----------------------------------------------------------------
 
 
+def transform_params(delta: np.ndarray, mode: str) -> np.ndarray:
+    """Parameter embedding fed to channel attention.
+
+    Physical parameters like viscosity span decades, so the default maps them
+    through log10 before the gating MLPs.
+    """
+    delta = np.asarray(delta, dtype=np.float64)
+    if mode == "identity":
+        return delta
+    if mode == "log10":
+        return np.log10(np.maximum(np.abs(delta), 1e-300))
+    raise ContractViolation(f"unknown param transform {mode!r}")
+
+
 @dataclass
 class EncoderStack:
-    """Channel attention -> GNN encoder, with the reconstruction decoder."""
+    """Channel attention -> GNN encoder, with the reconstruction decoder.
+
+    ``encode`` takes raw physical parameters and embeds them with
+    ``param_transform`` itself.
+    """
 
     attention: ChannelAttentionWeights
     gnn: GnnEncoderWeights
     decoder: MlpDecoderWeights
+    param_transform: str
 
     def params(self) -> dict[str, Tensor]:
         out = {}
@@ -308,8 +317,10 @@ class EncoderStack:
         out.update(self.decoder.params())
         return out
 
-    def encode(self, x, delta, grid: GridGraph) -> Tensor:
-        return gnn_encode(channel_attention(x, delta, self.attention, grid), grid, self.gnn)
+    def encode(self, x, delta: np.ndarray, grid: GridGraph) -> Tensor:
+        """Latents of x (..., N, d_obs) under raw parameters delta (..., d_delta)."""
+        embedded = transform_params(delta, self.param_transform)
+        return gnn_encode(channel_attention(x, embedded, self.attention, grid), grid, self.gnn)
 
 
 def init_encoder_stack(
@@ -327,4 +338,5 @@ def init_encoder_stack(
         ),
         gnn=init_gnn_encoder(gen, d_obs, cfg.hidden, cfg.d_latent, cfg.gnn_layers, act),
         decoder=init_mlp_decoder(gen, cfg.d_latent, cfg.hidden, d_obs, act),
+        param_transform=cfg.param_transform,
     )

@@ -36,7 +36,6 @@ def evaluate_split(
     weights: DynamicsWeights,
     cfg: DynamicsSection,
     split: str,
-    param_transform: str = "log10",
     batch_size: int = 8,
     with_spectra: bool = True,
 ) -> tuple[MetricReport, PredictionDump]:
@@ -44,11 +43,9 @@ def evaluate_split(
     windows = _windows(ds, cfg, split, cfg.eval_stride or cfg.horizon)
     if not windows:
         raise ContractViolation(f"dataset has no '{split}' windows to evaluate")
-    if ds.stats is None:
-        ds.compute_normalization()
 
     episode_ids = sorted({e for e, _ in windows})
-    latents = {e: episode_latents(ds, encoder, e, param_transform) for e in episode_ids}
+    latents = {e: episode_latents(ds, encoder, e) for e in episode_ids}
 
     preds, targets = [], []
     for lo in range(0, len(windows), batch_size):

@@ -45,8 +45,6 @@ class GridGraph:
         degrees = np.asarray(binary.sum(axis=1)).reshape(-1)
         if np.any(degrees < 1):
             raise ContractViolation("grid graph has an isolated node")
-        self.degrees = degrees
-        self.binary_adjacency = binary
         self.adjacency = self._normalize(binary, degrees)
         self.adjacency_t = self.adjacency.T.tocsr()
         self._row_slice_cache: dict = {}

@@ -7,6 +7,8 @@ numbers, since every parameter is then assigned from the checkpoint.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .config import ExperimentConfig, config_from_dict, config_to_dict
@@ -113,17 +115,17 @@ def check_dataset_compatibility(snapshot: dict, ds) -> None:
 
 
 def check_config_compatibility(snapshot: dict, cfg: ExperimentConfig) -> None:
-    """Refuse configs that disagree with the pretrained architecture."""
-    stored = config_from_dict(snapshot["experiment"])
-    problems = []
-    if stored.pretrain.d_latent != cfg.pretrain.d_latent:
-        problems.append(
-            f"d_latent: checkpoint {stored.pretrain.d_latent} vs config {cfg.pretrain.d_latent}"
-        )
-    if stored.pretrain.codebook_size != cfg.pretrain.codebook_size:
-        problems.append(
-            f"codebook_size: checkpoint {stored.pretrain.codebook_size} "
-            f"vs config {cfg.pretrain.codebook_size}"
-        )
+    """Refuse a config whose ``pretrain`` section differs from the checkpoint's.
+
+    The section describes the frozen encoder, and a dynamics checkpoint
+    snapshots the training config that ``eval`` rebuilds the encoder from.
+    """
+    stored = config_from_dict(snapshot["experiment"]).pretrain
+    problems = [
+        f"pretrain.{f.name}: checkpoint {getattr(stored, f.name)!r} "
+        f"vs config {getattr(cfg.pretrain, f.name)!r}"
+        for f in dataclasses.fields(stored)
+        if getattr(stored, f.name) != getattr(cfg.pretrain, f.name)
+    ]
     if problems:
         raise IncompatibilityError("; ".join(problems))

@@ -165,20 +165,6 @@ def scheduled_lr(base: float, epoch: int, epochs: int, mode: str) -> float:
     return base * max(factor, 0.02)
 
 
-def transform_params(delta: np.ndarray, mode: str) -> np.ndarray:
-    """Parameter embedding fed to channel attention.
-
-    Physical parameters like viscosity span decades, so the default maps them
-    through log10 before the gating MLPs.
-    """
-    delta = np.asarray(delta, dtype=np.float64)
-    if mode == "identity":
-        return delta
-    if mode == "log10":
-        return np.log10(np.maximum(np.abs(delta), 1e-300))
-    raise ContractViolation(f"unknown param transform {mode!r}")
-
-
 @dataclass
 class PretrainResult:
     encoder: EncoderStack
@@ -199,12 +185,10 @@ def _episode_frames(ds: EpisodeDataset) -> list[tuple[int, int]]:
 
 
 def _gather_batch(
-    ds: EpisodeDataset, frames: list[tuple[int, int]], cfg: PretrainSection
+    ds: EpisodeDataset, frames: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     xs = np.stack([ds.episodes[e].x[t] for e, t in frames])
-    deltas = np.stack(
-        [transform_params(ds.episodes[e].delta, cfg.param_transform) for e, t in frames]
-    )
+    deltas = np.stack([ds.episodes[e].delta for e, t in frames])
     return ds.normalize(xs), deltas
 
 
@@ -220,8 +204,6 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
     frames = _episode_frames(ds)
     if not frames:
         raise ContractViolation("dataset has no in-domain episodes")
-    if ds.stats is None:
-        ds.compute_normalization()
 
     grid = ds.grid
     d_delta = ds.episodes[0].delta.size
@@ -233,7 +215,7 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
     order = list(range(len(frames)))
     shuffle_gen.shuffle(order)
     first = [frames[i] for i in order[: min(cfg.batch_size, len(order))]]
-    x0, d0 = _gather_batch(ds, first, cfg)
+    x0, d0 = _gather_batch(ds, first)
     z0 = encoder.encode(x0, d0, grid).data.reshape(-1, cfg.d_latent)
     seed_gen = substream(seed, "pretrain/kmeans")
     codebook = new_codebook(kmeans_plusplus(z0, cfg.codebook_size, seed_gen))
@@ -268,7 +250,7 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
         count = 0
         for lo in range(0, len(order), cfg.batch_size):
             batch = [frames[i] for i in order[lo : lo + cfg.batch_size]]
-            xs, deltas = _gather_batch(ds, batch, cfg)
+            xs, deltas = _gather_batch(ds, batch)
             value = train_step(xs, deltas, lr, epoch)
             total += value * len(batch)
             count += len(batch)

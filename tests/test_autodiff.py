@@ -169,10 +169,19 @@ def test_matmul_batched_gradients():
     check_gradients(loss, values)
 
 
-def test_sparse_matmul_gradient():
-    grid = GridGraph(4, 4, normalization="row")
+@pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["N-D", "B-N-D", "T-B-N-D"])
+def test_sparse_matmul_gradient(lead):
+    # Degrees vary on a non-periodic 8-neighbour grid, so the row-normalized
+    # A is not symmetric and a VJP applying A instead of A.T fails FD.
+    grid = GridGraph(4, 4, normalization="row", connectivity=8, periodic=False)
     gen = rng.substream(23, "sparse")
-    values = {"x": gen.normal_array((16, 3))}
+    values = {"x": gen.normal_array(lead + (16, 3))}
+
+    # The node-axis product equals A @ x on every leading slice, bit for bit.
+    got = sparse_matmul(grid.adjacency, values["x"], grid.adjacency_t).data
+    assert got.shape == values["x"].shape
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(got[idx], grid.adjacency @ values["x"][idx])
 
     def loss(p):
         y = sparse_matmul(grid.adjacency, p["x"], grid.adjacency_t)

@@ -274,6 +274,38 @@ def test_mismatched_latent_width_refused(workspace, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("  hidden: 16", "  hidden: 24", "pretrain.hidden"),
+        ("  gnn_layers: 1", "  gnn_layers: 1\n  activation: tanh", "pretrain.activation"),
+    ],
+    ids=["hidden", "activation"],
+)
+def test_pretrain_section_must_match_checkpoint(workspace, tmp_path, capsys, command, old, new, key):
+    # The frozen encoder is what the checkpoint's pretrain section describes;
+    # eval rebuilds it from the training config, so any other value is refused.
+    assert old in MICRO_CONFIG
+    cfg = tmp_path / "changed.yaml"
+    cfg.write_text(MICRO_CONFIG.replace(old, new), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(
+        [
+            command,
+            "--config", str(cfg),
+            "--dataset", str(workspace["dataset"]),
+            "--checkpoint", str(workspace["pretrain_ckpt"]),
+            "--out", str(out),
+        ]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert key in err
+    assert err.count("pretrain.") == 1  # only the differing key is named
+    assert not out.exists()
+
+
 def test_eval_missing_split_errors(workspace, tmp_path):
     # build a dataset with no OOD episodes
     cfg_text = MICRO_CONFIG.replace(

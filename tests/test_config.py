@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from sparkpde.cli import main
 from sparkpde.config import (
     ExperimentConfig,
     config_from_dict,
@@ -90,6 +91,19 @@ def test_yaml_loading(tmp_path):
     assert cfg.dataset.params == [0.01, 0.001]
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "missing.yaml"))
+
+
+def test_dotless_float_literals_load(tmp_path):
+    # YAML 1.1 reads 1e-3 (no dot) as a string; float keys accept it.
+    path = tmp_path / "exp.yaml"
+    path.write_text("pretrain:\n  lr: 1e-3\naugment:\n  tau: 2e-1\n", encoding="utf-8")
+    cfg = load_config(str(path))
+    assert cfg.pretrain.lr == 0.001
+    assert cfg.augment.tau == 0.2
+    path.write_text("pretrain:\n  lr: abc\n", encoding="utf-8")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_resolved_curriculum_percent_defaults():

@@ -172,9 +172,10 @@ def test_rhs_matches_dense_oracle(grid, mode, layer_output):
     expected = _dense_rhs_oracle(h, grid, w)
     np.testing.assert_allclose(got, expected, atol=1e-8)
     # A.H is formed once per layer and shared by the spectral (field mode)
-    # and spatial branches.
+    # and spatial branches, as one node-axis op with no layout copies.
     ops = [node._op for node in tape._nodes]
     assert ops.count("sparse_matmul") == len(w.layers)
+    assert "transpose" not in ops
 
 
 def test_rhs_translation_equivariance_field_mode():

@@ -238,10 +238,9 @@ def test_pretrain_constant_dataset_converges():
     result = pretrain(ds, _tiny_config(epochs=30, lr=2e-3), seed=SEED)
     # reconstruction error on the (degenerate) training data
     from sparkpde.encoder import reconstruct
-    from sparkpde.state_dictionary import transform_params
 
     x = ds.normalize(ds.episodes[0].x)
-    delta = np.tile(transform_params(ds.episodes[0].delta, "log10"), (x.shape[0], 1))
+    delta = np.tile(ds.episodes[0].delta, (x.shape[0], 1))  # raw; encode embeds it
     z = result.encoder.encode(x, delta, ds.grid)
     x_hat = reconstruct(
         quantize(z, result.codebook, count_usage=False).straight_through,
