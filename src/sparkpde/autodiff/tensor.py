@@ -11,9 +11,10 @@ created tensors), so each node's adjoint is complete when visited and every
 node is visited exactly once. Gradients of parameters never touched by the
 tape are exactly zero.
 
-Complex quantities (spectra, spectral weights) are represented as explicit
-real/imaginary tensor pairs; ``fft2``/``ifft2`` follow the unnormalized
-forward / 1/(H*W) inverse convention.
+Complex spectral weights are represented as explicit real/imaginary tensor
+pairs. The one spectral op, ``spectral_channel_mix``, takes its DFTs with
+real GEMMs: unnormalized forward and 1/(H*W) inverse, as ``np.fft.fft2`` and
+``np.fft.ifft2``.
 """
 
 from __future__ import annotations
@@ -88,23 +89,11 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -137,9 +126,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = self._previous
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
 
 def _as_tensor(value) -> Tensor:
@@ -205,19 +191,6 @@ def mul(a, b) -> Tensor:
         )
 
     return _record(out, (a, b), vjp, "mul")
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data / b.data)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        )
-
-    return _record(out, (a, b), vjp, "div")
 
 
 def square(a) -> Tensor:
@@ -298,18 +271,6 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (a,), vjp, "reshape")
 
 
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    out = Tensor(np.transpose(a.data, axes))
-    inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inverse),)
-
-    return _record(out, (a,), vjp, "transpose")
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
@@ -339,20 +300,6 @@ def gather_rows(a, indices: Array) -> Tensor:
         return (grad,)
 
     return _record(out, (a,), vjp, "gather_rows")
-
-
-def scatter_rows(a, indices: Array, num_rows: int) -> Tensor:
-    """Place rows of ``a`` at unique ``indices`` in a zero tensor of ``num_rows`` rows."""
-    a = _as_tensor(a)
-    idx = np.asarray(indices, dtype=np.int64)
-    data = np.zeros((num_rows,) + a.shape[1:], dtype=np.float64)
-    data[idx] = a.data
-    out = Tensor(data)
-
-    def vjp(g):
-        return (g[idx],)
-
-    return _record(out, (a,), vjp, "scatter_rows")
 
 
 # -- linear algebra -------------------------------------------------------------
@@ -396,54 +343,7 @@ def sparse_matmul(matrix: _sparse.csr_matrix, x, matrix_t: _sparse.csr_matrix) -
     return _record(out, (x,), vjp, "sparse_matmul")
 
 
-# -- Fourier transforms ----------------------------------------------------------
-
-
-def fft2(real, imag) -> tuple[Tensor, Tensor]:
-    """2-D DFT over the last two axes; unnormalized forward convention.
-
-    Input and output are explicit (real, imag) pairs of equal shape.
-    """
-    real, imag = _as_tensor(real), _as_tensor(imag)
-    if real.shape != imag.shape:
-        raise ContractViolation("fft2: real/imag shape mismatch")
-    spectrum = np.fft.fft2(real.data + 1j * imag.data, axes=(-2, -1))
-    out_r = Tensor(np.ascontiguousarray(spectrum.real))
-    out_i = Tensor(np.ascontiguousarray(spectrum.imag))
-
-    def vjp_r(g):
-        G = np.fft.fft2(g, axes=(-2, -1))
-        return (np.ascontiguousarray(G.real), -np.ascontiguousarray(G.imag))
-
-    def vjp_i(g):
-        G = np.fft.fft2(g, axes=(-2, -1))
-        return (np.ascontiguousarray(G.imag), np.ascontiguousarray(G.real))
-
-    _record(out_r, (real, imag), vjp_r, "fft2.real")
-    _record(out_i, (real, imag), vjp_i, "fft2.imag")
-    return out_r, out_i
-
-
-def ifft2(real, imag) -> tuple[Tensor, Tensor]:
-    """Inverse 2-D DFT over the last two axes, scaled by 1/(H*W)."""
-    real, imag = _as_tensor(real), _as_tensor(imag)
-    if real.shape != imag.shape:
-        raise ContractViolation("ifft2: real/imag shape mismatch")
-    field = np.fft.ifft2(real.data + 1j * imag.data, axes=(-2, -1))
-    out_r = Tensor(np.ascontiguousarray(field.real))
-    out_i = Tensor(np.ascontiguousarray(field.imag))
-
-    def vjp_r(g):
-        G = np.fft.ifft2(g, axes=(-2, -1))
-        return (np.ascontiguousarray(G.real), -np.ascontiguousarray(G.imag))
-
-    def vjp_i(g):
-        G = np.fft.ifft2(g, axes=(-2, -1))
-        return (np.ascontiguousarray(G.imag), np.ascontiguousarray(G.real))
-
-    _record(out_r, (real, imag), vjp_r, "ifft2.real")
-    _record(out_i, (real, imag), vjp_i, "ifft2.imag")
-    return out_r, out_i
+# -- spectral channel mix ----------------------------------------------------------
 
 
 def _product_cover(nodes: Array, width: int) -> tuple[Array, Array, Array | None]:
@@ -576,7 +476,8 @@ def spectral_channel_mix(
     ``adjacency_rows`` touch, else the retained modes' bounding row x column
     product set (gathered when the modes do not fill it). The inverse runs
     from the retained modes' product set straight to the real field. DFTs
-    are unnormalized forward and 1/(H*W) inverse, as ``fft2`` and ``ifft2``.
+    are unnormalized forward and 1/(H*W) inverse, as ``np.fft.fft2`` and
+    ``np.fft.ifft2``.
     The DFT matrices and index sets are built once per geometry and reused.
 
     One tape node. The VJP applies the transposes of the same matrices and

@@ -136,13 +136,21 @@ def _attach_grid(ds: EpisodeDataset, grid: GridGraph) -> None:
     ds.grid = grid
 
 
+def _make_dir(path: Path) -> Path:
+    """Create ``path`` and its parents; a path that cannot be a directory is a
+    usage error. Commands call this after their checks and before any work."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror or exc}")
+    return path
+
+
 def _out_dir(args, cfg: ExperimentConfig | None = None) -> Path:
     out = args.out or (cfg.out_dir if cfg else None)
     if not out:
         raise ConfigError("--out is required")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return _make_dir(Path(out))
 
 
 # -- gen-data ----------------------------------------------------------------------
@@ -194,6 +202,7 @@ def cmd_gen_data(args) -> int:
         else {"threshold": ds_cfg.ood.threshold, "direction": ds_cfg.ood.direction}
     )
     in_params, out_params = make_ood_split(ds_cfg.params, ood_rule)
+    out = _out_dir(args, cfg)
 
     jobs = []
     for split, params in ((SPLIT_IN, in_params), (SPLIT_OUT, out_params)):
@@ -210,7 +219,6 @@ def cmd_gen_data(args) -> int:
     ds = EpisodeDataset(grid=grid, channel_names=channel_names, episodes=episodes)
     ds.compute_normalization()
 
-    out = _out_dir(args, cfg)
     data_path = out / "dataset.spds"
     save_dataset(ds, str(data_path))
 
@@ -305,10 +313,10 @@ def cmd_train(args) -> int:
     check_config_compatibility(ckpt.config, cfg)
     _, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
     _attach_grid(ds, grid)
+    out = _out_dir(args, cfg)
 
     result = train_dynamics(ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug)
 
-    out = _out_dir(args, cfg)
     meta = dataset_meta(ds)
     meta["d_latent"] = codebook.dim
     meta["augmented"] = aug is not None
@@ -366,8 +374,8 @@ def cmd_eval(args) -> int:
     split = {"in": SPLIT_IN, "out": SPLIT_OUT}[args.split]
     if not ds.split_episodes(split):
         raise ContractViolation(f"dataset has no '{split}' episodes")
-    report, dump = evaluate_split(ds, encoder, weights, cfg.dynamics, split)
     out = _out_dir(args, cfg)
+    report, dump = evaluate_split(ds, encoder, weights, cfg.dynamics, split)
     _write_csv(
         out / f"metrics_{args.split}.csv",
         ["metric", "value"],
@@ -405,6 +413,10 @@ def cmd_inspect_codebook(args) -> int:
     usage = ckpt.tensors.get(
         "codebook.usage", np.zeros(entries.shape[0], dtype=np.int64)
     )
+    if args.csv:
+        _make_dir(Path(args.csv).parent)
+        if Path(args.csv).is_dir():
+            raise ConfigError(f"--csv is a directory: {args.csv}")
     m, d = entries.shape
     print(f"codebook: M={m} D={d}")
     if usage.sum() > 0:
@@ -431,11 +443,12 @@ def cmd_sweep_k(args) -> int:
     ckpt = load_checkpoint(_input_file(args.checkpoint, "pretrain checkpoint"))
     check_dataset_compatibility(ckpt.config, ds)
     check_config_compatibility(ckpt.config, cfg)
+    # train_dynamics verifies by checksum that it leaves these frozen.
+    _, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
+    _attach_grid(ds, grid)
     out = _out_dir(args, cfg)
     rows = []
     for k, aug in zip(K_SWEEP_GRID, augs):
-        _, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
-        _attach_grid(ds, grid)
         result = train_dynamics(ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug)
         row = [k, result.history[-1].train_mse, result.history[-1].val_mse]
         for split in (SPLIT_IN, SPLIT_OUT):

@@ -57,7 +57,6 @@ class DynamicsWeights:
     layers: list[OdeLayer]
     decoder: MlpDecoderWeights
     mode_idx: np.ndarray
-    k_max: int
     activation: str = "gelu"
     attention_activation: str = "identity"
     spectral_adjacency: str = "spectral"  # literal A*F(H); "field" uses F(A*H)
@@ -114,7 +113,6 @@ def init_dynamics(
         layers=layers,
         decoder=decoder,
         mode_idx=mode_idx,
-        k_max=cfg.k_max,
         activation=cfg.activation,
         attention_activation=cfg.attention_activation,
         spectral_adjacency=cfg.spectral_adjacency,

@@ -67,7 +67,6 @@ class ChannelAttentionWeights:
     g2_real: Tensor  # (K, d, d) spectral weights per retained mode
     g2_imag: Tensor
     mode_idx: np.ndarray
-    k_max: int
     activation: str = "gelu"
 
     def params(self) -> dict[str, Tensor]:
@@ -110,7 +109,6 @@ def init_channel_attention(
         g2_real=ad.parameter(gen.normal_array((k, d_obs, d_obs)) * spectral_std, f"{prefix}.g2_real"),
         g2_imag=ad.parameter(gen.normal_array((k, d_obs, d_obs)) * spectral_std, f"{prefix}.g2_imag"),
         mode_idx=mode_idx,
-        k_max=k_max,
         activation=activation,
     )
 
@@ -173,10 +171,6 @@ class GnnLayer:
 class GnnEncoderWeights:
     layers: list[GnnLayer] = field(default_factory=list)
     activation: str = "gelu"
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
 
     def params(self) -> dict[str, Tensor]:
         out = {}

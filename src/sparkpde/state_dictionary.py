@@ -43,10 +43,6 @@ class Codebook:
             raise ContractViolation("codebook entries must be finite")
 
     @property
-    def size(self) -> int:
-        return self.embeddings.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.embeddings.shape[1]
 

@@ -24,9 +24,8 @@ from sparkpde.autodiff import (
     Tape,
     Tensor,
     backward,
-    fft2,
     gather_rows,
-    ifft2,
+    spectral_channel_mix,
     square,
     tensor_mean,
     tensor_sum,
@@ -57,7 +56,7 @@ from sparkpde.encoder import (
 )
 from sparkpde.errors import ContractViolation
 from sparkpde.evaluation import evaluate_split
-from sparkpde.grids import GridGraph
+from sparkpde.grids import GridGraph, retained_mode_indices
 from sparkpde.metrics import energy_spectrum, psnr, ssim
 from sparkpde.rng import derive_seed
 from sparkpde.state_dictionary import (
@@ -68,7 +67,7 @@ from sparkpde.state_dictionary import (
     quantize,
 )
 
-from helpers import check_gradients, direct_dft2
+from helpers import check_gradients, direct_spectral_mix, spectral_projection
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -234,34 +233,34 @@ def test_gradient_integrity():
 
 
 def test_spectral_integrity():
+    # On spectral_channel_mix, the model's one spectral op: the projection P
+    # onto all modes, Parseval on retained mode sets, and random per-mode
+    # weights against the direct DFT.
     gen = rng.substream(1002, "accept/fft")
     worst_rt = 0.0
     worst_parseval = 0.0
     for size in (4, 8, 16, 32, 33):
-        xr = gen.normal_array((size, size))
-        xi = gen.normal_array((size, size))
-        yr, yi = fft2(Tensor(xr), Tensor(xi))
-        zr, zi = ifft2(yr, yi)
+        n = size * size
+        x = gen.normal_array((n, 2))
         worst_rt = max(
-            worst_rt,
-            float(np.max(np.abs(zr.data - xr))),
-            float(np.max(np.abs(zi.data - xi))),
+            worst_rt, float(np.max(np.abs(spectral_projection(x, np.arange(n), size, size) - x)))
         )
-        space = np.sum(xr * xr + xi * xi)
-        freq = np.sum(yr.data**2 + yi.data**2) / (size * size)
-        worst_parseval = max(worst_parseval, abs(space - freq) / space)
+        power = np.abs(np.fft.fft2(x.T.reshape(2, size, size))).reshape(2, n) ** 2
+        for k_max in (1, size // 4, size // 2):
+            idx = retained_mode_indices(size, size, k_max)
+            space = np.sum(spectral_projection(x, idx, size, size) ** 2)
+            freq = np.sum(power[:, idx]) / n
+            worst_parseval = max(worst_parseval, abs(space - freq) / freq)
     worst_oracle = 0.0
     for size in (4, 8, 16, 33):
-        xr = gen.normal_array((size, size))
-        xi = gen.normal_array((size, size))
-        yr, yi = fft2(Tensor(xr), Tensor(xi))
-        rr, ri = direct_dft2(xr, xi)
-        scale = max(1.0, float(np.max(np.abs(rr))))
-        worst_oracle = max(
-            worst_oracle,
-            float(np.max(np.abs(yr.data - rr))) / scale,
-            float(np.max(np.abs(yi.data - ri))) / scale,
-        )
+        x = gen.normal_array((size * size, 2))
+        idx = retained_mode_indices(size, size, size // 4)
+        wr = gen.normal_array((len(idx), 2, 2))
+        wi = gen.normal_array((len(idx), 2, 2))
+        out = spectral_channel_mix(Tensor(x), wr, wi, idx, size, size).data
+        ref = direct_spectral_mix(x, wr + 1j * wi, idx, size, size)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        worst_oracle = max(worst_oracle, float(np.max(np.abs(out - ref))) / scale)
     ok = worst_rt <= 1e-10 and worst_parseval <= 1e-10 and worst_oracle <= 1e-9
     _report(
         "spectral-integrity",

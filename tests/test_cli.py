@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from sparkpde import cli
 from sparkpde.augment import curriculum_ratio
 from sparkpde.checkpoint import load_checkpoint
 from sparkpde.cli import main
@@ -227,7 +228,7 @@ def test_eval_totals_match_independent_recomputation(workspace, tmp_path):
 
 
 def test_inspect_codebook(workspace, tmp_path, capsys):
-    csv_path = tmp_path / "usage.csv"
+    csv_path = tmp_path / "new-dir" / "usage.csv"
     assert (
         main(
             [
@@ -461,6 +462,45 @@ def test_dataset_directory_is_config_error(workspace, tmp_path, capsys):
     assert code == 2
     assert "dataset is not a file" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize(
+    "command", ["gen-data", "pretrain", "train", "eval", "sweep-k", "inspect-codebook"]
+)
+def test_unusable_output_path_exits_2_before_any_work(
+    workspace, tmp_path, monkeypatch, capsys, command, under_file
+):
+    # The output directory is an existing file, or lies under one.
+    for work in ("simulate_navier_stokes", "pretrain", "train_dynamics", "evaluate_split"):
+        monkeypatch.setattr(cli, work, _no_work)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "sub" if under_file else blocker
+    config = ["--config", str(workspace["config"])]
+    dataset = ["--dataset", str(workspace["dataset"])]
+    pre = ["--checkpoint", str(workspace["pretrain_ckpt"])]
+    argv = {
+        "gen-data": config + ["--out", str(out)],
+        "pretrain": config + dataset + ["--out", str(out)],
+        "train": config + dataset + pre + ["--out", str(out)],
+        "eval": ["--checkpoint", str(workspace["dynamics_ckpt"]), "--split", "in"]
+        + dataset + ["--out", str(out)],
+        "sweep-k": config + dataset + pre + ["--out", str(out)],
+        "inspect-codebook": pre + ["--csv", str(out / "usage.csv")],
+    }[command]
+    assert main([command] + argv) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
+def test_inspect_codebook_csv_directory_exits_2(workspace, tmp_path, capsys):
+    argv = ["inspect-codebook", "--checkpoint", str(workspace["pretrain_ckpt"])]
+    assert main(argv + ["--csv", str(tmp_path)]) == 2
+    assert "--csv is a directory" in capsys.readouterr().err
 
 
 def test_checkpoint_rebuild_draws_no_random_numbers(workspace, monkeypatch):

@@ -25,7 +25,7 @@ from sparkpde.encoder import (
 from sparkpde.errors import ContractViolation
 from sparkpde.grids import GridGraph, retained_mode_indices
 
-from helpers import check_gradients, direct_dft2
+from helpers import check_gradients, direct_spectral_mix
 
 
 @pytest.fixture()
@@ -63,8 +63,8 @@ def test_unit_gate_identity_g1_doubles_input(grid):
 def test_spectral_branch_matches_dense_dft_oracle(grid):
     # Isolate g2: a_2 = ones, a_1 = 0, then compare h - x against a direct
     # O(N^2) DFT implementation of the truncated spectral convolution.
-    d = 2
-    w = _weights(grid, d_obs=d)
+    d, k_max = 2, 2
+    w = _weights(grid, d_obs=d, k_max=k_max)
     w.w2_1.data[:] = 0.0
     w.b2_1.data[:] = 0.0
     w.w2_2.data[:] = 0.0
@@ -72,23 +72,9 @@ def test_spectral_branch_matches_dense_dft_oracle(grid):
     x = rng.substream(3, "x").normal_array((grid.n_nodes, d))
     out = channel_attention(x, np.array([0.5]), w, grid).data - x
 
-    h, wd = grid.height, grid.width
-    images = x.reshape(h, wd, d)
-    spectra = [direct_dft2(images[:, :, c], np.zeros((h, wd))) for c in range(d)]
-    spectra = [sr + 1j * si for sr, si in spectra]
     weights = w.g2_real.data + 1j * w.g2_imag.data
-    mode_idx = retained_mode_indices(h, wd, w.k_max)
-    mixed = np.zeros((h * wd, d), dtype=np.complex128)
-    for pos, flat in enumerate(mode_idx):
-        r, c = divmod(flat, wd)
-        vec = np.array([spectra[ci][r, c] for ci in range(d)])
-        mixed[flat] = vec @ weights[pos]
-    # Inverse via the direct DFT: ifft2(z) = conj(fft2(conj(z))) / N.
-    expected = np.zeros((h * wd, d))
-    for c in range(d):
-        zr, zi = mixed[:, c].real.reshape(h, wd), mixed[:, c].imag.reshape(h, wd)
-        fr, fi = direct_dft2(zr, -zi)
-        expected[:, c] = (fr / (h * wd)).reshape(-1)
+    mode_idx = retained_mode_indices(grid.height, grid.width, k_max)
+    expected = direct_spectral_mix(x, weights, mode_idx, grid.height, grid.width)
     np.testing.assert_allclose(out, expected, atol=1e-8)
 
 
