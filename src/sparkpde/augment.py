@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import AugmentSection, resolved_curriculum
+from .config import AugmentSection
 from .errors import ContractViolation
 from .rng import Xoshiro256StarStar
 from .state_dictionary import Codebook, nearest_indices
@@ -66,21 +66,21 @@ def augment_latents(h: np.ndarray, cb: Codebook, cfg: AugmentSection, tau: float
     return interpolate_topk(h, cb, cfg.k, tau)
 
 
-def curriculum_ratio(epoch: int, cfg: AugmentSection, epochs: int) -> float:
+def curriculum_ratio(epoch: int, cfg: AugmentSection) -> float:
     """Proportion of samples replaced by augmented versions at this epoch.
 
     Zero before the start epoch, then a linear ramp to max_ratio over
-    ramp_epochs, constant afterwards; ``epochs`` resolves the -1 defaults.
+    ramp_epochs, constant afterwards. ``cfg`` is resolved (loading resolves
+    the -1 defaults).
     """
     if epoch < 0:
         raise ContractViolation("epoch must be non-negative")
-    start, ramp, max_ratio = resolved_curriculum(cfg, epochs)
-    if epoch < start:
+    if epoch < cfg.start_epoch:
         return 0.0
-    if ramp == 0:
-        return max_ratio
-    progress = (epoch - start) / ramp
-    return max_ratio * min(progress, 1.0)
+    if cfg.ramp_epochs == 0:
+        return cfg.max_ratio
+    progress = (epoch - cfg.start_epoch) / cfg.ramp_epochs
+    return cfg.max_ratio * min(progress, 1.0)
 
 
 def augmentation_decisions(

@@ -1,8 +1,9 @@
 """Command-line orchestration.
 
 Commands: gen-data, pretrain, train, eval, inspect-codebook, sweep-k.
-Common flags: --config PATH, --seed U64, --out DIR. Config values and flag
-overrides are validated before any work starts.
+Commands that read a config take --config PATH and --seed U64; commands that
+write a directory take --out DIR. Config values and flag overrides are
+validated before any work starts.
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure,
 4 checkpoint/dataset incompatibility. SPARK_LOG={error|info|debug} controls
 logging. Every command is reproducible from (config, seed): re-runs produce
@@ -12,7 +13,6 @@ byte-identical dataset and checkpoint payloads (manifest timestamps aside).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import logging
 import os
@@ -24,13 +24,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
-from .config import (
-    ExperimentConfig,
-    describe_config,
-    load_config,
-    resolved_curriculum,
-    validate_config,
-)
+from .config import ExperimentConfig, describe_config, load_config, with_augment
 from .datagen import (
     SPLIT_IN,
     SPLIT_OUT,
@@ -98,13 +92,6 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _with_augment(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    """A validated copy of ``cfg`` with augment keys replaced; ``cfg`` is untouched."""
-    run = dataclasses.replace(cfg, augment=dataclasses.replace(cfg.augment, **changes))
-    validate_config(run)
-    return run
-
-
 def _input_file(path: str | None, what: str) -> str:
     if not path or not Path(path).exists():
         raise ConfigError(f"{what} not found: {path}")
@@ -117,14 +104,6 @@ def _load_dataset(path: str) -> EpisodeDataset:
     if not path:
         raise ConfigError("--dataset is required")
     return load_dataset(_input_file(path, "dataset"))
-
-
-def _grid_from_config(cfg: ExperimentConfig) -> GridGraph:
-    g = cfg.dataset.grid
-    return GridGraph(
-        g.height, g.width,
-        connectivity=g.connectivity, periodic=g.periodic, normalization=g.normalization,
-    )
 
 
 def _attach_grid(ds: EpisodeDataset, grid: GridGraph) -> None:
@@ -195,7 +174,7 @@ def _simulate_episode(cfg: ExperimentConfig, grid: GridGraph, delta, split, seed
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     ds_cfg = cfg.dataset
-    grid = _grid_from_config(cfg)
+    grid = ds_cfg.grid.graph()
     ood_rule = (
         {"out_values": ds_cfg.ood.out_values}
         if ds_cfg.ood.mode == "explicit"
@@ -247,7 +226,7 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     ds = _load_dataset(args.dataset)
-    _attach_grid(ds, _grid_from_config(cfg))
+    _attach_grid(ds, cfg.dataset.grid.graph())
     out = _out_dir(args, cfg)
     ckpt_path = out / "pretrain.ckpt"
     try:
@@ -299,34 +278,33 @@ def _train_config(cfg: ExperimentConfig, args) -> ExperimentConfig:
                 f"--curriculum expects E0,R,PMAX (two integers and a ratio), "
                 f"got {args.curriculum!r}"
             )
-    return _with_augment(cfg, **changes)
+    return with_augment(cfg, **changes)
+
+
+def _load_checkpoint(path: str, kind: str) -> ModelCheckpoint:
+    ckpt = load_checkpoint(_input_file(path, f"{kind} checkpoint"))
+    if ckpt.config.get("kind") != kind:
+        raise IncompatibilityError(
+            f"expected a {kind} checkpoint, got {ckpt.config.get('kind')!r}"
+        )
+    return ckpt
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    aug = None if args.no_augment else _train_config(cfg, args).augment
+    run = _train_config(_load_config(args), args)
     ds = _load_dataset(args.dataset)
-    ckpt = load_checkpoint(_input_file(args.checkpoint, "pretrain checkpoint"))
-    if ckpt.config.get("kind") != KIND_PRETRAIN:
-        raise IncompatibilityError("train expects a pretrain checkpoint")
+    ckpt = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
     check_dataset_compatibility(ckpt.config, ds)
-    check_config_compatibility(ckpt.config, cfg)
+    check_config_compatibility(ckpt.config, run)
     _, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
     _attach_grid(ds, grid)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args, run)
 
-    result = train_dynamics(ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug)
+    aug = None if args.no_augment else run.augment
+    result = train_dynamics(ds, encoder, codebook, run.dynamics, seed=run.seed, aug=aug)
 
-    meta = dataset_meta(ds)
-    meta["d_latent"] = codebook.dim
-    meta["augmented"] = aug is not None
-    if aug is not None:
-        start, ramp, pmax = resolved_curriculum(aug, cfg.dynamics.epochs)
-        meta["augment"] = {
-            "mode": aug.mode, "k": aug.k, "tau": result.tau,
-            "start_epoch": start, "ramp_epochs": ramp, "max_ratio": pmax,
-        }
-    snapshot = checkpoint_config(cfg, KIND_DYNAMICS, meta)
+    meta = {**dataset_meta(ds), "augmented": aug is not None, "tau": result.tau}
+    snapshot = checkpoint_config(run, KIND_DYNAMICS, meta)
     tensors = dynamics_tensors(result.weights)
     frozen = pretrained_tensors(encoder, codebook)
     tensors.update(frozen)
@@ -355,15 +333,8 @@ def cmd_train(args) -> int:
 # -- eval --------------------------------------------------------------------------
 
 
-def _load_dynamics_checkpoint(path: str):
-    ckpt = load_checkpoint(_input_file(path, "checkpoint"))
-    if ckpt.config.get("kind") != KIND_DYNAMICS:
-        raise IncompatibilityError("eval expects a dynamics checkpoint")
-    return ckpt
-
-
 def cmd_eval(args) -> int:
-    ckpt = _load_dynamics_checkpoint(args.checkpoint)
+    ckpt = _load_checkpoint(args.checkpoint, KIND_DYNAMICS)
     ds = _load_dataset(args.dataset)
     check_dataset_compatibility(ckpt.config, ds)
     cfg, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
@@ -438,9 +409,9 @@ def cmd_inspect_codebook(args) -> int:
 
 def cmd_sweep_k(args) -> int:
     cfg = _load_config(args)
-    augs = [_with_augment(cfg, mode="interpolate", k=k).augment for k in K_SWEEP_GRID]
+    augs = [with_augment(cfg, mode="interpolate", k=k).augment for k in K_SWEEP_GRID]
     ds = _load_dataset(args.dataset)
-    ckpt = load_checkpoint(_input_file(args.checkpoint, "pretrain checkpoint"))
+    ckpt = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
     check_dataset_compatibility(ckpt.config, ds)
     check_config_compatibility(ckpt.config, cfg)
     # train_dynamics verifies by checksum that it leaves these frozen.
@@ -483,11 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sparkpde {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=False, checkpoint=False, config=True):
+    def common(p, dataset=False, checkpoint=False, config=True, out=True):
         if config:
             p.add_argument("--config", help="YAML experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the root seed")
-        p.add_argument("--out", help="output directory")
+            p.add_argument("--seed", type=int, default=None, help="override the root seed")
+        if out:
+            p.add_argument("--out", help="output directory")
         if dataset:
             p.add_argument("--dataset", help="dataset file (.spds)")
         if checkpoint:
@@ -517,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("inspect-codebook", help="print state dictionary statistics")
-    common(p, checkpoint=True, config=False)
+    common(p, checkpoint=True, config=False, out=False)
     p.add_argument("--csv", help="also write per-entry usage CSV here")
     p.set_defaults(fn=cmd_inspect_codebook)
 

@@ -5,7 +5,8 @@ augment) plus top-level seed/out_dir. Parsing is strict: unknown keys are
 rejected with their dotted path, wrong types are rejected, and every field
 has the default listed in ``describe_config``. The sections are also the
 runtime configs of the stages; ``validate_config`` holds every value rule
-and runs at load, so no stage sees an invalid value.
+and runs at load, where the -1 curriculum defaults are also resolved, so no
+stage sees an invalid or unresolved value.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import yaml
 
 from .datagen.reaction_diffusion import FEED_RANGE, KILL_RANGE
 from .errors import ConfigError
-from .grids import NORMALIZATIONS
+from .grids import NORMALIZATIONS, GridGraph
 
 GENERATORS = ("navier_stokes", "reaction_diffusion")
 ACTIVATIONS = ("gelu", "tanh", "identity")
 SOLVERS = ("rk4", "euler")
 AUG_MODES = ("snap", "interpolate")
-LR_DECAYS = ("none", "cosine")
 
 
 @dataclass
@@ -34,8 +34,14 @@ class GridSection:
     height: int = 32
     width: int = 32
     connectivity: int = 4
-    periodic: bool = True
     normalization: str = "row"
+
+    def graph(self) -> GridGraph:
+        """The grid graph this section describes."""
+        return GridGraph(
+            self.height, self.width,
+            connectivity=self.connectivity, normalization=self.normalization,
+        )
 
 
 @dataclass
@@ -69,7 +75,6 @@ class PretrainSection:
     epochs: int = 20
     batch_size: int = 32
     lr: float = 2e-3
-    lr_decay: str = "cosine"
     mu: float = 0.25
     gamma: float = 1.0
     codebook_size: int = 64
@@ -79,8 +84,6 @@ class PretrainSection:
     gnn_layers: int = 2
     k_max: int = 8
     activation: str = "gelu"
-    param_transform: str = "log10"
-    reseed_dead_codes: bool = False
 
 
 @dataclass
@@ -95,15 +98,10 @@ class DynamicsSection:
     decoder_hidden: int = 64
     epochs: int = 20
     lr: float = 3e-3
-    lr_decay: str = "cosine"
     batch_size: int = 8
     val_fraction: float = 0.15
     window_stride: int = 1
     activation: str = "gelu"
-    attention_activation: str = "identity"
-    spectral_adjacency: str = "spectral"
-    layer_output: str = "sum"
-    eval_stride: int = 0  # 0: use the horizon
 
 
 @dataclass
@@ -111,8 +109,8 @@ class AugmentSection:
     mode: str = "interpolate"
     k: int = 3
     tau: Optional[float] = None  # None: calibrated from training latents
-    start_epoch: int = -1  # -1: 20% of dynamics epochs
-    ramp_epochs: int = -1  # -1: 30% of dynamics epochs
+    start_epoch: int = -1  # -1: 20% of dynamics epochs, resolved at load
+    ramp_epochs: int = -1  # -1: 30% of dynamics epochs, resolved at load
     max_ratio: float = 0.5
 
 
@@ -133,7 +131,6 @@ FIELD_DOCS = {
     "dataset.grid.height": "grid rows H",
     "dataset.grid.width": "grid columns W",
     "dataset.grid.connectivity": "graph stencil: 4 or 8 neighbors",
-    "dataset.grid.periodic": "periodic wrapping (required by the spectral solvers)",
     "dataset.grid.normalization": "adjacency normalization: row | sym | none",
     "dataset.params": "physical parameter values (scalars, or [D_u, D_v] pairs)",
     "dataset.ood.mode": "out-of-domain rule: explicit | threshold",
@@ -153,7 +150,6 @@ FIELD_DOCS = {
     "pretrain.epochs": "pretraining epochs",
     "pretrain.batch_size": "frames per pretraining batch",
     "pretrain.lr": "Adam learning rate",
-    "pretrain.lr_decay": "learning-rate schedule: none | cosine",
     "pretrain.mu": "commitment loss weight",
     "pretrain.gamma": "codebook loss weight",
     "pretrain.codebook_size": "state dictionary entries M",
@@ -163,8 +159,6 @@ FIELD_DOCS = {
     "pretrain.gnn_layers": "GNN encoder depth L",
     "pretrain.k_max": "retained Fourier modes per axis in channel attention",
     "pretrain.activation": "model activation: gelu | tanh | identity",
-    "pretrain.param_transform": "parameter embedding: log10 | identity",
-    "pretrain.reseed_dead_codes": "reinitialize unused codebook entries each epoch",
     "dynamics.t0": "history length fed to the forecaster",
     "dynamics.horizon": "forecast steps",
     "dynamics.lambda_reg": "weight-decay coefficient on dynamics parameters",
@@ -175,15 +169,10 @@ FIELD_DOCS = {
     "dynamics.decoder_hidden": "forecast decoder hidden width",
     "dynamics.epochs": "training epochs",
     "dynamics.lr": "Adam learning rate",
-    "dynamics.lr_decay": "learning-rate schedule: none | cosine",
     "dynamics.batch_size": "windows per batch",
     "dynamics.val_fraction": "fraction of windows held out for validation",
     "dynamics.window_stride": "stride between training windows",
     "dynamics.activation": "ODE/decoder activation: gelu | tanh | identity",
-    "dynamics.attention_activation": "outer activation in history pooling: identity | tanh",
-    "dynamics.spectral_adjacency": "adjacency placement: spectral (A*F(H)) | field (F(A*H))",
-    "dynamics.layer_output": "derivative: sum of layer outputs | last layer only",
-    "dynamics.eval_stride": "window stride at evaluation (0: horizon)",
     "augment.mode": "latent augmentation: snap | interpolate",
     "augment.k": "top-k codes blended by interpolation",
     "augment.tau": "interpolation temperature (null: calibrated from data)",
@@ -253,9 +242,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    cfg = _build_section(ExperimentConfig, data, "")
-    validate_config(cfg)
-    return cfg
+    return _checked(_build_section(ExperimentConfig, data, ""))
+
+
+def with_augment(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
+    """A checked copy of ``cfg`` with augment keys replaced; ``cfg`` is untouched."""
+    return _checked(
+        dataclasses.replace(cfg, augment=dataclasses.replace(cfg.augment, **changes))
+    )
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -324,7 +318,6 @@ RULES = {
     "pretrain.epochs": _at_least(1),
     "pretrain.batch_size": _at_least(1),
     "pretrain.lr": _POSITIVE,
-    "pretrain.lr_decay": _one_of(*LR_DECAYS),
     "pretrain.mu": _NON_NEGATIVE,
     "pretrain.gamma": _NON_NEGATIVE,
     "pretrain.codebook_size": _at_least(2),
@@ -334,7 +327,6 @@ RULES = {
     "pretrain.gnn_layers": _at_least(1),
     "pretrain.k_max": _NON_NEGATIVE,
     "pretrain.activation": _one_of(*ACTIVATIONS),
-    "pretrain.param_transform": _one_of("log10", "identity"),
     "dynamics.t0": _at_least(1),
     "dynamics.horizon": _at_least(1),
     "dynamics.lambda_reg": _NON_NEGATIVE,
@@ -345,15 +337,10 @@ RULES = {
     "dynamics.decoder_hidden": _at_least(1),
     "dynamics.epochs": _at_least(1),
     "dynamics.lr": _POSITIVE,
-    "dynamics.lr_decay": _one_of(*LR_DECAYS),
     "dynamics.batch_size": _at_least(1),
     "dynamics.val_fraction": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     "dynamics.window_stride": _at_least(1),
     "dynamics.activation": _one_of(*ACTIVATIONS),
-    "dynamics.attention_activation": _one_of("identity", "tanh"),
-    "dynamics.spectral_adjacency": _one_of("spectral", "field"),
-    "dynamics.layer_output": _one_of("sum", "last"),
-    "dynamics.eval_stride": _NON_NEGATIVE,
     "augment.mode": _one_of(*AUG_MODES),
     "augment.k": _at_least(1),
     "augment.tau": (lambda v: v is None or v > 0, "must be positive or null"),
@@ -402,6 +389,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
             )
 
 
+def _checked(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` validated, with the -1 curriculum defaults replaced by 20% and
+    30% of ``dynamics.epochs``, so no stage resolves them again."""
+    validate_config(cfg)
+    aug, epochs = cfg.augment, cfg.dynamics.epochs
+    if aug.start_epoch < 0:
+        aug.start_epoch = int(round(0.2 * epochs))
+    if aug.ramp_epochs < 0:
+        aug.ramp_epochs = max(1, int(round(0.3 * epochs)))
+    return cfg
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 
@@ -423,9 +422,3 @@ def describe_config() -> str:
     walk(ExperimentConfig, "", ExperimentConfig())
     return "\n".join(lines)
 
-
-def resolved_curriculum(aug: AugmentSection, epochs: int) -> tuple[int, int, float]:
-    """Materialize the percent-of-epochs curriculum defaults."""
-    start = aug.start_epoch if aug.start_epoch >= 0 else int(round(0.2 * epochs))
-    ramp = aug.ramp_epochs if aug.ramp_epochs >= 0 else max(1, int(round(0.3 * epochs)))
-    return start, ramp, aug.max_ratio

@@ -58,9 +58,6 @@ class DynamicsWeights:
     decoder: MlpDecoderWeights
     mode_idx: np.ndarray
     activation: str = "gelu"
-    attention_activation: str = "identity"
-    spectral_adjacency: str = "spectral"  # literal A*F(H); "field" uses F(A*H)
-    layer_output: str = "sum"  # "sum" of all layer outputs, or "last"
 
     def params(self) -> dict[str, Tensor]:
         out = {self.w_alpha.name: self.w_alpha}
@@ -114,9 +111,6 @@ def init_dynamics(
         decoder=decoder,
         mode_idx=mode_idx,
         activation=cfg.activation,
-        attention_activation=cfg.attention_activation,
-        spectral_adjacency=cfg.spectral_adjacency,
-        layer_output=cfg.layer_output,
     )
 
 
@@ -125,7 +119,7 @@ def encode_history(h_seq: Tensor | np.ndarray, w: DynamicsWeights) -> Tensor:
 
     h_seq: (..., T0, N, D), time on axis -3. Per node, scores are
     alpha_t = <h_t, tanh(mean_t(h) @ W_alpha)>; the pooled state
-    (..., N, D) is the time-mean of act(alpha_t * h_t).
+    (..., N, D) is the time-mean of alpha_t * h_t.
     """
     h_seq = h_seq if isinstance(h_seq, Tensor) else Tensor(h_seq)
     if h_seq.ndim < 3:
@@ -134,9 +128,7 @@ def encode_history(h_seq: Tensor | np.ndarray, w: DynamicsWeights) -> Tensor:
     target = ad.tanh(ad.matmul(mean_state, w.w_alpha))
     target = target.reshape(target.shape[:-2] + (1,) + target.shape[-2:])
     scores = ad.tensor_sum(h_seq * target, axis=-1, keepdims=True)
-    pooled = ad.tensor_mean(
-        apply_activation(scores * h_seq, w.attention_activation), axis=-3
-    )
+    pooled = ad.tensor_mean(scores * h_seq, axis=-3)
     if not np.all(np.isfinite(pooled.data)):
         raise NumericError("non-finite values in encoded history")
     return pooled
@@ -146,8 +138,7 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
     """dH/dt per the layered spectral + spatial graph update, h: (..., N, D).
 
     Per layer: Y = act(IFFT(trunc(A.F(H)) W_F) + A H W + b), feeding Y to the
-    next layer; the returned derivative is the sum of all layer outputs (or
-    the last, per ``layer_output``).
+    next layer; the returned derivative is the sum of all layer outputs.
     """
     state = h if isinstance(h, Tensor) else Tensor(h)
     if state.shape[-2] != grid.n_nodes:
@@ -156,25 +147,18 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
     total: Tensor | None = None
     adj_rows = grid.adjacency_row_slice(w.mode_idx)
     for layer in w.layers:
-        # A.H feeds the spatial branch and, in field mode, the spectral one.
-        # Recording order sets the order gradients accumulate in; spectral
-        # mode keeps the spectral op first so checkpoints stay byte-identical.
-        if w.spectral_adjacency == "spectral":
-            spectral = ad.spectral_channel_mix(
-                state, layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg,
-                adjacency_rows=adj_rows,
-            )
-            adjacent = ad.sparse_matmul(grid.adjacency, state, grid.adjacency_t)
-        else:
-            adjacent = ad.sparse_matmul(grid.adjacency, state, grid.adjacency_t)
-            spectral = ad.spectral_channel_mix(
-                adjacent, layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg
-            )
+        # Recording order sets the order gradients accumulate in, and so the
+        # trained bytes: the spectral op is recorded first.
+        spectral = ad.spectral_channel_mix(
+            state, layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg,
+            adjacency_rows=adj_rows,
+        )
+        adjacent = ad.sparse_matmul(grid.adjacency, state, grid.adjacency_t)
         spatial = ad.matmul(adjacent, layer.w)
         y = apply_activation(spectral + spatial + layer.b, w.activation)
         total = y if total is None else total + y
         state = y
-    return state if w.layer_output == "last" else total
+    return total
 
 
 def integrate(
@@ -352,6 +336,10 @@ def train_dynamics(
     curriculum ratio; it never touches validation windows. All randomness
     derives from the root ``seed``.
     """
+    if aug is not None and min(aug.start_epoch, aug.ramp_epochs) < 0:
+        raise ContractViolation(
+            "augment.start_epoch/ramp_epochs are unresolved (-1); loading resolves them"
+        )
     start_time = time.perf_counter()
     checksum_before = frozen_checksum(encoder, codebook)
 
@@ -407,8 +395,8 @@ def train_dynamics(
         return mse_value
 
     for epoch in range(cfg.epochs):
-        ratio = curriculum_ratio(epoch, aug, cfg.epochs) if aug is not None else 0.0
-        lr = scheduled_lr(cfg.lr, epoch, cfg.epochs, cfg.lr_decay)
+        ratio = curriculum_ratio(epoch, aug) if aug is not None else 0.0
+        lr = scheduled_lr(cfg.lr, epoch, cfg.epochs)
         order_gen.shuffle(train_windows)
         total, count = 0.0, 0
         for lo in range(0, len(train_windows), cfg.batch_size):

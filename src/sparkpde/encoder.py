@@ -277,18 +277,14 @@ def reconstruct(z: Tensor | np.ndarray, w: MlpDecoderWeights) -> Tensor:
 # -- assembled stack -----------------------------------------------------------------
 
 
-def transform_params(delta: np.ndarray, mode: str) -> np.ndarray:
+def transform_params(delta: np.ndarray) -> np.ndarray:
     """Parameter embedding fed to channel attention.
 
-    Physical parameters like viscosity span decades, so the default maps them
-    through log10 before the gating MLPs.
+    Physical parameters like viscosity span decades, so they pass through
+    log10 before the gating MLPs.
     """
     delta = np.asarray(delta, dtype=np.float64)
-    if mode == "identity":
-        return delta
-    if mode == "log10":
-        return np.log10(np.maximum(np.abs(delta), 1e-300))
-    raise ContractViolation(f"unknown param transform {mode!r}")
+    return np.log10(np.maximum(np.abs(delta), 1e-300))
 
 
 @dataclass
@@ -296,13 +292,12 @@ class EncoderStack:
     """Channel attention -> GNN encoder, with the reconstruction decoder.
 
     ``encode`` takes raw physical parameters and embeds them with
-    ``param_transform`` itself.
+    ``transform_params`` itself.
     """
 
     attention: ChannelAttentionWeights
     gnn: GnnEncoderWeights
     decoder: MlpDecoderWeights
-    param_transform: str
 
     def params(self) -> dict[str, Tensor]:
         out = {}
@@ -313,7 +308,7 @@ class EncoderStack:
 
     def encode(self, x, delta: np.ndarray, grid: GridGraph) -> Tensor:
         """Latents of x (..., N, d_obs) under raw parameters delta (..., d_delta)."""
-        embedded = transform_params(delta, self.param_transform)
+        embedded = transform_params(delta)
         return gnn_encode(channel_attention(x, embedded, self.attention, grid), grid, self.gnn)
 
 
@@ -332,5 +327,4 @@ def init_encoder_stack(
         ),
         gnn=init_gnn_encoder(gen, d_obs, cfg.hidden, cfg.d_latent, cfg.gnn_layers, act),
         decoder=init_mlp_decoder(gen, cfg.d_latent, cfg.hidden, d_obs, act),
-        param_transform=cfg.param_transform,
     )

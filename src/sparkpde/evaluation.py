@@ -22,6 +22,8 @@ from .metrics import MetricReport, energy_spectrum, mse, psnr, ssim
 
 log = logging.getLogger("sparkpde")
 
+BATCH_SIZE = 8  # windows per forecast batch
+
 
 @dataclass
 class PredictionDump:
@@ -36,11 +38,10 @@ def evaluate_split(
     weights: DynamicsWeights,
     cfg: DynamicsSection,
     split: str,
-    batch_size: int = 8,
     with_spectra: bool = True,
 ) -> tuple[MetricReport, PredictionDump]:
     start_time = time.perf_counter()
-    windows = _windows(ds, cfg, split, cfg.eval_stride or cfg.horizon)
+    windows = _windows(ds, cfg, split, cfg.horizon)
     if not windows:
         raise ContractViolation(f"dataset has no '{split}' windows to evaluate")
 
@@ -48,8 +49,8 @@ def evaluate_split(
     latents = {e: episode_latents(ds, encoder, e) for e in episode_ids}
 
     preds, targets = [], []
-    for lo in range(0, len(windows), batch_size):
-        batch = windows[lo : lo + batch_size]
+    for lo in range(0, len(windows), BATCH_SIZE):
+        batch = windows[lo : lo + BATCH_SIZE]
         y_hat, y = _forecast_batch(latents, ds, batch, weights, cfg)
         preds.append(np.swapaxes(y_hat.data, 0, 1))  # (B, T, N, d)
         targets.append(np.swapaxes(y.data, 0, 1))

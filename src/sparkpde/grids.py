@@ -25,7 +25,6 @@ class GridGraph:
         connectivity: int = 4,
         periodic: bool = True,
         normalization: str = "row",
-        self_loops: bool = False,
     ):
         if height < 1 or width < 1:
             raise ContractViolation("grid dimensions must be positive")
@@ -39,7 +38,6 @@ class GridGraph:
         self.connectivity = connectivity
         self.periodic = periodic
         self.normalization = normalization
-        self.self_loops = self_loops
 
         binary = self._build_binary()
         degrees = np.asarray(binary.sum(axis=1)).reshape(-1)
@@ -65,13 +63,10 @@ class GridGraph:
                     elif not (0 <= rr < h and 0 <= cc < w):
                         continue
                     j = rr * w + cc
-                    if j == i and not self.self_loops:
+                    if j == i:
                         continue
                     rows.append(i)
                     cols.append(j)
-                if self.self_loops:
-                    rows.append(i)
-                    cols.append(i)
         data = np.ones(len(rows), dtype=np.float64)
         mat = sparse.coo_matrix((data, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
         # Duplicate entries collapse (e.g. 1x2 periodic grids); keep binary weights.
@@ -102,16 +97,6 @@ class GridGraph:
         if cached is None:
             cached = self._row_slice_cache[key] = self.adjacency[rows, :].tocsr()
         return cached
-
-    def describe(self) -> dict:
-        return {
-            "height": self.height,
-            "width": self.width,
-            "connectivity": self.connectivity,
-            "periodic": self.periodic,
-            "normalization": self.normalization,
-            "self_loops": self.self_loops,
-        }
 
 
 def retained_mode_indices(height: int, width: int, k_max: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from .config import ExperimentConfig, config_from_dict, config_to_dict
 from .dynamics import DynamicsWeights, init_dynamics
 from .encoder import EncoderStack, init_encoder_stack
-from .errors import IncompatibilityError
+from .errors import ConfigError, IncompatibilityError
 from .grids import GridGraph
 from .state_dictionary import Codebook, new_codebook
 
@@ -23,12 +23,24 @@ KIND_DYNAMICS = "dynamics"
 
 
 def checkpoint_config(cfg: ExperimentConfig, kind: str, meta: dict) -> dict:
+    """The snapshot stored in a checkpoint: the config that ran, and in
+    ``meta`` only what no config key holds."""
     return {"kind": kind, "experiment": config_to_dict(cfg), "meta": meta}
+
+
+def stored_config(snapshot: dict) -> ExperimentConfig:
+    """The config a checkpoint snapshot records. A snapshot the schema refuses
+    belongs to an incompatible checkpoint, not to a user config error."""
+    try:
+        return config_from_dict(snapshot["experiment"])
+    except ConfigError as exc:
+        raise IncompatibilityError(
+            f"checkpoint config {exc}; the checkpoint must be made again"
+        )
 
 
 def dataset_meta(ds) -> dict:
     return {
-        "grid": ds.grid.describe(),
         "channel_names": list(ds.channel_names),
         "d_obs": ds.n_channels,
         "d_delta": int(ds.episodes[0].delta.size) if ds.episodes else 1,
@@ -67,9 +79,9 @@ class _NoDraws:
 def rebuild_pretrained(snapshot: dict, tensors: dict[str, np.ndarray]) -> tuple[
     ExperimentConfig, EncoderStack, Codebook, GridGraph
 ]:
-    cfg = config_from_dict(snapshot["experiment"])
+    cfg = stored_config(snapshot)
     meta = snapshot["meta"]
-    grid = GridGraph(**meta["grid"])
+    grid = cfg.dataset.grid.graph()
     encoder = init_encoder_stack(
         _NoDraws(), cfg.pretrain, grid, d_obs=int(meta["d_obs"]), d_delta=int(meta["d_delta"])
     )
@@ -89,7 +101,7 @@ def dynamics_tensors(weights: DynamicsWeights) -> dict[str, np.ndarray]:
 def rebuild_dynamics(
     snapshot: dict, tensors: dict[str, np.ndarray], grid: GridGraph, d_obs: int, d_latent: int
 ) -> DynamicsWeights:
-    cfg = config_from_dict(snapshot["experiment"])
+    cfg = stored_config(snapshot)
     weights = init_dynamics(_NoDraws(), cfg.dynamics, grid, d_latent=d_latent, d_obs=d_obs)
     _assign(weights.params(), tensors, "dynamics")
     return weights
@@ -97,14 +109,13 @@ def rebuild_dynamics(
 
 def check_dataset_compatibility(snapshot: dict, ds) -> None:
     """Refuse checkpoint/dataset pairs whose shapes cannot line up."""
+    grid = stored_config(snapshot).dataset.grid
     meta = snapshot["meta"]
     problems = []
-    grid_desc = ds.grid.describe()
     for key in ("height", "width"):
-        if meta["grid"][key] != grid_desc[key]:
-            problems.append(
-                f"grid.{key}: checkpoint {meta['grid'][key]} vs dataset {grid_desc[key]}"
-            )
+        stored, actual = getattr(grid, key), getattr(ds.grid, key)
+        if stored != actual:
+            problems.append(f"grid.{key}: checkpoint {stored} vs dataset {actual}")
     if meta["d_obs"] != ds.n_channels:
         problems.append(f"channels: checkpoint {meta['d_obs']} vs dataset {ds.n_channels}")
     d_delta = int(ds.episodes[0].delta.size) if ds.episodes else 1
@@ -115,17 +126,23 @@ def check_dataset_compatibility(snapshot: dict, ds) -> None:
 
 
 def check_config_compatibility(snapshot: dict, cfg: ExperimentConfig) -> None:
-    """Refuse a config whose ``pretrain`` section differs from the checkpoint's.
+    """Refuse a config whose ``pretrain`` or ``dataset.grid`` section differs
+    from the checkpoint's.
 
-    The section describes the frozen encoder, and a dynamics checkpoint
-    snapshots the training config that ``eval`` rebuilds the encoder from.
+    The sections describe the frozen encoder and the graph it runs on, and a
+    dynamics checkpoint snapshots the training config that ``eval`` rebuilds
+    both from.
     """
-    stored = config_from_dict(snapshot["experiment"]).pretrain
+    stored = stored_config(snapshot)
     problems = [
-        f"pretrain.{f.name}: checkpoint {getattr(stored, f.name)!r} "
-        f"vs config {getattr(cfg.pretrain, f.name)!r}"
-        for f in dataclasses.fields(stored)
-        if getattr(stored, f.name) != getattr(cfg.pretrain, f.name)
+        f"{path}.{f.name}: checkpoint {getattr(old, f.name)!r} "
+        f"vs config {getattr(new, f.name)!r}"
+        for path, old, new in (
+            ("pretrain", stored.pretrain, cfg.pretrain),
+            ("dataset.grid", stored.dataset.grid, cfg.dataset.grid),
+        )
+        for f in dataclasses.fields(old)
+        if getattr(old, f.name) != getattr(new, f.name)
     ]
     if problems:
         raise IncompatibilityError("; ".join(problems))

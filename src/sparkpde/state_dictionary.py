@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,6 @@ from .config import PretrainSection
 from .datagen import EpisodeDataset
 from .encoder import EncoderStack, init_encoder_stack, reconstruct
 from .errors import ContractViolation, NumericError
-from .grids import GridGraph
 from .rng import Xoshiro256StarStar, substream
 
 log = logging.getLogger("sparkpde")
@@ -153,9 +152,9 @@ def kmeans_plusplus(points: np.ndarray, k: int, gen: Xoshiro256StarStar) -> np.n
     return centers
 
 
-def scheduled_lr(base: float, epoch: int, epochs: int, mode: str) -> float:
+def scheduled_lr(base: float, epoch: int, epochs: int) -> float:
     """Cosine decay to 2% of the base rate; Adam cannot settle without it."""
-    if mode == "none" or epochs <= 1:
+    if epochs <= 1:
         return base
     factor = 0.5 * (1.0 + np.cos(np.pi * epoch / (epochs - 1)))
     return base * max(factor, 0.02)
@@ -220,7 +219,6 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
     state = AdamState()
     loss_history: list[float] = []
     perplexity_history: list[float] = []
-    reseed_gen = substream(seed, "pretrain/reseed")
 
     def train_step(xs: np.ndarray, deltas: np.ndarray, lr: float, epoch: int) -> float:
         # The step's graph lives in these locals only, so it is released
@@ -241,7 +239,7 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
     for epoch in range(cfg.epochs):
         shuffle_gen.shuffle(order)
         codebook.reset_usage()
-        lr = scheduled_lr(cfg.lr, epoch, cfg.epochs, cfg.lr_decay)
+        lr = scheduled_lr(cfg.lr, epoch, cfg.epochs)
         total = 0.0
         count = 0
         for lo in range(0, len(order), cfg.batch_size):
@@ -259,13 +257,6 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
                 f"{0.05 * cfg.codebook_size:.2f} at epoch {epoch}",
                 stacklevel=2,
             )
-        if cfg.reseed_dead_codes:
-            dead = np.flatnonzero(codebook.usage == 0)
-            if dead.size:
-                # Reinitialize unused entries from the last batch's latents.
-                latents = encoder.encode(xs, deltas, grid).data.reshape(-1, cfg.d_latent)
-                for j in dead:
-                    codebook.embeddings.data[j] = latents[reseed_gen.integer(latents.shape[0])]
         log.info(
             "pretrain epoch %d loss %.6f perplexity %.2f",
             epoch,

@@ -47,14 +47,12 @@ from sparkpde.dynamics import (
 )
 from sparkpde.encoder import (
     init_channel_attention,
-    init_encoder_stack,
     init_gnn_encoder,
     init_mlp_decoder,
     channel_attention,
     gnn_encode,
     reconstruct,
 )
-from sparkpde.errors import ContractViolation
 from sparkpde.evaluation import evaluate_split
 from sparkpde.grids import GridGraph, retained_mode_indices
 from sparkpde.metrics import energy_spectrum, psnr, ssim
@@ -658,7 +656,7 @@ augment:
     conforms = True
     for line in lines[1:]:
         cells = line.split(",")
-        if float(cells[3]) != curriculum_ratio(int(cells[0]), aug, epochs=5):
+        if float(cells[3]) != curriculum_ratio(int(cells[0]), aug):
             conforms = False
 
     code = main(

@@ -111,22 +111,18 @@ def test_k_exceeding_codebook_rejected():
 
 def test_curriculum_schedule_values():
     cfg = AugmentSection(start_epoch=5, ramp_epochs=10, max_ratio=0.5)
-    assert curriculum_ratio(0, cfg, 50) == 0.0
-    assert curriculum_ratio(4, cfg, 50) == 0.0
-    assert curriculum_ratio(5, cfg, 50) == 0.0
-    assert curriculum_ratio(10, cfg, 50) == pytest.approx(0.25)
-    assert curriculum_ratio(15, cfg, 50) == pytest.approx(0.5)
-    assert curriculum_ratio(40, cfg, 50) == pytest.approx(0.5)
-    # -1 resolves to 20% / 30% of the epochs: start 10, ramp 15
-    percent = AugmentSection(start_epoch=-1, ramp_epochs=-1, max_ratio=0.5)
-    assert curriculum_ratio(9, percent, 50) == 0.0
-    assert curriculum_ratio(16, percent, 50) == pytest.approx(0.2)
+    assert curriculum_ratio(0, cfg) == 0.0
+    assert curriculum_ratio(4, cfg) == 0.0
+    assert curriculum_ratio(5, cfg) == 0.0
+    assert curriculum_ratio(10, cfg) == pytest.approx(0.25)
+    assert curriculum_ratio(15, cfg) == pytest.approx(0.5)
+    assert curriculum_ratio(40, cfg) == pytest.approx(0.5)
 
 
 def test_curriculum_zero_ramp_jumps():
     cfg = AugmentSection(start_epoch=3, ramp_epochs=0, max_ratio=0.7)
-    assert curriculum_ratio(2, cfg, 10) == 0.0
-    assert curriculum_ratio(3, cfg, 10) == pytest.approx(0.7)
+    assert curriculum_ratio(2, cfg) == 0.0
+    assert curriculum_ratio(3, cfg) == pytest.approx(0.7)
 
 
 def test_decisions_reproducible():

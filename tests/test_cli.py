@@ -8,9 +8,9 @@ import yaml
 
 from sparkpde import cli
 from sparkpde.augment import curriculum_ratio
-from sparkpde.checkpoint import load_checkpoint
+from sparkpde.checkpoint import load_checkpoint, save_checkpoint
 from sparkpde.cli import main
-from sparkpde.config import FIELD_DOCS, RULES, load_config
+from sparkpde.config import FIELD_DOCS, RULES, config_to_dict, load_config
 from sparkpde.rng import Xoshiro256StarStar
 from sparkpde.serialization import rebuild_dynamics, rebuild_pretrained
 
@@ -154,9 +154,7 @@ def test_metrics_follow_curriculum(workspace):
     for line in lines[1:]:
         cells = line.split(",")
         epoch = int(cells[idx_epoch])
-        assert float(cells[idx_ratio]) == curriculum_ratio(
-            epoch, cfg.augment, cfg.dynamics.epochs
-        )
+        assert float(cells[idx_ratio]) == curriculum_ratio(epoch, cfg.augment)
 
 
 def test_no_augment_run(workspace, tmp_path):
@@ -363,7 +361,6 @@ INVALID_VALUES = [
     ("pretrain.epochs", 0),
     ("pretrain.batch_size", 0),
     ("pretrain.lr", 0.0),
-    ("pretrain.lr_decay", "bogus"),
     ("pretrain.mu", -0.25),
     ("pretrain.gamma", -1.0),
     ("pretrain.codebook_size", 1),
@@ -374,7 +371,6 @@ INVALID_VALUES = [
     ("pretrain.k_max", -1),
     ("pretrain.k_max", 9),
     ("pretrain.activation", "relu"),
-    ("pretrain.param_transform", "log2"),
     ("dynamics.t0", 0),
     ("dynamics.horizon", 0),
     ("dynamics.lambda_reg", -1.0e-6),
@@ -386,16 +382,11 @@ INVALID_VALUES = [
     ("dynamics.decoder_hidden", 0),
     ("dynamics.epochs", 0),
     ("dynamics.lr", -3.0e-3),
-    ("dynamics.lr_decay", "bogus"),
     ("dynamics.batch_size", 0),
     ("dynamics.val_fraction", -0.5),
     ("dynamics.val_fraction", 1.0),
     ("dynamics.window_stride", 0),
     ("dynamics.activation", "relu"),
-    ("dynamics.attention_activation", "gelu"),
-    ("dynamics.spectral_adjacency", "both"),
-    ("dynamics.layer_output", "mean"),
-    ("dynamics.eval_stride", -1),
     ("augment.mode", "mixup"),
     ("augment.k", 0),
     ("augment.k", 13),
@@ -407,12 +398,28 @@ INVALID_VALUES = [
 ]
 
 
+# Keys the schema no longer has: a config that still sets one, to any value,
+# is refused at load rather than run with the one remaining behaviour.
+REMOVED_KEYS = [
+    ("dataset.grid.periodic", False),
+    ("pretrain.lr_decay", "bogus"),
+    ("pretrain.param_transform", "log2"),
+    ("pretrain.reseed_dead_codes", True),
+    ("dynamics.lr_decay", "bogus"),
+    ("dynamics.attention_activation", "gelu"),
+    ("dynamics.spectral_adjacency", "both"),
+    ("dynamics.layer_output", "mean"),
+    ("dynamics.eval_stride", -1),
+]
+
+
 def test_invalid_values_cover_every_rule():
     keys = {key for key, _ in INVALID_VALUES}
     assert set(RULES) <= keys <= set(FIELD_DOCS)
+    assert not {key for key, _ in REMOVED_KEYS} & set(FIELD_DOCS)
 
 
-@pytest.mark.parametrize("key,value", INVALID_VALUES, ids=lambda v: str(v))
+@pytest.mark.parametrize("key,value", INVALID_VALUES + REMOVED_KEYS, ids=lambda v: str(v))
 def test_invalid_config_value_exits_2_before_any_work(key, value, tmp_path, capsys):
     data = yaml.safe_load(MICRO_CONFIG)
     *parents, leaf = key.split(".")
@@ -544,3 +551,90 @@ def test_sweep_k_emits_comparison_csv(workspace, tmp_path):
     assert lines[0] == "k,train_mse,val_mse,in_mse,out_mse"
     ks = [int(line.split(",")[0]) for line in lines[1:]]
     assert ks == [1, 3, 5, 7, 9, 11]
+
+
+def _train_argv(workspace, out, config=None, checkpoint=None):
+    return [
+        "train",
+        "--config", str(config or workspace["config"]),
+        "--dataset", str(workspace["dataset"]),
+        "--checkpoint", str(checkpoint or workspace["pretrain_ckpt"]),
+        "--out", str(out),
+    ]
+
+
+def test_snapshot_stores_each_setting_once(workspace, tmp_path):
+    # experiment is the config that ran, overrides applied and the -1
+    # curriculum defaults resolved; meta holds only what no config key holds.
+    out = tmp_path / "train"
+    argv = _train_argv(workspace, out) + ["--aug-k", "5", "--curriculum=-1,-1,0.4"]
+    assert main(argv) == 0
+    snapshot = load_checkpoint(str(out / "dynamics.ckpt")).config
+    expected = load_config(str(workspace["config"]))
+    expected.augment.k = 5
+    expected.augment.max_ratio = 0.4
+    expected.augment.start_epoch, expected.augment.ramp_epochs = 1, 1  # 20%, 30% of 4
+    assert snapshot["experiment"] == config_to_dict(expected)
+    assert sorted(snapshot["meta"]) == ["augmented", "channel_names", "d_delta", "d_obs", "tau"]
+    assert snapshot["meta"]["tau"] > 0
+    pre = load_checkpoint(str(workspace["pretrain_ckpt"])).config
+    assert pre["experiment"] == config_to_dict(load_config(str(workspace["config"])))
+    assert sorted(pre["meta"]) == ["channel_names", "d_delta", "d_obs"]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+def test_grid_section_must_match_checkpoint(workspace, tmp_path, capsys, command):
+    # The pretrain checkpoint was made on the 4-neighbour grid.
+    cfg = tmp_path / "grid8.yaml"
+    cfg.write_text(
+        MICRO_CONFIG.replace("{height: 16, width: 16}", "{height: 16, width: 16, connectivity: 8}"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = _train_argv(workspace, out, config=cfg)
+    assert main([command] + argv[1:]) == 4
+    assert "dataset.grid.connectivity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+def test_dynamics_checkpoint_refused_where_pretrain_expected(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = _train_argv(workspace, out, checkpoint=workspace["dynamics_ckpt"])
+    assert main([command] + argv[1:]) == 4
+    assert "expected a pretrain checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stale_checkpoint_snapshot_exits_4(workspace, tmp_path, capsys):
+    # A snapshot written with a key the schema no longer has.
+    ckpt = load_checkpoint(str(workspace["dynamics_ckpt"]))
+    ckpt.config["experiment"]["dynamics"]["layer_output"] = "sum"
+    stale = tmp_path / "stale.ckpt"
+    save_checkpoint(ckpt, str(stale))
+    out = tmp_path / "eval"
+    argv = ["eval", "--checkpoint", str(stale), "--dataset", str(workspace["dataset"]),
+            "--split", "in", "--out", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "dynamics.layer_output" in err
+    assert "must be made again" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("eval", "--seed"), ("inspect-codebook", "--seed"), ("inspect-codebook", "--out")],
+)
+def test_commands_refuse_flags_they_ignore(workspace, tmp_path, capsys, command, flag):
+    argv = {
+        "eval": ["--checkpoint", str(workspace["dynamics_ckpt"]), "--dataset",
+                 str(workspace["dataset"]), "--split", "in", "--out", str(tmp_path / "eval")],
+        "inspect-codebook": ["--checkpoint", str(workspace["pretrain_ckpt"])],
+    }[command]
+    value = {"--seed": "1", "--out": str(tmp_path / "d")}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command] + argv + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()

@@ -8,9 +8,10 @@ from sparkpde.cli import main
 from sparkpde.config import (
     ExperimentConfig,
     config_from_dict,
+    config_to_dict,
     describe_config,
     load_config,
-    resolved_curriculum,
+    with_augment,
 )
 from sparkpde.errors import ConfigError
 
@@ -107,11 +108,18 @@ def test_dotless_float_literals_load(tmp_path):
 
 
 def test_resolved_curriculum_percent_defaults():
-    cfg = ExperimentConfig()
-    start, ramp, pmax = resolved_curriculum(cfg.augment, epochs=20)
-    assert start == 4  # 20%
-    assert ramp == 6  # 30%
-    assert pmax == 0.5
-    cfg.augment.start_epoch = 2
-    cfg.augment.ramp_epochs = 5
-    assert resolved_curriculum(cfg.augment, 20) == (2, 5, 0.5)
+    # The -1 defaults resolve once, at load, against dynamics.epochs.
+    cfg = config_from_dict({"dynamics": {"epochs": 20}})
+    assert (cfg.augment.start_epoch, cfg.augment.ramp_epochs) == (4, 6)  # 20%, 30%
+    assert cfg.augment.max_ratio == 0.5
+    cfg = config_from_dict({"dynamics": {"epochs": 50}})
+    assert (cfg.augment.start_epoch, cfg.augment.ramp_epochs) == (10, 15)
+    cfg = config_from_dict({"augment": {"start_epoch": 2, "ramp_epochs": 5}})
+    assert (cfg.augment.start_epoch, cfg.augment.ramp_epochs) == (2, 5)
+    # The override copy resolves too, and leaves its source untouched.
+    run = with_augment(cfg, start_epoch=-1, ramp_epochs=-1)
+    assert (run.augment.start_epoch, run.augment.ramp_epochs) == (4, 6)
+    assert (cfg.augment.start_epoch, cfg.augment.ramp_epochs) == (2, 5)
+    # A resolved config round-trips unchanged.
+    assert config_from_dict(config_to_dict(run)) == run
+    assert ExperimentConfig().augment.start_epoch == -1  # the documented default

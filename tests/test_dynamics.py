@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from sparkpde import rng
-from sparkpde.autodiff import Tape, Tensor, backward, square, tensor_sum
+from sparkpde.autodiff import Tape, Tensor, square, tensor_sum
 from sparkpde.config import AugmentSection, DynamicsSection, PretrainSection
 from sparkpde.datagen import Episode, EpisodeDataset
 from sparkpde.dynamics import (
-    DynamicsWeights,
     decode,
     encode_history,
     frozen_checksum,
@@ -21,7 +20,7 @@ from sparkpde.dynamics import (
 )
 from sparkpde.encoder import init_encoder_stack
 from sparkpde.errors import ContractViolation, NumericError
-from sparkpde.grids import GridGraph, retained_mode_indices
+from sparkpde.grids import GridGraph
 from sparkpde.state_dictionary import new_codebook
 
 from helpers import check_gradients
@@ -45,7 +44,7 @@ def test_history_zero_attention_weights(grid):
     w = _weights(grid)
     w.w_alpha.data[:] = 0.0
     h_seq = rng.substream(1, "h").normal_array((1, grid.n_nodes, 3))
-    # alpha = <h, tanh(0)> = 0, identity activation -> pooled state is zero
+    # alpha = <h, tanh(0)> = 0 -> pooled state is zero
     out = encode_history(h_seq, w)
     np.testing.assert_array_equal(out.data, np.zeros((grid.n_nodes, 3)))
 
@@ -136,10 +135,7 @@ def _dense_rhs_oracle(h, grid, w):
     total = None
     for layer in w.layers:
         weights_c = layer.wf_real.data + 1j * layer.wf_imag.data
-        if w.spectral_adjacency == "spectral":
-            spec = a_dense @ (f_mat @ state)
-        else:
-            spec = f_mat @ (a_dense @ state.real)
+        spec = a_dense @ (f_mat @ state)
         full = np.zeros((n, d), dtype=np.complex128)
         for pos, k in enumerate(mode_idx):
             full[k] = spec[k] @ weights_c[pos]
@@ -148,7 +144,7 @@ def _dense_rhs_oracle(h, grid, w):
         y = act(spectral + spatial + layer.b.data)
         total = y if total is None else total + y
         state = y.astype(np.complex128)
-    return state.real if w.layer_output == "last" else total
+    return total
 
 
 def _erf_np(x):
@@ -157,41 +153,19 @@ def _erf_np(x):
     return erf(x)
 
 
-@pytest.mark.parametrize("mode", ["spectral", "field"])
-@pytest.mark.parametrize("layer_output", ["sum", "last"])
-def test_rhs_matches_dense_oracle(grid, mode, layer_output):
-    gen = rng.substream(6, f"oracle/{mode}/{layer_output}")
-    cfg = DynamicsSection(
-        ode_layers=2, k_max=1, decoder_hidden=4,
-        spectral_adjacency=mode, layer_output=layer_output,
-    )
+def test_rhs_matches_dense_oracle(grid):
+    gen = rng.substream(6, "oracle/spectral/sum")
+    cfg = DynamicsSection(ode_layers=2, k_max=1, decoder_hidden=4)
     w = init_dynamics(gen, cfg, grid, d_latent=3, d_obs=1)
     h = gen.normal_array((grid.n_nodes, 3))
     with Tape() as tape:
         got = ode_rhs(Tensor(h, requires_grad=True), grid, w).data
     expected = _dense_rhs_oracle(h, grid, w)
     np.testing.assert_allclose(got, expected, atol=1e-8)
-    # A.H is formed once per layer and shared by the spectral (field mode)
-    # and spatial branches, as one node-axis op with no layout copies.
+    # A.H is formed once per layer, as one node-axis op with no layout copies.
     ops = [node._op for node in tape._nodes]
     assert ops.count("sparse_matmul") == len(w.layers)
     assert "transpose" not in ops
-
-
-def test_rhs_translation_equivariance_field_mode():
-    grid = GridGraph(8, 8)
-    gen = rng.substream(7, "equiv")
-    cfg = DynamicsSection(ode_layers=2, k_max=2, decoder_hidden=4, spectral_adjacency="field")
-    w = init_dynamics(gen, cfg, grid, d_latent=2, d_obs=1)
-    h = gen.normal_array((grid.n_nodes, 2))
-    out = ode_rhs(h, grid, w).data
-
-    field = h.reshape(8, 8, 2)
-    for dy, dx in [(1, 0), (0, 3), (2, 5)]:
-        rolled = np.roll(np.roll(field, dy, axis=0), dx, axis=1).reshape(-1, 2)
-        out_rolled = ode_rhs(rolled, grid, w).data.reshape(8, 8, 2)
-        expected = np.roll(np.roll(out.reshape(8, 8, 2), dy, axis=0), dx, axis=1)
-        np.testing.assert_allclose(out_rolled, expected, atol=1e-9)
 
 
 def test_rhs_gradient_matches_finite_differences(grid):
@@ -418,9 +392,18 @@ def test_augmented_run_logs_curriculum_ratio_exactly():
 
     result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(epochs=8), seed=SEED, aug=aug)
     for row in result.history:
-        assert row.aug_ratio == curriculum_ratio(row.epoch, aug, epochs=8)
+        assert row.aug_ratio == curriculum_ratio(row.epoch, aug)
     assert result.augment_calls > 0
     assert result.tau is not None
+
+
+def test_unresolved_curriculum_refused():
+    # Loading resolves the -1 defaults; a section that skipped loading is refused.
+    grid = GridGraph(8, 8)
+    ds = _constant_dataset(grid)
+    encoder, codebook = _frozen_stack(grid)
+    with pytest.raises(ContractViolation, match="unresolved"):
+        train_dynamics(ds, encoder, codebook, _tiny_dyn_config(), seed=SEED, aug=AugmentSection())
 
 
 def test_training_deterministic():

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from sparkpde import rng
-from sparkpde.autodiff import Tape, Tensor, backward, square, tensor_mean, tensor_sum
+from sparkpde.autodiff import Tape, Tensor, backward, square, tensor_sum
 from sparkpde.config import PretrainSection
 from sparkpde.datagen import Episode, EpisodeDataset
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 from sparkpde.state_dictionary import (
-    Codebook,
     codebook_perplexity,
     kmeans_plusplus,
     nearest_indices,
