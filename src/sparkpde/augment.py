@@ -87,4 +87,4 @@ def augmentation_decisions(
     gen: Xoshiro256StarStar, n_samples: int, ratio: float
 ) -> np.ndarray:
     """Independent keep/replace decisions for one batch, from the seed stream."""
-    return np.array([gen.uniform() < ratio for _ in range(n_samples)], dtype=bool)
+    return gen.uniform(n_samples) < ratio

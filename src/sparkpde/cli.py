@@ -500,10 +500,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_curriculum(argv: list[str]) -> list[str]:
+    """``--curriculum V`` as ``--curriculum=V``: argparse takes a following
+    value that starts with '-', such as the -1 defaults, for a flag."""
+    out, rest = [], list(argv)
+    while rest:
+        arg = rest.pop(0)
+        if arg == "--curriculum" and rest:
+            arg = f"{arg}={rest.pop(0)}"
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_curriculum(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (ConfigError, FormatError, ContractViolation) as exc:

@@ -66,8 +66,6 @@ def simulate_navier_stokes(
     initial_vorticity: np.ndarray | None = None,
 ) -> Episode:
     """Simulate vorticity and record every ``record_every`` steps (frame 0 included)."""
-    if not grid.periodic:
-        raise ContractViolation("the spectral solver requires a periodic grid")
     if nu <= 0:
         raise ContractViolation("viscosity must be positive")
     if dt <= 0 or steps < 1 or record_every < 1:

@@ -54,8 +54,6 @@ def simulate_reaction_diffusion(
     ic_modes: int = 4,
     initial_state: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Episode:
-    if not grid.periodic:
-        raise ContractViolation("reaction-diffusion solver requires a periodic grid")
     if d_u < 0 or d_v < 0:
         raise ContractViolation("diffusion coefficients must be non-negative")
     if not (FEED_RANGE[0] <= feed <= FEED_RANGE[1]):

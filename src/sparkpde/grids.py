@@ -1,8 +1,8 @@
 """Regular-grid observation graphs.
 
 Nodes live on an H x W lattice in row-major order (node i = r*W + c). The
-adjacency is the sparse 4- or 8-neighbor stencil, optionally periodic,
-normalized row-stochastically, symmetrically, or kept binary.
+adjacency is the periodic sparse 4- or 8-neighbor stencil, normalized
+row-stochastically, symmetrically, or kept binary.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ NORMALIZATIONS = ("row", "sym", "none")
 
 
 class GridGraph:
-    """H x W lattice with a sparse normalized adjacency."""
+    """Periodic H x W lattice with a sparse normalized adjacency."""
 
     def __init__(
         self,
         height: int,
         width: int,
         connectivity: int = 4,
-        periodic: bool = True,
         normalization: str = "row",
     ):
         if height < 1 or width < 1:
@@ -36,7 +35,6 @@ class GridGraph:
         self.width = width
         self.n_nodes = height * width
         self.connectivity = connectivity
-        self.periodic = periodic
         self.normalization = normalization
 
         binary = self._build_binary()
@@ -57,12 +55,7 @@ class GridGraph:
             for c in range(w):
                 i = r * w + c
                 for dr, dc in offsets:
-                    rr, cc = r + dr, c + dc
-                    if self.periodic:
-                        rr, cc = rr % h, cc % w
-                    elif not (0 <= rr < h and 0 <= cc < w):
-                        continue
-                    j = rr * w + cc
+                    j = (r + dr) % h * w + (c + dc) % w
                     if j == i:
                         continue
                     rows.append(i)

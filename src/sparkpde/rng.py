@@ -10,6 +10,15 @@ All randomness in a run flows from one root seed through named substreams:
 ``derive_seed(root, "datagen/episode/3")`` gives independent, reproducible
 streams per concern, so e.g. toggling augmentation does not shift the
 dataset stream.
+
+Array draws read the same stream, word for word, in lanes. xoshiro256** is
+linear over GF(2): one step is a 256x256 bit matrix T acting on the state
+("Scrambled linear pseudorandom number generators", arXiv:1805.01407). Lane
+j of a draw starts at T^(j*LANE_WORDS) applied to the state, found by
+doubling with cached jump matrices, and all lanes then step together in
+numpy ``uint64`` arithmetic. Read lane after lane, the words are exactly
+those of repeated ``next_u64`` calls, and the generator is left where those
+calls would leave it; so artifacts do not depend on how a draw is split.
 """
 
 from __future__ import annotations
@@ -19,6 +28,13 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+# Words per lane of an array draw.
+LANE_WORDS = 512
+# Draws of fewer lanes use the scalar loop. Stepping the lanes costs about
+# 10 ms whatever their number (LANE_WORDS numpy steps), and the loop takes
+# as long for ~16 lanes of words (8192 words, one BLAS thread, 2-core VM).
+MIN_LANES = 16
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -48,6 +64,68 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+# -- lanes: the same recurrence on uint64 arrays, one element per lane ---------------
+
+
+def _rotl_lanes(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+
+def _step_lanes(s: np.ndarray) -> np.ndarray:
+    """One xoshiro256** step of every lane of ``s`` (4, K) in place; returns
+    the K output words."""
+    s0, s1, s2, s3 = s
+    result = _rotl_lanes(s1 * np.uint64(5), 7) * np.uint64(9)
+    t = s1 << np.uint64(17)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s[3] = _rotl_lanes(s3, 45)
+    return result
+
+
+def _to_bits(s: np.ndarray) -> np.ndarray:
+    """(4, K) uint64 states -> (256, K) float64 bit columns; bit 64*w + b is
+    bit b of word w."""
+    as_bytes = np.ascontiguousarray(s.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, bitorder="little").T.astype(np.float64)
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    packed = np.packbits(bits.T.astype(np.uint8), axis=1, bitorder="little")
+    return np.ascontiguousarray(packed).view("<u8").astype(np.uint64).T.copy()
+
+
+# _JUMPS[i] is T^(LANE_WORDS * 2**i) over GF(2), as a 0/1 float64 matrix.
+_JUMPS: list[np.ndarray] = []
+
+
+def _jump(i: int) -> np.ndarray:
+    if not _JUMPS:
+        # Column c of T^L is T^L applied to basis state c: step all 256 at once.
+        basis = _from_bits(np.eye(256))
+        for _ in range(LANE_WORDS):
+            _step_lanes(basis)
+        _JUMPS.append(_to_bits(basis))
+    while len(_JUMPS) <= i:
+        # Float64 products of 0/1 matrices are exact (every sum is <= 256).
+        _JUMPS.append((_JUMPS[-1] @ _JUMPS[-1]) % 2.0)
+    return _JUMPS[i]
+
+
+def _lane_starts(state: list[int], lanes: int) -> np.ndarray:
+    """(4, lanes) states T^(j*LANE_WORDS) applied to ``state``, j = 0..lanes-1."""
+    bits = _to_bits(np.array(state, dtype=np.uint64).reshape(4, 1))
+    i = 0
+    while bits.shape[1] < lanes:
+        ahead = (_jump(i) @ bits[:, : lanes - bits.shape[1]]) % 2.0
+        bits = np.concatenate([bits, ahead], axis=1)
+        i += 1
+    return _from_bits(bits)
+
+
 class Xoshiro256StarStar:
     """xoshiro256** generator; state seeded from ``seed`` via splitmix64."""
 
@@ -72,34 +150,49 @@ class Xoshiro256StarStar:
         self._s = [s0, s1, s2, s3]
         return result
 
+    def next_words(self, m: int) -> np.ndarray:
+        """The next ``m`` words as a uint64 array, equal to ``m`` calls of
+        ``next_u64`` and leaving the same state."""
+        if m < MIN_LANES * LANE_WORDS:
+            nxt = self.next_u64
+            return np.fromiter((nxt() for _ in range(m)), dtype=np.uint64, count=m)
+        lanes = -(-m // LANE_WORDS)
+        tail = m - (lanes - 1) * LANE_WORDS  # words the last lane gives, 1..L
+        s = _lane_starts(self._s, lanes)
+        out = np.empty((LANE_WORDS, lanes), dtype=np.uint64)
+        for step in range(LANE_WORDS):
+            out[step] = _step_lanes(s)
+            if step + 1 == tail:
+                self._s = [int(w) for w in s[:, -1]]
+        return out.T.reshape(-1)[:m]
+
     def uniform(self, n: int | None = None) -> np.ndarray | float:
         """Uniform float64 in [0, 1) with 53-bit resolution."""
         if n is None:
             return (self.next_u64() >> 11) * 2.0**-53
-        out = np.empty(n, dtype=np.float64)
-        nxt = self.next_u64
-        for i in range(n):
-            out[i] = (nxt() >> 11) * 2.0**-53
-        return out
+        return (self.next_words(n) >> 11) * 2.0**-53
 
     def normal(self, n: int | None = None) -> np.ndarray | float:
-        """Standard normal variates via the Box-Muller transform."""
+        """Standard normal variates via the Box-Muller transform.
+
+        Each pair of words gives a cosine then a sine variate; an odd count
+        drops the last sine. The logarithm and trigonometric functions are
+        libm's, per element (``math``): numpy's vectorized ones differ in the
+        last bits on some inputs, which would change the stream.
+        """
         m = 1 if n is None else n
-        out = np.empty(m, dtype=np.float64)
-        i = 0
-        while i < m:
-            # u1 in (0, 1] so log() is finite.
-            u1 = 1.0 - ((self.next_u64() >> 11) * 2.0**-53)
-            u2 = (self.next_u64() >> 11) * 2.0**-53
-            r = math.sqrt(-2.0 * math.log(u1))
-            out[i] = r * math.cos(2.0 * math.pi * u2)
-            i += 1
-            if i < m:
-                out[i] = r * math.sin(2.0 * math.pi * u2)
-                i += 1
+        words = self.next_words(2 * ((m + 1) // 2))
+        # u1 in (0, 1] so log() is finite.
+        u1 = 1.0 - (words[0::2] >> 11) * 2.0**-53
+        u2 = (words[1::2] >> 11) * 2.0**-53
+        r = np.sqrt(-2.0 * _libm(math.log, u1))
+        theta = 2.0 * math.pi * u2
+        out = np.empty(words.size, dtype=np.float64)
+        out[0::2] = r * _libm(math.cos, theta)
+        out[1::2] = r * _libm(math.sin, theta)
         if n is None:
             return float(out[0])
-        return out
+        return out[:m]
 
     def normal_array(self, shape: tuple[int, ...]) -> np.ndarray:
         return self.normal(int(np.prod(shape))).reshape(shape)
@@ -115,6 +208,10 @@ class Xoshiro256StarStar:
         for i in range(len(items) - 1, 0, -1):
             j = self.integer(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
 
 
 def substream(root_seed: int, stream: str) -> Xoshiro256StarStar:

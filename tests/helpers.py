@@ -1,12 +1,14 @@
 """Shared oracles for the test suite.
 
-Finite differences and the direct O(N^2) DFT are defined here once and kept
-independent of the implementation paths they check; ``spectral_projection``
-is the one helper that runs the library's spectral op, for the oracles to
-read.
+Finite differences, the direct O(N^2) DFT and the one-word-at-a-time random
+draws are defined here once and kept independent of the implementation paths
+they check; ``spectral_projection`` is the one helper that runs the library's
+spectral op, for the oracles to read.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -109,4 +111,32 @@ def direct_spectral_mix(x: np.ndarray, weights: np.ndarray, mode_idx, h: int, w:
         z = mixed[:, co].reshape(h, w)
         fr, _ = direct_dft2(z.real, -z.imag)
         out[:, co] = fr.reshape(-1) / n
+    return out
+
+
+def scalar_uniform(gen, n: int) -> np.ndarray:
+    """``n`` uniforms from ``n`` calls of ``gen.next_u64``: the reference for
+    the lane-vectorized ``uniform(n)``."""
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        out[i] = (gen.next_u64() >> 11) * 2.0**-53
+    return out
+
+
+def scalar_normal(gen, n: int) -> np.ndarray:
+    """Box-Muller one pair of ``gen.next_u64`` words at a time (cosine, then
+    sine; an odd ``n`` drops the last sine): the reference for the
+    lane-vectorized ``normal(n)``."""
+    out = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        # u1 in (0, 1] so log() is finite.
+        u1 = 1.0 - ((gen.next_u64() >> 11) * 2.0**-53)
+        u2 = (gen.next_u64() >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(u1))
+        out[i] = r * math.cos(2.0 * math.pi * u2)
+        i += 1
+        if i < n:
+            out[i] = r * math.sin(2.0 * math.pi * u2)
+            i += 1
     return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from sparkpde import rng
 from sparkpde.autodiff import (
@@ -172,20 +173,25 @@ def test_matmul_batched_gradients():
 
 @pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["N-D", "B-N-D", "T-B-N-D"])
 def test_sparse_matmul_gradient(lead):
-    # Degrees vary on a non-periodic 8-neighbour grid, so the row-normalized
-    # A is not symmetric and a VJP applying A instead of A.T fails FD.
-    grid = GridGraph(4, 4, normalization="row", connectivity=8, periodic=False)
+    # Degrees vary on an 8-neighbour 4x4 grid without wrap-around (3 to 8),
+    # so the row-normalized A is not symmetric and a VJP applying A instead
+    # of A.T fails FD.
+    r, c = np.divmod(np.arange(16), 4)
+    near = (np.abs(r[:, None] - r) <= 1) & (np.abs(c[:, None] - c) <= 1)
+    np.fill_diagonal(near, False)
+    a = sparse.csr_matrix(near / near.sum(axis=1, keepdims=True))
+    a_t = a.T.tocsr()
     gen = rng.substream(23, "sparse")
     values = {"x": gen.normal_array(lead + (16, 3))}
 
     # The node-axis product equals A @ x on every leading slice, bit for bit.
-    got = sparse_matmul(grid.adjacency, values["x"], grid.adjacency_t).data
+    got = sparse_matmul(a, values["x"], a_t).data
     assert got.shape == values["x"].shape
     for idx in np.ndindex(*lead):
-        assert np.array_equal(got[idx], grid.adjacency @ values["x"][idx])
+        assert np.array_equal(got[idx], a @ values["x"][idx])
 
     def loss(p):
-        y = sparse_matmul(grid.adjacency, p["x"], grid.adjacency_t)
+        y = sparse_matmul(a, p["x"], a_t)
         return tensor_sum(square(y))
 
     check_gradients(loss, values)

@@ -582,6 +582,26 @@ def test_snapshot_stores_each_setting_once(workspace, tmp_path):
     assert sorted(pre["meta"]) == ["channel_names", "d_delta", "d_obs"]
 
 
+class _Stop(Exception):
+    pass
+
+
+def test_curriculum_space_and_equals_forms_agree(workspace, tmp_path, monkeypatch):
+    # "-1,-1,0.4" starts with '-', which argparse would read as a flag.
+    seen = []
+
+    def stop(*args, aug, **kwargs):
+        seen.append(aug)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "train_dynamics", stop)
+    for i, form in enumerate((["--curriculum", "-1,-1,0.4"], ["--curriculum=-1,-1,0.4"])):
+        with pytest.raises(_Stop):
+            main(_train_argv(workspace, tmp_path / f"out{i}") + form)
+    assert seen[0] == seen[1]
+    assert (seen[0].start_epoch, seen[0].ramp_epochs, seen[0].max_ratio) == (1, 1, 0.4)
+
+
 @pytest.mark.parametrize("command", ["train", "sweep-k"])
 def test_grid_section_must_match_checkpoint(workspace, tmp_path, capsys, command):
     # The pretrain checkpoint was made on the 4-neighbour grid.

@@ -112,16 +112,10 @@ def _dense_rhs_oracle(h, grid, w):
     d = h.shape[-1]
     rows = np.arange(n)
     rr, rc = np.divmod(rows, wg)
+    # 2-D DFT as a dense N x N operator over flattened row-major fields
     f_mat = np.exp(
         -2j * np.pi * (np.outer(rr, rr) / hg + np.outer(rc, rc) / wg)
     )
-    # 2-D DFT as a dense N x N operator over flattened row-major fields
-    f_mat = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        kr, kc = divmod(k, wg)
-        for m in range(n):
-            mr, mc = divmod(m, wg)
-            f_mat[k, m] = np.exp(-2j * np.pi * (kr * mr / hg + kc * mc / wg))
     f_inv = np.conj(f_mat) / n
     a_dense = grid.adjacency.toarray()
     mode_idx = w.mode_idx
