@@ -9,7 +9,14 @@ computations (used for frozen models and data generation).
 order is a topological order by construction (an op can only consume already
 created tensors), so each node's adjoint is complete when visited and every
 node is visited exactly once. Gradients of parameters never touched by the
-tape are exactly zero.
+tape are exactly zero. ``backward`` adds a second contribution into a fresh
+array it then owns, and later ones into that array in place; arrays a VJP
+hands out (``add`` passes on g itself) are never written. VJPs return None
+for operands that need no gradient.
+
+``graph_layer`` is one Fourier-graph ODE layer, act(spectral + (A x) W + b),
+as a single node that keeps only A x and the activation's slope; its values
+and gradients are bit-equal to those of the separate ops.
 
 Complex spectral weights are represented as explicit real/imaginary tensor
 pairs. The one spectral op, ``spectral_channel_mix``, takes its DFTs with
@@ -132,15 +139,20 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _recording(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` would be recorded: a tape is active and
+    some parent needs grads."""
+    return _ACTIVE_TAPE is not None and any(p.requires_grad for p in parents)
+
+
 def _record(out: Tensor, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     """Attach provenance to ``out`` if recording is on and any parent needs grads."""
-    tape = _ACTIVE_TAPE
-    if tape is not None and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
         out._op = op
-        tape._nodes.append(out)
+        _ACTIVE_TAPE._nodes.append(out)
     return out
 
 
@@ -165,7 +177,10 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _record(out, (a, b), vjp, "add")
 
@@ -175,7 +190,10 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _record(out, (a, b), vjp, "sub")
 
@@ -186,8 +204,8 @@ def mul(a, b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
         )
 
     return _record(out, (a, b), vjp, "mul")
@@ -312,9 +330,9 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def vjp(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None
+        return (ga, gb)
 
     return _record(out, (a, b), vjp, "matmul")
 
@@ -556,6 +574,63 @@ def spectral_channel_mix(
     return _record(out, (x, w_real, w_imag), vjp, "spectral_channel_mix")
 
 
+# -- fused Fourier-graph layer -------------------------------------------------------
+
+
+def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
+                w, b, activation: str) -> Tensor:
+    """One Fourier-graph ODE layer, act(spectral + (A x) W + b), as one tape node.
+
+    spectral: (..., N, D_out), the layer's spectral branch (its own node);
+    x: (..., N, D_in); the constant sparse (N, N) ``adjacency`` applies along
+    the node axis as in ``sparse_matmul``, and ``adjacency_t`` is its
+    transpose; w: (D_in, D_out); b: (D_out,). ``activation`` is gelu (exact
+    erf form), tanh or identity.
+
+    The pre-activation is summed in place in the order of the composed ops
+    (sparse_matmul, matmul, add, add, activation), so values and gradients
+    are theirs bit for bit. A recorded node keeps only A x and the
+    activation's slope for its VJP; an unrecorded one keeps neither.
+    """
+    if activation not in ("gelu", "tanh", "identity"):
+        raise ContractViolation(f"unknown activation {activation!r}")
+    spectral, x, w, b = _as_tensor(spectral), _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 2:
+        raise ContractViolation("graph_layer expects an (..., N, D) operand")
+    parents = (spectral, x, w, b)
+    recording = _recording(parents)
+    adjacent = _along_nodes(adjacency, x.data)
+    z = adjacent @ w.data
+    if not recording:
+        adjacent = None
+    z += spectral.data
+    z += b.data
+    slope = None
+    if activation == "gelu":
+        cdf = 0.5 * (1.0 + _erf(z * _INV_SQRT2))
+        if recording:
+            slope = cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))
+        z *= cdf
+    elif activation == "tanh":
+        np.tanh(z, out=z)
+        if recording:
+            slope = 1.0 - z * z
+    out = Tensor(z)
+
+    def vjp(g):
+        gz = g if slope is None else g * slope
+        g_x = g_w = g_b = None
+        if x.requires_grad:
+            g_x = _along_nodes(adjacency_t, gz @ w.data.swapaxes(-1, -2))
+        if w.requires_grad:
+            g_w = _unbroadcast(adjacent.swapaxes(-1, -2) @ gz, w.shape)
+        if b.requires_grad:
+            g_b = _unbroadcast(gz, b.shape)
+        return (gz if spectral.requires_grad else None, g_x, g_w, g_b)
+
+    return _record(out, parents, vjp, "graph_layer")
+
+
 # -- backward pass ----------------------------------------------------------------
 
 
@@ -577,19 +652,30 @@ def backward(
         raise NumericError("backward called on a non-finite loss")
 
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    # Keys whose array backward allocated itself and may add into in place.
+    # Any other array may be shared: VJPs such as add's hand out g itself.
+    owned: set[int] = set()
     for node in reversed(tape._nodes):
         g = grads.pop(id(node), None)
+        owned.discard(id(node))
         if g is None or node._vjp is None:
             continue
         contributions = node._vjp(g)
         for parent, contrib in zip(node._parents, contributions):
             if contrib is None or not parent.requires_grad:
                 continue
-            if not np.all(np.isfinite(contrib)):
+            # A sum is non-finite whenever an element is; it can also
+            # overflow on finite elements, so only then check them all.
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = np.sum(contrib)
+            if not np.isfinite(total) and not np.all(np.isfinite(contrib)):
                 raise NumericError(f"non-finite gradient in backward of '{node._op}'")
             key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contrib
+            if key in owned:
+                np.add(grads[key], contrib, out=grads[key])
+            elif key in grads:
+                grads[key] = np.add(grads[key], contrib, out=np.empty(parent.shape))
+                owned.add(key)
             else:
                 grads[key] = contrib
 

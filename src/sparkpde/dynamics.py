@@ -6,12 +6,13 @@ state), evolved by a stack of ODE layers combining a spectral branch
 (adjacency applied to Fourier coefficients, per-mode channel mixing over
 retained modes) with a spatial graph branch, and decoded to observations by
 a separate two-layer MLP. Every layer works on the (..., N, D) node
-layout at any leading rank: the spectral branch is one fused op
-(``ad.spectral_channel_mix``) that computes only the retained modes, by
-truncated DFTs made of real matrix products, and the graph adjacency is one
-``ad.sparse_matmul`` along the node axis. Integration is classical
-fixed-step RK4 (or Euler) unrolled on the tape, so gradients are exact for
-the discretized system.
+layout at any leading rank and records two tape nodes: the spectral branch
+(``ad.spectral_channel_mix``), which computes only the retained modes by
+truncated DFTs made of real matrix products, and ``ad.graph_layer``, which
+applies the adjacency along the node axis, the spatial mix, the bias and the
+activation, and keeps only A H and the activation's slope for its VJP.
+Integration is classical fixed-step RK4 (or Euler) unrolled on the tape, so
+gradients are exact for the discretized system.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .augment import (
 from .autodiff import AdamState, Tape, Tensor, adam_step, backward
 from .config import SOLVERS, AugmentSection, DynamicsSection
 from .datagen import EpisodeDataset
-from .encoder import EncoderStack, MlpDecoderWeights, apply_activation, init_mlp_decoder
+from .encoder import EncoderStack, MlpDecoderWeights, init_mlp_decoder
 from .errors import ContractViolation, NumericError
 from .grids import GridGraph, retained_mode_indices
 from .rng import Xoshiro256StarStar, derive_seed, substream
@@ -138,7 +139,9 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
     """dH/dt per the layered spectral + spatial graph update, h: (..., N, D).
 
     Per layer: Y = act(IFFT(trunc(A.F(H)) W_F) + A H W + b), feeding Y to the
-    next layer; the returned derivative is the sum of all layer outputs.
+    next layer; the returned derivative is the sum of all layer outputs. Each
+    layer is two tape nodes, the spectral op and the fused graph layer, whose
+    values and gradients are those of the separate ops bit for bit.
     """
     state = h if isinstance(h, Tensor) else Tensor(h)
     if state.shape[-2] != grid.n_nodes:
@@ -153,9 +156,9 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
             state, layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg,
             adjacency_rows=adj_rows,
         )
-        adjacent = ad.sparse_matmul(grid.adjacency, state, grid.adjacency_t)
-        spatial = ad.matmul(adjacent, layer.w)
-        y = apply_activation(spectral + spatial + layer.b, w.activation)
+        y = ad.graph_layer(
+            spectral, state, grid.adjacency, grid.adjacency_t, layer.w, layer.b, w.activation
+        )
         total = y if total is None else total + y
         state = y
     return total

@@ -180,8 +180,12 @@ class Xoshiro256StarStar:
         libm's, per element (``math``): numpy's vectorized ones differ in the
         last bits on some inputs, which would change the stream.
         """
-        m = 1 if n is None else n
-        words = self.next_words(2 * ((m + 1) // 2))
+        if n is None:
+            # The array path's arithmetic on one pair, without numpy's set-up.
+            u1 = 1.0 - (self.next_u64() >> 11) * 2.0**-53
+            u2 = (self.next_u64() >> 11) * 2.0**-53
+            return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        words = self.next_words(2 * ((n + 1) // 2))
         # u1 in (0, 1] so log() is finite.
         u1 = 1.0 - (words[0::2] >> 11) * 2.0**-53
         u2 = (words[1::2] >> 11) * 2.0**-53
@@ -190,9 +194,7 @@ class Xoshiro256StarStar:
         out = np.empty(words.size, dtype=np.float64)
         out[0::2] = r * _libm(math.cos, theta)
         out[1::2] = r * _libm(math.sin, theta)
-        if n is None:
-            return float(out[0])
-        return out[:m]
+        return out[:n]
 
     def normal_array(self, shape: tuple[int, ...]) -> np.ndarray:
         return self.normal(int(np.prod(shape))).reshape(shape)

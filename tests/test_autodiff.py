@@ -14,7 +14,9 @@ from sparkpde.autodiff import (
     concat,
     gather_rows,
     gelu,
+    graph_layer,
     matmul,
+    mul,
     parameter,
     sparse_matmul,
     spectral_channel_mix,
@@ -24,7 +26,8 @@ from sparkpde.autodiff import (
     tensor_mean,
     tensor_sum,
 )
-from sparkpde.errors import ContractViolation
+from sparkpde.encoder import apply_activation
+from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph, retained_mode_indices
 
 from helpers import check_gradients, tape_gradients
@@ -294,6 +297,148 @@ def _check_fused_against_composed(h, k_max, batch, channels, adjacency):
         np.linalg.norm(g_wr), np.linalg.norm(g_wi)
     )
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def _composed_layer(spectral, x, a, a_t, w, b, activation):
+    """The graph layer as the separate ops it fuses."""
+    spatial = matmul(sparse_matmul(a, x, a_t), w)
+    return apply_activation(spectral + spatial + b, activation)
+
+
+@pytest.mark.parametrize("const", [None, "x", "spectral"], ids=["all-grad", "x-const", "spectral-const"])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["N-D", "B-N-D"])
+@pytest.mark.parametrize("activation", ["gelu", "tanh", "identity"])
+def test_graph_layer_bit_equal_to_composed_ops(activation, lead, const):
+    # As in ode_rhs: x feeds the spectral op and the layer, so x's gradient
+    # accumulates across both; values and every gradient must be the same bits.
+    grid = GridGraph(4, 4)
+    gen = rng.substream(43, f"graph-layer/{activation}/{len(lead)}")
+    idx = retained_mode_indices(4, 4, 1)
+    rows = grid.adjacency_row_slice(idx)
+    x0 = gen.normal_array(lead + (grid.n_nodes, 3))
+    spectral0 = gen.normal_array(lead + (grid.n_nodes, 2))
+    weights = {
+        "wr": gen.normal_array((len(idx), 3, 2)),
+        "wi": gen.normal_array((len(idx), 3, 2)),
+        "w": gen.normal_array((3, 2)),
+        "b": gen.normal_array((2,)),
+    }
+    cotangent = gen.normal_array(lead + (grid.n_nodes, 2))
+
+    def run(layer):
+        params = {k: parameter(v.copy(), k) for k, v in weights.items()}
+        x = Tensor(x0.copy(), requires_grad=const != "x", name="x")
+        wrt = [*params.values()] + ([x] if x.requires_grad else [])
+        with Tape() as tape:
+            if const == "spectral":
+                spectral = Tensor(spectral0)
+            else:
+                spectral = spectral_channel_mix(
+                    x, params["wr"], params["wi"], idx, 4, 4, adjacency_rows=rows
+                )
+            y = layer(spectral, x, grid.adjacency, grid.adjacency_t, params["w"], params["b"],
+                      activation)
+            loss = tensor_sum(mul(y, cotangent))
+        return y.data, backward(loss, tape, params=wrt)
+
+    fused_y, fused = run(graph_layer)
+    composed_y, composed = run(_composed_layer)
+    assert fused_y.tobytes() == composed_y.tobytes()
+    assert fused.keys() == composed.keys()
+    for name in composed:
+        assert fused[name].tobytes() == composed[name].tobytes(), name
+
+
+@pytest.mark.parametrize("activation", ["gelu", "tanh"])
+def test_graph_layer_gradient_matches_finite_differences(activation):
+    grid = GridGraph(3, 4)
+    gen = rng.substream(47, f"graph-layer-fd/{activation}")
+    values = {
+        "spectral": gen.normal_array((2, grid.n_nodes, 2)),
+        "x": gen.normal_array((2, grid.n_nodes, 3)),
+        "w": gen.normal_array((3, 2)),
+        "b": gen.normal_array((2,)),
+    }
+
+    def loss(p):
+        y = graph_layer(p["spectral"], p["x"], grid.adjacency, grid.adjacency_t, p["w"], p["b"],
+                        activation)
+        return tensor_sum(square(y))
+
+    check_gradients(loss, values)
+
+
+def test_graph_layer_rejects_unknown_activation():
+    grid = GridGraph(3, 3)
+    x = np.zeros((grid.n_nodes, 2))
+    with pytest.raises(ContractViolation):
+        graph_layer(x, x, grid.adjacency, grid.adjacency_t, np.eye(2), np.zeros(2), "relu")
+
+
+def _out_of_place_backward(loss, tape, params):
+    """Reference accumulation: every sum into a fresh array."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(tape._nodes):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        for parent, contrib in zip(node._parents, node._vjp(g)):
+            if contrib is not None and parent.requires_grad:
+                key = id(parent)
+                grads[key] = grads[key] + contrib if key in grads else contrib
+    return {p.name: grads[id(p)] for p in params}
+
+
+def test_backward_in_place_accumulation_keeps_shared_cotangents():
+    # ``both = u + v`` is the last consumer of u and v, so its VJP runs first
+    # and hands both of them one array, g itself. u and v then take more
+    # contributions (views of one array from concat, then square and gelu),
+    # and adding them into u's array in place would change v's.
+    gen = rng.substream(53, "aliasing")
+    x = parameter(gen.normal_array((3, 4)), "x")
+    y = parameter(gen.normal_array((3, 4)), "y")
+    c = gen.normal_array((3, 4))
+    with Tape() as tape:
+        u = x * y
+        v = tanh(x) * c
+        squares, smooth = square(u), gelu(v)
+        pieces = concat([u, v], axis=0).reshape(4, 6)
+        both = u + v
+        loss = tensor_sum(square(both)) + tensor_sum(squares) + tensor_sum(smooth)
+        loss = loss + tensor_sum(pieces * pieces)
+    got = backward(loss, tape, params=[x, y])
+    want = _out_of_place_backward(loss, tape, [x, y])
+    for name in ("x", "y"):
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def _probe(tape, x, contrib):
+    """A recorded identity node on ``x`` whose VJP passes on ``contrib``."""
+    out = Tensor(x.data.copy(), requires_grad=True)
+    out._parents, out._vjp, out._op = (x,), lambda g: (contrib,), "probe"
+    tape._nodes.append(out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0], [np.inf, -np.inf]],
+    ids=["inf", "-inf", "nan", "inf-and-minus-inf"],
+)
+def test_backward_names_op_of_non_finite_gradient(bad):
+    x = parameter(np.array([1.0, 2.0]), "x")
+    with Tape() as tape:
+        loss = tensor_sum(square(_probe(tape, x, np.array(bad))))
+    with pytest.raises(NumericError, match="'probe'"):
+        backward(loss, tape, params=[x])
+
+
+def test_backward_accepts_finite_gradients_whose_sum_overflows():
+    x = parameter(np.array([1e-300, 2e-300, 3e-300]), "x")
+    scale = np.array([1e308, 1.5e308, -1e308])
+    with Tape() as tape:
+        loss = tensor_sum(x * scale)
+    grads = backward(loss, tape, params=[x])
+    np.testing.assert_array_equal(grads["x"], scale)
 
 
 def test_backward_deterministic_bit_identical():

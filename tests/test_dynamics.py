@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -152,14 +154,32 @@ def test_rhs_matches_dense_oracle(grid):
     cfg = DynamicsSection(ode_layers=2, k_max=1, decoder_hidden=4)
     w = init_dynamics(gen, cfg, grid, d_latent=3, d_obs=1)
     h = gen.normal_array((grid.n_nodes, 3))
-    with Tape() as tape:
+    with Tape():
         got = ode_rhs(Tensor(h, requires_grad=True), grid, w).data
     expected = _dense_rhs_oracle(h, grid, w)
     np.testing.assert_allclose(got, expected, atol=1e-8)
-    # A.H is formed once per layer, as one node-axis op with no layout copies.
-    ops = [node._op for node in tape._nodes]
-    assert ops.count("sparse_matmul") == len(w.layers)
-    assert "transpose" not in ops
+
+
+def test_rk4_step_tape_budget(grid):
+    # Each layer records two nodes, its spectral op and one fused graph layer
+    # (no separate sparse product, matmul, bias adds or activation), and
+    # ode_rhs one add per layer after the first. One RK4 step evaluates the
+    # rhs 4 times, forms 3 stage states (mul, add) and combines the slopes
+    # (3 mul, 4 add); integrate then stacks the state (reshape, concat).
+    cfg = DynamicsSection(ode_layers=2, k_max=1, decoder_hidden=4)
+    w = init_dynamics(rng.substream(6, "tape-budget"), cfg, grid, d_latent=3, d_obs=1)
+    h = rng.substream(7, "tape-budget/h").normal_array((2, grid.n_nodes, 3))
+    with Tape() as tape:
+        integrate(Tensor(h), lambda s: ode_rhs(s, grid, w), [0.25], substeps=4)
+    ops = Counter(node._op for node in tape._nodes)
+    assert ops == {
+        "spectral_channel_mix": 4 * 2,
+        "graph_layer": 4 * 2,
+        "add": 4 * 1 + 3 + 4,
+        "mul": 3 + 3,
+        "reshape": 1,
+        "concat": 1,
+    }
 
 
 def test_rhs_gradient_matches_finite_differences(grid):

@@ -113,7 +113,10 @@ def test_array_draws_match_scalar_stream_bit_for_bit(seed):
     for n in BOUNDARY_SIZES + [1]:
         assert np.array_equal(gen.uniform(n), scalar_uniform(ref, n)), n
         _assert_same_state(gen, ref)
-    assert gen.normal() == scalar_normal(ref, 1)[0]
+    for _ in range(1000):
+        z = gen.normal()
+        assert type(z) is float
+        assert z == scalar_normal(ref, 1)[0]
     _assert_same_state(gen, ref)
 
 
