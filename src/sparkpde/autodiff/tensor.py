@@ -14,9 +14,9 @@ array it then owns, and later ones into that array in place; arrays a VJP
 hands out (``add`` passes on g itself) are never written. VJPs return None
 for operands that need no gradient.
 
-``graph_layer`` is one Fourier-graph ODE layer, act(spectral + (A x) W + b),
-as a single node that keeps only A x and the activation's slope; its values
-and gradients are bit-equal to those of the separate ops.
+``graph_layer`` is one Fourier-graph ODE layer, gelu(spectral + (A x) W + b),
+as a single node that keeps only A x and the GeLU's slope; its values and
+gradients are bit-equal to those of the separate ops.
 
 Complex spectral weights are represented as explicit real/imaginary tensor
 pairs. The one spectral op, ``spectral_channel_mix``, takes its DFTs with
@@ -578,22 +578,19 @@ def spectral_channel_mix(
 
 
 def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
-                w, b, activation: str) -> Tensor:
-    """One Fourier-graph ODE layer, act(spectral + (A x) W + b), as one tape node.
+                w, b) -> Tensor:
+    """One Fourier-graph ODE layer, gelu(spectral + (A x) W + b), as one tape node.
 
     spectral: (..., N, D_out), the layer's spectral branch (its own node);
     x: (..., N, D_in); the constant sparse (N, N) ``adjacency`` applies along
     the node axis as in ``sparse_matmul``, and ``adjacency_t`` is its
-    transpose; w: (D_in, D_out); b: (D_out,). ``activation`` is gelu (exact
-    erf form), tanh or identity.
+    transpose; w: (D_in, D_out); b: (D_out,). The GeLU is the exact erf form.
 
     The pre-activation is summed in place in the order of the composed ops
-    (sparse_matmul, matmul, add, add, activation), so values and gradients
-    are theirs bit for bit. A recorded node keeps only A x and the
-    activation's slope for its VJP; an unrecorded one keeps neither.
+    (sparse_matmul, matmul, add, add, gelu), so values and gradients are
+    theirs bit for bit. A recorded node keeps only A x and the GeLU's slope
+    for its VJP; an unrecorded one keeps neither.
     """
-    if activation not in ("gelu", "tanh", "identity"):
-        raise ContractViolation(f"unknown activation {activation!r}")
     spectral, x, w, b = _as_tensor(spectral), _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim < 2:
         raise ContractViolation("graph_layer expects an (..., N, D) operand")
@@ -605,20 +602,13 @@ def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse
         adjacent = None
     z += spectral.data
     z += b.data
-    slope = None
-    if activation == "gelu":
-        cdf = 0.5 * (1.0 + _erf(z * _INV_SQRT2))
-        if recording:
-            slope = cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))
-        z *= cdf
-    elif activation == "tanh":
-        np.tanh(z, out=z)
-        if recording:
-            slope = 1.0 - z * z
+    cdf = 0.5 * (1.0 + _erf(z * _INV_SQRT2))
+    slope = cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z)) if recording else None
+    z *= cdf
     out = Tensor(z)
 
     def vjp(g):
-        gz = g if slope is None else g * slope
+        gz = g * slope
         g_x = g_w = g_b = None
         if x.requires_grad:
             g_x = _along_nodes(adjacency_t, gz @ w.data.swapaxes(-1, -2))

@@ -21,6 +21,7 @@ atomically (``container.write_container``).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -95,6 +96,11 @@ def load_checkpoint(path: str) -> ModelCheckpoint:
         ndim = r.u32()
         shape = tuple(struct.unpack(f"<{ndim}I", r.take(4 * ndim))) if ndim else ()
         nbytes = r.u64()
+        needed = np.dtype(_DTYPES[tag]).itemsize * math.prod(shape)
+        if nbytes != needed:
+            raise FormatError(
+                f"tensor {name!r} holds {nbytes} bytes; its shape {shape} needs {needed}"
+            )
         toc.append((name, tag, shape, nbytes))
     tensors = {}
     for name, tag, shape, nbytes in toc:

@@ -24,7 +24,13 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, describe_config, load_config, with_augment
+from .config import (
+    ExperimentConfig,
+    describe_config,
+    load_config,
+    validate_config,
+    with_augment,
+)
 from .datagen import (
     SPLIT_IN,
     SPLIT_OUT,
@@ -89,6 +95,7 @@ def _load_config(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+        validate_config(cfg)
     return cfg
 
 
@@ -104,15 +111,6 @@ def _load_dataset(path: str) -> EpisodeDataset:
     if not path:
         raise ConfigError("--dataset is required")
     return load_dataset(_input_file(path, "dataset"))
-
-
-def _attach_grid(ds: EpisodeDataset, grid: GridGraph) -> None:
-    if (grid.height, grid.width) != (ds.grid.height, ds.grid.width):
-        raise IncompatibilityError(
-            f"grid {grid.height}x{grid.width} does not match dataset "
-            f"{ds.grid.height}x{ds.grid.width}"
-        )
-    ds.grid = grid
 
 
 def _make_dir(path: Path) -> Path:
@@ -174,7 +172,7 @@ def _simulate_episode(cfg: ExperimentConfig, grid: GridGraph, delta, split, seed
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     ds_cfg = cfg.dataset
-    grid = ds_cfg.grid.graph()
+    grid = GridGraph(ds_cfg.grid.height, ds_cfg.grid.width)
     ood_rule = (
         {"out_values": ds_cfg.ood.out_values}
         if ds_cfg.ood.mode == "explicit"
@@ -226,7 +224,12 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     ds = _load_dataset(args.dataset)
-    _attach_grid(ds, cfg.dataset.grid.graph())
+    grid = cfg.dataset.grid
+    if (grid.height, grid.width) != (ds.grid.height, ds.grid.width):
+        raise IncompatibilityError(
+            f"grid {grid.height}x{grid.width} does not match dataset "
+            f"{ds.grid.height}x{ds.grid.width}"
+        )
     out = _out_dir(args, cfg)
     ckpt_path = out / "pretrain.ckpt"
     try:
@@ -296,8 +299,7 @@ def cmd_train(args) -> int:
     ckpt = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
     check_dataset_compatibility(ckpt.config, ds)
     check_config_compatibility(ckpt.config, run)
-    _, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
-    _attach_grid(ds, grid)
+    _, encoder, codebook = rebuild_pretrained(ckpt.config, ckpt.tensors, ds.grid)
     out = _out_dir(args, run)
 
     aug = None if args.no_augment else run.augment
@@ -337,10 +339,9 @@ def cmd_eval(args) -> int:
     ckpt = _load_checkpoint(args.checkpoint, KIND_DYNAMICS)
     ds = _load_dataset(args.dataset)
     check_dataset_compatibility(ckpt.config, ds)
-    cfg, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
-    _attach_grid(ds, grid)
+    cfg, encoder, codebook = rebuild_pretrained(ckpt.config, ckpt.tensors, ds.grid)
     weights = rebuild_dynamics(
-        ckpt.config, ckpt.tensors, grid, ds.n_channels, codebook.dim
+        ckpt.config, ckpt.tensors, ds.grid, ds.n_channels, codebook.dim
     )
     split = {"in": SPLIT_IN, "out": SPLIT_OUT}[args.split]
     if not ds.split_episodes(split):
@@ -415,8 +416,7 @@ def cmd_sweep_k(args) -> int:
     check_dataset_compatibility(ckpt.config, ds)
     check_config_compatibility(ckpt.config, cfg)
     # train_dynamics verifies by checksum that it leaves these frozen.
-    _, encoder, codebook, grid = rebuild_pretrained(ckpt.config, ckpt.tensors)
-    _attach_grid(ds, grid)
+    _, encoder, codebook = rebuild_pretrained(ckpt.config, ckpt.tensors, ds.grid)
     out = _out_dir(args, cfg)
     rows = []
     for k, aug in zip(K_SWEEP_GRID, augs):

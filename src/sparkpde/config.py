@@ -21,10 +21,8 @@ import yaml
 
 from .datagen.reaction_diffusion import FEED_RANGE, KILL_RANGE
 from .errors import ConfigError
-from .grids import NORMALIZATIONS, GridGraph
 
 GENERATORS = ("navier_stokes", "reaction_diffusion")
-ACTIVATIONS = ("gelu", "tanh", "identity")
 SOLVERS = ("rk4", "euler")
 AUG_MODES = ("snap", "interpolate")
 
@@ -33,15 +31,6 @@ AUG_MODES = ("snap", "interpolate")
 class GridSection:
     height: int = 32
     width: int = 32
-    connectivity: int = 4
-    normalization: str = "row"
-
-    def graph(self) -> GridGraph:
-        """The grid graph this section describes."""
-        return GridGraph(
-            self.height, self.width,
-            connectivity=self.connectivity, normalization=self.normalization,
-        )
 
 
 @dataclass
@@ -83,7 +72,6 @@ class PretrainSection:
     attention_hidden: int = 32
     gnn_layers: int = 2
     k_max: int = 8
-    activation: str = "gelu"
 
 
 @dataclass
@@ -101,7 +89,6 @@ class DynamicsSection:
     batch_size: int = 8
     val_fraction: float = 0.15
     window_stride: int = 1
-    activation: str = "gelu"
 
 
 @dataclass
@@ -125,13 +112,11 @@ class ExperimentConfig:
 
 
 FIELD_DOCS = {
-    "seed": "root seed; all randomness derives from it through named substreams",
+    "seed": "root seed in [0, 2^64); all randomness derives from it through named substreams",
     "out_dir": "default output directory (overridden by --out)",
     "dataset.generator": "trajectory generator: navier_stokes | reaction_diffusion",
     "dataset.grid.height": "grid rows H",
     "dataset.grid.width": "grid columns W",
-    "dataset.grid.connectivity": "graph stencil: 4 or 8 neighbors",
-    "dataset.grid.normalization": "adjacency normalization: row | sym | none",
     "dataset.params": "physical parameter values (scalars, or [D_u, D_v] pairs)",
     "dataset.ood.mode": "out-of-domain rule: explicit | threshold",
     "dataset.ood.out_values": "parameter values held out as out-of-domain",
@@ -158,7 +143,6 @@ FIELD_DOCS = {
     "pretrain.attention_hidden": "channel-attention MLP hidden width",
     "pretrain.gnn_layers": "GNN encoder depth L",
     "pretrain.k_max": "retained Fourier modes per axis in channel attention",
-    "pretrain.activation": "model activation: gelu | tanh | identity",
     "dynamics.t0": "history length fed to the forecaster",
     "dynamics.horizon": "forecast steps",
     "dynamics.lambda_reg": "weight-decay coefficient on dynamics parameters",
@@ -172,7 +156,6 @@ FIELD_DOCS = {
     "dynamics.batch_size": "windows per batch",
     "dynamics.val_fraction": "fraction of windows held out for validation",
     "dynamics.window_stride": "stride between training windows",
-    "dynamics.activation": "ODE/decoder activation: gelu | tanh | identity",
     "augment.mode": "latent augmentation: snap | interpolate",
     "augment.k": "top-k codes blended by interpolation",
     "augment.tau": "interpolation temperature (null: calibrated from data)",
@@ -295,11 +278,10 @@ def _params_ok(entries) -> bool:
 # One rule per documented key that constrains its value on its own; the
 # cross-field rules are in ``validate_config``.
 RULES = {
+    "seed": (lambda v: 0 <= v < 2**64, "must lie in [0, 2^64)"),
     "dataset.generator": _one_of(*GENERATORS),
     "dataset.grid.height": _at_least(1),
     "dataset.grid.width": _at_least(1),
-    "dataset.grid.connectivity": _one_of(4, 8),
-    "dataset.grid.normalization": _one_of(*NORMALIZATIONS),
     "dataset.params": (
         lambda v: bool(v) and _params_ok(v),
         "must be a non-empty list of numbers or lists of numbers",
@@ -326,7 +308,6 @@ RULES = {
     "pretrain.attention_hidden": _at_least(1),
     "pretrain.gnn_layers": _at_least(1),
     "pretrain.k_max": _NON_NEGATIVE,
-    "pretrain.activation": _one_of(*ACTIVATIONS),
     "dynamics.t0": _at_least(1),
     "dynamics.horizon": _at_least(1),
     "dynamics.lambda_reg": _NON_NEGATIVE,
@@ -340,7 +321,6 @@ RULES = {
     "dynamics.batch_size": _at_least(1),
     "dynamics.val_fraction": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     "dynamics.window_stride": _at_least(1),
-    "dynamics.activation": _one_of(*ACTIVATIONS),
     "augment.mode": _one_of(*AUG_MODES),
     "augment.k": _at_least(1),
     "augment.tau": (lambda v: v is None or v > 0, "must be positive or null"),

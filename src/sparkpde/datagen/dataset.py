@@ -75,6 +75,11 @@ class EpisodeDataset:
     def n_channels(self) -> int:
         return len(self.channel_names)
 
+    @property
+    def d_delta(self) -> int:
+        """Length of every episode's parameter vector (1 with no episodes)."""
+        return int(self.episodes[0].delta.size) if self.episodes else 1
+
     def split_episodes(self, split: str) -> list[Episode]:
         return [e for e in self.episodes if e.split == split]
 
@@ -201,4 +206,9 @@ def load_dataset(path: str) -> EpisodeDataset:
         )
     if not reader.at_end():
         raise FormatError("trailing bytes after final episode record")
+    lengths = sorted({ep.delta.size for ep in episodes})
+    if len(lengths) > 1 or 0 in lengths:
+        raise FormatError(
+            f"episode parameter vectors must share one positive length, got lengths {lengths}"
+        )
     return EpisodeDataset(grid=grid, channel_names=names, episodes=episodes, stats=(means, stds))

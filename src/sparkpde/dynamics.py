@@ -10,7 +10,7 @@ layout at any leading rank and records two tape nodes: the spectral branch
 (``ad.spectral_channel_mix``), which computes only the retained modes by
 truncated DFTs made of real matrix products, and ``ad.graph_layer``, which
 applies the adjacency along the node axis, the spatial mix, the bias and the
-activation, and keeps only A H and the activation's slope for its VJP.
+GeLU, and keeps only A H and the GeLU's slope for its VJP.
 Integration is classical fixed-step RK4 (or Euler) unrolled on the tape, so
 gradients are exact for the discretized system.
 """
@@ -58,7 +58,6 @@ class DynamicsWeights:
     layers: list[OdeLayer]
     decoder: MlpDecoderWeights
     mode_idx: np.ndarray
-    activation: str = "gelu"
 
     def params(self) -> dict[str, Tensor]:
         out = {self.w_alpha.name: self.w_alpha}
@@ -101,7 +100,7 @@ def init_dynamics(
             )
         )
     decoder = init_mlp_decoder(
-        gen, d_latent, cfg.decoder_hidden, d_obs, cfg.activation, prefix="dynamics.decoder"
+        gen, d_latent, cfg.decoder_hidden, d_obs, prefix="dynamics.decoder"
     )
     return DynamicsWeights(
         w_alpha=ad.parameter(
@@ -111,7 +110,6 @@ def init_dynamics(
         layers=layers,
         decoder=decoder,
         mode_idx=mode_idx,
-        activation=cfg.activation,
     )
 
 
@@ -138,7 +136,7 @@ def encode_history(h_seq: Tensor | np.ndarray, w: DynamicsWeights) -> Tensor:
 def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tensor:
     """dH/dt per the layered spectral + spatial graph update, h: (..., N, D).
 
-    Per layer: Y = act(IFFT(trunc(A.F(H)) W_F) + A H W + b), feeding Y to the
+    Per layer: Y = gelu(IFFT(trunc(A.F(H)) W_F) + A H W + b), feeding Y to the
     next layer; the returned derivative is the sum of all layer outputs. Each
     layer is two tape nodes, the spectral op and the fused graph layer, whose
     values and gradients are those of the separate ops bit for bit.
@@ -157,7 +155,7 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
             adjacency_rows=adj_rows,
         )
         y = ad.graph_layer(
-            spectral, state, grid.adjacency, grid.adjacency_t, layer.w, layer.b, w.activation
+            spectral, state, grid.adjacency, grid.adjacency_t, layer.w, layer.b
         )
         total = y if total is None else total + y
         state = y

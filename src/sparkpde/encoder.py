@@ -11,8 +11,7 @@ Three pieces:
   * a 2-layer MLP decoder back to observation space.
 
 All linear maps use the right-multiplication convention (x @ W, W is
-(in, out)). Activations default to exact GeLU; "tanh" and "identity" are
-selectable for ablations and oracle tests.
+(in, out)). The activation is exact (erf-form) GeLU.
 """
 
 from __future__ import annotations
@@ -27,16 +26,6 @@ from .config import PretrainSection
 from .errors import ContractViolation
 from .grids import GridGraph, retained_mode_indices
 from .rng import Xoshiro256StarStar
-
-
-def apply_activation(x: Tensor, kind: str) -> Tensor:
-    if kind == "gelu":
-        return ad.gelu(x)
-    if kind == "tanh":
-        return ad.tanh(x)
-    if kind == "identity":
-        return x
-    raise ContractViolation(f"unknown activation {kind!r}")
 
 
 def _init_linear(gen: Xoshiro256StarStar, fan_in: int, fan_out: int, name: str) -> Tensor:
@@ -67,7 +56,6 @@ class ChannelAttentionWeights:
     g2_real: Tensor  # (K, d, d) spectral weights per retained mode
     g2_imag: Tensor
     mode_idx: np.ndarray
-    activation: str = "gelu"
 
     def params(self) -> dict[str, Tensor]:
         out = {}
@@ -88,7 +76,6 @@ def init_channel_attention(
     hidden: int,
     grid: GridGraph,
     k_max: int,
-    activation: str = "gelu",
     prefix: str = "encoder.attn",
 ) -> ChannelAttentionWeights:
     mode_idx = retained_mode_indices(grid.height, grid.width, k_max)
@@ -109,12 +96,11 @@ def init_channel_attention(
         g2_real=ad.parameter(gen.normal_array((k, d_obs, d_obs)) * spectral_std, f"{prefix}.g2_real"),
         g2_imag=ad.parameter(gen.normal_array((k, d_obs, d_obs)) * spectral_std, f"{prefix}.g2_imag"),
         mode_idx=mode_idx,
-        activation=activation,
     )
 
 
-def _attention_vector(delta: Tensor, w1, b1, w2, b2, activation: str) -> Tensor:
-    hidden = apply_activation(ad.matmul(delta, w1) + b1, activation)
+def _attention_vector(delta: Tensor, w1, b1, w2, b2) -> Tensor:
+    hidden = ad.gelu(ad.matmul(delta, w1) + b1)
     return ad.matmul(hidden, w2) + b2
 
 
@@ -146,8 +132,8 @@ def channel_attention(
     # leading rank; each gate then broadcasts over its sample's nodes.
     rows = delta.reshape(-1, d_delta)
     gate_shape = delta.shape[:-1] + (1, d_obs)
-    a1 = _attention_vector(rows, w.w1_1, w.b1_1, w.w2_1, w.b2_1, w.activation)
-    a2 = _attention_vector(rows, w.w1_2, w.b1_2, w.w2_2, w.b2_2, w.activation)
+    a1 = _attention_vector(rows, w.w1_1, w.b1_1, w.w2_1, w.b2_1)
+    a2 = _attention_vector(rows, w.w1_2, w.b1_2, w.w2_2, w.b2_2)
     a1, a2 = a1.reshape(gate_shape), a2.reshape(gate_shape)
 
     branch1 = ad.matmul(x, w.g1)
@@ -170,7 +156,6 @@ class GnnLayer:
 @dataclass
 class GnnEncoderWeights:
     layers: list[GnnLayer] = field(default_factory=list)
-    activation: str = "gelu"
 
     def params(self) -> dict[str, Tensor]:
         out = {}
@@ -188,7 +173,6 @@ def init_gnn_encoder(
     hidden: int,
     d_latent: int,
     n_layers: int,
-    activation: str = "gelu",
     prefix: str = "encoder.gnn",
 ) -> GnnEncoderWeights:
     if n_layers < 1:
@@ -207,7 +191,7 @@ def init_gnn_encoder(
                 resid_w=resid,
             )
         )
-    return GnnEncoderWeights(layers=layers, activation=activation)
+    return GnnEncoderWeights(layers=layers)
 
 
 def gnn_encode(h: Tensor | np.ndarray, grid: GridGraph, w: GnnEncoderWeights) -> Tensor:
@@ -223,7 +207,7 @@ def gnn_encode(h: Tensor | np.ndarray, grid: GridGraph, w: GnnEncoderWeights) ->
     for layer in w.layers:
         agg = ad.sparse_matmul(grid.adjacency, h, grid.adjacency_t)
         combined = ad.matmul(ad.concat([h, agg], axis=-1), layer.combine_w)
-        combined = apply_activation(combined + layer.combine_b, w.activation)
+        combined = ad.gelu(combined + layer.combine_b)
         if layer.resid_w is not None:
             h = ad.matmul(h, layer.resid_w) + combined
         else:
@@ -240,7 +224,6 @@ class MlpDecoderWeights:
     b_a: Tensor
     w_b: Tensor  # (hidden, d_out)
     b_b: Tensor
-    activation: str = "gelu"
 
     def params(self) -> dict[str, Tensor]:
         return {t.name: t for t in (self.w_a, self.b_a, self.w_b, self.b_b)}
@@ -251,7 +234,6 @@ def init_mlp_decoder(
     d_in: int,
     hidden: int,
     d_out: int,
-    activation: str = "gelu",
     prefix: str = "encoder.decoder",
 ) -> MlpDecoderWeights:
     return MlpDecoderWeights(
@@ -259,18 +241,17 @@ def init_mlp_decoder(
         b_a=_zeros(hidden, f"{prefix}.b_a"),
         w_b=_init_linear(gen, hidden, d_out, f"{prefix}.w_b"),
         b_b=_zeros(d_out, f"{prefix}.b_b"),
-        activation=activation,
     )
 
 
 def reconstruct(z: Tensor | np.ndarray, w: MlpDecoderWeights) -> Tensor:
-    """Two-layer MLP applied per node: W_b act(W_a z + b_a) + b_b."""
+    """Two-layer MLP applied per node: W_b gelu(W_a z + b_a) + b_b."""
     z = z if isinstance(z, Tensor) else Tensor(z)
     if z.shape[-1] != w.w_a.shape[0]:
         raise ContractViolation(
             f"latent width {z.shape[-1]} does not match decoder input {w.w_a.shape[0]}"
         )
-    hidden = apply_activation(ad.matmul(z, w.w_a) + w.b_a, w.activation)
+    hidden = ad.gelu(ad.matmul(z, w.w_a) + w.b_a)
     return ad.matmul(hidden, w.w_b) + w.b_b
 
 
@@ -320,11 +301,10 @@ def init_encoder_stack(
     d_delta: int,
 ) -> EncoderStack:
     """The encoder stack ``cfg`` describes, for d_obs channels and d_delta parameters."""
-    act = cfg.activation
     return EncoderStack(
         attention=init_channel_attention(
-            gen, d_obs, d_delta, cfg.attention_hidden, grid, cfg.k_max, act
+            gen, d_obs, d_delta, cfg.attention_hidden, grid, cfg.k_max
         ),
-        gnn=init_gnn_encoder(gen, d_obs, cfg.hidden, cfg.d_latent, cfg.gnn_layers, act),
-        decoder=init_mlp_decoder(gen, cfg.d_latent, cfg.hidden, d_obs, act),
+        gnn=init_gnn_encoder(gen, d_obs, cfg.hidden, cfg.d_latent, cfg.gnn_layers),
+        decoder=init_mlp_decoder(gen, cfg.d_latent, cfg.hidden, d_obs),
     )

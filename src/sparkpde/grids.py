@@ -1,8 +1,8 @@
 """Regular-grid observation graphs.
 
 Nodes live on an H x W lattice in row-major order (node i = r*W + c). The
-adjacency is the periodic sparse 4- or 8-neighbor stencil, normalized
-row-stochastically, symmetrically, or kept binary.
+adjacency is the periodic sparse 4-neighbor stencil, normalized
+row-stochastically (the neighbor mean).
 """
 
 from __future__ import annotations
@@ -12,49 +12,32 @@ from scipy import sparse
 
 from .errors import ContractViolation
 
-NORMALIZATIONS = ("row", "sym", "none")
-
 
 class GridGraph:
-    """Periodic H x W lattice with a sparse normalized adjacency."""
+    """Periodic H x W lattice with a sparse row-normalized adjacency."""
 
-    def __init__(
-        self,
-        height: int,
-        width: int,
-        connectivity: int = 4,
-        normalization: str = "row",
-    ):
+    def __init__(self, height: int, width: int):
         if height < 1 or width < 1:
             raise ContractViolation("grid dimensions must be positive")
-        if connectivity not in (4, 8):
-            raise ContractViolation("connectivity must be 4 or 8")
-        if normalization not in NORMALIZATIONS:
-            raise ContractViolation(f"normalization must be one of {NORMALIZATIONS}")
         self.height = height
         self.width = width
         self.n_nodes = height * width
-        self.connectivity = connectivity
-        self.normalization = normalization
 
         binary = self._build_binary()
         degrees = np.asarray(binary.sum(axis=1)).reshape(-1)
         if np.any(degrees < 1):
             raise ContractViolation("grid graph has an isolated node")
-        self.adjacency = self._normalize(binary, degrees)
+        self.adjacency = (sparse.diags(1.0 / degrees) @ binary).tocsr()
         self.adjacency_t = self.adjacency.T.tocsr()
         self._row_slice_cache: dict = {}
 
     def _build_binary(self) -> sparse.csr_matrix:
         h, w = self.height, self.width
-        offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-        if self.connectivity == 8:
-            offsets += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
         rows, cols = [], []
         for r in range(h):
             for c in range(w):
                 i = r * w + c
-                for dr, dc in offsets:
+                for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
                     j = (r + dr) % h * w + (c + dc) % w
                     if j == i:
                         continue
@@ -69,15 +52,6 @@ class GridGraph:
         if (out != out.T).nnz != 0:
             raise ContractViolation("adjacency construction produced an asymmetric matrix")
         return out
-
-    def _normalize(self, binary: sparse.csr_matrix, degrees: np.ndarray) -> sparse.csr_matrix:
-        if self.normalization == "none":
-            return binary.copy()
-        if self.normalization == "row":
-            inv = sparse.diags(1.0 / degrees)
-            return (inv @ binary).tocsr()
-        inv_sqrt = sparse.diags(1.0 / np.sqrt(degrees))
-        return (inv_sqrt @ binary @ inv_sqrt).tocsr()
 
     def adjacency_row_slice(self, rows: np.ndarray) -> sparse.csr_matrix:
         """A[rows, :] as CSR, cached per row set.

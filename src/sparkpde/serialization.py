@@ -43,7 +43,7 @@ def dataset_meta(ds) -> dict:
     return {
         "channel_names": list(ds.channel_names),
         "d_obs": ds.n_channels,
-        "d_delta": int(ds.episodes[0].delta.size) if ds.episodes else 1,
+        "d_delta": ds.d_delta,
     }
 
 
@@ -76,12 +76,13 @@ class _NoDraws:
         return np.zeros(shape)
 
 
-def rebuild_pretrained(snapshot: dict, tensors: dict[str, np.ndarray]) -> tuple[
-    ExperimentConfig, EncoderStack, Codebook, GridGraph
-]:
+def rebuild_pretrained(
+    snapshot: dict, tensors: dict[str, np.ndarray], grid: GridGraph
+) -> tuple[ExperimentConfig, EncoderStack, Codebook]:
+    """The config, frozen encoder and codebook a checkpoint holds, on ``grid``
+    (the dataset's, whose H x W ``check_dataset_compatibility`` has matched)."""
     cfg = stored_config(snapshot)
     meta = snapshot["meta"]
-    grid = cfg.dataset.grid.graph()
     encoder = init_encoder_stack(
         _NoDraws(), cfg.pretrain, grid, d_obs=int(meta["d_obs"]), d_delta=int(meta["d_delta"])
     )
@@ -91,7 +92,7 @@ def rebuild_pretrained(snapshot: dict, tensors: dict[str, np.ndarray]) -> tuple[
     codebook = new_codebook(tensors["codebook.embeddings"])
     if "codebook.usage" in tensors:
         codebook.usage = tensors["codebook.usage"].astype(np.int64).copy()
-    return cfg, encoder, codebook, grid
+    return cfg, encoder, codebook
 
 
 def dynamics_tensors(weights: DynamicsWeights) -> dict[str, np.ndarray]:
@@ -118,9 +119,8 @@ def check_dataset_compatibility(snapshot: dict, ds) -> None:
             problems.append(f"grid.{key}: checkpoint {stored} vs dataset {actual}")
     if meta["d_obs"] != ds.n_channels:
         problems.append(f"channels: checkpoint {meta['d_obs']} vs dataset {ds.n_channels}")
-    d_delta = int(ds.episodes[0].delta.size) if ds.episodes else 1
-    if meta["d_delta"] != d_delta:
-        problems.append(f"parameter dim: checkpoint {meta['d_delta']} vs dataset {d_delta}")
+    if meta["d_delta"] != ds.d_delta:
+        problems.append(f"parameter dim: checkpoint {meta['d_delta']} vs dataset {ds.d_delta}")
     if problems:
         raise IncompatibilityError("; ".join(problems))
 

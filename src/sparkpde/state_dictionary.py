@@ -201,9 +201,8 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
         raise ContractViolation("dataset has no in-domain episodes")
 
     grid = ds.grid
-    d_delta = ds.episodes[0].delta.size
     encoder = init_encoder_stack(
-        substream(seed, "pretrain/init"), cfg, grid, d_obs=ds.n_channels, d_delta=d_delta
+        substream(seed, "pretrain/init"), cfg, grid, d_obs=ds.n_channels, d_delta=ds.d_delta
     )
 
     shuffle_gen = substream(seed, "pretrain/shuffle")

@@ -1,18 +1,22 @@
 """Shared oracles for the test suite.
 
-Finite differences, the direct O(N^2) DFT and the one-word-at-a-time random
-draws are defined here once and kept independent of the implementation paths
-they check; ``spectral_projection`` is the one helper that runs the library's
-spectral op, for the oracles to read.
+Finite differences, the direct O(N^2) DFT, the erf-form GeLU and the
+one-word-at-a-time random draws are defined here once and kept independent
+of the implementation paths they check; ``spectral_projection`` is the one
+helper that runs the library's spectral op, for the oracles to read.
+``with_table_shape`` crafts inconsistent checkpoints for the format tests.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 
 import numpy as np
 
 from sparkpde.autodiff import Tape, Tensor, backward, spectral_channel_mix
+from sparkpde.container import pack_str
 
 
 def finite_difference(fn, values: dict[str, np.ndarray], step: float = 1e-6) -> dict[str, np.ndarray]:
@@ -62,6 +66,14 @@ def check_gradients(build_loss, values, step=1e-6, rtol=1e-4, fd_loss=None) -> f
         worst = max(worst, err)
         assert err < rtol, f"gradient mismatch for '{name}': rel err {err:.3e}"
     return worst
+
+
+_erf = np.vectorize(math.erf, otypes=[np.float64])
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    """Exact GeLU, x * Phi(x), with the standard library's erf elementwise."""
+    return 0.5 * x * (1.0 + _erf(x / math.sqrt(2.0)))
 
 
 def direct_dft2(real: np.ndarray, imag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,3 +152,17 @@ def scalar_normal(gen, n: int) -> np.ndarray:
             out[i] = r * math.sin(2.0 * math.pi * u2)
             i += 1
     return out
+
+
+def with_table_shape(blob: bytes, name: str, old: tuple, new: tuple) -> bytes:
+    """``blob`` with the tensor table's shape of ``name`` replaced (same rank)
+    and the trailing CRC recomputed, so only the table is inconsistent."""
+    entry = pack_str(name) + struct.pack("<BI", 0, len(old))
+    at = blob.index(entry + struct.pack(f"<{len(old)}I", *old))
+    body = (
+        blob[: at + len(entry)]
+        + struct.pack(f"<{len(new)}I", *new)
+        + blob[at + len(entry) + 4 * len(old) : -4]
+    )
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+

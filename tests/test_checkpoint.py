@@ -14,6 +14,8 @@ from sparkpde.checkpoint import (
 )
 from sparkpde.errors import FormatError
 
+from helpers import with_table_shape
+
 
 def _toy_checkpoint() -> ModelCheckpoint:
     gen = rng.substream(99, "ckpt")
@@ -77,3 +79,12 @@ def test_truncation_detected(tmp_path):
 def test_missing_file_clean_error(tmp_path):
     with pytest.raises(FormatError, match="not found"):
         load_checkpoint(str(tmp_path / "nope.ckpt"))
+
+
+def test_byte_count_must_match_shape(tmp_path):
+    path = tmp_path / "f.ckpt"
+    save_checkpoint(_toy_checkpoint(), str(path))
+    # (4, 3) holds 12 values; the table now claims (4, 4) over those 96 bytes.
+    path.write_bytes(with_table_shape(path.read_bytes(), "a.weights", (4, 3), (4, 4)))
+    with pytest.raises(FormatError, match="'a.weights' holds 96 bytes"):
+        load_checkpoint(str(path))

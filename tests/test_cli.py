@@ -11,8 +11,12 @@ from sparkpde.augment import curriculum_ratio
 from sparkpde.checkpoint import load_checkpoint, save_checkpoint
 from sparkpde.cli import main
 from sparkpde.config import FIELD_DOCS, RULES, config_to_dict, load_config
+from sparkpde.datagen import load_dataset, save_dataset
+from sparkpde.grids import GridGraph
 from sparkpde.rng import Xoshiro256StarStar
 from sparkpde.serialization import rebuild_dynamics, rebuild_pretrained
+
+from helpers import with_table_shape
 
 MICRO_CONFIG = """\
 seed: 42
@@ -278,9 +282,9 @@ def test_mismatched_latent_width_refused(workspace, tmp_path):
     "old,new,key",
     [
         ("  hidden: 16", "  hidden: 24", "pretrain.hidden"),
-        ("  gnn_layers: 1", "  gnn_layers: 1\n  activation: tanh", "pretrain.activation"),
+        ("  gnn_layers: 1", "  gnn_layers: 1\n  mu: 0.5", "pretrain.mu"),
     ],
-    ids=["hidden", "activation"],
+    ids=["hidden", "mu"],
 )
 def test_pretrain_section_must_match_checkpoint(workspace, tmp_path, capsys, command, old, new, key):
     # The frozen encoder is what the checkpoint's pretrain section describes;
@@ -337,11 +341,11 @@ def test_unreadable_config_rejected(tmp_path):
 # probes (k_max > min(H,W)/2 = 8, augment.k > codebook_size = 12,
 # t_total < t0 + horizon = 6, a non-positive viscosity).
 INVALID_VALUES = [
+    ("seed", -1),
+    ("seed", 2**64),
     ("dataset.generator", "warp_drive"),
     ("dataset.grid.height", 0),
     ("dataset.grid.width", -16),
-    ("dataset.grid.connectivity", 6),
-    ("dataset.grid.normalization", "max"),
     ("dataset.params", []),
     ("dataset.params", ["fast"]),
     ("dataset.params", [1.0e-2, -1.0e-3]),
@@ -370,7 +374,6 @@ INVALID_VALUES = [
     ("pretrain.gnn_layers", 0),
     ("pretrain.k_max", -1),
     ("pretrain.k_max", 9),
-    ("pretrain.activation", "relu"),
     ("dynamics.t0", 0),
     ("dynamics.horizon", 0),
     ("dynamics.lambda_reg", -1.0e-6),
@@ -386,7 +389,6 @@ INVALID_VALUES = [
     ("dynamics.val_fraction", -0.5),
     ("dynamics.val_fraction", 1.0),
     ("dynamics.window_stride", 0),
-    ("dynamics.activation", "relu"),
     ("augment.mode", "mixup"),
     ("augment.k", 0),
     ("augment.k", 13),
@@ -402,6 +404,10 @@ INVALID_VALUES = [
 # is refused at load rather than run with the one remaining behaviour.
 REMOVED_KEYS = [
     ("dataset.grid.periodic", False),
+    ("dataset.grid.connectivity", 6),
+    ("dataset.grid.normalization", "max"),
+    ("pretrain.activation", "relu"),
+    ("dynamics.activation", "relu"),
     ("pretrain.lr_decay", "bogus"),
     ("pretrain.param_transform", "log2"),
     ("pretrain.reseed_dead_codes", True),
@@ -504,6 +510,29 @@ def test_unusable_output_path_exits_2_before_any_work(
     assert "cannot create output directory" in capsys.readouterr().err
 
 
+def test_inconsistent_tensor_table_exits_2(workspace, tmp_path, capsys):
+    # A valid CRC over a table whose codebook shape (12, 9) needs more bytes
+    # than the 12 x 8 values stored.
+    bad = tmp_path / "bad.ckpt"
+    blob = workspace["pretrain_ckpt"].read_bytes()
+    bad.write_bytes(with_table_shape(blob, "codebook.embeddings", (12, 8), (12, 9)))
+    assert main(["inspect-codebook", "--checkpoint", str(bad)]) == 2
+    assert "'codebook.embeddings' holds 768 bytes" in capsys.readouterr().err
+
+
+def test_mixed_parameter_lengths_exit_2(workspace, tmp_path, capsys):
+    ds = load_dataset(str(workspace["dataset"]))
+    ds.episodes[0].delta = np.array([1.0e-2, 1.0])
+    mixed = tmp_path / "mixed.spds"
+    save_dataset(ds, str(mixed))
+    out = tmp_path / "pre"
+    argv = ["pretrain", "--config", str(workspace["config"]), "--dataset", str(mixed),
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "got lengths [1, 2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inspect_codebook_csv_directory_exits_2(workspace, tmp_path, capsys):
     argv = ["inspect-codebook", "--checkpoint", str(workspace["pretrain_ckpt"])]
     assert main(argv + ["--csv", str(tmp_path)]) == 2
@@ -516,7 +545,8 @@ def test_checkpoint_rebuild_draws_no_random_numbers(workspace, monkeypatch):
 
     monkeypatch.setattr(Xoshiro256StarStar, "normal", no_draws)
     pre = load_checkpoint(str(workspace["pretrain_ckpt"]))
-    _, encoder, codebook, grid = rebuild_pretrained(pre.config, pre.tensors)
+    grid = load_dataset(str(workspace["dataset"])).grid
+    _, encoder, codebook = rebuild_pretrained(pre.config, pre.tensors, grid)
     dyn = load_checkpoint(str(workspace["dynamics_ckpt"]))
     weights = rebuild_dynamics(dyn.config, dyn.tensors, grid, d_obs=1, d_latent=codebook.dim)
     for params, tensors in ((encoder.params(), pre.tensors), (weights.params(), dyn.tensors)):
@@ -604,17 +634,73 @@ def test_curriculum_space_and_equals_forms_agree(workspace, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("command", ["train", "sweep-k"])
 def test_grid_section_must_match_checkpoint(workspace, tmp_path, capsys, command):
-    # The pretrain checkpoint was made on the 4-neighbour grid.
-    cfg = tmp_path / "grid8.yaml"
+    # The pretrain checkpoint (and the dataset) were made on a 16x16 grid.
+    cfg = tmp_path / "grid16x12.yaml"
     cfg.write_text(
-        MICRO_CONFIG.replace("{height: 16, width: 16}", "{height: 16, width: 16, connectivity: 8}"),
+        MICRO_CONFIG.replace("{height: 16, width: 16}", "{height: 16, width: 12}"),
         encoding="utf-8",
     )
     out = tmp_path / "out"
     argv = _train_argv(workspace, out, config=cfg)
     assert main([command] + argv[1:]) == 4
-    assert "dataset.grid.connectivity" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dataset.grid.width" in err
+    assert "dataset.grid.height" not in err
     assert not out.exists()
+
+
+def test_pretrain_grid_must_match_dataset(workspace, tmp_path, capsys):
+    cfg = tmp_path / "grid8.yaml"
+    cfg.write_text(
+        MICRO_CONFIG.replace("{height: 16, width: 16}", "{height: 8, width: 8}"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "pre"
+    argv = ["pretrain", "--config", str(cfg), "--dataset", str(workspace["dataset"]),
+            "--out", str(out)]
+    assert main(argv) == 4
+    assert "grid 8x8 does not match dataset 16x16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_override_validated_before_any_work(workspace, tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    argv = {
+        "gen-data": ["gen-data", "--config", str(workspace["config"]), "--out", str(out)],
+        "train": _train_argv(workspace, out),
+    }[command]
+    assert main(argv + ["--seed", seed]) == 2
+    assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_command_builds_one_grid_graph(workspace, tmp_path, monkeypatch):
+    # The graph is a function of the dataset's H x W, so a command builds it
+    # once: gen-data from the config, the others in load_dataset.
+    built = []
+    init = GridGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridGraph, "__init__", counting_init)
+    config = ["--config", str(workspace["config"])]
+    dataset = ["--dataset", str(workspace["dataset"])]
+    pre = ["--checkpoint", str(workspace["pretrain_ckpt"])]
+    commands = {
+        "gen-data": config,
+        "pretrain": config + dataset,
+        "train": config + dataset + pre,
+        "eval": ["--checkpoint", str(workspace["dynamics_ckpt"]), "--split", "out"] + dataset,
+        "sweep-k": config + dataset + pre,
+    }
+    for command, argv in commands.items():
+        built.clear()
+        assert main([command] + argv + ["--out", str(tmp_path / command)]) == 0
+        assert built == [(16, 16)], command
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-k"])
@@ -623,6 +709,35 @@ def test_dynamics_checkpoint_refused_where_pretrain_expected(workspace, tmp_path
     argv = _train_argv(workspace, out, checkpoint=workspace["dynamics_ckpt"])
     assert main([command] + argv[1:]) == 4
     assert "expected a pretrain checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,default",
+    [
+        ("dataset.grid.connectivity", 4),
+        ("dataset.grid.normalization", "row"),
+        ("pretrain.activation", "gelu"),
+        ("dynamics.activation", "gelu"),
+    ],
+)
+def test_snapshot_with_removed_key_exits_4(workspace, tmp_path, capsys, key, default):
+    # A checkpoint written while the key existed, holding its only value.
+    ckpt = load_checkpoint(str(workspace["dynamics_ckpt"]))
+    *parents, leaf = key.split(".")
+    section = ckpt.config["experiment"]
+    for part in parents:
+        section = section[part]
+    section[leaf] = default
+    stale = tmp_path / "stale.ckpt"
+    save_checkpoint(ckpt, str(stale))
+    out = tmp_path / "eval"
+    argv = ["eval", "--checkpoint", str(stale), "--dataset", str(workspace["dataset"]),
+            "--split", "in", "--out", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert key in err
+    assert "must be made again" in err
     assert not out.exists()
 
 

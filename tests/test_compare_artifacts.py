@@ -1,0 +1,58 @@
+"""tools/compare_artifacts.py: what counts as a difference, and its exit status."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sparkpde.checkpoint import ModelCheckpoint, save_checkpoint
+
+_spec = importlib.util.spec_from_file_location(
+    "compare_artifacts", Path(__file__).parents[1] / "tools" / "compare_artifacts.py"
+)
+compare_artifacts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_artifacts)
+
+
+def _tree(root: Path, snapshot: dict, weights: np.ndarray, wallclock: str) -> Path:
+    root.mkdir()
+    save_checkpoint(
+        ModelCheckpoint(config=snapshot, tensors={"w": weights}, frozen_names=["w"]),
+        str(root / "model.ckpt"),
+    )
+    (root / "metrics.csv").write_text(f"epoch,train_mse,wallclock\n0,0.5,{wallclock}\n")
+    (root / "data.spds").write_bytes(b"SPARKDS1-payload")
+    np.savez(root / "predictions_out.npz", predictions=weights, windows=np.arange(3))
+    (root / "manifest.txt").write_text(f"generated_at: {wallclock}\n")
+    return root
+
+
+def test_snapshot_and_wallclock_differences_pass(tmp_path, capsys):
+    w = np.arange(6.0).reshape(2, 3)
+    a = _tree(tmp_path / "a", {"experiment": {"seed": 1, "old": "gelu"}}, w, "1.5")
+    b = _tree(tmp_path / "b", {"experiment": {"seed": 1}}, w, "2.5")
+    assert compare_artifacts.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "snapshot model.ckpt: experiment.old: 'gelu' -> '<absent>'" in out
+    assert "skipped  manifest.txt" in out
+    assert "0 file(s) differ" in out
+
+
+@pytest.mark.parametrize("part", ["payload", "csv", "npz", "spds", "missing"])
+def test_any_other_difference_fails(tmp_path, capsys, part):
+    w = np.arange(6.0).reshape(2, 3)
+    a = _tree(tmp_path / "a", {"seed": 1}, w, "1.5")
+    b = _tree(tmp_path / "b", {"seed": 1}, w + (part == "payload"), "1.5")
+    if part == "csv":
+        (b / "metrics.csv").write_text("epoch,train_mse,wallclock\n0,0.25,1.5\n")
+    elif part == "npz":
+        np.savez(b / "predictions_out.npz", predictions=w, windows=np.arange(1, 4))
+    elif part == "spds":
+        (b / "data.spds").write_bytes(b"SPARKDS1-payloae")
+    elif part == "missing":
+        (b / "data.spds").unlink()
+    assert compare_artifacts.main([str(a), str(b)]) == 1
+    assert "DIFF" in capsys.readouterr().out

@@ -108,6 +108,27 @@ def test_version_mismatch_rejected(tmp_path):
         load_dataset(str(path))
 
 
+@pytest.mark.parametrize("lengths", [(1, 2), (0, 0)], ids=["mixed", "empty"])
+def test_parameter_lengths_must_agree_and_be_positive(tmp_path, lengths):
+    # save_dataset writes each episode's own parameter count; a file whose
+    # episodes disagree, or carry none, has no parameter dimension to train on.
+    ds = _toy_dataset(n_episodes=2, height=4, width=4, t_total=2)
+    for ep, n in zip(ds.episodes, lengths):
+        ep.delta = np.full(n, 1.0e-3)
+    path = tmp_path / "d.spds"
+    save_dataset(ds, str(path))
+    with pytest.raises(FormatError, match=rf"one positive length, got lengths \[{lengths[0]}"):
+        load_dataset(str(path))
+
+
+def test_d_delta_is_the_parameter_length():
+    ds = _toy_dataset(n_episodes=2, height=4, width=4, t_total=2)
+    assert ds.d_delta == 1
+    for ep in ds.episodes:
+        ep.delta = np.array([0.1, 0.2])
+    assert ds.d_delta == 2
+
+
 def test_ood_split_explicit_matches_threshold_rule():
     params = [10.0**-k for k in range(1, 11)]  # 1e-1 .. 1e-10
     explicit_in, explicit_out = make_ood_split(

@@ -25,7 +25,7 @@ from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 from sparkpde.state_dictionary import new_codebook
 
-from helpers import check_gradients
+from helpers import check_gradients, gelu
 
 
 @pytest.fixture()
@@ -89,12 +89,11 @@ def test_rhs_zero_weights_gives_zero(grid):
     np.testing.assert_array_equal(out, np.zeros_like(h))
 
 
-def test_rhs_constant_field_identity_activation(grid):
-    # L=1, W_F = 0, identity activation, W = c*I: row-stochastic A preserves
-    # constants, so dH/dt = c*h_bar + b uniformly.
+def test_rhs_constant_field(grid):
+    # L=1, W_F = 0, W = c*I: row-stochastic A preserves constants, so
+    # dH/dt = gelu(c*h_bar + b) uniformly.
     c_mix = 0.8
-    w = _weights(grid, activation="identity")
-    w.activation = "identity"
+    w = _weights(grid)
     layer = w.layers[0]
     layer.wf_real.data[:] = 0.0
     layer.wf_imag.data[:] = 0.0
@@ -103,7 +102,7 @@ def test_rhs_constant_field_identity_activation(grid):
     h_bar = np.array([1.5, -0.5, 2.0])
     h = np.tile(h_bar, (grid.n_nodes, 1))
     out = ode_rhs(h, grid, w).data
-    expected = np.tile(c_mix * h_bar + layer.b.data, (grid.n_nodes, 1))
+    expected = np.tile(gelu(c_mix * h_bar + layer.b.data), (grid.n_nodes, 1))
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -121,11 +120,6 @@ def _dense_rhs_oracle(h, grid, w):
     f_inv = np.conj(f_mat) / n
     a_dense = grid.adjacency.toarray()
     mode_idx = w.mode_idx
-    act = {
-        "identity": lambda v: v,
-        "gelu": lambda v: 0.5 * v * (1.0 + _erf_np(v / np.sqrt(2.0))),
-        "tanh": np.tanh,
-    }[w.activation]
 
     state = h.astype(np.complex128)
     total = None
@@ -137,16 +131,10 @@ def _dense_rhs_oracle(h, grid, w):
             full[k] = spec[k] @ weights_c[pos]
         spectral = (f_inv @ full).real
         spatial = a_dense @ state.real @ layer.w.data
-        y = act(spectral + spatial + layer.b.data)
+        y = gelu(spectral + spatial + layer.b.data)
         total = y if total is None else total + y
         state = y.astype(np.complex128)
     return total
-
-
-def _erf_np(x):
-    from scipy.special import erf
-
-    return erf(x)
 
 
 def test_rhs_matches_dense_oracle(grid):
@@ -304,7 +292,6 @@ def test_end_to_end_gradient_small_instance():
             b_a=p["dynamics.decoder.b_a"],
             w_b=p["dynamics.decoder.w_b"],
             b_b=p["dynamics.decoder.b_b"],
-            activation=w.decoder.activation,
         )
         h0 = encode_history(Tensor(h_seq0), ww)
         traj = integrate(h0, lambda s: ode_rhs(s, grid, ww), [1.0, 2.0], substeps=1)

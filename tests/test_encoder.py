@@ -25,7 +25,7 @@ from sparkpde.encoder import (
 from sparkpde.errors import ContractViolation
 from sparkpde.grids import GridGraph, retained_mode_indices
 
-from helpers import check_gradients, direct_spectral_mix
+from helpers import check_gradients, direct_spectral_mix, gelu
 
 
 @pytest.fixture()
@@ -144,10 +144,10 @@ def test_gnn_aggregate_only_matches_dense_oracle(grid):
         combine_b=Tensor(np.zeros(d_out), requires_grad=True, name="g.b"),
         resid_w=Tensor(np.zeros((d_in, d_out)), requires_grad=True, name="g.r"),
     )
-    w = GnnEncoderWeights(layers=[layer], activation="identity")
+    w = GnnEncoderWeights(layers=[layer])
     x = gen.normal_array((grid.n_nodes, d_in))
     out = gnn_encode(x, grid, w).data
-    expected = grid.adjacency.toarray() @ x @ proj
+    expected = gelu(grid.adjacency.toarray() @ x @ proj)
     np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
@@ -223,7 +223,7 @@ def test_gnn_gradients():
                     ),
                 )
             )
-        weights = GnnEncoderWeights(layers=layers, activation=w.activation)
+        weights = GnnEncoderWeights(layers=layers)
         out = gnn_encode(Tensor(x0), small, weights)
         return tensor_sum(square(out))
 
@@ -241,15 +241,15 @@ def test_reconstruct_zero_weights_gives_zero():
 
 
 def test_reconstruct_identity_configuration():
+    # Identity weights and zero biases leave only the activation: gelu(z).
     w = MlpDecoderWeights(
         w_a=Tensor(np.eye(3), name="d.wa"),
         b_a=Tensor(np.zeros(3), name="d.ba"),
         w_b=Tensor(np.eye(3), name="d.wb"),
         b_b=Tensor(np.zeros(3), name="d.bb"),
-        activation="identity",
     )
     z = rng.substream(14, "dec2").normal_array((6, 3))
-    np.testing.assert_array_equal(reconstruct(z, w).data, z)
+    np.testing.assert_allclose(reconstruct(z, w).data, gelu(z), rtol=1e-13, atol=1e-15)
 
 
 def test_reconstruct_gradients():

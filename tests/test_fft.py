@@ -82,7 +82,7 @@ def test_non_square_gradient_matches_finite_differences(adjacency):
     # H != W with W odd, and modes that fill no row x column product set.
     h, w = 6, 5
     idx = np.array([0, 1, 6, 13, 29])
-    rows = GridGraph(h, w, normalization="row").adjacency_row_slice(idx) if adjacency else None
+    rows = GridGraph(h, w).adjacency_row_slice(idx) if adjacency else None
     gen = rng.substream(2024, f"grad/{adjacency}")
     values = {
         "x": gen.normal_array((2, h * w, 2)),

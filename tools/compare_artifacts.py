@@ -1,0 +1,145 @@
+"""Compare two artifact trees file by file, for changes that must not move outputs.
+
+usage: python3 tools/compare_artifacts.py DIR_A DIR_B
+
+Files are paired by their path relative to each root. A file present on one
+side only is a difference. Per kind:
+
+  *.spds            byte for byte;
+  *.ckpt            the header, the tensor table, the payloads and the frozen
+                    table byte for byte; the JSON config snapshot is diffed by
+                    key path and reported on its own (the trailing CRC covers
+                    the snapshot, so it is not compared by itself);
+  *.csv             line for line, without any ``wallclock`` column;
+  predictions_*.npz the same array names, each with the same dtype, shape
+                    and bytes.
+
+Other files (manifests with timestamps, logs) are listed as not compared.
+Exit status: 0 when nothing differs outside the checkpoint snapshots, 1 when
+something does, 2 on a usage error.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+import sys
+from pathlib import Path
+
+import numpy as np
+
+CKPT_MAGIC = b"SPARKCK1"
+_ABSENT = "<absent>"
+
+
+def split_checkpoint(blob: bytes) -> tuple[bytes, dict, bytes]:
+    """(header, snapshot, tables) of a checkpoint: magic, version and DFT tag;
+    the parsed JSON config; everything after it up to the trailing CRC."""
+    if blob[:8] != CKPT_MAGIC:
+        raise ValueError("not a checkpoint")
+    (tag_len,) = struct.unpack_from("<I", blob, 12)
+    at = 16 + tag_len
+    (json_len,) = struct.unpack_from("<I", blob, at)
+    snapshot = json.loads(blob[at + 4 : at + 4 + json_len].decode("utf-8"))
+    return blob[:at], snapshot, blob[at + 4 + json_len : -4]
+
+
+def json_diff(a, b, path: str = "") -> list[str]:
+    """``path: a -> b`` for every leaf where ``a`` and ``b`` differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(set(a) | set(b)):
+            sub = f"{path}.{key}" if path else str(key)
+            out += json_diff(a.get(key, _ABSENT), b.get(key, _ABSENT), sub)
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b)) for d in json_diff(x, y, f"{path}[{i}]")]
+    return [] if a == b else [f"{path}: {a!r} -> {b!r}"]
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    if rows and "wallclock" in rows[0]:
+        col = rows[0].index("wallclock")
+        rows = [row[:col] + row[col + 1 :] for row in rows]
+    return rows
+
+
+def _npz_problems(a: Path, b: Path) -> list[str]:
+    with np.load(a) as za, np.load(b) as zb:
+        if sorted(za.files) != sorted(zb.files):
+            return [f"arrays {sorted(za.files)} vs {sorted(zb.files)}"]
+        out = []
+        for name in sorted(za.files):
+            x, y = za[name], zb[name]
+            if (x.dtype, x.shape) != (y.dtype, y.shape):
+                out.append(f"{name}: {x.dtype}{x.shape} vs {y.dtype}{y.shape}")
+            elif x.tobytes() != y.tobytes():
+                out.append(f"{name}: values differ")
+        return out
+
+
+def compare_file(a: Path, b: Path) -> tuple[list[str], list[str]] | None:
+    """(problems, snapshot differences) of one pair, or None if the kind is
+    not compared."""
+    name = a.name
+    if name.endswith(".spds"):
+        return ([] if a.read_bytes() == b.read_bytes() else ["bytes differ"]), []
+    if name.endswith(".ckpt"):
+        head_a, snap_a, tables_a = split_checkpoint(a.read_bytes())
+        head_b, snap_b, tables_b = split_checkpoint(b.read_bytes())
+        problems = []
+        if head_a != head_b:
+            problems.append("header differs")
+        if tables_a != tables_b:
+            problems.append("tensor table, payloads or frozen table differ")
+        return problems, json_diff(snap_a, snap_b)
+    if name.endswith(".csv"):
+        rows_a, rows_b = _csv_rows(a), _csv_rows(b)
+        if rows_a == rows_b:
+            return [], []
+        if len(rows_a) != len(rows_b):
+            return [f"{len(rows_a)} vs {len(rows_b)} lines"], []
+        first = next(i for i, (x, y) in enumerate(zip(rows_a, rows_b)) if x != y)
+        return [f"line {first + 1}: {','.join(rows_a[first])} vs {','.join(rows_b[first])}"], []
+    if name.startswith("predictions_") and name.endswith(".npz"):
+        return _npz_problems(a, b), []
+    return None
+
+
+def compare_trees(root_a: Path, root_b: Path) -> tuple[list[str], int]:
+    """Report lines and the number of files that differ outside snapshots."""
+    files_a = {p.relative_to(root_a) for p in root_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(root_b) for p in root_b.rglob("*") if p.is_file()}
+    lines, differing = [], 0
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            lines.append(f"DIFF     {rel}: only in {root_a if rel in files_a else root_b}")
+            differing += 1
+            continue
+        result = compare_file(root_a / rel, root_b / rel)
+        if result is None:
+            lines.append(f"skipped  {rel}")
+            continue
+        problems, snapshot = result
+        if problems:
+            differing += 1
+            lines += [f"DIFF     {rel}: {p}" for p in problems]
+        else:
+            lines.append(f"same     {rel}")
+        lines += [f"snapshot {rel}: {d}" for d in snapshot]
+    return lines, differing
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(Path(p).is_dir() for p in argv):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    lines, differing = compare_trees(Path(argv[0]), Path(argv[1]))
+    print("\n".join(lines))
+    print(f"{differing} file(s) differ outside checkpoint snapshots")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
