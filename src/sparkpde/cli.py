@@ -1,13 +1,16 @@
 """Command-line orchestration.
 
 Commands: gen-data, pretrain, train, eval, inspect-codebook, sweep-k.
-Commands that read a config take --config PATH and --seed U64; commands that
-write a directory take --out DIR. Config values and flag overrides are
-validated before any work starts.
+Every experiment setting comes from the config file: commands that read one
+take --config PATH, and flags carry only paths, eval's --split and
+--dump-predictions, and train's --no-augment ablation. Commands that write a
+directory require --out DIR. Config values are validated before any work
+starts.
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure,
 4 checkpoint/dataset incompatibility. SPARK_LOG={error|info|debug} controls
-logging. Every command is reproducible from (config, seed): re-runs produce
-byte-identical dataset and checkpoint payloads (manifest timestamps aside).
+logging. Every command is reproducible from its config and inputs: re-runs
+produce byte-identical dataset and checkpoint payloads (manifest timestamps
+aside).
 """
 
 from __future__ import annotations
@@ -24,13 +27,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
-from .config import (
-    ExperimentConfig,
-    describe_config,
-    load_config,
-    validate_config,
-    with_augment,
-)
+from .config import ExperimentConfig, describe_config, load_config, with_augment
 from .datagen import (
     SPLIT_IN,
     SPLIT_OUT,
@@ -63,6 +60,7 @@ from .serialization import (
     pretrained_tensors,
     rebuild_dynamics,
     rebuild_pretrained,
+    stored_config,
 )
 from .state_dictionary import codebook_perplexity, pretrain
 
@@ -92,11 +90,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise ConfigError("--config is required")
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-        validate_config(cfg)
-    return cfg
+    return load_config(args.config)
 
 
 def _input_file(path: str | None, what: str) -> str:
@@ -123,13 +117,6 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
-def _out_dir(args, cfg: ExperimentConfig | None = None) -> Path:
-    out = args.out or (cfg.out_dir if cfg else None)
-    if not out:
-        raise ConfigError("--out is required")
-    return _make_dir(Path(out))
-
-
 # -- gen-data ----------------------------------------------------------------------
 
 
@@ -143,10 +130,8 @@ def _simulate_episode(cfg: ExperimentConfig, grid: GridGraph, delta, split, seed
             ic_seed=seed,
             steps=steps,
             dt=ds_cfg.dt,
-            forcing_amplitude=ds_cfg.forcing_amplitude,
             record_every=ds_cfg.record_every,
             ic_modes=ds_cfg.ic_modes,
-            ic_amplitude=ds_cfg.ic_amplitude,
         )
     else:
         d_u = delta[0]
@@ -164,7 +149,6 @@ def _simulate_episode(cfg: ExperimentConfig, grid: GridGraph, delta, split, seed
             reaction_strength=ds_cfg.reaction_strength,
             ic_modes=ds_cfg.ic_modes,
         )
-        ep.delta = np.array([d_u, d_v])
     ep.split = split
     return ep
 
@@ -179,7 +163,7 @@ def cmd_gen_data(args) -> int:
         else {"threshold": ds_cfg.ood.threshold, "direction": ds_cfg.ood.direction}
     )
     in_params, out_params = make_ood_split(ds_cfg.params, ood_rule)
-    out = _out_dir(args, cfg)
+    out = _make_dir(Path(args.out))
 
     jobs = []
     for split, params in ((SPLIT_IN, in_params), (SPLIT_OUT, out_params)):
@@ -230,7 +214,7 @@ def cmd_pretrain(args) -> int:
             f"grid {grid.height}x{grid.width} does not match dataset "
             f"{ds.grid.height}x{ds.grid.width}"
         )
-    out = _out_dir(args, cfg)
+    out = _make_dir(Path(args.out))
     ckpt_path = out / "pretrain.ckpt"
     try:
         result = pretrain(ds, cfg.pretrain, seed=cfg.seed)
@@ -266,47 +250,34 @@ def cmd_pretrain(args) -> int:
 # -- train -------------------------------------------------------------------------
 
 
-def _train_config(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """``cfg`` with the --aug-*/--curriculum overrides applied, validated."""
-    changes = {}
-    for key, value in (("mode", args.aug_mode), ("k", args.aug_k), ("tau", args.aug_tau)):
-        if value is not None:
-            changes[key] = value
-    if args.curriculum:
-        try:
-            start, ramp, pmax = args.curriculum.split(",")
-            changes.update(start_epoch=int(start), ramp_epochs=int(ramp), max_ratio=float(pmax))
-        except ValueError:
-            raise ConfigError(
-                f"--curriculum expects E0,R,PMAX (two integers and a ratio), "
-                f"got {args.curriculum!r}"
-            )
-    return with_augment(cfg, **changes)
-
-
-def _load_checkpoint(path: str, kind: str) -> ModelCheckpoint:
+def _load_checkpoint(path: str, kind: str) -> tuple[ModelCheckpoint, ExperimentConfig]:
+    """A ``kind`` checkpoint and the config its snapshot records, parsed once."""
     ckpt = load_checkpoint(_input_file(path, f"{kind} checkpoint"))
     if ckpt.config.get("kind") != kind:
         raise IncompatibilityError(
             f"expected a {kind} checkpoint, got {ckpt.config.get('kind')!r}"
         )
-    return ckpt
+    return ckpt, stored_config(ckpt.config)
 
 
 def cmd_train(args) -> int:
-    run = _train_config(_load_config(args), args)
+    cfg = _load_config(args)
     ds = _load_dataset(args.dataset)
-    ckpt = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
-    check_dataset_compatibility(ckpt.config, ds)
-    check_config_compatibility(ckpt.config, run)
-    _, encoder, codebook = rebuild_pretrained(ckpt.config, ckpt.tensors, ds.grid)
-    out = _out_dir(args, run)
+    ckpt, stored = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
+    meta = ckpt.config["meta"]
+    check_dataset_compatibility(stored, meta, ds)
+    check_config_compatibility(stored, cfg)
+    encoder, codebook = rebuild_pretrained(stored, meta, ckpt.tensors, ds.grid)
+    out = _make_dir(Path(args.out))
 
-    aug = None if args.no_augment else run.augment
-    result = train_dynamics(ds, encoder, codebook, run.dynamics, seed=run.seed, aug=aug)
+    aug = None if args.no_augment else cfg.augment
+    result = train_dynamics(ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug)
 
-    meta = {**dataset_meta(ds), "augmented": aug is not None, "tau": result.tau}
-    snapshot = checkpoint_config(run, KIND_DYNAMICS, meta)
+    snapshot = checkpoint_config(
+        cfg,
+        KIND_DYNAMICS,
+        {**dataset_meta(ds), "augmented": aug is not None, "tau": result.tau},
+    )
     tensors = dynamics_tensors(result.weights)
     frozen = pretrained_tensors(encoder, codebook)
     tensors.update(frozen)
@@ -336,18 +307,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = _load_checkpoint(args.checkpoint, KIND_DYNAMICS)
+    ckpt, cfg = _load_checkpoint(args.checkpoint, KIND_DYNAMICS)
+    meta = ckpt.config["meta"]
     ds = _load_dataset(args.dataset)
-    check_dataset_compatibility(ckpt.config, ds)
-    cfg, encoder, codebook = rebuild_pretrained(ckpt.config, ckpt.tensors, ds.grid)
-    weights = rebuild_dynamics(
-        ckpt.config, ckpt.tensors, ds.grid, ds.n_channels, codebook.dim
-    )
-    split = {"in": SPLIT_IN, "out": SPLIT_OUT}[args.split]
-    if not ds.split_episodes(split):
-        raise ContractViolation(f"dataset has no '{split}' episodes")
-    out = _out_dir(args, cfg)
-    report, dump = evaluate_split(ds, encoder, weights, cfg.dynamics, split)
+    check_dataset_compatibility(cfg, meta, ds)
+    encoder, codebook = rebuild_pretrained(cfg, meta, ckpt.tensors, ds.grid)
+    weights = rebuild_dynamics(cfg, ckpt.tensors, ds.grid, ds.n_channels, codebook.dim)
+    if not ds.split_episodes(args.split):
+        raise ContractViolation(f"dataset has no '{args.split}' episodes")
+    out = _make_dir(Path(args.out))
+    report, dump = evaluate_split(ds, encoder, weights, cfg.dynamics, args.split)
     _write_csv(
         out / f"metrics_{args.split}.csv",
         ["metric", "value"],
@@ -412,12 +381,13 @@ def cmd_sweep_k(args) -> int:
     cfg = _load_config(args)
     augs = [with_augment(cfg, mode="interpolate", k=k).augment for k in K_SWEEP_GRID]
     ds = _load_dataset(args.dataset)
-    ckpt = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
-    check_dataset_compatibility(ckpt.config, ds)
-    check_config_compatibility(ckpt.config, cfg)
+    ckpt, stored = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
+    meta = ckpt.config["meta"]
+    check_dataset_compatibility(stored, meta, ds)
+    check_config_compatibility(stored, cfg)
     # train_dynamics verifies by checksum that it leaves these frozen.
-    _, encoder, codebook = rebuild_pretrained(ckpt.config, ckpt.tensors, ds.grid)
-    out = _out_dir(args, cfg)
+    encoder, codebook = rebuild_pretrained(stored, meta, ckpt.tensors, ds.grid)
+    out = _make_dir(Path(args.out))
     rows = []
     for k, aug in zip(K_SWEEP_GRID, augs):
         result = train_dynamics(ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug)
@@ -457,9 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, dataset=False, checkpoint=False, config=True, out=True):
         if config:
             p.add_argument("--config", help="YAML experiment config")
-            p.add_argument("--seed", type=int, default=None, help="override the root seed")
         if out:
-            p.add_argument("--out", help="output directory")
+            p.add_argument("--out", required=True, help="output directory")
         if dataset:
             p.add_argument("--dataset", help="dataset file (.spds)")
         if checkpoint:
@@ -476,10 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the dynamics forecaster")
     common(p, dataset=True, checkpoint=True)
     p.add_argument("--no-augment", action="store_true", help="disable augmentation")
-    p.add_argument("--aug-mode", choices=["snap", "interpolate"], default=None)
-    p.add_argument("--aug-k", type=int, default=None)
-    p.add_argument("--aug-tau", type=float, default=None)
-    p.add_argument("--curriculum", default=None, metavar="E0,R,PMAX")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a dynamics checkpoint on a split")
@@ -500,22 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_curriculum(argv: list[str]) -> list[str]:
-    """``--curriculum V`` as ``--curriculum=V``: argparse takes a following
-    value that starts with '-', such as the -1 defaults, for a flag."""
-    out, rest = [], list(argv)
-    while rest:
-        arg = rest.pop(0)
-        if arg == "--curriculum" and rest:
-            arg = f"{arg}={rest.pop(0)}"
-        out.append(arg)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(_join_curriculum(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, FormatError, ContractViolation) as exc:

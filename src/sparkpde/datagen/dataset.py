@@ -146,7 +146,18 @@ def make_ood_split(
 # -- binary container ---------------------------------------------------------
 
 
+def _check_parameter_lengths(episodes: list[Episode], error: type[Exception]) -> None:
+    """Every episode's parameter vector has one shared, positive length: the
+    rule a .spds file meets, checked by the writer and by the reader."""
+    lengths = sorted({ep.delta.size for ep in episodes})
+    if len(lengths) > 1 or 0 in lengths:
+        raise error(
+            f"episode parameter vectors must share one positive length, got lengths {lengths}"
+        )
+
+
 def save_dataset(ds: EpisodeDataset, path: str) -> None:
+    _check_parameter_lengths(ds.episodes, ContractViolation)
     if ds.stats is None:
         ds.compute_normalization()
     means, stds = ds.stats
@@ -206,9 +217,5 @@ def load_dataset(path: str) -> EpisodeDataset:
         )
     if not reader.at_end():
         raise FormatError("trailing bytes after final episode record")
-    lengths = sorted({ep.delta.size for ep in episodes})
-    if len(lengths) > 1 or 0 in lengths:
-        raise FormatError(
-            f"episode parameter vectors must share one positive length, got lengths {lengths}"
-        )
+    _check_parameter_lengths(episodes, FormatError)
     return EpisodeDataset(grid=grid, channel_names=names, episodes=episodes, stats=(means, stds))

@@ -12,9 +12,8 @@ def band_limited_field(
     height: int,
     width: int,
     max_mode: int = 4,
-    amplitude: float = 1.0,
 ) -> np.ndarray:
-    """Real zero-mean random field with spectral support |k| <= max_mode.
+    """Real zero-mean, unit-variance random field with spectral support |k| <= max_mode.
 
     Coefficients are drawn in a fixed mode order so the field is a pure
     function of the generator state. The DC mode is excluded, giving an
@@ -35,5 +34,5 @@ def band_limited_field(
     field -= field.mean()
     std = field.std()
     if std > 0:
-        field *= amplitude / std
+        field *= 1.0 / std
     return field

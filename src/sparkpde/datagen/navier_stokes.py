@@ -1,6 +1,6 @@
 """Pseudo-spectral 2-D incompressible Navier-Stokes in vorticity form.
 
-Solves dw/dt + u.grad(w) = nu*laplacian(w) + f on the periodic unit square.
+Solves dw/dt + u.grad(w) = nu*laplacian(w) on the periodic unit square.
 The stream function comes from laplacian(psi) = -w, velocities from psi,
 the nonlinear term is dealiased with the 2/3 rule, the viscous term is
 integrated exactly with a spectral integrating factor, and the nonlinear
@@ -59,10 +59,8 @@ def simulate_navier_stokes(
     ic_seed: int,
     steps: int,
     dt: float,
-    forcing_amplitude: float = 0.0,
     record_every: int = 1,
     ic_modes: int = 4,
-    ic_amplitude: float = 1.0,
     initial_vorticity: np.ndarray | None = None,
 ) -> Episode:
     """Simulate vorticity and record every ``record_every`` steps (frame 0 included)."""
@@ -83,16 +81,7 @@ def simulate_navier_stokes(
         omega = omega - omega.mean()
     else:
         gen = Xoshiro256StarStar(ic_seed)
-        omega = band_limited_field(gen, h, w, max_mode=ic_modes, amplitude=ic_amplitude)
-
-    forcing_hat = np.zeros((h, w), dtype=np.complex128)
-    if forcing_amplitude != 0.0:
-        y, x = np.meshgrid(np.arange(h) / h, np.arange(w) / w, indexing="ij")
-        forcing = forcing_amplitude * (
-            np.sin(2 * np.pi * (x + y)) + np.cos(2 * np.pi * (x + y))
-        )
-        forcing_hat = np.fft.fft2(forcing)
-        forcing_hat[0, 0] = 0.0
+        omega = band_limited_field(gen, h, w, max_mode=ic_modes)
 
     w_hat = np.fft.fft2(omega)
     w_hat[0, 0] = 0.0
@@ -104,7 +93,7 @@ def simulate_navier_stokes(
         advection = -(u * dwdx + v * dwdy)
         adv_hat = np.fft.fft2(advection) * dealias
         adv_hat[0, 0] = 0.0
-        return adv_hat + forcing_hat
+        return adv_hat
 
     u0, v0 = _velocity(w_hat, kx, ky, k_sq)
     u_max = float(np.max(np.hypot(u0, v0)))

@@ -77,7 +77,7 @@ def simulate_reaction_diffusion(
             raise ContractViolation("initial state shape mismatch")
     else:
         gen = Xoshiro256StarStar(ic_seed)
-        bump = band_limited_field(gen, h_nodes, w_nodes, max_mode=ic_modes, amplitude=1.0)
+        bump = band_limited_field(gen, h_nodes, w_nodes, max_mode=ic_modes)
         bump = (bump - bump.min()) / max(bump.max() - bump.min(), 1e-12)
         u = 1.0 - 0.5 * bump * bump
         v = 0.25 * bump * bump

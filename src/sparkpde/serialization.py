@@ -77,12 +77,11 @@ class _NoDraws:
 
 
 def rebuild_pretrained(
-    snapshot: dict, tensors: dict[str, np.ndarray], grid: GridGraph
-) -> tuple[ExperimentConfig, EncoderStack, Codebook]:
-    """The config, frozen encoder and codebook a checkpoint holds, on ``grid``
-    (the dataset's, whose H x W ``check_dataset_compatibility`` has matched)."""
-    cfg = stored_config(snapshot)
-    meta = snapshot["meta"]
+    cfg: ExperimentConfig, meta: dict, tensors: dict[str, np.ndarray], grid: GridGraph
+) -> tuple[EncoderStack, Codebook]:
+    """The frozen encoder and codebook a checkpoint holds, given its parsed
+    snapshot (``stored_config`` and ``meta``), on ``grid`` (the dataset's, whose
+    H x W ``check_dataset_compatibility`` has matched)."""
     encoder = init_encoder_stack(
         _NoDraws(), cfg.pretrain, grid, d_obs=int(meta["d_obs"]), d_delta=int(meta["d_delta"])
     )
@@ -92,7 +91,7 @@ def rebuild_pretrained(
     codebook = new_codebook(tensors["codebook.embeddings"])
     if "codebook.usage" in tensors:
         codebook.usage = tensors["codebook.usage"].astype(np.int64).copy()
-    return cfg, encoder, codebook
+    return encoder, codebook
 
 
 def dynamics_tensors(weights: DynamicsWeights) -> dict[str, np.ndarray]:
@@ -100,18 +99,21 @@ def dynamics_tensors(weights: DynamicsWeights) -> dict[str, np.ndarray]:
 
 
 def rebuild_dynamics(
-    snapshot: dict, tensors: dict[str, np.ndarray], grid: GridGraph, d_obs: int, d_latent: int
+    cfg: ExperimentConfig,
+    tensors: dict[str, np.ndarray],
+    grid: GridGraph,
+    d_obs: int,
+    d_latent: int,
 ) -> DynamicsWeights:
-    cfg = stored_config(snapshot)
     weights = init_dynamics(_NoDraws(), cfg.dynamics, grid, d_latent=d_latent, d_obs=d_obs)
     _assign(weights.params(), tensors, "dynamics")
     return weights
 
 
-def check_dataset_compatibility(snapshot: dict, ds) -> None:
-    """Refuse checkpoint/dataset pairs whose shapes cannot line up."""
-    grid = stored_config(snapshot).dataset.grid
-    meta = snapshot["meta"]
+def check_dataset_compatibility(cfg: ExperimentConfig, meta: dict, ds) -> None:
+    """Refuse checkpoint/dataset pairs whose shapes cannot line up, given the
+    checkpoint's parsed snapshot (``stored_config`` and ``meta``)."""
+    grid = cfg.dataset.grid
     problems = []
     for key in ("height", "width"):
         stored, actual = getattr(grid, key), getattr(ds.grid, key)
@@ -125,15 +127,14 @@ def check_dataset_compatibility(snapshot: dict, ds) -> None:
         raise IncompatibilityError("; ".join(problems))
 
 
-def check_config_compatibility(snapshot: dict, cfg: ExperimentConfig) -> None:
+def check_config_compatibility(stored: ExperimentConfig, cfg: ExperimentConfig) -> None:
     """Refuse a config whose ``pretrain`` or ``dataset.grid`` section differs
-    from the checkpoint's.
+    from the checkpoint's (``stored``).
 
     The sections describe the frozen encoder and the graph it runs on, and a
     dynamics checkpoint snapshots the training config that ``eval`` rebuilds
     both from.
     """
-    stored = stored_config(snapshot)
     problems = [
         f"{path}.{f.name}: checkpoint {getattr(old, f.name)!r} "
         f"vs config {getattr(new, f.name)!r}"

@@ -4,7 +4,8 @@ Finite differences, the direct O(N^2) DFT, the erf-form GeLU and the
 one-word-at-a-time random draws are defined here once and kept independent
 of the implementation paths they check; ``spectral_projection`` is the one
 helper that runs the library's spectral op, for the oracles to read.
-``with_table_shape`` crafts inconsistent checkpoints for the format tests.
+``with_table_shape`` crafts inconsistent checkpoints and
+``write_parameter_lengths`` inconsistent datasets for the format tests.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
 from sparkpde.autodiff import Tape, Tensor, backward, spectral_channel_mix
-from sparkpde.container import pack_str
+from sparkpde.container import pack_str, write_container
 
 
 def finite_difference(fn, values: dict[str, np.ndarray], step: float = 1e-6) -> dict[str, np.ndarray]:
@@ -166,3 +168,25 @@ def with_table_shape(blob: bytes, name: str, old: tuple, new: tuple) -> bytes:
     )
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
+
+def write_parameter_lengths(source: str, target: str, lengths: list[int]) -> None:
+    """Write to ``target`` the .spds file ``source`` with episode i's parameter
+    vector replaced by ``lengths[i]`` values, spliced byte by byte, so the file
+    holds parameter lengths that ``save_dataset`` refuses to write."""
+    blob = Path(source).read_bytes()[:-4]
+    height, width, channels, count = struct.unpack_from("<IIII", blob, 12)
+    assert count == len(lengths)
+    at = 28
+    for _ in range(channels):
+        at += 4 + struct.unpack_from("<I", blob, at)[0]
+    at += 16 * channels
+    parts = [blob[:at]]
+    for n in lengths:
+        parts.append(struct.pack("<I", n) + np.full(n, 1.0e-3).astype("<f8").tobytes())
+        at += 4 + 8 * struct.unpack_from("<I", blob, at)[0]
+        t_total = struct.unpack_from("<I", blob, at + 9)[0]
+        end = at + 13 + 8 * t_total * height * width * channels
+        parts.append(blob[at:end])
+        at = end
+    assert at == len(blob)
+    write_container(target, b"".join(parts))

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 import yaml
 
-from sparkpde import cli
+from sparkpde import cli, config, serialization
 from sparkpde.augment import curriculum_ratio
 from sparkpde.checkpoint import load_checkpoint, save_checkpoint
 from sparkpde.cli import main
-from sparkpde.config import FIELD_DOCS, RULES, config_to_dict, load_config
-from sparkpde.datagen import load_dataset, save_dataset
+from sparkpde.config import config_to_dict, load_config, settings
+from sparkpde.datagen import load_dataset
 from sparkpde.grids import GridGraph
 from sparkpde.rng import Xoshiro256StarStar
-from sparkpde.serialization import rebuild_dynamics, rebuild_pretrained
+from sparkpde.serialization import rebuild_dynamics, rebuild_pretrained, stored_config
 
-from helpers import with_table_shape
+from helpers import with_table_shape, write_parameter_lengths
 
 MICRO_CONFIG = """\
 seed: 42
@@ -358,7 +358,6 @@ INVALID_VALUES = [
     ("dataset.dt", 0.0),
     ("dataset.record_every", 0),
     ("dataset.ic_modes", 0),
-    ("dataset.ic_amplitude", -1.0),
     ("dataset.feed", 0.5),
     ("dataset.kill", -0.1),
     ("dataset.reaction_strength", -1.0),
@@ -416,13 +415,18 @@ REMOVED_KEYS = [
     ("dynamics.spectral_adjacency", "both"),
     ("dynamics.layer_output", "mean"),
     ("dynamics.eval_stride", -1),
+    ("out_dir", "runs/experiment"),
+    ("dataset.ic_amplitude", -1.0),
+    ("dataset.forcing_amplitude", 0.0),
 ]
 
 
 def test_invalid_values_cover_every_rule():
     keys = {key for key, _ in INVALID_VALUES}
-    assert set(RULES) <= keys <= set(FIELD_DOCS)
-    assert not {key for key, _ in REMOVED_KEYS} & set(FIELD_DOCS)
+    schema = {key for key, _, _ in settings()}
+    ruled = {key for key, f, _ in settings() if f.metadata["rule"]}
+    assert ruled <= keys <= schema
+    assert not {key for key, _ in REMOVED_KEYS} & schema
 
 
 @pytest.mark.parametrize("key,value", INVALID_VALUES + REMOVED_KEYS, ids=lambda v: str(v))
@@ -438,31 +442,6 @@ def test_invalid_config_value_exits_2_before_any_work(key, value, tmp_path, caps
     out = tmp_path / "out"
     assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "extra,message",
-    [
-        (["--aug-k", "0"], "augment.k"),
-        (["--aug-k", "13"], "augment.k"),
-        (["--aug-tau", "-1"], "augment.tau"),
-        (["--curriculum", "x,1,0.5"], "--curriculum"),
-        (["--curriculum", "1,2"], "--curriculum"),
-        (["--curriculum", "1,2,1.5"], "augment.max_ratio"),
-    ],
-)
-def test_train_overrides_validated_before_any_work(workspace, tmp_path, capsys, extra, message):
-    out = tmp_path / "train"
-    argv = [
-        "train",
-        "--config", str(workspace["config"]),
-        "--dataset", str(workspace["dataset"]),
-        "--checkpoint", str(workspace["pretrain_ckpt"]),
-        "--out", str(out),
-    ]
-    assert main(argv + extra) == 2
-    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -494,18 +473,9 @@ def test_unusable_output_path_exits_2_before_any_work(
     blocker = tmp_path / "blocker"
     blocker.write_text("", encoding="utf-8")
     out = blocker / "sub" if under_file else blocker
-    config = ["--config", str(workspace["config"])]
-    dataset = ["--dataset", str(workspace["dataset"])]
-    pre = ["--checkpoint", str(workspace["pretrain_ckpt"])]
-    argv = {
-        "gen-data": config + ["--out", str(out)],
-        "pretrain": config + dataset + ["--out", str(out)],
-        "train": config + dataset + pre + ["--out", str(out)],
-        "eval": ["--checkpoint", str(workspace["dynamics_ckpt"]), "--split", "in"]
-        + dataset + ["--out", str(out)],
-        "sweep-k": config + dataset + pre + ["--out", str(out)],
-        "inspect-codebook": pre + ["--csv", str(out / "usage.csv")],
-    }[command]
+    argv = _argv(workspace, command, out)
+    if command == "inspect-codebook":
+        argv += ["--csv", str(out / "usage.csv")]
     assert main([command] + argv) == 2
     assert "cannot create output directory" in capsys.readouterr().err
 
@@ -521,10 +491,8 @@ def test_inconsistent_tensor_table_exits_2(workspace, tmp_path, capsys):
 
 
 def test_mixed_parameter_lengths_exit_2(workspace, tmp_path, capsys):
-    ds = load_dataset(str(workspace["dataset"]))
-    ds.episodes[0].delta = np.array([1.0e-2, 1.0])
     mixed = tmp_path / "mixed.spds"
-    save_dataset(ds, str(mixed))
+    write_parameter_lengths(str(workspace["dataset"]), str(mixed), [2, 1, 1, 1])
     out = tmp_path / "pre"
     argv = ["pretrain", "--config", str(workspace["config"]), "--dataset", str(mixed),
             "--out", str(out)]
@@ -546,9 +514,13 @@ def test_checkpoint_rebuild_draws_no_random_numbers(workspace, monkeypatch):
     monkeypatch.setattr(Xoshiro256StarStar, "normal", no_draws)
     pre = load_checkpoint(str(workspace["pretrain_ckpt"]))
     grid = load_dataset(str(workspace["dataset"])).grid
-    _, encoder, codebook = rebuild_pretrained(pre.config, pre.tensors, grid)
+    encoder, codebook = rebuild_pretrained(
+        stored_config(pre.config), pre.config["meta"], pre.tensors, grid
+    )
     dyn = load_checkpoint(str(workspace["dynamics_ckpt"]))
-    weights = rebuild_dynamics(dyn.config, dyn.tensors, grid, d_obs=1, d_latent=codebook.dim)
+    weights = rebuild_dynamics(
+        stored_config(dyn.config), dyn.tensors, grid, d_obs=1, d_latent=codebook.dim
+    )
     for params, tensors in ((encoder.params(), pre.tensors), (weights.params(), dyn.tensors)):
         for name, t in params.items():
             assert t.data.tobytes() == tensors[name].tobytes()
@@ -593,12 +565,30 @@ def _train_argv(workspace, out, config=None, checkpoint=None):
     ]
 
 
+def _argv(workspace, command, out):
+    """Arguments that ``command`` runs with on the workspace, writing to ``out``."""
+    config = ["--config", str(workspace["config"])]
+    dataset = ["--dataset", str(workspace["dataset"])]
+    pre = ["--checkpoint", str(workspace["pretrain_ckpt"])]
+    return {
+        "gen-data": config,
+        "pretrain": config + dataset,
+        "train": config + dataset + pre,
+        "eval": ["--checkpoint", str(workspace["dynamics_ckpt"]), "--split", "in"] + dataset,
+        "sweep-k": config + dataset + pre,
+        "inspect-codebook": pre,
+    }[command] + ([] if command == "inspect-codebook" else ["--out", str(out)])
+
+
 def test_snapshot_stores_each_setting_once(workspace, tmp_path):
-    # experiment is the config that ran, overrides applied and the -1
-    # curriculum defaults resolved; meta holds only what no config key holds.
+    # experiment is the config that ran, with the -1 curriculum defaults
+    # resolved; meta holds only what no config key holds.
+    data = yaml.safe_load(MICRO_CONFIG)
+    data["augment"].update(k=5, start_epoch=-1, ramp_epochs=-1, max_ratio=0.4)
+    cfg = tmp_path / "aug.yaml"
+    cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
     out = tmp_path / "train"
-    argv = _train_argv(workspace, out) + ["--aug-k", "5", "--curriculum=-1,-1,0.4"]
-    assert main(argv) == 0
+    assert main(_train_argv(workspace, out, config=cfg)) == 0
     snapshot = load_checkpoint(str(out / "dynamics.ckpt")).config
     expected = load_config(str(workspace["config"]))
     expected.augment.k = 5
@@ -610,26 +600,6 @@ def test_snapshot_stores_each_setting_once(workspace, tmp_path):
     pre = load_checkpoint(str(workspace["pretrain_ckpt"])).config
     assert pre["experiment"] == config_to_dict(load_config(str(workspace["config"])))
     assert sorted(pre["meta"]) == ["channel_names", "d_delta", "d_obs"]
-
-
-class _Stop(Exception):
-    pass
-
-
-def test_curriculum_space_and_equals_forms_agree(workspace, tmp_path, monkeypatch):
-    # "-1,-1,0.4" starts with '-', which argparse would read as a flag.
-    seen = []
-
-    def stop(*args, aug, **kwargs):
-        seen.append(aug)
-        raise _Stop
-
-    monkeypatch.setattr(cli, "train_dynamics", stop)
-    for i, form in enumerate((["--curriculum", "-1,-1,0.4"], ["--curriculum=-1,-1,0.4"])):
-        with pytest.raises(_Stop):
-            main(_train_argv(workspace, tmp_path / f"out{i}") + form)
-    assert seen[0] == seen[1]
-    assert (seen[0].start_epoch, seen[0].ramp_epochs, seen[0].max_ratio) == (1, 1, 0.4)
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-k"])
@@ -663,19 +633,6 @@ def test_pretrain_grid_must_match_dataset(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen-data", "train"])
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_seed_override_validated_before_any_work(workspace, tmp_path, capsys, command, seed):
-    out = tmp_path / "out"
-    argv = {
-        "gen-data": ["gen-data", "--config", str(workspace["config"]), "--out", str(out)],
-        "train": _train_argv(workspace, out),
-    }[command]
-    assert main(argv + ["--seed", seed]) == 2
-    assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_each_command_builds_one_grid_graph(workspace, tmp_path, monkeypatch):
     # The graph is a function of the dataset's H x W, so a command builds it
     # once: gen-data from the config, the others in load_dataset.
@@ -687,19 +644,9 @@ def test_each_command_builds_one_grid_graph(workspace, tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(GridGraph, "__init__", counting_init)
-    config = ["--config", str(workspace["config"])]
-    dataset = ["--dataset", str(workspace["dataset"])]
-    pre = ["--checkpoint", str(workspace["pretrain_ckpt"])]
-    commands = {
-        "gen-data": config,
-        "pretrain": config + dataset,
-        "train": config + dataset + pre,
-        "eval": ["--checkpoint", str(workspace["dynamics_ckpt"]), "--split", "out"] + dataset,
-        "sweep-k": config + dataset + pre,
-    }
-    for command, argv in commands.items():
+    for command in ("gen-data", "pretrain", "train", "eval", "sweep-k"):
         built.clear()
-        assert main([command] + argv + ["--out", str(tmp_path / command)]) == 0
+        assert main([command] + _argv(workspace, command, tmp_path / command)) == 0
         assert built == [(16, 16)], command
 
 
@@ -719,6 +666,9 @@ def test_dynamics_checkpoint_refused_where_pretrain_expected(workspace, tmp_path
         ("dataset.grid.normalization", "row"),
         ("pretrain.activation", "gelu"),
         ("dynamics.activation", "gelu"),
+        ("out_dir", "runs/experiment"),
+        ("dataset.ic_amplitude", 1.0),
+        ("dataset.forcing_amplitude", 0.0),
     ],
 )
 def test_snapshot_with_removed_key_exits_4(workspace, tmp_path, capsys, key, default):
@@ -757,19 +707,59 @@ def test_stale_checkpoint_snapshot_exits_4(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+# Flags for settings that only the config file sets, and flags a command
+# does not read.
 @pytest.mark.parametrize(
     "command,flag",
-    [("eval", "--seed"), ("inspect-codebook", "--seed"), ("inspect-codebook", "--out")],
+    [
+        ("eval", "--seed"),
+        ("inspect-codebook", "--seed"),
+        ("inspect-codebook", "--out"),
+        ("train", "--aug-k"),
+        ("train", "--aug-mode"),
+        ("train", "--aug-tau"),
+        ("train", "--curriculum"),
+        ("gen-data", "--seed"),
+        ("train", "--seed"),
+        ("sweep-k", "--seed"),
+    ],
 )
 def test_commands_refuse_flags_they_ignore(workspace, tmp_path, capsys, command, flag):
-    argv = {
-        "eval": ["--checkpoint", str(workspace["dynamics_ckpt"]), "--dataset",
-                 str(workspace["dataset"]), "--split", "in", "--out", str(tmp_path / "eval")],
-        "inspect-codebook": ["--checkpoint", str(workspace["pretrain_ckpt"])],
-    }[command]
-    value = {"--seed": "1", "--out": str(tmp_path / "d")}[flag]
+    out = tmp_path / "d"
+    value = {"--seed": "1", "--out": str(out), "--aug-k": "5", "--aug-mode": "snap",
+             "--aug-tau": "0.5", "--curriculum": "1,2,0.5"}[flag]
     with pytest.raises(SystemExit) as exc:
-        main([command] + argv + [flag, value])
+        main([command] + _argv(workspace, command, out) + [flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
-    assert not (tmp_path / "d").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "pretrain", "train", "eval", "sweep-k"])
+def test_out_is_required(workspace, tmp_path, monkeypatch, capsys, command):
+    # There is no default output directory: a command that writes one exits 2
+    # without --out and writes nothing, in the working directory or elsewhere.
+    monkeypatch.chdir(tmp_path)
+    argv = _argv(workspace, command, tmp_path / "d")
+    with pytest.raises(SystemExit) as exc:
+        main([command] + argv[: argv.index("--out")])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,calls", [("train", 2), ("eval", 1), ("sweep-k", 2)])
+def test_each_snapshot_is_parsed_once(workspace, tmp_path, monkeypatch, command, calls):
+    # The config file (train, sweep-k) and the checkpoint snapshot are each
+    # read into a config once per command.
+    parsed = []
+    original = config.config_from_dict
+
+    def counting(data):
+        parsed.append(data)
+        return original(data)
+
+    for module in (config, serialization):
+        monkeypatch.setattr(module, "config_from_dict", counting)
+    assert main([command] + _argv(workspace, command, tmp_path / "out")) == 0
+    assert len(parsed) == calls

@@ -26,7 +26,8 @@ def _tree(root: Path, snapshot: dict, weights: np.ndarray, wallclock: str) -> Pa
     (root / "metrics.csv").write_text(f"epoch,train_mse,wallclock\n0,0.5,{wallclock}\n")
     (root / "data.spds").write_bytes(b"SPARKDS1-payload")
     np.savez(root / "predictions_out.npz", predictions=weights, windows=np.arange(3))
-    (root / "manifest.txt").write_text(f"generated_at: {wallclock}\n")
+    (root / "manifest.txt").write_text(f"root seed: 1\ngenerated_at: {wallclock}\n")
+    (root / "exp.yaml").write_text(f"# written at {wallclock}\n")
     return root
 
 
@@ -37,11 +38,12 @@ def test_snapshot_and_wallclock_differences_pass(tmp_path, capsys):
     assert compare_artifacts.main([str(a), str(b)]) == 0
     out = capsys.readouterr().out
     assert "snapshot model.ckpt: experiment.old: 'gelu' -> '<absent>'" in out
-    assert "skipped  manifest.txt" in out
+    assert "same     manifest.txt" in out
+    assert "skipped  exp.yaml" in out
     assert "0 file(s) differ" in out
 
 
-@pytest.mark.parametrize("part", ["payload", "csv", "npz", "spds", "missing"])
+@pytest.mark.parametrize("part", ["payload", "csv", "npz", "spds", "missing", "manifest"])
 def test_any_other_difference_fails(tmp_path, capsys, part):
     w = np.arange(6.0).reshape(2, 3)
     a = _tree(tmp_path / "a", {"seed": 1}, w, "1.5")
@@ -54,5 +56,7 @@ def test_any_other_difference_fails(tmp_path, capsys, part):
         (b / "data.spds").write_bytes(b"SPARKDS1-payloae")
     elif part == "missing":
         (b / "data.spds").unlink()
+    elif part == "manifest":
+        (b / "manifest.txt").write_text("root seed: 2\ngenerated_at: 1.5\n")
     assert compare_artifacts.main([str(a), str(b)]) == 1
     assert "DIFF" in capsys.readouterr().out

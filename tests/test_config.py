@@ -11,6 +11,7 @@ from sparkpde.config import (
     config_to_dict,
     describe_config,
     load_config,
+    settings,
     with_augment,
 )
 from sparkpde.errors import ConfigError
@@ -69,19 +70,17 @@ def test_tau_accepts_null_and_number():
 
 
 def test_describe_config_covers_every_key():
-    text = describe_config()
-    for key in (
-        "dataset.generator",
-        "dataset.grid.height",
-        "pretrain.codebook_size",
-        "dynamics.substeps",
-        "augment.max_ratio",
-        "seed",
-    ):
-        assert key in text
-    # each listed key carries its default
-    assert "= 'navier_stokes'" in text
-    assert "= 64" in text
+    # Each schema key is listed exactly once, with its default and its doc.
+    lines = describe_config().splitlines()
+    keys = [key for key, _, _ in settings()]
+    assert len(keys) == len(set(keys)) == 47
+    assert [line.split(" = ")[0].strip() for line in lines[0::2]] == keys
+    for (key, f, _), doc in zip(settings(), lines[1::2]):
+        assert f.metadata["doc"] and doc.strip() == f.metadata["doc"], key
+    for key in ("dataset.generator", "dataset.grid.height", "augment.max_ratio", "seed"):
+        assert key in keys
+    assert "  dataset.generator = 'navier_stokes'" in lines
+    assert "  pretrain.codebook_size = 64" in lines
 
 
 def test_yaml_loading(tmp_path):

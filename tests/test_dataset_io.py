@@ -21,6 +21,8 @@ from sparkpde.datagen import (
 from sparkpde.errors import ContractViolation, FormatError
 from sparkpde.grids import GridGraph
 
+from helpers import write_parameter_lengths
+
 
 def _toy_dataset(n_episodes=10, height=32, width=32, channels=1, t_total=6) -> EpisodeDataset:
     grid = GridGraph(height, width)
@@ -110,15 +112,25 @@ def test_version_mismatch_rejected(tmp_path):
 
 @pytest.mark.parametrize("lengths", [(1, 2), (0, 0)], ids=["mixed", "empty"])
 def test_parameter_lengths_must_agree_and_be_positive(tmp_path, lengths):
-    # save_dataset writes each episode's own parameter count; a file whose
-    # episodes disagree, or carry none, has no parameter dimension to train on.
+    # A file whose episodes disagree on the parameter count, or carry none,
+    # has no parameter dimension to train on.
+    ds = _toy_dataset(n_episodes=2, height=4, width=4, t_total=2)
+    good, bad = tmp_path / "good.spds", tmp_path / "bad.spds"
+    save_dataset(ds, str(good))
+    write_parameter_lengths(str(good), str(bad), list(lengths))
+    with pytest.raises(FormatError, match=rf"one positive length, got lengths \[{lengths[0]}"):
+        load_dataset(str(bad))
+
+
+@pytest.mark.parametrize("lengths", [(1, 2), (0, 0)], ids=["mixed", "empty"])
+def test_save_dataset_refuses_what_load_dataset_refuses(tmp_path, lengths):
     ds = _toy_dataset(n_episodes=2, height=4, width=4, t_total=2)
     for ep, n in zip(ds.episodes, lengths):
         ep.delta = np.full(n, 1.0e-3)
     path = tmp_path / "d.spds"
-    save_dataset(ds, str(path))
-    with pytest.raises(FormatError, match=rf"one positive length, got lengths \[{lengths[0]}"):
-        load_dataset(str(path))
+    with pytest.raises(ContractViolation, match=rf"got lengths \[{lengths[0]}"):
+        save_dataset(ds, str(path))
+    assert not list(tmp_path.iterdir())
 
 
 def test_d_delta_is_the_parameter_length():

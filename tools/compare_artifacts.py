@@ -11,10 +11,11 @@ side only is a difference. Per kind:
                     key path and reported on its own (the trailing CRC covers
                     the snapshot, so it is not compared by itself);
   *.csv             line for line, without any ``wallclock`` column;
+  manifest.txt      line for line, without its ``generated_at:`` line;
   predictions_*.npz the same array names, each with the same dtype, shape
                     and bytes.
 
-Other files (manifests with timestamps, logs) are listed as not compared.
+Other files (configs, logs) are listed as not compared.
 Exit status: 0 when nothing differs outside the checkpoint snapshots, 1 when
 something does, 2 on a usage error.
 """
@@ -65,6 +66,20 @@ def _csv_rows(path: Path) -> list[list[str]]:
     return rows
 
 
+def _manifest_rows(path: Path) -> list[list[str]]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [[line] for line in lines if not line.startswith("generated_at:")]
+
+
+def _row_problems(rows_a: list[list[str]], rows_b: list[list[str]]) -> list[str]:
+    if rows_a == rows_b:
+        return []
+    if len(rows_a) != len(rows_b):
+        return [f"{len(rows_a)} vs {len(rows_b)} lines"]
+    first = next(i for i, (x, y) in enumerate(zip(rows_a, rows_b)) if x != y)
+    return [f"line {first + 1}: {','.join(rows_a[first])} vs {','.join(rows_b[first])}"]
+
+
 def _npz_problems(a: Path, b: Path) -> list[str]:
     with np.load(a) as za, np.load(b) as zb:
         if sorted(za.files) != sorted(zb.files):
@@ -95,13 +110,9 @@ def compare_file(a: Path, b: Path) -> tuple[list[str], list[str]] | None:
             problems.append("tensor table, payloads or frozen table differ")
         return problems, json_diff(snap_a, snap_b)
     if name.endswith(".csv"):
-        rows_a, rows_b = _csv_rows(a), _csv_rows(b)
-        if rows_a == rows_b:
-            return [], []
-        if len(rows_a) != len(rows_b):
-            return [f"{len(rows_a)} vs {len(rows_b)} lines"], []
-        first = next(i for i, (x, y) in enumerate(zip(rows_a, rows_b)) if x != y)
-        return [f"line {first + 1}: {','.join(rows_a[first])} vs {','.join(rows_b[first])}"], []
+        return _row_problems(_csv_rows(a), _csv_rows(b)), []
+    if name == "manifest.txt":
+        return _row_problems(_manifest_rows(a), _manifest_rows(b)), []
     if name.startswith("predictions_") and name.endswith(".npz"):
         return _npz_problems(a, b), []
     return None
