@@ -120,37 +120,39 @@ def _make_dir(path: Path) -> Path:
 # -- gen-data ----------------------------------------------------------------------
 
 
-def _simulate_episode(cfg: ExperimentConfig, grid: GridGraph, delta, split, seed):
+def _simulate(cfg: ExperimentConfig, grid: GridGraph, jobs) -> list:
+    """Every (delta, split, seed) job's episode, from one stacked solver call."""
     ds_cfg = cfg.dataset
+    deltas = [delta for delta, _, _ in jobs]
+    seeds = [seed for _, _, seed in jobs]
     steps = (ds_cfg.t_total - 1) * ds_cfg.record_every
     if ds_cfg.generator == "navier_stokes":
-        ep = simulate_navier_stokes(
+        episodes = simulate_navier_stokes(
             grid,
-            nu=delta[0],
-            ic_seed=seed,
+            nu=[delta[0] for delta in deltas],
+            ic_seed=seeds,
             steps=steps,
             dt=ds_cfg.dt,
             record_every=ds_cfg.record_every,
             ic_modes=ds_cfg.ic_modes,
         )
     else:
-        d_u = delta[0]
-        d_v = delta[1] if len(delta) > 1 else delta[0]
-        ep = simulate_reaction_diffusion(
+        episodes = simulate_reaction_diffusion(
             grid,
-            d_u=d_u,
-            d_v=d_v,
+            d_u=[delta[0] for delta in deltas],
+            d_v=[delta[1] if len(delta) > 1 else delta[0] for delta in deltas],
             feed=ds_cfg.feed,
             kill=ds_cfg.kill,
-            ic_seed=seed,
+            ic_seed=seeds,
             steps=steps,
             dt=ds_cfg.dt,
             record_every=ds_cfg.record_every,
             reaction_strength=ds_cfg.reaction_strength,
             ic_modes=ds_cfg.ic_modes,
         )
-    ep.split = split
-    return ep
+    for ep, (_, split, _) in zip(episodes, jobs):
+        ep.split = split
+    return episodes
 
 
 def cmd_gen_data(args) -> int:
@@ -172,7 +174,7 @@ def cmd_gen_data(args) -> int:
                 stream = f"datagen/{delta!r}/{rep}"
                 jobs.append((delta, split, derive_seed(cfg.seed, stream)))
 
-    episodes = [_simulate_episode(cfg, grid, delta, split, seed) for delta, split, seed in jobs]
+    episodes = _simulate(cfg, grid, jobs)
 
     channel_names = (
         ["vorticity"] if ds_cfg.generator == "navier_stokes" else ["u", "v"]

@@ -21,15 +21,12 @@ def band_limited_field(
     """
     kr = np.fft.fftfreq(height, d=1.0 / height).astype(np.int64)
     kc = np.fft.fftfreq(width, d=1.0 / width).astype(np.int64)
+    radius = np.hypot(kr[:, None], kc[None, :])
+    retained = (radius != 0) & (radius <= max_mode)
+    # Two scalar draws (real, imaginary) per retained mode, in row-major order.
+    draws = np.array([gen.normal() for _ in range(2 * int(retained.sum()))])
     spectrum = np.zeros((height, width), dtype=np.complex128)
-    for i in range(height):
-        for j in range(width):
-            radius = np.hypot(kr[i], kc[j])
-            if radius == 0 or radius > max_mode:
-                continue
-            re = gen.normal()
-            im = gen.normal()
-            spectrum[i, j] = re + 1j * im
+    spectrum[retained] = draws[0::2] + 1j * draws[1::2]
     field = np.fft.ifft2(spectrum).real * (height * width)
     field -= field.mean()
     std = field.std()

@@ -9,9 +9,18 @@ term is advanced with Heun's method.
 The advection term's DC mode is forced to zero each step (it vanishes
 analytically for periodic fields), which conserves mean vorticity to
 machine precision.
+
+One call steps a stack of E episodes together as (E, H, W) fields: each
+episode has its own viscosity (an (E, H, W) integrating factor) and
+initial-condition seed, while dt and the step count are shared. The FFTs
+transform each episode's grid on its own and every other operation is
+elementwise, so each episode's trajectory has the same bytes as a stack of
+one gives for it.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -39,13 +48,25 @@ def _dealias_mask(grid: GridGraph) -> np.ndarray:
     return (mxx <= grid.width / 3.0) & (myy <= grid.height / 3.0)
 
 
-def _velocity(w_hat: np.ndarray, kx: np.ndarray, ky: np.ndarray, k_sq: np.ndarray):
-    psi_hat = np.zeros_like(w_hat)
-    nonzero = k_sq > 0
-    psi_hat[nonzero] = w_hat[nonzero] / k_sq[nonzero]
-    u = np.fft.ifft2(1j * ky * psi_hat).real
-    v = np.fft.ifft2(-1j * kx * psi_hat).real
+def _velocity(w_hat: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
+    _, iky, minus_ikx, k_sq, _ = ops
+    psi_hat = w_hat / k_sq
+    psi_hat[:, 0, 0] = 0.0
+    u = np.fft.ifft2(iky * psi_hat).real
+    v = np.fft.ifft2(minus_ikx * psi_hat).real
     return u, v
+
+
+def _nonlinear(w_hat: np.ndarray, ops) -> np.ndarray:
+    """Dealiased spectrum of -(u.grad(w)) with its DC mode zeroed."""
+    ikx, iky, _, _, dealias = ops
+    u, v = _velocity(w_hat, ops)
+    dwdx = np.fft.ifft2(ikx * w_hat).real
+    dwdy = np.fft.ifft2(iky * w_hat).real
+    advection = -(u * dwdx + v * dwdy)
+    adv_hat = np.fft.fft2(advection) * dealias
+    adv_hat[:, 0, 0] = 0.0
+    return adv_hat
 
 
 def suggest_dt(grid: GridGraph, u_max: float) -> float:
@@ -55,71 +76,88 @@ def suggest_dt(grid: GridGraph, u_max: float) -> float:
 
 def simulate_navier_stokes(
     grid: GridGraph,
-    nu: float,
-    ic_seed: int,
+    nu: Sequence[float],
+    ic_seed: Sequence[int],
     steps: int,
     dt: float,
     record_every: int = 1,
     ic_modes: int = 4,
     initial_vorticity: np.ndarray | None = None,
-) -> Episode:
-    """Simulate vorticity and record every ``record_every`` steps (frame 0 included)."""
-    if nu <= 0:
-        raise ContractViolation("viscosity must be positive")
+) -> list[Episode]:
+    """Simulate one episode per entry of ``nu``/``ic_seed``, stepped together,
+    recording vorticity every ``record_every`` steps (frame 0 included).
+
+    ``initial_vorticity`` is an (E, H, W) array; without it each episode's
+    initial condition comes from its own ``ic_seed``. Every check, the CFL
+    bound included, runs for every episode before the first step.
+    """
+    nu = np.asarray(nu, dtype=np.float64).reshape(-1)
+    seeds = [int(s) for s in ic_seed]
+    n = len(seeds)
+    if n == 0 or nu.shape != (n,):
+        raise ContractViolation("nu and ic_seed need one entry per episode, at least one")
     if dt <= 0 or steps < 1 or record_every < 1:
         raise ContractViolation("steps, dt, record_every must be positive")
 
-    h, w = grid.height, grid.width
+    def episode(e: int) -> str:
+        return f"episode {e} (nu={float(nu[e])!r}, seed {seeds[e]})"
+
+    for e in range(n):
+        if nu[e] <= 0:
+            raise ContractViolation(f"{episode(e)}: viscosity must be positive")
+
+    shape = (n, grid.height, grid.width)
     kx, ky, k_sq = _wavenumbers(grid)
-    dealias = _dealias_mask(grid)
-    decay = np.exp(-nu * k_sq * dt)
+    # The spectral factors, built once: i kx, i ky, -i kx, |k|^2 with 1 in place
+    # of the mean mode's 0 (its stream function is set to 0), and the 2/3 rule.
+    ops = (1j * kx, 1j * ky, -1j * kx, np.where(k_sq > 0, k_sq, 1.0), _dealias_mask(grid))
+    decay = np.stack([np.exp(-nu_e * k_sq * dt) for nu_e in nu])
 
     if initial_vorticity is not None:
         omega = np.asarray(initial_vorticity, dtype=np.float64)
-        if omega.shape != (h, w):
-            raise ContractViolation("initial vorticity shape mismatch")
-        omega = omega - omega.mean()
+        if omega.shape != shape:
+            raise ContractViolation(f"initial vorticity must be an {shape} array")
+        omega = np.stack([w - w.mean() for w in omega])
     else:
-        gen = Xoshiro256StarStar(ic_seed)
-        omega = band_limited_field(gen, h, w, max_mode=ic_modes)
+        omega = np.stack(
+            [
+                band_limited_field(
+                    Xoshiro256StarStar(seed), grid.height, grid.width, max_mode=ic_modes
+                )
+                for seed in seeds
+            ]
+        )
 
     w_hat = np.fft.fft2(omega)
-    w_hat[0, 0] = 0.0
+    w_hat[:, 0, 0] = 0.0
 
-    def nonlinear(w_hat_in: np.ndarray) -> np.ndarray:
-        u, v = _velocity(w_hat_in, kx, ky, k_sq)
-        dwdx = np.fft.ifft2(1j * kx * w_hat_in).real
-        dwdy = np.fft.ifft2(1j * ky * w_hat_in).real
-        advection = -(u * dwdx + v * dwdy)
-        adv_hat = np.fft.fft2(advection) * dealias
-        adv_hat[0, 0] = 0.0
-        return adv_hat
-
-    u0, v0 = _velocity(w_hat, kx, ky, k_sq)
-    u_max = float(np.max(np.hypot(u0, v0)))
-    dt_bound = suggest_dt(grid, u_max)
-    if dt > dt_bound:
-        raise ContractViolation(
-            f"dt={dt:g} violates the CFL bound {dt_bound:g} "
-            f"(max velocity {u_max:g}); use dt <= {dt_bound:g}"
-        )
+    u0, v0 = _velocity(w_hat, ops)
+    u_max = np.max(np.hypot(u0, v0), axis=(1, 2))
+    for e in range(n):
+        dt_bound = suggest_dt(grid, float(u_max[e]))
+        if dt > dt_bound:
+            raise ContractViolation(
+                f"{episode(e)}: dt={dt:g} violates the CFL bound {dt_bound:g} "
+                f"(max velocity {float(u_max[e]):g}); use dt <= {dt_bound:g}"
+            )
 
     frames = [np.fft.ifft2(w_hat).real.copy()]
     for step in range(1, steps + 1):
-        n1 = nonlinear(w_hat)
+        n1 = _nonlinear(w_hat, ops)
         predictor = decay * (w_hat + dt * n1)
-        n2 = nonlinear(predictor)
+        n2 = _nonlinear(predictor, ops)
         w_hat = decay * w_hat + 0.5 * dt * (decay * n1 + n2)
-        w_hat[0, 0] = 0.0
+        w_hat[:, 0, 0] = 0.0
         if not np.all(np.isfinite(w_hat.real)) or not np.all(np.isfinite(w_hat.imag)):
-            raise NumericError(f"vorticity diverged at step {step}")
+            finite = np.isfinite(w_hat).all(axis=(1, 2))
+            raise NumericError(
+                f"vorticity diverged at step {step} in {episode(int(np.argmin(finite)))}"
+            )
         if step % record_every == 0:
             frames.append(np.fft.ifft2(w_hat).real.copy())
 
-    trajectory = np.stack(frames)[..., None].reshape(len(frames), grid.n_nodes, 1)
-    return Episode(
-        delta=np.array([nu]),
-        x=trajectory,
-        seed=ic_seed,
-        split=SPLIT_IN,
-    )
+    trajectory = np.stack(frames, axis=1).reshape(n, len(frames), grid.n_nodes, 1)
+    return [
+        Episode(delta=np.array([nu[e]]), x=trajectory[e], seed=seeds[e], split=SPLIT_IN)
+        for e in range(n)
+    ]

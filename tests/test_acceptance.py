@@ -291,15 +291,15 @@ def test_simulator_physics():
     x = np.arange(grid.width) / grid.width
     omega0 = amp * np.tile(np.sin(2 * np.pi * x), (grid.height, 1))
     nu = 0.05
-    ep = simulate_navier_stokes(
-        grid, nu=nu, ic_seed=0, steps=100, dt=1e-3, initial_vorticity=omega0
+    [ep] = simulate_navier_stokes(
+        grid, nu=[nu], ic_seed=[0], steps=100, dt=1e-3, initial_vorticity=omega0[None]
     )
     expected = omega0 * np.exp(-nu * (2 * np.pi) ** 2 * 0.1)
     decay_rel = float(
         np.max(np.abs(ep.x[-1, :, 0].reshape(32, 32) - expected)) / np.max(np.abs(expected))
     )
 
-    ep2 = simulate_navier_stokes(grid, nu=1e-3, ic_seed=7, steps=150, dt=2e-3)
+    [ep2] = simulate_navier_stokes(grid, nu=[1e-3], ic_seed=[7], steps=150, dt=2e-3)
     mean_err = float(np.max(np.abs(ep2.x[:, :, 0].mean(axis=1))))
     enstrophy = np.sum(ep2.x[:, :, 0] ** 2, axis=1)
     monotone = bool(np.all(np.diff(enstrophy) <= enstrophy[0] * 1e-12))
@@ -360,20 +360,17 @@ def test_quantization_contracts():
 
 def _ns_dataset(id_values, ood_values, reps, t_total, seed=0, record_every=25, dt=2e-3):
     grid = GridGraph(32, 32)
-    episodes = []
-    for nu in list(id_values) + list(ood_values):
-        for rep in range(reps):
-            ep_seed = derive_seed(seed, f"datagen/{nu!r}/{rep}")
-            ep = simulate_navier_stokes(
-                grid,
-                nu=nu,
-                ic_seed=ep_seed,
-                steps=(t_total - 1) * record_every,
-                dt=dt,
-                record_every=record_every,
-            )
-            ep.split = SPLIT_IN if nu in id_values else SPLIT_OUT
-            episodes.append(ep)
+    jobs = [(nu, rep) for nu in list(id_values) + list(ood_values) for rep in range(reps)]
+    episodes = simulate_navier_stokes(
+        grid,
+        nu=[nu for nu, _ in jobs],
+        ic_seed=[derive_seed(seed, f"datagen/{nu!r}/{rep}") for nu, rep in jobs],
+        steps=(t_total - 1) * record_every,
+        dt=dt,
+        record_every=record_every,
+    )
+    for ep, (nu, _) in zip(episodes, jobs):
+        ep.split = SPLIT_IN if nu in id_values else SPLIT_OUT
     ds = EpisodeDataset(grid=grid, channel_names=["vorticity"], episodes=episodes)
     ds.compute_normalization()
     return ds

@@ -11,7 +11,7 @@ from sparkpde.augment import curriculum_ratio
 from sparkpde.checkpoint import load_checkpoint, save_checkpoint
 from sparkpde.cli import main
 from sparkpde.config import config_to_dict, load_config, settings
-from sparkpde.datagen import load_dataset
+from sparkpde.datagen import load_dataset, reaction_diffusion
 from sparkpde.grids import GridGraph
 from sparkpde.rng import Xoshiro256StarStar
 from sparkpde.serialization import rebuild_dynamics, rebuild_pretrained, stored_config
@@ -114,6 +114,49 @@ def test_gen_data_reproducible(workspace, tmp_path):
     out2 = tmp_path / "again"
     assert main(["gen-data", "--config", str(workspace["config"]), "--out", str(out2)]) == 0
     assert (out2 / "dataset.spds").read_bytes() == workspace["dataset"].read_bytes()
+
+
+def _rd_config(tmp_path, **dataset) -> str:
+    """The micro config as a Gray-Scott run whose last parameter is out-of-domain."""
+    data = yaml.safe_load(MICRO_CONFIG)
+    data["dataset"].update(
+        {
+            "generator": "reaction_diffusion",
+            "params": [[1.0e-5, 1.0e-5], [2.0e-5, 2.0e-5]],
+            "ood": {"mode": "explicit", "out_values": [[2.0e-5, 2.0e-5]]},
+            **dataset,
+        }
+    )
+    path = tmp_path / "rd.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return str(path)
+
+
+def test_gen_data_checks_every_episode_before_stepping(tmp_path, monkeypatch, capsys):
+    # The last job's diffusivity breaks the stability bound at dt = 1.
+    def no_step(*args):
+        raise AssertionError("stepped before every episode was checked")
+
+    monkeypatch.setattr(reaction_diffusion, "_laplacian", no_step)
+    config = _rd_config(tmp_path, params=[[1.0e-5, 1.0e-5], [1.0e-1, 1.0e-1]],
+                        ood={"mode": "explicit", "out_values": [[1.0e-1, 1.0e-1]]}, dt=1.0)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "episode 2 (d_u=0.1, d_v=0.1, seed " in err
+    assert "stability" in err
+    assert not (out / "dataset.spds").exists()
+
+
+def test_gen_data_divergence_exits_3_naming_the_episode(tmp_path, capsys):
+    # Explicit Euler on the reaction terms blows up at dt = 20 with F = k = 0.3.
+    config = _rd_config(tmp_path, dt=20.0, feed=0.3, kill=0.3)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["gen-data", "--config", config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "reaction-diffusion diverged at step 7 in episode 0 (d_u=1e-05, d_v=1e-05, seed " in err
+    assert not (out / "dataset.spds").exists()
 
 
 def test_pretrain_reproducible(workspace, tmp_path):
