@@ -4,21 +4,17 @@ from .optim import AdamState, adam_step
 from .tensor import (
     Tape,
     Tensor,
-    add,
     backward,
     concat,
     gather_rows,
     gelu,
+    gnn_layer,
     graph_layer,
     matmul,
-    mul,
     parameter,
-    reshape,
-    sparse_matmul,
     spectral_channel_mix,
     square,
     stop_gradient,
-    sub,
     tanh,
     tensor_mean,
     tensor_sum,
@@ -29,21 +25,17 @@ __all__ = [
     "Tape",
     "Tensor",
     "adam_step",
-    "add",
     "backward",
     "concat",
     "gather_rows",
     "gelu",
+    "gnn_layer",
     "graph_layer",
     "matmul",
-    "mul",
     "parameter",
-    "reshape",
-    "sparse_matmul",
     "spectral_channel_mix",
     "square",
     "stop_gradient",
-    "sub",
     "tanh",
     "tensor_mean",
     "tensor_sum",

@@ -15,8 +15,9 @@ hands out (``add`` passes on g itself) are never written. VJPs return None
 for operands that need no gradient.
 
 ``graph_layer`` is one Fourier-graph ODE layer, gelu(spectral + (A x) W + b),
-as a single node that keeps only A x and the GeLU's slope; its values and
-gradients are bit-equal to those of the separate ops.
+and ``gnn_layer`` one GNN-encoder layer, h R + gelu(concat([h, A h]) W + b),
+each as a single node that keeps only A x (or A h) and the GeLU's slope; their
+values and gradients are bit-equal to those of the separate ops.
 
 Complex spectral weights are represented as explicit real/imaginary tensor
 pairs. The one spectral op, ``spectral_channel_mix``, takes its DFTs with
@@ -345,22 +346,6 @@ def _along_nodes(matrix: _sparse.csr_matrix, a: Array) -> Array:
     return np.moveaxis(flat.reshape(moved.shape), 0, -2)
 
 
-def sparse_matmul(matrix: _sparse.csr_matrix, x, matrix_t: _sparse.csr_matrix) -> Tensor:
-    """A constant sparse (N, N) ``matrix`` applied along the node axis (-2)
-    of an (..., N, D) tensor, as one tape node; the VJP applies ``matrix_t``,
-    its transpose. Each leading slice gets exactly ``matrix @ x[idx]``.
-    """
-    x = _as_tensor(x)
-    if x.ndim < 2:
-        raise ContractViolation("sparse_matmul expects an (..., N, D) operand")
-    out = Tensor(_along_nodes(matrix, x.data))
-
-    def vjp(g):
-        return (_along_nodes(matrix_t, g),)
-
-    return _record(out, (x,), vjp, "sparse_matmul")
-
-
 # -- spectral channel mix ----------------------------------------------------------
 
 
@@ -574,7 +559,16 @@ def spectral_channel_mix(
     return _record(out, (x, w_real, w_imag), vjp, "spectral_channel_mix")
 
 
-# -- fused Fourier-graph layer -------------------------------------------------------
+# -- fused graph layers ------------------------------------------------------------
+
+
+def _gelu_in_place(z: Array, recording: bool) -> Array | None:
+    """Overwrite ``z`` with its exact (erf-form) GeLU, as ``gelu`` computes it;
+    returns the slope at the old ``z`` when recording, else None."""
+    cdf = 0.5 * (1.0 + _erf(z * _INV_SQRT2))
+    slope = cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z)) if recording else None
+    z *= cdf
+    return slope
 
 
 def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
@@ -583,11 +577,11 @@ def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse
 
     spectral: (..., N, D_out), the layer's spectral branch (its own node);
     x: (..., N, D_in); the constant sparse (N, N) ``adjacency`` applies along
-    the node axis as in ``sparse_matmul``, and ``adjacency_t`` is its
-    transpose; w: (D_in, D_out); b: (D_out,). The GeLU is the exact erf form.
+    the node axis (-2), and ``adjacency_t`` is its transpose; w: (D_in, D_out);
+    b: (D_out,).
 
     The pre-activation is summed in place in the order of the composed ops
-    (sparse_matmul, matmul, add, add, gelu), so values and gradients are
+    (the sparse product, matmul, add, add, gelu), so values and gradients are
     theirs bit for bit. A recorded node keeps only A x and the GeLU's slope
     for its VJP; an unrecorded one keeps neither.
     """
@@ -602,9 +596,7 @@ def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse
         adjacent = None
     z += spectral.data
     z += b.data
-    cdf = 0.5 * (1.0 + _erf(z * _INV_SQRT2))
-    slope = cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z)) if recording else None
-    z *= cdf
+    slope = _gelu_in_place(z, recording)
     out = Tensor(z)
 
     def vjp(g):
@@ -619,6 +611,64 @@ def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse
         return (gz if spectral.requires_grad else None, g_x, g_w, g_b)
 
     return _record(out, parents, vjp, "graph_layer")
+
+
+def gnn_layer(h, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
+              w, b, r=None) -> Tensor:
+    """One GNN-encoder layer, h R + gelu(concat([h, A h]) W + b), as one tape node.
+
+    h: (..., N, D_in); the constant sparse (N, N) ``adjacency`` applies along
+    the node axis (-2), and ``adjacency_t`` is its transpose; w: (2 D_in,
+    D_out) over the self and aggregate features; b: (D_out,); r: (D_in,
+    D_out), or None for the identity skip h + gelu(...).
+
+    One GEMM of the concatenated features, the bias and the GeLU in place,
+    then the residual, in the order of the composed ops (the sparse product,
+    concat, matmul, add, gelu, matmul, add); the VJP sums h's skip, self and
+    aggregate contributions in the order ``backward`` sums them for those
+    ops, so values and gradients are theirs bit for bit. A recorded node
+    keeps only A h and the GeLU's slope, and rebuilds the concatenation for
+    the gradient of w; an unrecorded one keeps neither.
+    """
+    h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
+    if h.ndim < 2:
+        raise ContractViolation("gnn_layer expects an (..., N, D) operand")
+    r = None if r is None else _as_tensor(r)
+    parents = (h, w, b) if r is None else (h, w, b, r)
+    recording = _recording(parents)
+    d_in = h.shape[-1]
+    adjacent = _along_nodes(adjacency, h.data)
+    z = np.concatenate([h.data, adjacent], axis=-1) @ w.data
+    if not recording:
+        adjacent = None
+    z += b.data
+    slope = _gelu_in_place(z, recording)
+    if r is None:
+        z += h.data
+        out = Tensor(z)
+    else:
+        skip = h.data @ r.data
+        skip += z
+        out = Tensor(skip)
+
+    def vjp(g):
+        gz = g * slope
+        g_h = g_w = g_b = None
+        if h.requires_grad:
+            g_cat = gz @ w.data.swapaxes(-1, -2)
+            g_h = (g if r is None else g @ r.data.swapaxes(-1, -2)) + g_cat[..., :d_in]
+            g_h += _along_nodes(adjacency_t, g_cat[..., d_in:])
+        if w.requires_grad:
+            cat = np.concatenate([h.data, adjacent], axis=-1)
+            g_w = _unbroadcast(cat.swapaxes(-1, -2) @ gz, w.shape)
+        if b.requires_grad:
+            g_b = _unbroadcast(gz, b.shape)
+        if r is None:
+            return (g_h, g_w, g_b)
+        g_r = _unbroadcast(h.data.swapaxes(-1, -2) @ g, r.shape) if r.requires_grad else None
+        return (g_h, g_w, g_b, g_r)
+
+    return _record(out, parents, vjp, "gnn_layer")
 
 
 # -- backward pass ----------------------------------------------------------------

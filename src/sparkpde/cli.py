@@ -16,6 +16,7 @@ aside).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import logging
 import os
@@ -115,6 +116,18 @@ def _make_dir(path: Path) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror or exc}")
     return path
+
+
+@contextlib.contextmanager
+def _failure_note(path: Path):
+    """Remove a ``path`` left by an earlier run, then write to it the message
+    of a ``NumericError`` the block raises (which still propagates)."""
+    path.unlink(missing_ok=True)
+    try:
+        yield
+    except NumericError as exc:
+        path.write_text(str(exc) + "\n", encoding="utf-8")
+        raise
 
 
 # -- gen-data ----------------------------------------------------------------------
@@ -218,11 +231,8 @@ def cmd_pretrain(args) -> int:
         )
     out = _make_dir(Path(args.out))
     ckpt_path = out / "pretrain.ckpt"
-    try:
+    with _failure_note(out / "pretrain.failed"):
         result = pretrain(ds, cfg.pretrain, seed=cfg.seed)
-    except NumericError as exc:
-        (out / "pretrain.failed").write_text(str(exc) + "\n", encoding="utf-8")
-        raise
     snapshot = checkpoint_config(cfg, KIND_PRETRAIN, dataset_meta(ds))
     save_checkpoint(
         ModelCheckpoint(
@@ -273,7 +283,8 @@ def cmd_train(args) -> int:
     out = _make_dir(Path(args.out))
 
     aug = None if args.no_augment else cfg.augment
-    result = train_dynamics(ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug)
+    with _failure_note(out / "train.failed"):
+        result = train_dynamics(ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug)
 
     snapshot = checkpoint_config(
         cfg,

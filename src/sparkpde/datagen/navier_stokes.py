@@ -87,9 +87,9 @@ def simulate_navier_stokes(
     """Simulate one episode per entry of ``nu``/``ic_seed``, stepped together,
     recording vorticity every ``record_every`` steps (frame 0 included).
 
-    ``initial_vorticity`` is an (E, H, W) array; without it each episode's
-    initial condition comes from its own ``ic_seed``. Every check, the CFL
-    bound included, runs for every episode before the first step.
+    ``initial_vorticity`` is a finite (E, H, W) array; without it each
+    episode's initial condition comes from its own ``ic_seed``. Every check,
+    the CFL bound included, runs for every episode before the first step.
     """
     nu = np.asarray(nu, dtype=np.float64).reshape(-1)
     seeds = [int(s) for s in ic_seed]
@@ -117,6 +117,11 @@ def simulate_navier_stokes(
         omega = np.asarray(initial_vorticity, dtype=np.float64)
         if omega.shape != shape:
             raise ContractViolation(f"initial vorticity must be an {shape} array")
+        finite = np.isfinite(omega).all(axis=(1, 2))
+        if not finite.all():
+            raise ContractViolation(
+                f"{episode(int(np.argmin(finite)))}: initial vorticity is not finite"
+            )
         omega = np.stack([w - w.mean() for w in omega])
     else:
         omega = np.stack(

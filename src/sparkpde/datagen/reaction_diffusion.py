@@ -72,9 +72,9 @@ def simulate_reaction_diffusion(
     """Simulate one episode per entry of ``d_u``/``d_v``/``ic_seed``, stepped
     together, recording every ``record_every`` steps (frame 0 included).
 
-    ``initial_state`` is a (u, v) pair of (E, H, W) arrays; without it each
-    episode's initial condition comes from its own ``ic_seed``. Every check
-    runs for every episode before the first step.
+    ``initial_state`` is a (u, v) pair of finite (E, H, W) arrays; without it
+    each episode's initial condition comes from its own ``ic_seed``. Every
+    check runs for every episode before the first step.
     """
     d_u = np.asarray(d_u, dtype=np.float64).reshape(-1)
     d_v = np.asarray(d_v, dtype=np.float64).reshape(-1)
@@ -108,6 +108,11 @@ def simulate_reaction_diffusion(
         u, v = (np.array(a, dtype=np.float64) for a in initial_state)
         if u.shape != shape or v.shape != shape:
             raise ContractViolation(f"initial state must be two {shape} arrays")
+        finite = np.isfinite(u).all(axis=(1, 2)) & np.isfinite(v).all(axis=(1, 2))
+        if not finite.all():
+            raise ContractViolation(
+                f"{episode(int(np.argmin(finite)))}: initial state is not finite"
+            )
     else:
         bump = np.stack([_initial_bump(seed, grid, ic_modes) for seed in seeds])
         u = 1.0 - 0.5 * bump * bump

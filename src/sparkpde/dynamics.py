@@ -380,7 +380,7 @@ def train_dynamics(
     state = AdamState()
     history: list[EpochRow] = []
 
-    def train_step(batch, decisions, lr: float, epoch: int) -> float:
+    def train_step(batch, decisions, lr: float, epoch: int, index: int) -> float:
         # The step's graph lives in these locals only, so it is released
         # before the next step records.
         with Tape() as tape:
@@ -390,7 +390,7 @@ def train_dynamics(
             )
             loss, mse_value = dynamics_loss(y_hat, y, weights, cfg.lambda_reg)
         if not np.isfinite(mse_value):
-            raise NumericError(f"dynamics training diverged at epoch {epoch}")
+            raise NumericError(f"dynamics training diverged at epoch {epoch}, batch {index}")
         grads = backward(loss, tape, params=params.values())
         adam_step(params, grads, state, lr=lr)
         return mse_value
@@ -400,12 +400,12 @@ def train_dynamics(
         lr = scheduled_lr(cfg.lr, epoch, cfg.epochs)
         order_gen.shuffle(train_windows)
         total, count = 0.0, 0
-        for lo in range(0, len(train_windows), cfg.batch_size):
+        for index, lo in enumerate(range(0, len(train_windows), cfg.batch_size)):
             batch = train_windows[lo : lo + cfg.batch_size]
             decisions = None  # drawn only when augmenting
             if aug is not None:
                 decisions = augmentation_decisions(decision_gen, len(batch), ratio)
-            mse_value = train_step(batch, decisions, lr, epoch)
+            mse_value = train_step(batch, decisions, lr, epoch, index)
             total += mse_value * len(batch)
             count += len(batch)
         train_mse = total / count

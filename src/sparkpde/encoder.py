@@ -7,7 +7,8 @@ Three pieces:
     branch and a global spectral-convolution branch, added to the input
     residually: h = x + a1 * g1(x) + a2 * g2(x);
   * an L-layer GNN over the grid graph (neighbor-mean aggregation, residual
-    combine over the concatenated self/aggregate features);
+    combine over the concatenated self/aggregate features), one fused tape
+    node per layer (``ad.gnn_layer``);
   * a 2-layer MLP decoder back to observation space.
 
 All linear maps use the right-multiplication convention (x @ W, W is
@@ -198,20 +199,17 @@ def gnn_encode(h: Tensor | np.ndarray, grid: GridGraph, w: GnnEncoderWeights) ->
     """L rounds of aggregate (neighbor mean via the normalized adjacency)
     and residual combine. h: (..., N, d) -> (..., N, D_latent).
 
-    Zero rows of the adjacency (isolated nodes, if a custom graph ever allows
-    them) contribute a zero aggregate by construction of the sparse product.
+    Each round is one fused ``ad.gnn_layer`` node, h R + gelu(concat([h, A h])
+    W_c + b), so a recorded step keeps one output, A h and the GeLU's slope
+    per layer, and the frozen encoder keeps nothing.
     """
     h = h if isinstance(h, Tensor) else Tensor(h)
     if h.shape[-2] != grid.n_nodes:
         raise ContractViolation("node count does not match grid")
     for layer in w.layers:
-        agg = ad.sparse_matmul(grid.adjacency, h, grid.adjacency_t)
-        combined = ad.matmul(ad.concat([h, agg], axis=-1), layer.combine_w)
-        combined = ad.gelu(combined + layer.combine_b)
-        if layer.resid_w is not None:
-            h = ad.matmul(h, layer.resid_w) + combined
-        else:
-            h = h + combined
+        h = ad.gnn_layer(
+            h, grid.adjacency, grid.adjacency_t, layer.combine_w, layer.combine_b, layer.resid_w
+        )
     return h
 
 

@@ -219,7 +219,7 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
     loss_history: list[float] = []
     perplexity_history: list[float] = []
 
-    def train_step(xs: np.ndarray, deltas: np.ndarray, lr: float, epoch: int) -> float:
+    def train_step(xs: np.ndarray, deltas: np.ndarray, lr: float, epoch: int, index: int) -> float:
         # The step's graph lives in these locals only, so it is released
         # before the next step records.
         with Tape() as tape:
@@ -230,7 +230,7 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
             loss = pretrain_loss(x_in, x_hat, h, q.codes, cfg.mu, cfg.gamma)
         value = loss.item()
         if not np.isfinite(value):
-            raise NumericError(f"pretraining diverged at epoch {epoch}")
+            raise NumericError(f"pretraining diverged at epoch {epoch}, batch {index}")
         grads = backward(loss, tape, params=params.values())
         adam_step(params, grads, state, lr=lr)
         return value
@@ -241,10 +241,10 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
         lr = scheduled_lr(cfg.lr, epoch, cfg.epochs)
         total = 0.0
         count = 0
-        for lo in range(0, len(order), cfg.batch_size):
+        for index, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [frames[i] for i in order[lo : lo + cfg.batch_size]]
             xs, deltas = _gather_batch(ds, batch)
-            value = train_step(xs, deltas, lr, epoch)
+            value = train_step(xs, deltas, lr, epoch, index)
             total += value * len(batch)
             count += len(batch)
         loss_history.append(total / count)

@@ -4,6 +4,8 @@ Finite differences, the direct O(N^2) DFT, the erf-form GeLU and the
 one-word-at-a-time random draws are defined here once and kept independent
 of the implementation paths they check; ``spectral_projection`` is the one
 helper that runs the library's spectral op, for the oracles to read.
+``sparse_matmul`` records the sparse adjacency product as a separate tape
+node, for the composed-op oracles of the fused graph layers.
 ``with_table_shape`` crafts inconsistent checkpoints and
 ``write_parameter_lengths`` inconsistent datasets for the format tests.
 """
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from sparkpde.autodiff import Tape, Tensor, backward, spectral_channel_mix
+from sparkpde.autodiff.tensor import _record
 from sparkpde.container import pack_str, write_container
 
 
@@ -68,6 +71,24 @@ def check_gradients(build_loss, values, step=1e-6, rtol=1e-4, fd_loss=None) -> f
         worst = max(worst, err)
         assert err < rtol, f"gradient mismatch for '{name}': rel err {err:.3e}"
     return worst
+
+
+def sparse_matmul(matrix, x, matrix_t) -> Tensor:
+    """A constant sparse (N, N) ``matrix`` applied to each (N, D) slice of an
+    (..., N, D) tensor, ``matrix @ x[idx]``, as one recorded node whose VJP
+    applies ``matrix_t``, its transpose."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+
+    def along_nodes(m, a):
+        out = np.empty(a.shape)
+        for idx in np.ndindex(*a.shape[:-2]):
+            out[idx] = m @ a[idx]
+        return out
+
+    return _record(
+        Tensor(along_nodes(matrix, x.data)), (x,),
+        lambda g: (along_nodes(matrix_t, g),), "sparse_matmul",
+    )
 
 
 _erf = np.vectorize(math.erf, otypes=[np.float64])

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from sparkpde import rng
+from sparkpde import rng, state_dictionary
 from sparkpde.autodiff import (
     Tape,
     Tensor,
@@ -14,11 +16,10 @@ from sparkpde.autodiff import (
     concat,
     gather_rows,
     gelu,
+    gnn_layer,
     graph_layer,
     matmul,
-    mul,
     parameter,
-    sparse_matmul,
     spectral_channel_mix,
     square,
     stop_gradient,
@@ -26,10 +27,13 @@ from sparkpde.autodiff import (
     tensor_mean,
     tensor_sum,
 )
+from sparkpde.autodiff.tensor import mul
+from sparkpde.config import PretrainSection
+from sparkpde.datagen import Episode, EpisodeDataset
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph, retained_mode_indices
 
-from helpers import check_gradients, tape_gradients
+from helpers import check_gradients, sparse_matmul, tape_gradients
 from helpers import gelu as gelu_oracle
 
 
@@ -170,32 +174,6 @@ def test_matmul_batched_gradients():
 
     def loss(p):
         return tensor_sum(square(matmul(p["a"], p["w"])))
-
-    check_gradients(loss, values)
-
-
-@pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["N-D", "B-N-D", "T-B-N-D"])
-def test_sparse_matmul_gradient(lead):
-    # Degrees vary on an 8-neighbour 4x4 grid without wrap-around (3 to 8),
-    # so the row-normalized A is not symmetric and a VJP applying A instead
-    # of A.T fails FD.
-    r, c = np.divmod(np.arange(16), 4)
-    near = (np.abs(r[:, None] - r) <= 1) & (np.abs(c[:, None] - c) <= 1)
-    np.fill_diagonal(near, False)
-    a = sparse.csr_matrix(near / near.sum(axis=1, keepdims=True))
-    a_t = a.T.tocsr()
-    gen = rng.substream(23, "sparse")
-    values = {"x": gen.normal_array(lead + (16, 3))}
-
-    # The node-axis product equals A @ x on every leading slice, bit for bit.
-    got = sparse_matmul(a, values["x"], a_t).data
-    assert got.shape == values["x"].shape
-    for idx in np.ndindex(*lead):
-        assert np.array_equal(got[idx], a @ values["x"][idx])
-
-    def loss(p):
-        y = sparse_matmul(a, p["x"], a_t)
-        return tensor_sum(square(y))
 
     check_gradients(loss, values)
 
@@ -366,6 +344,133 @@ def test_graph_layer_gradient_matches_finite_differences():
         return tensor_sum(square(y))
 
     check_gradients(loss, values)
+
+
+def _uneven_adjacency():
+    """Row-normalized adjacency of an 8-neighbour 4x4 grid without
+    wrap-around, and its transpose. Degrees vary (3 to 8), so A is not
+    symmetric and applying A where A.T is meant changes the result."""
+    r, c = np.divmod(np.arange(16), 4)
+    near = (np.abs(r[:, None] - r) <= 1) & (np.abs(c[:, None] - c) <= 1)
+    np.fill_diagonal(near, False)
+    a = sparse.csr_matrix(near / near.sum(axis=1, keepdims=True))
+    return a, a.T.tocsr()
+
+
+def _composed_gnn_layer(h, a, a_t, w, b, r):
+    """The GNN-encoder layer as the separate ops it fuses."""
+    combined = gelu(matmul(concat([h, sparse_matmul(a, h, a_t)], axis=-1), w) + b)
+    return (h if r is None else matmul(h, r)) + combined
+
+
+@pytest.mark.parametrize("const", [None, "h"], ids=["all-grad", "h-const"])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["N-D", "B-N-D"])
+@pytest.mark.parametrize("resid", [True, False], ids=["resid", "skip"])
+def test_gnn_layer_bit_equal_to_composed_ops(resid, lead, const):
+    # h also feeds an op recorded before the layer, as the encoder input
+    # feeds channel attention, so h's gradient accumulates across both;
+    # values and every gradient must be the same bits.
+    a, a_t = _uneven_adjacency()
+    gen = rng.substream(59, f"gnn-layer/{resid}/{len(lead)}")
+    d_out = 2 if resid else 3
+    h0 = gen.normal_array(lead + (16, 3))
+    weights = {"w": gen.normal_array((6, d_out)), "b": gen.normal_array((d_out,))}
+    if resid:
+        weights["r"] = gen.normal_array((3, d_out))
+    cotangent = gen.normal_array(lead + (16, d_out))
+
+    def run(layer):
+        params = {k: parameter(v.copy(), k) for k, v in weights.items()}
+        h = Tensor(h0.copy(), requires_grad=const != "h", name="h")
+        wrt = [*params.values()] + ([h] if h.requires_grad else [])
+        with Tape() as tape:
+            before = tensor_sum(tanh(h))
+            y = layer(h, a, a_t, params["w"], params["b"], params.get("r"))
+            loss = tensor_sum(mul(y, cotangent)) + before
+        return y.data, backward(loss, tape, params=wrt)
+
+    fused_y, fused = run(gnn_layer)
+    composed_y, composed = run(_composed_gnn_layer)
+    assert fused_y.tobytes() == composed_y.tobytes()
+    # The value itself, with a dense A.
+    pre = np.concatenate([h0, a.toarray() @ h0], axis=-1) @ weights["w"] + weights["b"]
+    skip = h0 @ weights["r"] if resid else h0
+    np.testing.assert_allclose(fused_y, skip + gelu_oracle(pre), rtol=1e-12, atol=1e-15)
+    assert fused.keys() == composed.keys()
+    for name in composed:
+        assert fused[name].tobytes() == composed[name].tobytes(), name
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["N-D", "B-N-D", "T-B-N-D"])
+def test_gnn_layer_gradient_matches_finite_differences(lead):
+    a, a_t = _uneven_adjacency()
+    gen = rng.substream(23, "gnn-layer-fd")
+    values = {
+        "h": gen.normal_array(lead + (16, 3)),
+        "w": gen.normal_array((6, 2)),
+        "b": gen.normal_array((2,)),
+        "r": gen.normal_array((3, 2)),
+    }
+
+    def loss(p):
+        return tensor_sum(square(gnn_layer(p["h"], a, a_t, p["w"], p["b"], p["r"])))
+
+    check_gradients(loss, values)
+
+    def skip_loss(p):
+        return tensor_sum(square(gnn_layer(p["h"], a, a_t, p["w3"], p["b3"])))
+
+    check_gradients(skip_loss, {
+        "h": values["h"], "w3": gen.normal_array((6, 3)), "b3": gen.normal_array((3,)),
+    })
+
+
+def test_gnn_layer_unrecorded_keeps_nothing():
+    # Outside a tape (the frozen encoder) and on a tape with only constant
+    # operands, the layer is a plain value: no VJP closure holds A h or the
+    # slope.
+    a, a_t = _uneven_adjacency()
+    gen = rng.substream(61, "gnn-layer-unrecorded")
+    h0 = gen.normal_array((2, 16, 3))
+    w = parameter(gen.normal_array((6, 2)), "w")
+    b = parameter(gen.normal_array((2,)), "b")
+    r = parameter(gen.normal_array((3, 2)), "r")
+    with Tape() as tape:
+        recorded = gnn_layer(Tensor(h0), a, a_t, w, b, r)
+        constant = gnn_layer(Tensor(h0), a, a_t, Tensor(w.data), Tensor(b.data), Tensor(r.data))
+    free = gnn_layer(Tensor(h0), a, a_t, w, b, r)
+    assert recorded._vjp is not None and tape._nodes == [recorded]
+    for out in (constant, free):
+        assert out._vjp is None and out._parents == () and not out.requires_grad
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+
+def test_pretrain_step_tape_budget(monkeypatch):
+    # One pretrain step with a 2-layer GNN (the first layer with a residual
+    # matrix, the second with the identity skip) records one fused node per
+    # GNN layer, and none of the sparse products or concatenations it fuses.
+    grid = GridGraph(4, 4)
+    gen = rng.substream(67, "pretrain-tape-budget")
+    episode = Episode(delta=np.array([1e-3, 2e-3]), x=gen.normal_array((4, 16, 2)), seed=0)
+    ds = EpisodeDataset(grid=grid, channel_names=["u", "v"], episodes=[episode])
+    ds.compute_normalization()
+    cfg = PretrainSection(
+        epochs=1, batch_size=4, codebook_size=4, d_latent=5, hidden=5,
+        attention_hidden=3, gnn_layers=2, k_max=1,
+    )
+    tapes = []
+    real_backward = state_dictionary.backward
+
+    def counting_backward(loss, tape, params):
+        tapes.append(Counter(node._op for node in tape._nodes))
+        return real_backward(loss, tape, params)
+
+    monkeypatch.setattr(state_dictionary, "backward", counting_backward)
+    state_dictionary.pretrain(ds, cfg, seed=3)
+    assert len(tapes) == 1
+    ops = tapes[0]
+    assert ops["gnn_layer"] == 2
+    assert ops["sparse_matmul"] == 0 and ops["concat"] == 0
 
 
 def _out_of_place_backward(loss, tape, params):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from sparkpde import cli, config, serialization
+from sparkpde import cli, config, dynamics, serialization, state_dictionary
 from sparkpde.augment import curriculum_ratio
 from sparkpde.checkpoint import load_checkpoint, save_checkpoint
 from sparkpde.cli import main
@@ -157,6 +157,62 @@ def test_gen_data_divergence_exits_3_naming_the_episode(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "reaction-diffusion diverged at step 7 in episode 0 (d_u=1e-05, d_v=1e-05, seed " in err
     assert not (out / "dataset.spds").exists()
+
+
+def _nan_on_call(monkeypatch, module, name, call, make_nan):
+    """Replace ``module.name`` by a wrapper whose ``call``-th result (from 1)
+    is passed through ``make_nan``."""
+    real = getattr(module, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(1)
+        return make_nan(out) if len(calls) == call else out
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def _micro_config(tmp_path, section, **values) -> str:
+    data = yaml.safe_load(MICRO_CONFIG)
+    data[section].update(values)
+    path = tmp_path / "micro.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return str(path)
+
+
+def test_pretrain_divergence_leaves_pretrain_failed(workspace, tmp_path, monkeypatch, capsys):
+    # Batch size 4 over the 16 in-domain frames (2 episodes of 8) makes 4
+    # batches per epoch, so the 7th loss is epoch 1, batch 2.
+    config = _micro_config(tmp_path, "pretrain", batch_size=4)
+    _nan_on_call(monkeypatch, state_dictionary, "pretrain_loss", 7, lambda loss: loss * np.nan)
+    out = tmp_path / "pre"
+    argv = ["pretrain", "--config", config, "--dataset", str(workspace["dataset"])]
+    assert main(argv + ["--out", str(out)]) == 3
+    message = "pretraining diverged at epoch 1, batch 2"
+    assert message in capsys.readouterr().err
+    assert (out / "pretrain.failed").read_text(encoding="utf-8") == message + "\n"
+    assert not (out / "pretrain.ckpt").exists()
+    # A run that succeeds in the same directory removes the stale note.
+    monkeypatch.undo()
+    assert main(argv + ["--out", str(out)]) == 0
+    assert (out / "pretrain.ckpt").exists() and not (out / "pretrain.failed").exists()
+
+
+def test_train_divergence_leaves_train_failed(workspace, tmp_path, monkeypatch, capsys):
+    # Batch size 1 over the 4 training windows makes 4 batches per epoch, so
+    # the 7th loss is epoch 1, batch 2.
+    config = _micro_config(tmp_path, "dynamics", batch_size=1)
+    _nan_on_call(monkeypatch, dynamics, "dynamics_loss", 7, lambda out: (out[0], np.nan))
+    out = tmp_path / "train"
+    assert main(_train_argv(workspace, out, config=config)) == 3
+    message = "dynamics training diverged at epoch 1, batch 2"
+    assert message in capsys.readouterr().err
+    assert (out / "train.failed").read_text(encoding="utf-8") == message + "\n"
+    assert not (out / "dynamics.ckpt").exists()
+    monkeypatch.undo()
+    assert main(_train_argv(workspace, out, config=config)) == 0
+    assert (out / "dynamics.ckpt").exists() and not (out / "train.failed").exists()
 
 
 def test_pretrain_reproducible(workspace, tmp_path):

@@ -1,4 +1,5 @@
-"""Every import in src/ and tests/ is used (no linter runs in this repository).
+"""Every import in src/ and tests/ is used, and every name the autodiff
+package exports is read by the model (no linter runs in this repository).
 
 ``__init__.py`` files are skipped, since their imports are the package's
 re-exports, and so are ``from __future__`` imports.
@@ -10,6 +11,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from sparkpde import autodiff
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -43,3 +46,44 @@ def test_scan_finds_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def autodiff_reads(source: str) -> set[str]:
+    """Names ``source`` reads from the autodiff package itself: those it
+    imports from it, and attributes of the name ``from . import autodiff``
+    binds (``ad.matmul``)."""
+    tree = ast.parse(source)
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "autodiff":
+                names.update(alias.name for alias in node.names)
+            else:
+                aliases.update(a.asname or a.name for a in node.names if a.name == "autodiff")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                names.add(node.attr)
+    return names
+
+
+def test_scan_finds_autodiff_reads():
+    source = (
+        "from . import autodiff as ad\n"
+        "from .autodiff import Tape\n"
+        "from .autodiff.tensor import mul\n"
+        "ad.gelu(x)\nother.square(x)\n"
+    )
+    assert autodiff_reads(source) == {"Tape", "gelu"}
+
+
+def test_every_autodiff_export_is_read_by_the_model():
+    # An export only tests read is surface to keep for nothing; tests import
+    # such names from the module that defines them.
+    model = ROOT / "src" / "sparkpde"
+    readers = [
+        path for path in FILES
+        if path.is_relative_to(model) and not path.is_relative_to(model / "autodiff")
+    ]
+    read = set().union(*(autodiff_reads(p.read_text(encoding="utf-8")) for p in readers))
+    assert sorted(set(autodiff.__all__) - read) == []

@@ -126,6 +126,23 @@ def test_every_episode_checked_before_any_step(grid, monkeypatch):
     assert "CFL" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_initial_vorticity_refused_before_any_step(grid, monkeypatch, bad):
+    def no_step(*args):
+        raise AssertionError("stepped with a non-finite initial vorticity")
+
+    monkeypatch.setattr(navier_stokes, "_nonlinear", no_step)
+    omega = _sine_vorticity(grid, [0.1, 0.2, 0.3])
+    omega[2, 4, 9] = bad
+    with pytest.raises(ContractViolation) as err, np.errstate(invalid="ignore"):
+        simulate_navier_stokes(
+            grid, nu=[1e-2, 1e-3, 1e-4], ic_seed=[1, 2, 3], steps=10, dt=2e-3,
+            initial_vorticity=omega,
+        )
+    assert "episode 2 (nu=0.0001, seed 3)" in str(err.value)
+    assert "not finite" in str(err.value)
+
+
 def test_diverging_episode_is_named(grid, monkeypatch):
     # From its third call (the first of step 2), the advection term of
     # episode 1 turns infinite.

@@ -123,6 +123,23 @@ def test_every_episode_checked_before_any_step(grid, monkeypatch):
     assert "stability" in str(err.value)
 
 
+@pytest.mark.parametrize("species", [0, 1], ids=["u", "v"])
+def test_non_finite_initial_state_refused_before_any_step(grid, monkeypatch, species):
+    def no_step(*args):
+        raise AssertionError("stepped with a non-finite initial state")
+
+    monkeypatch.setattr(reaction_diffusion, "_laplacian", no_step)
+    state = (np.ones((3, 32, 32)), np.zeros((3, 32, 32)))
+    state[species][2, 5, 7] = np.nan
+    with pytest.raises(ContractViolation) as err:
+        simulate_reaction_diffusion(
+            grid, d_u=[1e-4, 2e-4, 3e-4], d_v=[1e-4, 1e-4, 1e-4], feed=0.04, kill=0.06,
+            ic_seed=[1, 2, 3], steps=5, dt=1e-2, initial_state=state,
+        )
+    assert "episode 2 (d_u=0.0003, d_v=0.0001, seed 3)" in str(err.value)
+    assert "not finite" in str(err.value)
+
+
 def test_diverging_episode_is_named():
     grid = GridGraph(8, 8)
     u0 = np.ones((3, 8, 8))
