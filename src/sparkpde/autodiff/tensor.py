@@ -22,7 +22,10 @@ values and gradients are bit-equal to those of the separate ops.
 Complex spectral weights are represented as explicit real/imaginary tensor
 pairs. The one spectral op, ``spectral_channel_mix``, takes its DFTs with
 real GEMMs: unnormalized forward and 1/(H*W) inverse, as ``np.fft.fft2`` and
-``np.fft.ifft2``.
+``np.fft.ifft2``. Which Fourier modes it keeps (|k| <= k_max per axis) and the
+matrices it applies are one ``SpectralPlan``, which ``spectral_plan`` builds
+once per spectral layer, with that layer's weights. The module keeps no state
+besides the active tape.
 """
 
 from __future__ import annotations
@@ -349,66 +352,75 @@ def _along_nodes(matrix: _sparse.csr_matrix, a: Array) -> Array:
 # -- spectral channel mix ----------------------------------------------------------
 
 
-def _product_cover(nodes: Array, width: int) -> tuple[Array, Array, Array | None]:
-    """Smallest row x column product set of grid nodes that covers ``nodes``.
-
-    Returns the sorted rows, the sorted columns and the position of each of
-    ``nodes`` in the row-major product set, or None when ``nodes`` already is
-    that product set in row-major order.
-    """
-    rows, cols = np.divmod(nodes, width)
-    cover_rows, cover_cols = np.unique(rows), np.unique(cols)
-    pick = np.searchsorted(cover_rows, rows) * len(cover_cols) + np.searchsorted(cover_cols, cols)
-    if len(pick) == len(cover_rows) * len(cover_cols) and np.array_equal(pick, np.arange(len(pick))):
-        return cover_rows, cover_cols, None
-    return cover_rows, cover_cols, pick
-
-
 def _cos_sin(freqs: Array, n: int) -> tuple[Array, Array]:
     """cos and sin of 2*pi*k*m/n for k in ``freqs`` (rows) and m < n (columns)."""
     phase = (2.0 * np.pi / n) * (np.outer(freqs, np.arange(n)) % n)
     return np.cos(phase), np.sin(phase)
 
 
-class _SpectralPlan(NamedTuple):
-    """Index sets and real DFT matrices of one spectral_channel_mix geometry.
+class SpectralPlan(NamedTuple):
+    """The retained Fourier modes of one H x W grid, and the index sets and
+    real DFT matrices ``spectral_channel_mix`` applies for them.
 
     Matrix axes that pair a frequency with re/im are laid out (freq, re/im);
     ones that pair a sample with re/im are laid out (re/im, sample).
     """
 
+    height: int
+    width: int
+    mode_idx: Array  # (K,) flat spectrum indices kr*W + kc, row-major
     in_shape: tuple[int, int]  # rows x columns of the spectrum that is read
-    in_pick: Array | None  # retained modes within it (no adjacency)
     mix_in: _sparse.csr_matrix | None  # A[mode_idx, read nodes]
     mix_in_t: _sparse.csr_matrix | None
-    out_shape: tuple[int, int]  # rows x columns covering the retained modes
-    out_pick: Array | None  # retained modes within it
+    out_shape: tuple[int, int]  # retained rows x retained columns
     dft_h: Array  # (2R, H): real field -> complex DFT along H
     dft_w: Array  # (2S, 2W): complex -> complex DFT along W
     idft_w: Array  # (2W, 2S'): complex inverse DFT along W
     idft_h: Array  # (H, 2R'): real part of the inverse along H, times 1/(H*W)
 
 
-def _build_plan(idx: Array, height: int, width: int, adjacency_rows) -> _SpectralPlan:
+def spectral_plan(height: int, width: int, k_max: int,
+                  adjacency: _sparse.csr_matrix | None = None) -> SpectralPlan:
+    """The plan of the Fourier modes with |k| <= k_max per axis on an H x W grid.
+
+    Wavenumbers follow the DFT layout (non-negative then negative), so the
+    retained modes are the product of the retained rows and the retained
+    columns: the four corner blocks of the spectrum, K modes in all. With the
+    grid's (H*W, H*W) ``adjacency``, the plan mixes the spectral coefficients
+    across grid nodes before the channel mix, keeping the retained rows of
+    A @ DFT(x). Each spectral layer builds its plan once, with its weights.
+    """
+    if min(height, width) < 1 or not 0 <= k_max <= min(height, width) // 2:
+        raise ContractViolation(
+            f"k_max={k_max} is outside [0, floor(min(H,W)/2)] on a {height}x{width} grid"
+        )
     n_nodes = height * width
-    if len(idx) == 0 or idx.min() < 0 or idx.max() >= n_nodes or len(np.unique(idx)) != len(idx):
-        raise ContractViolation("spectral_channel_mix: mode_idx must be unique indices below H*W")
-    if adjacency_rows is not None and adjacency_rows.shape != (len(idx), n_nodes):
-        raise ContractViolation("spectral_channel_mix: adjacency_rows must be (K, H*W)")
-    out_rows, out_cols, out_pick = _product_cover(idx, width)
+    if adjacency is not None and adjacency.shape != (n_nodes, n_nodes):
+        raise ContractViolation(
+            f"spectral_plan: adjacency must be ({n_nodes}, {n_nodes}), got {adjacency.shape}"
+        )
+    out_rows, out_cols = (
+        np.flatnonzero(np.minimum(np.arange(n), n - np.arange(n)) <= k_max)
+        for n in (height, width)
+    )
+    mode_idx = (out_rows[:, None] * width + out_cols[None, :]).reshape(-1)
     mix_in = mix_in_t = None
-    if adjacency_rows is None:
-        in_rows, in_cols, in_pick = out_rows, out_cols, out_pick
+    if adjacency is None:
+        in_rows, in_cols = out_rows, out_cols
     else:
-        in_rows, in_cols, _ = _product_cover(np.unique(adjacency_rows.indices), width)
-        in_pick = None
+        adjacency_rows = adjacency[mode_idx, :]
+        # The spectrum is read on the row x column product set that covers
+        # every node the retained rows of A touch.
+        in_rows, in_cols = (
+            np.unique(axis) for axis in np.divmod(np.unique(adjacency_rows.indices), width)
+        )
         read = (in_rows[:, None] * width + in_cols[None, :]).reshape(-1)
         position = np.zeros(n_nodes, dtype=adjacency_rows.indices.dtype)
         position[read] = np.arange(len(read))
         # Same entries in the same per-row order, columns renumbered to ``read``.
         mix_in = _sparse.csr_matrix(
             (adjacency_rows.data, position[adjacency_rows.indices], adjacency_rows.indptr),
-            shape=(len(idx), len(read)),
+            shape=(len(mode_idx), len(read)),
         )
         mix_in_t = mix_in.T.tocsr()
 
@@ -427,61 +439,30 @@ def _build_plan(idx: Array, height: int, width: int, adjacency_rows) -> _Spectra
     )
     cos, sin = _cos_sin(out_rows, height)
     idft_h = np.stack([cos.T, -sin.T], axis=2).reshape(height, -1) / n_nodes
-    return _SpectralPlan(
-        (len(in_rows), len(in_cols)), in_pick, mix_in, mix_in_t,
-        (len(out_rows), len(out_cols)), out_pick, dft_h, dft_w, idft_w, idft_h,
+    return SpectralPlan(
+        height, width, mode_idx, (len(in_rows), len(in_cols)), mix_in, mix_in_t,
+        (len(out_rows), len(out_cols)), dft_h, dft_w, idft_w, idft_h,
     )
 
 
-_PLANS: dict[tuple, _SpectralPlan] = {}
-_MAX_PLANS = 16
-
-
-def _spectral_plan(idx: Array, height: int, width: int, adjacency_rows) -> _SpectralPlan:
-    """The plan for this geometry, memoized on the content of its inputs."""
-    key = (height, width, idx.tobytes())
-    if adjacency_rows is not None:
-        key += (
-            adjacency_rows.indptr.tobytes(),
-            adjacency_rows.indices.tobytes(),
-            adjacency_rows.data.tobytes(),
-        )
-    plan = _PLANS.get(key)
-    if plan is None:
-        if len(_PLANS) >= _MAX_PLANS:
-            del _PLANS[next(iter(_PLANS))]
-        plan = _PLANS[key] = _build_plan(idx, height, width, adjacency_rows)
-    return plan
-
-
-def spectral_channel_mix(
-    x,
-    w_real,
-    w_imag,
-    mode_idx: Array,
-    height: int,
-    width: int,
-    adjacency_rows: _sparse.csr_matrix | None = None,
-) -> Tensor:
+def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
     """Fused spectral branch: real(IDFT(trunc(A @ DFT(x)) @ W)), on grid nodes.
 
     x: (..., H*W, C_in) in the row-major node layout (node r*W + c) that the
     graph layers hold; the output is (..., H*W, C_out) in the same layout.
-    w_real/w_imag: (K, C_in, C_out), the complex channel mix of each retained
-    mode. ``mode_idx`` holds K unique flat spectrum indices kr*W + kc (DFT
-    layout); every other mode is zeroed. ``adjacency_rows`` = A[mode_idx, :]
-    optionally mixes spectral coefficients across grid nodes before the
-    channel mix, giving the retained rows of A @ DFT(x).
+    w_real/w_imag: (K, C_in, C_out), the complex channel mix of each of the
+    K retained modes of ``plan`` (``plan.mode_idx`` order); every other mode
+    is zeroed. A plan built with the adjacency mixes the spectral
+    coefficients across grid nodes before the channel mix, giving the
+    retained rows of A @ DFT(x).
 
     The transforms are truncated separable DFTs made of real GEMMs, never a
     full FFT. The forward DFT runs along H, then along W, only over the rows
-    and columns of the spectrum that are read: those the columns of
-    ``adjacency_rows`` touch, else the retained modes' bounding row x column
-    product set (gathered when the modes do not fill it). The inverse runs
-    from the retained modes' product set straight to the real field. DFTs
-    are unnormalized forward and 1/(H*W) inverse, as ``np.fft.fft2`` and
-    ``np.fft.ifft2``.
-    The DFT matrices and index sets are built once per geometry and reused.
+    and columns of the spectrum that are read: the retained ones, or with
+    the adjacency those its retained rows touch. The inverse runs from the
+    retained rows x columns straight to the real field. DFTs are
+    unnormalized forward and 1/(H*W) inverse, as ``np.fft.fft2`` and
+    ``np.fft.ifft2``. The plan's matrices are built once, with the model.
 
     One tape node. The VJP applies the transposes of the same matrices and
     keeps only the truncated coefficients (K x 2 x B x C_in, real and
@@ -489,8 +470,8 @@ def spectral_channel_mix(
     evaluation is O(K), not O(H*W).
     """
     x, w_real, w_imag = _as_tensor(x), _as_tensor(w_real), _as_tensor(w_imag)
-    idx = np.asarray(mode_idx, dtype=np.int64)
-    k = len(idx)
+    height, width = plan.height, plan.width
+    k = len(plan.mode_idx)
     n_nodes = height * width
     if x.ndim < 2 or x.shape[-2] != n_nodes:
         raise ContractViolation("spectral_channel_mix: node count does not match the grid")
@@ -499,7 +480,6 @@ def spectral_channel_mix(
         raise ContractViolation("spectral_channel_mix: weight shape mismatch")
     c_out = w_real.shape[-1]
     batch = int(np.prod(lead)) if lead else 1
-    plan = _spectral_plan(idx, height, width, adjacency_rows)
     (in_r, in_s), (out_r, out_s) = plan.in_shape, plan.out_shape
     wr, wi = w_real.data, w_imag.data
 
@@ -510,18 +490,11 @@ def spectral_channel_mix(
     spec = (plan.dft_w @ part).reshape(in_r * in_s, 2 * batch * c_in)
     if plan.mix_in is not None:
         spec = plan.mix_in @ spec
-    elif plan.in_pick is not None:
-        spec = spec[plan.in_pick]
     trunc = spec.reshape(k, 2 * batch, c_in)  # rows (re/im, batch); saved for the VJP
     u, v = trunc @ wr, trunc @ wi
     mixed = np.empty((k, 2, batch, c_out))
     np.subtract(u[:, :batch], v[:, batch:], out=mixed[:, 0])
     np.add(v[:, :batch], u[:, batch:], out=mixed[:, 1])
-    mixed = mixed.reshape(k, 2 * batch * c_out)
-    if plan.out_pick is not None:
-        full = np.zeros((out_r * out_s, 2 * batch * c_out))
-        full[plan.out_pick] = mixed
-        mixed = full
     field = plan.idft_w @ mixed.reshape(out_r, 2 * out_s, batch * c_out)
     field = plan.idft_h @ field.reshape(2 * out_r, width * batch * c_out)
     field = field.reshape(height, width, batch, c_out).transpose(2, 0, 1, 3)
@@ -531,9 +504,7 @@ def spectral_channel_mix(
         gt = g.reshape(batch, height, width, c_out).transpose(1, 2, 0, 3)
         gt = gt.reshape(height, width * batch * c_out)
         g_field = (plan.idft_h.T @ gt).reshape(out_r, 2 * width, batch * c_out)
-        g_mixed = (plan.idft_w.T @ g_field).reshape(out_r * out_s, 2, batch, c_out)
-        if plan.out_pick is not None:
-            g_mixed = g_mixed[plan.out_pick]
+        g_mixed = (plan.idft_w.T @ g_field).reshape(k, 2, batch, c_out)
         g_u = g_mixed.reshape(k, 2 * batch, c_out)
         g_v = np.empty((k, 2, batch, c_out))
         g_v[:, 0] = g_mixed[:, 1]
@@ -547,10 +518,6 @@ def spectral_channel_mix(
         g_spec = g_spec.reshape(k, 2 * batch * c_in)
         if plan.mix_in_t is not None:
             g_spec = plan.mix_in_t @ g_spec
-        elif plan.in_pick is not None:
-            full_g = np.zeros((in_r * in_s, 2 * batch * c_in))
-            full_g[plan.in_pick] = g_spec
-            g_spec = full_g
         g_part = plan.dft_w.T @ g_spec.reshape(in_r, 2 * in_s, batch * c_in)
         g_xt = plan.dft_h.T @ g_part.reshape(2 * in_r, width * batch * c_in)
         g_x = g_xt.reshape(height, width, batch, c_in).transpose(2, 0, 1, 3)

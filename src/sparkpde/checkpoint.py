@@ -13,7 +13,9 @@ Layout (little-endian):
     frozen table     u32 count, then per entry: name (u32+utf8) + crc32 u32
     crc32            u32 over every preceding byte
 
-Frozen-section checksums are verified on load, as is the trailing CRC.
+Frozen-section checksums are verified on load, as are the trailing CRC, the
+format version and the DFT tag (a file of another spectral convention is
+refused, not reinterpreted).
 Round trips are bit-exact and contain no timestamps; the file is written
 atomically (``container.write_container``).
 """
@@ -44,7 +46,6 @@ class ModelCheckpoint:
     config: dict
     tensors: dict[str, np.ndarray]
     frozen_names: list[str] = field(default_factory=list)
-    dft_tag: str = DFT_TAG
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path: str) -> None:
@@ -52,7 +53,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str) -> None:
     parts = [
         MAGIC,
         struct.pack("<I", FORMAT_VERSION),
-        pack_str(ckpt.dft_tag),
+        pack_str(DFT_TAG),
         pack_str(json.dumps(ckpt.config, sort_keys=True, separators=(",", ":"))),
         struct.pack("<I", len(names)),
     ]
@@ -85,6 +86,8 @@ def load_checkpoint(path: str) -> ModelCheckpoint:
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint format version {version}")
     dft_tag = r.string()
+    if dft_tag != DFT_TAG:
+        raise FormatError(f"checkpoint records another spectral convention: {dft_tag!r}")
     config = json.loads(r.string())
     count = r.u32()
     toc = []
@@ -120,6 +123,4 @@ def load_checkpoint(path: str) -> ModelCheckpoint:
         frozen_names.append(name)
     if not r.at_end():
         raise FormatError("trailing bytes after checkpoint frozen table")
-    return ModelCheckpoint(
-        config=config, tensors=tensors, frozen_names=frozen_names, dft_tag=dft_tag
-    )
+    return ModelCheckpoint(config=config, tensors=tensors, frozen_names=frozen_names)

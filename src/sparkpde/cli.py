@@ -172,12 +172,7 @@ def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     ds_cfg = cfg.dataset
     grid = GridGraph(ds_cfg.grid.height, ds_cfg.grid.width)
-    ood_rule = (
-        {"out_values": ds_cfg.ood.out_values}
-        if ds_cfg.ood.mode == "explicit"
-        else {"threshold": ds_cfg.ood.threshold, "direction": ds_cfg.ood.direction}
-    )
-    in_params, out_params = make_ood_split(ds_cfg.params, ood_rule)
+    in_params, out_params = make_ood_split(ds_cfg.params, ds_cfg.ood)
     out = _make_dir(Path(args.out))
 
     jobs = []
@@ -350,7 +345,7 @@ def cmd_eval(args) -> int:
             windows=np.array(dump.windows, dtype=np.int64),
         )
     print(
-        f"split={args.split} windows={report.extras['windows']} "
+        f"split={args.split} windows={report.windows} "
         f"mse={report.mse:.6f} ssim={report.ssim:.4f} psnr={report.psnr:.2f}"
     )
     return 0

@@ -218,8 +218,6 @@ def _coerce(value: Any, target_type: type, path: str) -> Any:
             return parsed
     if target_type is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    if target_type is bool and isinstance(value, bool):
-        return value
     if target_type is str and isinstance(value, str):
         return value
     if target_type is list and isinstance(value, list):

@@ -3,27 +3,21 @@
 from .dataset import (
     SPLIT_IN,
     SPLIT_OUT,
-    Episode,
     EpisodeDataset,
     load_dataset,
     make_ood_split,
     save_dataset,
 )
-from .fields import band_limited_field
-from .navier_stokes import simulate_navier_stokes, suggest_dt
-from .reaction_diffusion import simulate_reaction_diffusion, stability_dt
+from .navier_stokes import simulate_navier_stokes
+from .reaction_diffusion import simulate_reaction_diffusion
 
 __all__ = [
     "SPLIT_IN",
     "SPLIT_OUT",
-    "Episode",
     "EpisodeDataset",
-    "band_limited_field",
     "load_dataset",
     "make_ood_split",
     "save_dataset",
     "simulate_navier_stokes",
     "simulate_reaction_diffusion",
-    "stability_dt",
-    "suggest_dt",
 ]

@@ -27,12 +27,16 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..container import pack_str, read_container, write_container
 from ..errors import ContractViolation, FormatError
 from ..grids import GridGraph
+
+if TYPE_CHECKING:  # config imports datagen, so the section is only a type here
+    from ..config import OodSection
 
 MAGIC = b"SPARKDS1"
 FORMAT_VERSION = 1
@@ -102,39 +106,26 @@ class EpisodeDataset:
         return (x - means) / stds
 
 
-def make_ood_split(
-    param_grid: list, ood_rule: dict
-) -> tuple[list, list]:
+def make_ood_split(param_grid: list, ood: OodSection) -> tuple[list, list]:
     """Partition parameter values into (in-domain, out-domain) lists.
 
-    ``ood_rule`` is either ``{"out_values": [...]}`` (explicit membership) or
-    ``{"threshold": x, "direction": "below"|"above"}`` comparing the first
-    parameter component. The partition is exhaustive and disjoint.
+    ``ood`` holds either explicit out-of-domain values or a threshold on the
+    first parameter component with the side that is out of domain; it was
+    checked when the config loaded. The partition is exhaustive and disjoint.
     """
-    if not param_grid:
-        raise ContractViolation("parameter grid is empty")
 
     def as_vec(p) -> tuple:
         return tuple(np.atleast_1d(np.asarray(p, dtype=np.float64)).tolist())
 
     params = [as_vec(p) for p in param_grid]
-
-    if "out_values" in ood_rule:
-        out_set = {as_vec(p) for p in ood_rule["out_values"]}
-        in_domain = [p for p in params if p not in out_set]
+    if ood.mode == "explicit":
+        out_set = {as_vec(p) for p in ood.out_values}
         out_domain = [p for p in params if p in out_set]
-    elif "threshold" in ood_rule:
-        threshold = float(ood_rule["threshold"])
-        direction = ood_rule.get("direction", "below")
-        if direction not in ("below", "above"):
-            raise ContractViolation("ood_rule direction must be 'below' or 'above'")
-        if direction == "below":
-            out_domain = [p for p in params if p[0] < threshold]
-        else:
-            out_domain = [p for p in params if p[0] > threshold]
-        in_domain = [p for p in params if p not in out_domain]
+    elif ood.direction == "below":
+        out_domain = [p for p in params if p[0] < ood.threshold]
     else:
-        raise ContractViolation("ood_rule requires 'out_values' or 'threshold'")
+        out_domain = [p for p in params if p[0] > ood.threshold]
+    in_domain = [p for p in params if p not in out_domain]
 
     if not in_domain:
         raise ContractViolation("OOD rule leaves the in-domain set empty")

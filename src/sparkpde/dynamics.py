@@ -10,7 +10,10 @@ layout at any leading rank and records two tape nodes: the spectral branch
 (``ad.spectral_channel_mix``), which computes only the retained modes by
 truncated DFTs made of real matrix products, and ``ad.graph_layer``, which
 applies the adjacency along the node axis, the spatial mix, the bias and the
-GeLU, and keeps only A H and the GeLU's slope for its VJP.
+GeLU, and keeps only A H and the GeLU's slope for its VJP. The spectral
+branches of all layers share one ``ad.SpectralPlan`` (the retained modes, the
+adjacency's rows for them and the DFT matrices), which ``init_dynamics``
+builds with the weights.
 Integration is classical fixed-step RK4 (or Euler) unrolled on the tape, so
 gradients are exact for the discretized system.
 """
@@ -37,7 +40,7 @@ from .config import SOLVERS, AugmentSection, DynamicsSection
 from .datagen import EpisodeDataset
 from .encoder import EncoderStack, MlpDecoderWeights, init_mlp_decoder
 from .errors import ContractViolation, NumericError
-from .grids import GridGraph, retained_mode_indices
+from .grids import GridGraph
 from .rng import Xoshiro256StarStar, derive_seed, substream
 from .state_dictionary import Codebook, scheduled_lr
 
@@ -57,7 +60,7 @@ class DynamicsWeights:
     w_alpha: Tensor  # (D, D) temporal attention
     layers: list[OdeLayer]
     decoder: MlpDecoderWeights
-    mode_idx: np.ndarray
+    plan: ad.SpectralPlan  # the retained modes, the adjacency's rows and the DFT matrices
 
     def params(self) -> dict[str, Tensor]:
         out = {self.w_alpha.name: self.w_alpha}
@@ -76,8 +79,8 @@ def init_dynamics(
     d_obs: int,
 ) -> DynamicsWeights:
     """The forecaster ``cfg`` describes, for d_latent latents and d_obs channels."""
-    mode_idx = retained_mode_indices(grid.height, grid.width, cfg.k_max)
-    k = len(mode_idx)
+    plan = ad.spectral_plan(grid.height, grid.width, cfg.k_max, grid.adjacency)
+    k = len(plan.mode_idx)
     spectral_std = 0.1 / np.sqrt(d_latent)
     spatial_std = 0.5 / np.sqrt(d_latent)
     layers = []
@@ -109,7 +112,7 @@ def init_dynamics(
         ),
         layers=layers,
         decoder=decoder,
-        mode_idx=mode_idx,
+        plan=plan,
     )
 
 
@@ -138,22 +141,17 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
 
     Per layer: Y = gelu(IFFT(trunc(A.F(H)) W_F) + A H W + b), feeding Y to the
     next layer; the returned derivative is the sum of all layer outputs. Each
-    layer is two tape nodes, the spectral op and the fused graph layer, whose
-    values and gradients are those of the separate ops bit for bit.
+    layer is two tape nodes, the spectral op on ``w.plan`` and the fused graph
+    layer, whose values and gradients are those of the separate ops bit for bit.
     """
     state = h if isinstance(h, Tensor) else Tensor(h)
     if state.shape[-2] != grid.n_nodes:
         raise ContractViolation("node count does not match grid")
-    hg, wg = grid.height, grid.width
     total: Tensor | None = None
-    adj_rows = grid.adjacency_row_slice(w.mode_idx)
     for layer in w.layers:
         # Recording order sets the order gradients accumulate in, and so the
         # trained bytes: the spectral op is recorded first.
-        spectral = ad.spectral_channel_mix(
-            state, layer.wf_real, layer.wf_imag, w.mode_idx, hg, wg,
-            adjacency_rows=adj_rows,
-        )
+        spectral = ad.spectral_channel_mix(state, layer.wf_real, layer.wf_imag, w.plan)
         y = ad.graph_layer(
             spectral, state, grid.adjacency, grid.adjacency_t, layer.w, layer.b
         )
@@ -237,7 +235,6 @@ class DynTrainResult:
     history: list[EpochRow]
     augment_calls: int
     tau: float | None
-    frozen_checksum: int
 
 
 def frozen_checksum(encoder: EncoderStack, codebook: Codebook) -> int:
@@ -443,5 +440,4 @@ def train_dynamics(
         history=history,
         augment_calls=aug_calls,
         tau=tau,
-        frozen_checksum=checksum_before,
     )

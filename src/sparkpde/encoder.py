@@ -5,7 +5,9 @@ Three pieces:
   * channel attention — two gating vectors computed from the physical
     parameters by per-branch 2-layer MLPs modulate a pointwise (1x1) linear
     branch and a global spectral-convolution branch, added to the input
-    residually: h = x + a1 * g1(x) + a2 * g2(x);
+    residually: h = x + a1 * g1(x) + a2 * g2(x). g2 mixes channels per
+    retained Fourier mode through the ``ad.SpectralPlan`` that
+    ``init_channel_attention`` builds with its weights;
   * an L-layer GNN over the grid graph (neighbor-mean aggregation, residual
     combine over the concatenated self/aggregate features), one fused tape
     node per layer (``ad.gnn_layer``);
@@ -25,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import PretrainSection
 from .errors import ContractViolation
-from .grids import GridGraph, retained_mode_indices
+from .grids import GridGraph
 from .rng import Xoshiro256StarStar
 
 
@@ -54,9 +56,9 @@ class ChannelAttentionWeights:
     w2_2: Tensor
     b2_2: Tensor
     g1: Tensor  # (d, d) pointwise channel mix
-    g2_real: Tensor  # (K, d, d) spectral weights per retained mode
+    g2_real: Tensor  # (K, d, d) spectral weights per retained mode of ``plan``
     g2_imag: Tensor
-    mode_idx: np.ndarray
+    plan: ad.SpectralPlan  # the retained modes and their DFT matrices
 
     def params(self) -> dict[str, Tensor]:
         out = {}
@@ -79,8 +81,8 @@ def init_channel_attention(
     k_max: int,
     prefix: str = "encoder.attn",
 ) -> ChannelAttentionWeights:
-    mode_idx = retained_mode_indices(grid.height, grid.width, k_max)
-    k = len(mode_idx)
+    plan = ad.spectral_plan(grid.height, grid.width, k_max)
+    k = len(plan.mode_idx)
     # Gating vectors start at zero (w2/b2 zero) so the block is an exact
     # residual identity at initialization.
     spectral_std = 0.1 / np.sqrt(d_obs)
@@ -96,7 +98,7 @@ def init_channel_attention(
         g1=ad.parameter(np.eye(d_obs), f"{prefix}.g1"),
         g2_real=ad.parameter(gen.normal_array((k, d_obs, d_obs)) * spectral_std, f"{prefix}.g2_real"),
         g2_imag=ad.parameter(gen.normal_array((k, d_obs, d_obs)) * spectral_std, f"{prefix}.g2_imag"),
-        mode_idx=mode_idx,
+        plan=plan,
     )
 
 
@@ -138,9 +140,7 @@ def channel_attention(
     a1, a2 = a1.reshape(gate_shape), a2.reshape(gate_shape)
 
     branch1 = ad.matmul(x, w.g1)
-    branch2 = ad.spectral_channel_mix(
-        x, w.g2_real, w.g2_imag, w.mode_idx, grid.height, grid.width
-    )
+    branch2 = ad.spectral_channel_mix(x, w.g2_real, w.g2_imag, w.plan)
     return x + a1 * branch1 + a2 * branch2
 
 

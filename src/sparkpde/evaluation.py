@@ -90,10 +90,9 @@ def evaluate_split(
         mse=aggregate,
         ssim=float(np.mean(ssim_vals)),
         psnr=psnr_value,
-        max_val=max_val,
+        windows=len(windows),
         spectrum_truth=spectrum_truth,
         spectrum_pred=spectrum_pred,
-        extras={"windows": len(windows), "split": split},
     )
     dump = PredictionDump(windows=windows, predictions=predictions, targets=truth)
     log.info(

@@ -1,4 +1,4 @@
-"""Regular-grid observation graphs.
+"""The regular-grid observation graph.
 
 Nodes live on an H x W lattice in row-major order (node i = r*W + c). The
 adjacency is the periodic sparse 4-neighbor stencil, normalized
@@ -29,7 +29,6 @@ class GridGraph:
             raise ContractViolation("grid graph has an isolated node")
         self.adjacency = (sparse.diags(1.0 / degrees) @ binary).tocsr()
         self.adjacency_t = self.adjacency.T.tocsr()
-        self._row_slice_cache: dict = {}
 
     def _build_binary(self) -> sparse.csr_matrix:
         h, w = self.height, self.width
@@ -52,31 +51,3 @@ class GridGraph:
         if (out != out.T).nnz != 0:
             raise ContractViolation("adjacency construction produced an asymmetric matrix")
         return out
-
-    def adjacency_row_slice(self, rows: np.ndarray) -> sparse.csr_matrix:
-        """A[rows, :] as CSR, cached per row set.
-
-        Row-slicing before a sparse product keeps the per-row dot products
-        (and so the results) bit-identical to slicing afterwards.
-        """
-        key = rows.tobytes()
-        cached = self._row_slice_cache.get(key)
-        if cached is None:
-            cached = self._row_slice_cache[key] = self.adjacency[rows, :].tocsr()
-        return cached
-
-
-def retained_mode_indices(height: int, width: int, k_max: int) -> np.ndarray:
-    """Flat spatial indices of Fourier modes with |k| <= k_max per axis.
-
-    Wavenumbers follow the standard DFT layout (non-negative then negative),
-    so the retained set is the four corner blocks of the spectrum.
-    """
-    if k_max > min(height, width) // 2:
-        raise ContractViolation(
-            f"k_max={k_max} exceeds floor(min(H,W)/2)={min(height, width) // 2}"
-        )
-    ky = np.minimum(np.arange(height), height - np.arange(height))
-    kx = np.minimum(np.arange(width), width - np.arange(width))
-    keep = (ky[:, None] <= k_max) & (kx[None, :] <= k_max)
-    return np.flatnonzero(keep.reshape(-1)).astype(np.int64)

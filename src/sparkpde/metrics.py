@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import convolve as _convolve
@@ -119,10 +119,9 @@ class MetricReport:
     mse: float
     ssim: float
     psnr: float
-    max_val: float
+    windows: int  # forecast windows evaluated
     spectrum_truth: tuple[np.ndarray, np.ndarray] | None = None
     spectrum_pred: tuple[np.ndarray, np.ndarray] | None = None
-    extras: dict = field(default_factory=dict)
 
     def rows(self) -> list[tuple[str, float]]:
         out = [(f"mse_step_{i+1}", v) for i, v in enumerate(self.per_step_mse)]

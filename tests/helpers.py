@@ -6,8 +6,10 @@ of the implementation paths they check; ``spectral_projection`` is the one
 helper that runs the library's spectral op, for the oracles to read.
 ``sparse_matmul`` records the sparse adjacency product as a separate tape
 node, for the composed-op oracles of the fused graph layers.
-``with_table_shape`` crafts inconsistent checkpoints and
-``write_parameter_lengths`` inconsistent datasets for the format tests.
+``recorded_twice`` runs a model call twice on a tape, with the spectral
+plans it takes recorded. ``with_table_shape`` crafts inconsistent
+checkpoints and ``write_parameter_lengths`` inconsistent datasets for the
+format tests.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sparkpde.autodiff import Tape, Tensor, backward, spectral_channel_mix
+from sparkpde import autodiff
+from sparkpde.autodiff import Tape, Tensor, backward, spectral_channel_mix, square, tensor_sum
 from sparkpde.autodiff.tensor import _record
 from sparkpde.container import pack_str, write_container
 
@@ -116,16 +119,43 @@ def direct_dft2(real: np.ndarray, imag: np.ndarray) -> tuple[np.ndarray, np.ndar
     return out.real, out.imag
 
 
-def spectral_projection(x: np.ndarray, mode_idx, h: int, w: int, weight: complex = 1.0) -> np.ndarray:
+def spectral_projection(x: np.ndarray, plan, modes=None, weight: complex = 1.0) -> np.ndarray:
     """``spectral_channel_mix`` with ``weight`` times the identity channel mix
-    on every mode of ``mode_idx``; at weight 1 it is the projection
+    on every mode of ``plan``, or only on the flat indices ``modes`` (zero
+    weights on the plan's other modes); at weight 1 it is the projection
     P x = real(IDFT(mask * DFT(x))), so the transform conventions show in P.
     """
-    k, c = len(mode_idx), x.shape[-1]
-    eye = np.broadcast_to(np.eye(c), (k, c, c))
-    return spectral_channel_mix(
-        Tensor(x), weight.real * eye, weight.imag * eye, np.asarray(mode_idx), h, w
-    ).data
+    on = np.ones(len(plan.mode_idx), dtype=bool)
+    if modes is not None:
+        assert np.isin(modes, plan.mode_idx).all(), "modes outside the plan"
+        on = np.isin(plan.mode_idx, modes)
+    eye = on[:, None, None] * np.eye(x.shape[-1])
+    return spectral_channel_mix(Tensor(x), weight.real * eye, weight.imag * eye, plan).data
+
+
+def recorded_twice(call, params: dict, monkeypatch) -> tuple[list, list]:
+    """Two recorded runs of ``call()``, each as [output, gradient of
+    sum(output^2) for every entry of ``params``], and the plan of every
+    ``spectral_channel_mix`` call; building a plan meanwhile fails the test."""
+    plans = []
+
+    def spy(x, w_real, w_imag, plan):
+        plans.append(plan)
+        return spectral_channel_mix(x, w_real, w_imag, plan)
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a spectral plan was built by a model call")
+
+    monkeypatch.setattr(autodiff, "spectral_channel_mix", spy)
+    monkeypatch.setattr(autodiff, "spectral_plan", no_plan)
+    runs = []
+    for _ in range(2):
+        with Tape() as tape:
+            out = call()
+            loss = tensor_sum(square(out))
+        grads = backward(loss, tape, params=params.values())
+        runs.append([out.data] + [grads[name] for name in params])
+    return runs, plans
 
 
 def direct_spectral_mix(x: np.ndarray, weights: np.ndarray, mode_idx, h: int, w: int) -> np.ndarray:
@@ -177,17 +207,21 @@ def scalar_normal(gen, n: int) -> np.ndarray:
     return out
 
 
+def with_crc(body: bytes) -> bytes:
+    """``body`` followed by its trailing CRC, as the container writer ends a file."""
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
 def with_table_shape(blob: bytes, name: str, old: tuple, new: tuple) -> bytes:
     """``blob`` with the tensor table's shape of ``name`` replaced (same rank)
     and the trailing CRC recomputed, so only the table is inconsistent."""
     entry = pack_str(name) + struct.pack("<BI", 0, len(old))
     at = blob.index(entry + struct.pack(f"<{len(old)}I", *old))
-    body = (
+    return with_crc(
         blob[: at + len(entry)]
         + struct.pack(f"<{len(new)}I", *new)
         + blob[at + len(entry) + 4 * len(old) : -4]
     )
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
 def write_parameter_lengths(source: str, target: str, lengths: list[int]) -> None:

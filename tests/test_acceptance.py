@@ -26,6 +26,7 @@ from sparkpde.autodiff import (
     backward,
     gather_rows,
     spectral_channel_mix,
+    spectral_plan,
     square,
     tensor_mean,
     tensor_sum,
@@ -54,7 +55,7 @@ from sparkpde.encoder import (
     reconstruct,
 )
 from sparkpde.evaluation import evaluate_split
-from sparkpde.grids import GridGraph, retained_mode_indices
+from sparkpde.grids import GridGraph
 from sparkpde.metrics import energy_spectrum, psnr, ssim
 from sparkpde.rng import derive_seed
 from sparkpde.state_dictionary import (
@@ -240,23 +241,22 @@ def test_spectral_integrity():
     for size in (4, 8, 16, 32, 33):
         n = size * size
         x = gen.normal_array((n, 2))
-        worst_rt = max(
-            worst_rt, float(np.max(np.abs(spectral_projection(x, np.arange(n), size, size) - x)))
-        )
+        full = spectral_plan(size, size, size // 2)
+        worst_rt = max(worst_rt, float(np.max(np.abs(spectral_projection(x, full) - x))))
         power = np.abs(np.fft.fft2(x.T.reshape(2, size, size))).reshape(2, n) ** 2
         for k_max in (1, size // 4, size // 2):
-            idx = retained_mode_indices(size, size, k_max)
-            space = np.sum(spectral_projection(x, idx, size, size) ** 2)
-            freq = np.sum(power[:, idx]) / n
+            plan = spectral_plan(size, size, k_max)
+            space = np.sum(spectral_projection(x, plan) ** 2)
+            freq = np.sum(power[:, plan.mode_idx]) / n
             worst_parseval = max(worst_parseval, abs(space - freq) / freq)
     worst_oracle = 0.0
     for size in (4, 8, 16, 33):
         x = gen.normal_array((size * size, 2))
-        idx = retained_mode_indices(size, size, size // 4)
-        wr = gen.normal_array((len(idx), 2, 2))
-        wi = gen.normal_array((len(idx), 2, 2))
-        out = spectral_channel_mix(Tensor(x), wr, wi, idx, size, size).data
-        ref = direct_spectral_mix(x, wr + 1j * wi, idx, size, size)
+        plan = spectral_plan(size, size, size // 4)
+        wr = gen.normal_array((len(plan.mode_idx), 2, 2))
+        wi = gen.normal_array((len(plan.mode_idx), 2, 2))
+        out = spectral_channel_mix(Tensor(x), wr, wi, plan).data
+        ref = direct_spectral_mix(x, wr + 1j * wi, plan.mode_idx, size, size)
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_oracle = max(worst_oracle, float(np.max(np.abs(out - ref))) / scale)
     ok = worst_rt <= 1e-10 and worst_parseval <= 1e-10 and worst_oracle <= 1e-9

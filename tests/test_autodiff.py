@@ -21,6 +21,7 @@ from sparkpde.autodiff import (
     matmul,
     parameter,
     spectral_channel_mix,
+    spectral_plan,
     square,
     stop_gradient,
     tanh,
@@ -29,9 +30,10 @@ from sparkpde.autodiff import (
 )
 from sparkpde.autodiff.tensor import mul
 from sparkpde.config import PretrainSection
-from sparkpde.datagen import Episode, EpisodeDataset
+from sparkpde.datagen import EpisodeDataset
+from sparkpde.datagen.dataset import Episode
 from sparkpde.errors import ContractViolation, NumericError
-from sparkpde.grids import GridGraph, retained_mode_indices
+from sparkpde.grids import GridGraph
 
 from helpers import check_gradients, sparse_matmul, tape_gradients
 from helpers import gelu as gelu_oracle
@@ -179,18 +181,17 @@ def test_matmul_batched_gradients():
 
 
 def test_spectral_channel_mix_gradient_small():
-    grid = GridGraph(4, 4)
-    idx = np.array([0, 1, 4, 5, 12, 15])
-    rows = grid.adjacency_row_slice(idx)
+    plan = spectral_plan(4, 4, 1, GridGraph(4, 4).adjacency)
+    k = len(plan.mode_idx)
     gen = rng.substream(29, "mix")
     values = {
         "x": gen.normal_array((16, 2)),
-        "wr": gen.normal_array((6, 2, 2)),
-        "wi": gen.normal_array((6, 2, 2)),
+        "wr": gen.normal_array((k, 2, 2)),
+        "wi": gen.normal_array((k, 2, 2)),
     }
 
     def loss(p):
-        y = spectral_channel_mix(p["x"], p["wr"], p["wi"], idx, 4, 4, adjacency_rows=rows)
+        y = spectral_channel_mix(p["x"], p["wr"], p["wi"], plan)
         return tensor_sum(square(y))
 
     check_gradients(loss, values)
@@ -201,16 +202,16 @@ def test_spectral_channel_mix_gradient_small():
     for _ in range(2):
         params = [Tensor(values[k], requires_grad=True) for k in ("x", "wr", "wi")]
         with Tape():
-            out = spectral_channel_mix(*params, idx, 4, 4, adjacency_rows=rows)
+            out = spectral_channel_mix(*params, plan)
         runs.append([out.data] + list(out._vjp(g)))
     for first, second in zip(*runs):
         assert first.tobytes() == second.tobytes()
 
 
 def test_spectral_channel_mix_matches_composed_primitives():
-    # A 4x4 grid with modes that fill no product set and no batch axis, and
-    # the production shape: 32x32, k_max 8, batch 2; each with and without
-    # spectral adjacency.
+    # A 4x4 grid with weights only on modes that fill no row x column product
+    # set and no batch axis, and the production shape: 32x32, k_max 8, batch
+    # 2; each with and without spectral adjacency.
     for h, k_max, batch, channels in [(4, None, None, 3), (32, 8, 2, 4)]:
         for adjacency in (False, True):
             _check_fused_against_composed(h, k_max, batch, channels, adjacency)
@@ -241,9 +242,14 @@ def _check_fused_against_composed(h, k_max, batch, channels, adjacency):
     # error d moves it by <v, d> ~ |d| for Gaussian v, so 1e-12 of the
     # Cauchy-Schwarz bound |v| |vjp(g)| catches |d| / |vjp(g)| above ~1e-10
     # at the production shape.
+    # Without k_max, the plan keeps every mode and the weights are zero off
+    # the modes [0, 2, 5, 9].
     w = h
     n = h * w
-    idx = np.array([0, 2, 5, 9]) if k_max is None else retained_mode_indices(h, w, k_max)
+    grid = GridGraph(h, w)
+    plan = spectral_plan(h, w, h // 2 if k_max is None else k_max,
+                         grid.adjacency if adjacency else None)
+    idx = plan.mode_idx
     k = len(idx)
     c = channels
     lead = () if batch is None else (batch,)
@@ -251,16 +257,17 @@ def _check_fused_against_composed(h, k_max, batch, channels, adjacency):
     x0 = gen.normal_array(lead + (n, c))
     wr0 = gen.normal_array((k, c, c))
     wi0 = gen.normal_array((k, c, c))
+    if k_max is None:
+        off = ~np.isin(idx, [0, 2, 5, 9])
+        wr0[off] = wi0[off] = 0.0
     g = gen.normal_array(lead + (n, c))
     v = gen.normal_array(lead + (n, c))
     ur, ui = gen.normal_array((k, c, c)), gen.normal_array((k, c, c))
-    grid = GridGraph(h, w)
-    rows = grid.adjacency_row_slice(idx) if adjacency else None
     dense = grid.adjacency.toarray() if adjacency else None
 
     x = Tensor(x0, requires_grad=True)
     with Tape():
-        out = spectral_channel_mix(x, wr0, wi0, idx, h, w, adjacency_rows=rows)
+        out = spectral_channel_mix(x, wr0, wi0, plan)
     np.testing.assert_allclose(
         out.data, _composed_mix(x0, wr0, wi0, idx, h, w, dense), rtol=1e-12, atol=1e-12
     )
@@ -290,13 +297,12 @@ def test_graph_layer_bit_equal_to_composed_ops(lead, const):
     # accumulates across both; values and every gradient must be the same bits.
     grid = GridGraph(4, 4)
     gen = rng.substream(43, f"graph-layer/gelu/{len(lead)}")
-    idx = retained_mode_indices(4, 4, 1)
-    rows = grid.adjacency_row_slice(idx)
+    plan = spectral_plan(4, 4, 1, grid.adjacency)
     x0 = gen.normal_array(lead + (grid.n_nodes, 3))
     spectral0 = gen.normal_array(lead + (grid.n_nodes, 2))
     weights = {
-        "wr": gen.normal_array((len(idx), 3, 2)),
-        "wi": gen.normal_array((len(idx), 3, 2)),
+        "wr": gen.normal_array((len(plan.mode_idx), 3, 2)),
+        "wi": gen.normal_array((len(plan.mode_idx), 3, 2)),
         "w": gen.normal_array((3, 2)),
         "b": gen.normal_array((2,)),
     }
@@ -310,9 +316,7 @@ def test_graph_layer_bit_equal_to_composed_ops(lead, const):
             if const == "spectral":
                 spectral = Tensor(spectral0)
             else:
-                spectral = spectral_channel_mix(
-                    x, params["wr"], params["wi"], idx, 4, 4, adjacency_rows=rows
-                )
+                spectral = spectral_channel_mix(x, params["wr"], params["wi"], plan)
             y = layer(spectral, x, grid.adjacency, grid.adjacency_t, params["w"], params["b"])
             loss = tensor_sum(mul(y, cotangent))
         return y.data, backward(loss, tape, params=wrt)

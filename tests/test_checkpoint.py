@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from sparkpde import rng
 from sparkpde.checkpoint import (
     DFT_TAG,
+    FORMAT_VERSION,
     ModelCheckpoint,
     load_checkpoint,
     save_checkpoint,
 )
+from sparkpde.container import pack_str
 from sparkpde.errors import FormatError
 
-from helpers import with_table_shape
+from helpers import with_crc, with_table_shape
 
 
 def _toy_checkpoint() -> ModelCheckpoint:
@@ -43,7 +47,6 @@ def test_round_trip_bit_exact(tmp_path):
         assert loaded.tensors[name].dtype == arr.dtype
     assert loaded.config == ckpt.config
     assert loaded.frozen_names == ["a.weights"]
-    assert loaded.dft_tag == DFT_TAG
 
 
 def test_corrupted_payload_detected(tmp_path):
@@ -87,4 +90,25 @@ def test_byte_count_must_match_shape(tmp_path):
     # (4, 3) holds 12 values; the table now claims (4, 4) over those 96 bytes.
     path.write_bytes(with_table_shape(path.read_bytes(), "a.weights", (4, 3), (4, 4)))
     with pytest.raises(FormatError, match="'a.weights' holds 96 bytes"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "at, old, new, message",
+    [
+        (8, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", FORMAT_VERSION + 1), "version 2"),
+        (12, pack_str(DFT_TAG), pack_str("dft:forward-1/(H*W),inverse-unnormalized"),
+         "another spectral convention"),
+    ],
+    ids=["version", "dft-tag"],
+)
+def test_other_version_or_dft_tag_refused(tmp_path, at, old, new, message):
+    # The header field after the magic is replaced and the trailing CRC
+    # recomputed, so only the field itself is wrong.
+    path = tmp_path / "g.ckpt"
+    save_checkpoint(_toy_checkpoint(), str(path))
+    blob = path.read_bytes()
+    assert blob[at : at + len(old)] == old
+    path.write_bytes(with_crc(blob[:at] + new + blob[at + len(old) : -4]))
+    with pytest.raises(FormatError, match=message):
         load_checkpoint(str(path))

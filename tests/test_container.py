@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from sparkpde.checkpoint import ModelCheckpoint, save_checkpoint
-from sparkpde.datagen import Episode, EpisodeDataset, save_dataset
+from sparkpde.datagen import EpisodeDataset, save_dataset
+from sparkpde.datagen.dataset import Episode
 from sparkpde.grids import GridGraph
 
 

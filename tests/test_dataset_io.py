@@ -12,12 +12,13 @@ from sparkpde import rng
 from sparkpde.datagen import (
     SPLIT_IN,
     SPLIT_OUT,
-    Episode,
     EpisodeDataset,
     load_dataset,
     make_ood_split,
     save_dataset,
 )
+from sparkpde.config import OodSection
+from sparkpde.datagen.dataset import Episode
 from sparkpde.errors import ContractViolation, FormatError
 from sparkpde.grids import GridGraph
 
@@ -144,20 +145,24 @@ def test_d_delta_is_the_parameter_length():
 def test_ood_split_explicit_matches_threshold_rule():
     params = [10.0**-k for k in range(1, 11)]  # 1e-1 .. 1e-10
     explicit_in, explicit_out = make_ood_split(
-        params, {"out_values": [1e-9, 1e-10]}
+        params, OodSection(mode="explicit", out_values=[1e-9, 1e-10])
     )
     thresh_in, thresh_out = make_ood_split(
-        params, {"threshold": 5e-9, "direction": "below"}
+        params, OodSection(mode="threshold", threshold=5e-9, direction="below")
     )
     assert explicit_in == thresh_in
     assert explicit_out == thresh_out
     assert len(explicit_in) == 8 and len(explicit_out) == 2
+    above_in, above_out = make_ood_split(
+        params, OodSection(mode="threshold", threshold=5e-2, direction="above")
+    )
+    assert above_in == [(p,) for p in params[1:]] and above_out == [(1e-1,)]
 
 
 def test_ood_split_all_in_domain_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        in_d, out_d = make_ood_split([0.5], {"out_values": []})
+        in_d, out_d = make_ood_split([0.5], OodSection(mode="explicit", out_values=[]))
     assert in_d == [(0.5,)]
     assert out_d == []
     assert any("empty out-domain" in str(w.message) for w in caught)
@@ -165,7 +170,7 @@ def test_ood_split_all_in_domain_warns():
 
 def test_ood_split_empty_in_domain_rejected():
     with pytest.raises(ContractViolation):
-        make_ood_split([1.0, 2.0], {"out_values": [1.0, 2.0]})
+        make_ood_split([1.0, 2.0], OodSection(mode="explicit", out_values=[1.0, 2.0]))
 
 
 def test_normalization_ignores_out_domain_episodes():

@@ -7,10 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sparkpde import rng
+from sparkpde import dynamics, rng
 from sparkpde.autodiff import Tape, Tensor, square, tensor_sum
 from sparkpde.config import AugmentSection, DynamicsSection, PretrainSection
-from sparkpde.datagen import Episode, EpisodeDataset
+from sparkpde.datagen import EpisodeDataset
+from sparkpde.datagen.dataset import Episode
 from sparkpde.dynamics import (
     decode,
     encode_history,
@@ -25,7 +26,7 @@ from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 from sparkpde.state_dictionary import new_codebook
 
-from helpers import check_gradients, gelu
+from helpers import check_gradients, gelu, recorded_twice
 
 
 @pytest.fixture()
@@ -119,7 +120,7 @@ def _dense_rhs_oracle(h, grid, w):
     )
     f_inv = np.conj(f_mat) / n
     a_dense = grid.adjacency.toarray()
-    mode_idx = w.mode_idx
+    mode_idx = w.plan.mode_idx
 
     state = h.astype(np.complex128)
     total = None
@@ -146,6 +147,20 @@ def test_rhs_matches_dense_oracle(grid):
         got = ode_rhs(Tensor(h, requires_grad=True), grid, w).data
     expected = _dense_rhs_oracle(h, grid, w)
     np.testing.assert_allclose(got, expected, atol=1e-8)
+
+
+def test_rhs_mixes_with_the_plan_its_weights_hold(grid, monkeypatch):
+    # Every layer's spectral op takes the one plan built with the weights,
+    # which holds the adjacency's retained rows; no call builds a plan, and
+    # two calls give the same output and gradients bit for bit.
+    cfg = DynamicsSection(ode_layers=2, k_max=1, decoder_hidden=4)
+    w = init_dynamics(rng.substream(6, "plan"), cfg, grid, d_latent=3, d_obs=1)
+    assert w.plan.mix_in is not None
+    h = rng.substream(7, "plan/h").normal_array((2, grid.n_nodes, 3))
+    runs, plans = recorded_twice(lambda: ode_rhs(h, grid, w), w.params(), monkeypatch)
+    assert len(plans) == 2 * 2 and all(plan is w.plan for plan in plans)
+    for first, second in zip(*runs):
+        assert first.tobytes() == second.tobytes()
 
 
 def test_rk4_step_tape_budget(grid):
@@ -367,13 +382,24 @@ def test_weight_decay_shrinks_norms():
     assert total_norm(decayed) < total_norm(free)
 
 
-def test_frozen_components_unchanged_and_checksummed():
+def test_frozen_components_unchanged_and_checksummed(monkeypatch):
     grid = GridGraph(8, 8)
     ds = _constant_dataset(grid)
     encoder, codebook = _frozen_stack(grid)
     before = frozen_checksum(encoder, codebook)
-    result = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(), seed=SEED)
-    assert frozen_checksum(encoder, codebook) == before == result.frozen_checksum
+    train_dynamics(ds, encoder, codebook, _tiny_dyn_config(), seed=SEED)
+    assert frozen_checksum(encoder, codebook) == before
+
+    # A frozen tensor written during training is caught by the checksum.
+    latents = dynamics.episode_latents
+
+    def writing_latents(ds, encoder, episode_idx):
+        codebook.embeddings.data[0, 0] += 1.0
+        return latents(ds, encoder, episode_idx)
+
+    monkeypatch.setattr(dynamics, "episode_latents", writing_latents)
+    with pytest.raises(ContractViolation, match="frozen"):
+        train_dynamics(ds, encoder, codebook, _tiny_dyn_config(), seed=SEED)
 
 
 def test_no_augment_never_calls_augmentation():

@@ -23,9 +23,9 @@ from sparkpde.encoder import (
     reconstruct,
 )
 from sparkpde.errors import ContractViolation
-from sparkpde.grids import GridGraph, retained_mode_indices
+from sparkpde.grids import GridGraph
 
-from helpers import check_gradients, direct_spectral_mix, gelu
+from helpers import check_gradients, direct_spectral_mix, gelu, recorded_twice
 
 
 @pytest.fixture()
@@ -73,9 +73,20 @@ def test_spectral_branch_matches_dense_dft_oracle(grid):
     out = channel_attention(x, np.array([0.5]), w, grid).data - x
 
     weights = w.g2_real.data + 1j * w.g2_imag.data
-    mode_idx = retained_mode_indices(grid.height, grid.width, k_max)
-    expected = direct_spectral_mix(x, weights, mode_idx, grid.height, grid.width)
+    expected = direct_spectral_mix(x, weights, w.plan.mode_idx, grid.height, grid.width)
     np.testing.assert_allclose(out, expected, atol=1e-8)
+
+
+def test_attention_mixes_with_the_plan_its_weights_hold(grid, monkeypatch):
+    # Every call takes the one plan built with the weights, builds none, and
+    # two calls give the same output and gradients bit for bit.
+    w = _weights(grid)
+    x = rng.substream(9, "x").normal_array((2, grid.n_nodes, 2))
+    delta = np.array([[0.3], [0.7]])
+    runs, plans = recorded_twice(lambda: channel_attention(x, delta, w, grid), w.params(), monkeypatch)
+    assert len(plans) == 2 and all(plan is w.plan for plan in plans)
+    for first, second in zip(*runs):
+        assert first.tobytes() == second.tobytes()
 
 
 def test_delta_sensitivity(grid):

@@ -1,6 +1,7 @@
-"""Spectral transform contracts of ``spectral_channel_mix``, the one spectral op
-of the model: DFT oracle, round trip, truncated Parseval, gradients. Most
-read the op as the projection P of ``helpers.spectral_projection``.
+"""Spectral transform contracts of ``spectral_plan`` and ``spectral_channel_mix``,
+the one spectral op of the model: the retained mode set, DFT oracle, round
+trip, truncated Parseval, gradients. Most read the op as the projection P of
+``helpers.spectral_projection``.
 """
 
 from __future__ import annotations
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from sparkpde import rng
-from sparkpde.autodiff import Tensor, spectral_channel_mix, square, tensor_sum
+from sparkpde.autodiff import Tensor, spectral_channel_mix, spectral_plan, square, tensor_sum
 from sparkpde.errors import ContractViolation
-from sparkpde.grids import GridGraph, retained_mode_indices
+from sparkpde.grids import GridGraph
 
 from helpers import check_gradients, direct_spectral_mix, spectral_projection
 
@@ -25,15 +26,32 @@ def test_constant_field_dc_coefficient():
     # real (weight i reads -Im(X_0)); every other mode is zero.
     c = 2.75
     x = np.full((16, 1), c)
-    np.testing.assert_allclose(spectral_projection(x, [0], 4, 4), c, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(spectral_projection(x, [0], 4, 4, weight=1j), 0.0, atol=1e-12)
-    np.testing.assert_allclose(spectral_projection(x, np.arange(1, 16), 4, 4), 0.0, atol=1e-12)
+    plan = spectral_plan(4, 4, 2)
+    np.testing.assert_allclose(spectral_projection(x, plan, [0]), c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(spectral_projection(x, plan, [0], weight=1j), 0.0, atol=1e-12)
+    np.testing.assert_allclose(spectral_projection(x, plan, np.arange(1, 16)), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "h, w, k_max",
+    [(6, 5, 0), (6, 5, 1), (6, 5, 2), (5, 8, 2), (4, 9, 1), (8, 8, 3), (7, 7, 3), (33, 33, 16)],
+)
+def test_plan_keeps_modes_within_k_max_per_axis(h, w, k_max):
+    # |k| = min(k, n - k) in the DFT layout; the plan keeps the modes whose
+    # row and column wavenumbers both are at most k_max, in row-major order.
+    ky = np.minimum(np.arange(h), h - np.arange(h))
+    kx = np.minimum(np.arange(w), w - np.arange(w))
+    expected = np.flatnonzero((ky[:, None] <= k_max) & (kx[None, :] <= k_max))
+    for adjacency in (None, GridGraph(h, w).adjacency):
+        plan = spectral_plan(h, w, k_max, adjacency)
+        np.testing.assert_array_equal(plan.mode_idx, expected)
+        assert (plan.height, plan.width) == (h, w)
 
 
 @pytest.mark.parametrize("size", [4, 8, 16, 32, 33])
 def test_round_trip_identity(size):
     x = _field(f"rt/{size}", size * size, 2)
-    out = spectral_projection(x, np.arange(size * size), size, size)
+    out = spectral_projection(x, spectral_plan(size, size, size // 2))
     np.testing.assert_allclose(out, x, rtol=0, atol=1e-10)
 
 
@@ -41,12 +59,13 @@ def test_single_sine_mode_locations():
     # sin(2*pi*c/W) = (e^{+} - e^{-}) / 2i: modes (0, 1) and (0, W-1) carry
     # all of it, each with |X| = H*W/2, so either alone gives x/2.
     h = w = 8
+    plan = spectral_plan(h, w, w // 2)
     x = np.tile(np.sin(2 * np.pi * np.arange(w) / w), h).reshape(-1, 1)
-    np.testing.assert_allclose(spectral_projection(x, [1, w - 1], h, w), x, atol=1e-9)
-    np.testing.assert_allclose(spectral_projection(x, [1], h, w), x / 2, atol=1e-9)
-    np.testing.assert_allclose(spectral_projection(x, [w - 1], h, w), x / 2, atol=1e-9)
+    np.testing.assert_allclose(spectral_projection(x, plan, [1, w - 1]), x, atol=1e-9)
+    np.testing.assert_allclose(spectral_projection(x, plan, [1]), x / 2, atol=1e-9)
+    np.testing.assert_allclose(spectral_projection(x, plan, [w - 1]), x / 2, atol=1e-9)
     rest = np.setdiff1d(np.arange(h * w), [1, w - 1])
-    np.testing.assert_allclose(spectral_projection(x, rest, h, w), 0.0, atol=1e-9)
+    np.testing.assert_allclose(spectral_projection(x, plan, rest), 0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("size", [4, 8, 16, 33])
@@ -55,11 +74,11 @@ def test_matches_direct_dft_oracle(size):
     gen = rng.substream(2024, f"oracle/{size}")
     x = gen.normal_array((size * size, 2))
     for k_max in (size // 4, size // 2):
-        idx = retained_mode_indices(size, size, k_max)
-        wr = gen.normal_array((len(idx), 2, 3))
-        wi = gen.normal_array((len(idx), 2, 3))
-        out = spectral_channel_mix(Tensor(x), wr, wi, idx, size, size).data
-        ref = direct_spectral_mix(x, wr + 1j * wi, idx, size, size)
+        plan = spectral_plan(size, size, k_max)
+        wr = gen.normal_array((len(plan.mode_idx), 2, 3))
+        wi = gen.normal_array((len(plan.mode_idx), 2, 3))
+        out = spectral_channel_mix(Tensor(x), wr, wi, plan).data
+        ref = direct_spectral_mix(x, wr + 1j * wi, plan.mode_idx, size, size)
         scale = max(1.0, np.max(np.abs(ref)))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9 * scale)
 
@@ -71,27 +90,29 @@ def test_parseval(size):
     x = _field(f"parseval/{size}", size * size, 1)
     power = np.abs(np.fft.fft2(x[:, 0].reshape(size, size))).reshape(-1) ** 2
     for k_max in (1, size // 4, size // 2):
-        idx = retained_mode_indices(size, size, k_max)
-        space = np.sum(spectral_projection(x, idx, size, size) ** 2)
-        freq = np.sum(power[idx]) / (size * size)
+        plan = spectral_plan(size, size, k_max)
+        space = np.sum(spectral_projection(x, plan) ** 2)
+        freq = np.sum(power[plan.mode_idx]) / (size * size)
         assert abs(space - freq) / freq < 1e-10, k_max
 
 
 @pytest.mark.parametrize("adjacency", [False, True], ids=["plain", "adjacency"])
 def test_non_square_gradient_matches_finite_differences(adjacency):
-    # H != W with W odd, and modes that fill no row x column product set.
+    # H != W with W odd, and weights only on modes that fill no row x column
+    # product set (zero on the plan's other modes).
     h, w = 6, 5
-    idx = np.array([0, 1, 6, 13, 29])
-    rows = GridGraph(h, w).adjacency_row_slice(idx) if adjacency else None
+    plan = spectral_plan(h, w, 2, GridGraph(h, w).adjacency if adjacency else None)
+    off = ~np.isin(plan.mode_idx, [0, 1, 6, 13, 29])
     gen = rng.substream(2024, f"grad/{adjacency}")
     values = {
         "x": gen.normal_array((2, h * w, 2)),
-        "wr": gen.normal_array((len(idx), 2, 3)),
-        "wi": gen.normal_array((len(idx), 2, 3)),
+        "wr": gen.normal_array((len(plan.mode_idx), 2, 3)),
+        "wi": gen.normal_array((len(plan.mode_idx), 2, 3)),
     }
+    values["wr"][off] = values["wi"][off] = 0.0
 
     def loss(p):
-        y = spectral_channel_mix(p["x"], p["wr"], p["wi"], idx, h, w, adjacency_rows=rows)
+        y = spectral_channel_mix(p["x"], p["wr"], p["wi"], plan)
         return tensor_sum(square(y))
 
     check_gradients(loss, values)
@@ -99,10 +120,22 @@ def test_non_square_gradient_matches_finite_differences(adjacency):
 
 def test_shape_mismatch_rejected():
     x = Tensor(np.zeros((16, 2)))
-    wr = np.zeros((2, 2, 2))
+    plan = spectral_plan(4, 4, 1)
+    wr = np.zeros((len(plan.mode_idx), 2, 2))
     with pytest.raises(ContractViolation):
-        spectral_channel_mix(x, wr, np.zeros((2, 2, 3)), np.array([0, 1]), 4, 4)
+        spectral_channel_mix(x, wr, np.zeros(wr.shape[:2] + (3,)), plan)
     with pytest.raises(ContractViolation):
-        spectral_channel_mix(x, wr, wr, np.array([0, 1]), 4, 5)
+        spectral_channel_mix(x, wr[:2], wr[:2], plan)
     with pytest.raises(ContractViolation):
-        spectral_channel_mix(x, wr, wr, np.array([0, 0]), 4, 4)
+        spectral_channel_mix(x, wr, wr, spectral_plan(4, 5, 1))
+
+
+@pytest.mark.parametrize("h, w, k_max", [(4, 4, 3), (6, 5, 3), (8, 8, -1)])
+def test_plan_rejects_k_max_out_of_range(h, w, k_max):
+    with pytest.raises(ContractViolation, match="k_max"):
+        spectral_plan(h, w, k_max)
+
+
+def test_plan_rejects_adjacency_of_another_grid():
+    with pytest.raises(ContractViolation, match="adjacency"):
+        spectral_plan(4, 4, 1, GridGraph(4, 5).adjacency)

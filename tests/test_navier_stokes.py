@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sparkpde.datagen import navier_stokes, simulate_navier_stokes, suggest_dt
+from sparkpde.datagen import navier_stokes, simulate_navier_stokes
+from sparkpde.datagen.navier_stokes import suggest_dt
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 from sparkpde.metrics import energy_spectrum

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sparkpde.datagen import reaction_diffusion, simulate_reaction_diffusion, stability_dt
+from sparkpde.datagen import reaction_diffusion, simulate_reaction_diffusion
+from sparkpde.datagen.reaction_diffusion import stability_dt
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 

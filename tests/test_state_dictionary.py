@@ -8,7 +8,8 @@ import pytest
 from sparkpde import rng
 from sparkpde.autodiff import Tape, Tensor, backward, square, tensor_sum
 from sparkpde.config import PretrainSection
-from sparkpde.datagen import Episode, EpisodeDataset
+from sparkpde.datagen import EpisodeDataset
+from sparkpde.datagen.dataset import Episode
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 from sparkpde.state_dictionary import (
