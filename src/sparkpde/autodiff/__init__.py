@@ -1,4 +1,5 @@
-"""Tensors, the truncated-DFT spectral op and its plans, and reverse-mode differentiation."""
+"""Tensors and the enumeration of a model's parameters, the truncated-DFT
+spectral op and its plans, and reverse-mode differentiation."""
 
 from .optim import AdamState, adam_step
 from .tensor import (
@@ -13,6 +14,7 @@ from .tensor import (
     graph_layer,
     matmul,
     parameter,
+    parameters,
     spectral_channel_mix,
     spectral_plan,
     square,
@@ -36,6 +38,7 @@ __all__ = [
     "graph_layer",
     "matmul",
     "parameter",
+    "parameters",
     "spectral_channel_mix",
     "spectral_plan",
     "square",

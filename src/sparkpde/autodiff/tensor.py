@@ -3,7 +3,8 @@
 Every differentiable operation in this package is built from the primitives
 here. Recording is explicit: operations executed inside a ``with Tape():``
 block append their node to that tape; outside a tape they are plain numpy
-computations (used for frozen models and data generation).
+computations (used for frozen models and data generation). ``parameters``
+enumerates a model's named tensors by walking its weight dataclasses.
 
 ``backward`` replays the tape once, in reverse recording order. Recording
 order is a topological order by construction (an op can only consume already
@@ -30,6 +31,7 @@ besides the active tape.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -120,6 +122,32 @@ class Tensor:
 def parameter(data, name: str) -> Tensor:
     """A named trainable leaf tensor."""
     return Tensor(data, requires_grad=True, name=name)
+
+
+def parameters(*models) -> dict[str, Tensor]:
+    """Every tensor of ``models`` by its name, from dataclass fields and list
+    items walked depth first in declaration order; anything else (None,
+    arrays, tuples such as a ``SpectralPlan``) is skipped. The order is part of
+    the trained bytes: the dynamics weight decay sums in it (w_alpha, each ODE
+    layer's wf_real, wf_imag, w and b, then the decoder). A missing or repeated
+    name is a ``ContractViolation``."""
+    out: dict[str, Tensor] = {}
+
+    def visit(value) -> None:
+        if isinstance(value, Tensor):
+            if value.name is None or value.name in out:
+                raise ContractViolation(f"parameter names must be set and unique: {value.name!r}")
+            out[value.name] = value
+        elif isinstance(value, list):
+            for item in value:
+                visit(item)
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                visit(getattr(value, f.name))
+
+    for model in models:
+        visit(model)
+    return out
 
 
 class Tape:

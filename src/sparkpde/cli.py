@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import logging
 import os
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import autodiff as ad
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, describe_config, load_config, with_augment
 from .datagen import (
@@ -39,7 +41,7 @@ from .datagen import (
     simulate_navier_stokes,
     simulate_reaction_diffusion,
 )
-from .dynamics import train_dynamics
+from .dynamics import EpochRow, train_dynamics
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -57,10 +59,10 @@ from .serialization import (
     check_dataset_compatibility,
     checkpoint_config,
     dataset_meta,
-    dynamics_tensors,
     pretrained_tensors,
     rebuild_dynamics,
     rebuild_pretrained,
+    stored_codebook,
     stored_config,
 )
 from .state_dictionary import codebook_perplexity, pretrain
@@ -81,7 +83,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list | tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
@@ -271,10 +273,9 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     ds = _load_dataset(args.dataset)
     ckpt, stored = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
-    meta = ckpt.config["meta"]
-    check_dataset_compatibility(stored, meta, ds)
+    check_dataset_compatibility(stored, ckpt.config["meta"], ds)
     check_config_compatibility(stored, cfg)
-    encoder, codebook = rebuild_pretrained(stored, meta, ckpt.tensors, ds.grid)
+    encoder, codebook = rebuild_pretrained(stored, ckpt.tensors, ds)
     out = _make_dir(Path(args.out))
 
     aug = None if args.no_augment else cfg.augment
@@ -286,7 +287,7 @@ def cmd_train(args) -> int:
         KIND_DYNAMICS,
         {**dataset_meta(ds), "augmented": aug is not None, "tau": result.tau},
     )
-    tensors = dynamics_tensors(result.weights)
+    tensors = {name: t.data.copy() for name, t in ad.parameters(result.weights).items()}
     frozen = pretrained_tensors(encoder, codebook)
     tensors.update(frozen)
     save_checkpoint(
@@ -297,11 +298,8 @@ def cmd_train(args) -> int:
     )
     _write_csv(
         out / "metrics.csv",
-        ["epoch", "train_mse", "val_mse", "aug_ratio", "wallclock"],
-        [
-            [row.epoch, row.train_mse, row.val_mse, row.aug_ratio, row.wallclock]
-            for row in result.history
-        ],
+        [f.name for f in dataclasses.fields(EpochRow)],
+        [dataclasses.astuple(row) for row in result.history],
     )
     print(
         f"wrote {out / 'dynamics.ckpt'} "
@@ -316,11 +314,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt, cfg = _load_checkpoint(args.checkpoint, KIND_DYNAMICS)
-    meta = ckpt.config["meta"]
     ds = _load_dataset(args.dataset)
-    check_dataset_compatibility(cfg, meta, ds)
-    encoder, codebook = rebuild_pretrained(cfg, meta, ckpt.tensors, ds.grid)
-    weights = rebuild_dynamics(cfg, ckpt.tensors, ds.grid, ds.n_channels, codebook.dim)
+    check_dataset_compatibility(cfg, ckpt.config["meta"], ds)
+    encoder, codebook = rebuild_pretrained(cfg, ckpt.tensors, ds)
+    weights = rebuild_dynamics(cfg, ckpt.tensors, ds, codebook.dim)
     if not ds.split_episodes(args.split):
         raise ContractViolation(f"dataset has no '{args.split}' episodes")
     out = _make_dir(Path(args.out))
@@ -355,18 +352,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_codebook(args) -> int:
-    ckpt = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
-    if "codebook.embeddings" not in ckpt.tensors:
-        raise IncompatibilityError("checkpoint holds no codebook")
-    entries = ckpt.tensors["codebook.embeddings"]
-    usage = ckpt.tensors.get(
-        "codebook.usage", np.zeros(entries.shape[0], dtype=np.int64)
-    )
+    codebook = stored_codebook(load_checkpoint(_input_file(args.checkpoint, "checkpoint")).tensors)
+    usage = codebook.usage
     if args.csv:
         _make_dir(Path(args.csv).parent)
         if Path(args.csv).is_dir():
             raise ConfigError(f"--csv is a directory: {args.csv}")
-    m, d = entries.shape
+    m, d = codebook.embeddings.shape
     print(f"codebook: M={m} D={d}")
     if usage.sum() > 0:
         print(f"perplexity: {codebook_perplexity(usage):.3f}")
@@ -390,11 +382,10 @@ def cmd_sweep_k(args) -> int:
     augs = [with_augment(cfg, mode="interpolate", k=k).augment for k in K_SWEEP_GRID]
     ds = _load_dataset(args.dataset)
     ckpt, stored = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
-    meta = ckpt.config["meta"]
-    check_dataset_compatibility(stored, meta, ds)
+    check_dataset_compatibility(stored, ckpt.config["meta"], ds)
     check_config_compatibility(stored, cfg)
     # train_dynamics verifies by checksum that it leaves these frozen.
-    encoder, codebook = rebuild_pretrained(stored, meta, ckpt.tensors, ds.grid)
+    encoder, codebook = rebuild_pretrained(stored, ckpt.tensors, ds)
     out = _make_dir(Path(args.out))
     rows = []
     for k, aug in zip(K_SWEEP_GRID, augs):

@@ -16,6 +16,8 @@ adjacency's rows for them and the DFT matrices), which ``init_dynamics``
 builds with the weights.
 Integration is classical fixed-step RK4 (or Euler) unrolled on the tape, so
 gradients are exact for the discretized system.
+``ad.parameters`` enumerates the weights in field order, which the weight
+decay sums in, so the field order is part of the trained bytes.
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ class DynamicsWeights:
     layers: list[OdeLayer]
     decoder: MlpDecoderWeights
     plan: ad.SpectralPlan  # the retained modes, the adjacency's rows and the DFT matrices
-
-    def params(self) -> dict[str, Tensor]:
-        out = {self.w_alpha.name: self.w_alpha}
-        for layer in self.layers:
-            for t in (layer.wf_real, layer.wf_imag, layer.w, layer.b):
-                out[t.name] = t
-        out.update(self.decoder.params())
-        return out
 
 
 def init_dynamics(
@@ -240,7 +234,7 @@ class DynTrainResult:
 def frozen_checksum(encoder: EncoderStack, codebook: Codebook) -> int:
     """CRC32 over all frozen tensor payloads, in name order."""
     crc = 0
-    tensors = {**encoder.params(), **codebook.params()}
+    tensors = ad.parameters(encoder, codebook)
     for name in sorted(tensors):
         crc = zlib.crc32(tensors[name].data.tobytes(), crc)
     return crc & 0xFFFFFFFF
@@ -261,7 +255,7 @@ def dynamics_loss(
     mse_value = err.item()
     if lambda_reg > 0:
         reg = None
-        for p in weights.params().values():
+        for p in ad.parameters(weights).values():
             term = ad.tensor_sum(ad.square(p))
             reg = term if reg is None else reg + term
         err = err + lambda_reg * reg
@@ -373,7 +367,7 @@ def train_dynamics(
             aug_calls += 1
             return augment_latents(window, codebook, aug, _tau)
 
-    params = weights.params()
+    params = ad.parameters(weights)
     state = AdamState()
     history: list[EpochRow] = []
 

@@ -14,12 +14,13 @@ Three pieces:
   * a 2-layer MLP decoder back to observation space.
 
 All linear maps use the right-multiplication convention (x @ W, W is
-(in, out)). The activation is exact (erf-form) GeLU.
+(in, out)). The activation is exact (erf-form) GeLU. Each piece's weights are a
+dataclass (the GNN's, a list of ``GnnLayer``) that ``ad.parameters`` enumerates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,17 +61,6 @@ class ChannelAttentionWeights:
     g2_imag: Tensor
     plan: ad.SpectralPlan  # the retained modes and their DFT matrices
 
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        for key in (
-            "w1_1", "b1_1", "w2_1", "b2_1",
-            "w1_2", "b1_2", "w2_2", "b2_2",
-            "g1", "g2_real", "g2_imag",
-        ):
-            t = getattr(self, key)
-            out[t.name] = t
-        return out
-
 
 def init_channel_attention(
     gen: Xoshiro256StarStar,
@@ -79,13 +69,13 @@ def init_channel_attention(
     hidden: int,
     grid: GridGraph,
     k_max: int,
-    prefix: str = "encoder.attn",
 ) -> ChannelAttentionWeights:
     plan = ad.spectral_plan(grid.height, grid.width, k_max)
     k = len(plan.mode_idx)
     # Gating vectors start at zero (w2/b2 zero) so the block is an exact
     # residual identity at initialization.
     spectral_std = 0.1 / np.sqrt(d_obs)
+    prefix = "encoder.attn"
     return ChannelAttentionWeights(
         w1_1=_init_linear(gen, d_delta, hidden, f"{prefix}.w1_1"),
         b1_1=_zeros(hidden, f"{prefix}.b1_1"),
@@ -154,28 +144,13 @@ class GnnLayer:
     resid_w: Tensor | None  # (d_in, d_out) when dims differ, else identity skip
 
 
-@dataclass
-class GnnEncoderWeights:
-    layers: list[GnnLayer] = field(default_factory=list)
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        for layer in self.layers:
-            out[layer.combine_w.name] = layer.combine_w
-            out[layer.combine_b.name] = layer.combine_b
-            if layer.resid_w is not None:
-                out[layer.resid_w.name] = layer.resid_w
-        return out
-
-
 def init_gnn_encoder(
     gen: Xoshiro256StarStar,
     d_in: int,
     hidden: int,
     d_latent: int,
     n_layers: int,
-    prefix: str = "encoder.gnn",
-) -> GnnEncoderWeights:
+) -> list[GnnLayer]:
     if n_layers < 1:
         raise ContractViolation("GNN encoder needs at least one layer")
     dims = [d_in] + [hidden] * (n_layers - 1) + [d_latent]
@@ -184,18 +159,18 @@ def init_gnn_encoder(
         din, dout = dims[i], dims[i + 1]
         resid = None
         if din != dout:
-            resid = _init_linear(gen, din, dout, f"{prefix}.{i}.resid_w")
+            resid = _init_linear(gen, din, dout, f"encoder.gnn.{i}.resid_w")
         layers.append(
             GnnLayer(
-                combine_w=_init_linear(gen, 2 * din, dout, f"{prefix}.{i}.combine_w"),
-                combine_b=_zeros(dout, f"{prefix}.{i}.combine_b"),
+                combine_w=_init_linear(gen, 2 * din, dout, f"encoder.gnn.{i}.combine_w"),
+                combine_b=_zeros(dout, f"encoder.gnn.{i}.combine_b"),
                 resid_w=resid,
             )
         )
-    return GnnEncoderWeights(layers=layers)
+    return layers
 
 
-def gnn_encode(h: Tensor | np.ndarray, grid: GridGraph, w: GnnEncoderWeights) -> Tensor:
+def gnn_encode(h: Tensor | np.ndarray, grid: GridGraph, layers: list[GnnLayer]) -> Tensor:
     """L rounds of aggregate (neighbor mean via the normalized adjacency)
     and residual combine. h: (..., N, d) -> (..., N, D_latent).
 
@@ -206,7 +181,7 @@ def gnn_encode(h: Tensor | np.ndarray, grid: GridGraph, w: GnnEncoderWeights) ->
     h = h if isinstance(h, Tensor) else Tensor(h)
     if h.shape[-2] != grid.n_nodes:
         raise ContractViolation("node count does not match grid")
-    for layer in w.layers:
+    for layer in layers:
         h = ad.gnn_layer(
             h, grid.adjacency, grid.adjacency_t, layer.combine_w, layer.combine_b, layer.resid_w
         )
@@ -222,9 +197,6 @@ class MlpDecoderWeights:
     b_a: Tensor
     w_b: Tensor  # (hidden, d_out)
     b_b: Tensor
-
-    def params(self) -> dict[str, Tensor]:
-        return {t.name: t for t in (self.w_a, self.b_a, self.w_b, self.b_b)}
 
 
 def init_mlp_decoder(
@@ -275,15 +247,8 @@ class EncoderStack:
     """
 
     attention: ChannelAttentionWeights
-    gnn: GnnEncoderWeights
+    gnn: list[GnnLayer]
     decoder: MlpDecoderWeights
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.attention.params())
-        out.update(self.gnn.params())
-        out.update(self.decoder.params())
-        return out
 
     def encode(self, x, delta: np.ndarray, grid: GridGraph) -> Tensor:
         """Latents of x (..., N, d_obs) under raw parameters delta (..., d_delta)."""

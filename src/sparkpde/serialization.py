@@ -1,8 +1,11 @@
-"""Mapping between live models and checkpoint tensor tables.
+"""Mapping between live models and checkpoint tensor tables, whose names are
+those ``ad.parameters`` gives.
 
 Rebuilds go through the same ``init_encoder_stack``/``init_dynamics`` as
 training, so the config-to-model mapping is written once; they draw no random
-numbers, since every parameter is then assigned from the checkpoint.
+numbers, since every parameter is then assigned from the checkpoint. They take
+the sizes and the grid from the dataset, which ``check_dataset_compatibility``
+has matched against the snapshot's ``meta``.
 """
 
 from __future__ import annotations
@@ -11,11 +14,11 @@ import dataclasses
 
 import numpy as np
 
+from . import autodiff as ad
 from .config import ExperimentConfig, config_from_dict, config_to_dict
 from .dynamics import DynamicsWeights, init_dynamics
 from .encoder import EncoderStack, init_encoder_stack
 from .errors import ConfigError, IncompatibilityError
-from .grids import GridGraph
 from .state_dictionary import Codebook, new_codebook
 
 KIND_PRETRAIN = "pretrain"
@@ -47,8 +50,8 @@ def dataset_meta(ds) -> dict:
     }
 
 
-def _assign(params: dict, tensors: dict[str, np.ndarray], context: str) -> None:
-    for name, tensor in params.items():
+def _assign(model, tensors: dict[str, np.ndarray], context: str) -> None:
+    for name, tensor in ad.parameters(model).items():
         if name not in tensors:
             raise IncompatibilityError(f"{context}: checkpoint is missing tensor {name!r}")
         arr = tensors[name]
@@ -61,10 +64,29 @@ def _assign(params: dict, tensors: dict[str, np.ndarray], context: str) -> None:
 
 
 def pretrained_tensors(encoder: EncoderStack, codebook: Codebook) -> dict[str, np.ndarray]:
-    out = {name: t.data.copy() for name, t in encoder.params().items()}
-    out["codebook.embeddings"] = codebook.embeddings.data.copy()
+    out = {name: t.data.copy() for name, t in ad.parameters(encoder, codebook).items()}
     out["codebook.usage"] = codebook.usage.copy()
     return out
+
+
+def stored_codebook(tensors: dict[str, np.ndarray]) -> Codebook:
+    """The codebook a checkpoint holds: ``codebook.embeddings`` (M, D) and its
+    usage counts ``codebook.usage`` (M,)."""
+    entries = tensors.get("codebook.embeddings")
+    if entries is None or entries.ndim != 2:
+        raise IncompatibilityError(
+            "checkpoint tensor 'codebook.embeddings' must have shape (M, D), got "
+            + ("none" if entries is None else str(entries.shape))
+        )
+    usage = tensors.get("codebook.usage")
+    if usage is None or usage.shape != entries.shape[:1]:
+        raise IncompatibilityError(
+            f"checkpoint tensor 'codebook.usage' must have shape ({entries.shape[0]},), got "
+            + ("none" if usage is None else str(usage.shape))
+        )
+    codebook = new_codebook(entries)
+    codebook.usage = usage.astype(np.int64)
+    return codebook
 
 
 class _NoDraws:
@@ -77,36 +99,26 @@ class _NoDraws:
 
 
 def rebuild_pretrained(
-    cfg: ExperimentConfig, meta: dict, tensors: dict[str, np.ndarray], grid: GridGraph
+    cfg: ExperimentConfig, tensors: dict[str, np.ndarray], ds
 ) -> tuple[EncoderStack, Codebook]:
     """The frozen encoder and codebook a checkpoint holds, given its parsed
-    snapshot (``stored_config`` and ``meta``), on ``grid`` (the dataset's, whose
-    H x W ``check_dataset_compatibility`` has matched)."""
+    config (``stored_config``), for the dataset ``ds``."""
     encoder = init_encoder_stack(
-        _NoDraws(), cfg.pretrain, grid, d_obs=int(meta["d_obs"]), d_delta=int(meta["d_delta"])
+        _NoDraws(), cfg.pretrain, ds.grid, d_obs=ds.n_channels, d_delta=ds.d_delta
     )
-    _assign(encoder.params(), tensors, "encoder")
-    if "codebook.embeddings" not in tensors:
-        raise IncompatibilityError("checkpoint has no codebook")
-    codebook = new_codebook(tensors["codebook.embeddings"])
-    if "codebook.usage" in tensors:
-        codebook.usage = tensors["codebook.usage"].astype(np.int64).copy()
-    return encoder, codebook
-
-
-def dynamics_tensors(weights: DynamicsWeights) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in weights.params().items()}
+    _assign(encoder, tensors, "encoder")
+    return encoder, stored_codebook(tensors)
 
 
 def rebuild_dynamics(
-    cfg: ExperimentConfig,
-    tensors: dict[str, np.ndarray],
-    grid: GridGraph,
-    d_obs: int,
-    d_latent: int,
+    cfg: ExperimentConfig, tensors: dict[str, np.ndarray], ds, d_latent: int
 ) -> DynamicsWeights:
-    weights = init_dynamics(_NoDraws(), cfg.dynamics, grid, d_latent=d_latent, d_obs=d_obs)
-    _assign(weights.params(), tensors, "dynamics")
+    """The forecaster a dynamics checkpoint holds, for the dataset ``ds`` and
+    d_latent latents."""
+    weights = init_dynamics(
+        _NoDraws(), cfg.dynamics, ds.grid, d_latent=d_latent, d_obs=ds.n_channels
+    )
+    _assign(weights, tensors, "dynamics")
     return weights
 
 

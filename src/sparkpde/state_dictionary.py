@@ -48,9 +48,6 @@ class Codebook:
     def reset_usage(self) -> None:
         self.usage[:] = 0
 
-    def params(self) -> dict[str, Tensor]:
-        return {self.embeddings.name: self.embeddings}
-
 
 def new_codebook(entries: np.ndarray) -> Codebook:
     entries = np.asarray(entries, dtype=np.float64)
@@ -81,15 +78,15 @@ class QuantizeResult(NamedTuple):
     straight_through: Tensor  # forward = codes, backward = identity to h
 
 
-def quantize(h: Tensor | np.ndarray, cb: Codebook, count_usage: bool = True) -> QuantizeResult:
+def quantize(h: Tensor | np.ndarray, cb: Codebook) -> QuantizeResult:
+    """Nearest-entry codes of ``h``, with each assignment counted in ``cb.usage``."""
     h = h if isinstance(h, Tensor) else Tensor(h)
     if h.shape[-1] != cb.dim:
         raise ContractViolation(
             f"latent width {h.shape[-1]} does not match codebook dim {cb.dim}"
         )
     indices = nearest_indices(h.data, cb.embeddings.data)
-    if count_usage:
-        np.add.at(cb.usage, indices.reshape(-1), 1)
+    np.add.at(cb.usage, indices.reshape(-1), 1)
     flat_codes = ad.gather_rows(cb.embeddings, indices.reshape(-1))
     codes = flat_codes.reshape(*indices.shape, cb.dim)
     straight = h + ad.stop_gradient(codes - h)
@@ -214,7 +211,7 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
     seed_gen = substream(seed, "pretrain/kmeans")
     codebook = new_codebook(kmeans_plusplus(z0, cfg.codebook_size, seed_gen))
 
-    params = {**encoder.params(), **codebook.params()}
+    params = ad.parameters(encoder, codebook)
     state = AdamState()
     loss_history: list[float] = []
     perplexity_history: list[float] = []

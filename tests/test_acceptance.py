@@ -25,6 +25,7 @@ from sparkpde.autodiff import (
     Tensor,
     backward,
     gather_rows,
+    parameters,
     spectral_channel_mix,
     spectral_plan,
     square,
@@ -85,7 +86,7 @@ def test_gradient_integrity():
 
     # channel attention (all weights + input)
     attn = init_channel_attention(gen, 2, 1, 3, grid, k_max=1)
-    values = {name: t.data.copy() for name, t in attn.params().items()}
+    values = {name: t.data.copy() for name, t in parameters(attn).items()}
     values["x"] = gen.normal_array((grid.n_nodes, 2))
 
     def attn_loss(p):
@@ -99,14 +100,14 @@ def test_gradient_integrity():
 
     # GNN layer
     gnn = init_gnn_encoder(gen, 2, 3, 2, n_layers=2)
-    g_values = {name: t.data.copy() for name, t in gnn.params().items()}
+    g_values = {name: t.data.copy() for name, t in parameters(gnn).items()}
     x0 = gen.normal_array((grid.n_nodes, 2))
 
     def gnn_loss(p):
-        from sparkpde.encoder import GnnEncoderWeights, GnnLayer
+        from sparkpde.encoder import GnnLayer
 
         layers = []
-        for i, layer in enumerate(gnn.layers):
+        for i, layer in enumerate(gnn):
             layers.append(
                 GnnLayer(
                     combine_w=p[f"encoder.gnn.{i}.combine_w"],
@@ -114,7 +115,7 @@ def test_gradient_integrity():
                     resid_w=p[f"encoder.gnn.{i}.resid_w"] if layer.resid_w is not None else None,
                 )
             )
-        return tensor_sum(square(gnn_encode(Tensor(x0), grid, GnnEncoderWeights(layers=layers))))
+        return tensor_sum(square(gnn_encode(Tensor(x0), grid, layers)))
 
     worst = max(worst, check_gradients(gnn_loss, g_values))
 
@@ -138,7 +139,7 @@ def test_gradient_integrity():
     dyn = init_dynamics(
         gen, DynamicsSection(ode_layers=1, k_max=1, decoder_hidden=3), grid, d_latent=3, d_obs=1
     )
-    d_values = {name: t.data.copy() for name, t in dyn.params().items()}
+    d_values = {name: t.data.copy() for name, t in parameters(dyn).items()}
     h_seq0 = gen.normal_array((2, grid.n_nodes, 3))
     y0 = gen.normal_array((2, grid.n_nodes, 1))
 
@@ -171,7 +172,7 @@ def test_gradient_integrity():
 
     # pretraining loss wrt every argument (decoder included via reconstruction)
     dec = init_mlp_decoder(gen, 3, 4, 2)
-    p_values = {name: t.data.copy() for name, t in dec.params().items()}
+    p_values = {name: t.data.copy() for name, t in parameters(dec).items()}
     p_values["h"] = gen.normal_array((6, 3))
     p_values["E"] = gen.normal_array((4, 3))
     x_obs = gen.normal_array((6, 2))
@@ -187,7 +188,7 @@ def test_gradient_integrity():
         )
         cb2 = new_codebook(np.zeros((4, 3)))
         cb2.embeddings = p["E"]
-        q2 = quantize(p["h"], cb2, count_usage=False)
+        q2 = quantize(p["h"], cb2)
         x_hat = reconstruct(q2.straight_through, w)
         return pretrain_loss(Tensor(x_obs), x_hat, p["h"], q2.codes, mu=0.25, gamma=1.0)
 

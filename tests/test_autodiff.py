@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sparkpde.autodiff import (
     graph_layer,
     matmul,
     parameter,
+    parameters,
     spectral_channel_mix,
     spectral_plan,
     square,
@@ -29,9 +31,11 @@ from sparkpde.autodiff import (
     tensor_sum,
 )
 from sparkpde.autodiff.tensor import mul
-from sparkpde.config import PretrainSection
+from sparkpde.config import DynamicsSection, PretrainSection
 from sparkpde.datagen import EpisodeDataset
 from sparkpde.datagen.dataset import Episode
+from sparkpde.dynamics import init_dynamics
+from sparkpde.encoder import init_encoder_stack
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 
@@ -574,3 +578,95 @@ def test_primitive_gradients_random_inputs():
     for name, fn in cases.items():
         worst = check_gradients(fn, {"x": x0.copy(), "y": y0.copy()})
         assert worst < 1e-4, name
+
+
+# -- parameter enumeration -------------------------------------------------------
+
+
+@dataclass
+class _Model:
+    first: Tensor
+    skipped: tuple
+    counts: np.ndarray
+    missing: Tensor | None
+    rest: list
+
+
+def test_parameters_walk_fields_and_lists_in_declaration_order():
+    t = {name: parameter(np.zeros(1), name) for name in "abcd"}
+    inner = _Model(t["c"], (), np.zeros(1), None, [])
+    model = _Model(t["b"], (t["d"],), np.zeros(3), None, [inner, t["a"]])
+    found = parameters(model)
+    assert list(found) == ["b", "c", "a"]  # nothing inside a tuple
+    assert all(found[name] is t[name] for name in found)
+    assert list(parameters(t["d"], model)) == ["d", "b", "c", "a"]
+
+
+def test_parameters_refuse_repeated_and_missing_names():
+    first, second = parameter(np.zeros(2), "w"), parameter(np.ones(2), "w")
+    with pytest.raises(ContractViolation, match="'w'"):
+        parameters([first, second])
+    with pytest.raises(ContractViolation, match="'w'"):
+        parameters(first, first)
+    with pytest.raises(ContractViolation, match="None"):
+        parameters([Tensor(np.zeros(2))])
+
+
+def _models():
+    """An encoder stack whose middle GNN layer has no residual projection (its
+    widths match), its codebook, and a two-layer forecaster."""
+    grid = GridGraph(4, 4)
+    cfg = PretrainSection(d_latent=4, hidden=6, attention_hidden=3, k_max=1, gnn_layers=3)
+    stack = init_encoder_stack(rng.substream(3, "enum"), cfg, grid, d_obs=1, d_delta=1)
+    codebook = state_dictionary.new_codebook(np.eye(4))
+    dyn_cfg = DynamicsSection(ode_layers=2, k_max=1, decoder_hidden=3)
+    weights = init_dynamics(rng.substream(4, "enum"), dyn_cfg, grid, d_latent=4, d_obs=1)
+    return stack, codebook, weights
+
+
+def test_parameters_of_the_models_in_pinned_order():
+    # The dynamics order is part of the trained bytes: the weight decay sums
+    # its terms in it.
+    stack, codebook, weights = _models()
+    attn = ["w1_1", "b1_1", "w2_1", "b2_1", "w1_2", "b1_2", "w2_2", "b2_2",
+            "g1", "g2_real", "g2_imag"]
+    assert list(parameters(stack, codebook)) == [
+        *(f"encoder.attn.{name}" for name in attn),
+        "encoder.gnn.0.combine_w", "encoder.gnn.0.combine_b", "encoder.gnn.0.resid_w",
+        "encoder.gnn.1.combine_w", "encoder.gnn.1.combine_b",
+        "encoder.gnn.2.combine_w", "encoder.gnn.2.combine_b", "encoder.gnn.2.resid_w",
+        "encoder.decoder.w_a", "encoder.decoder.b_a",
+        "encoder.decoder.w_b", "encoder.decoder.b_b",
+        "codebook.embeddings",
+    ]
+    assert list(parameters(weights)) == [
+        "dynamics.w_alpha",
+        "dynamics.0.wf_real", "dynamics.0.wf_imag", "dynamics.0.w", "dynamics.0.b",
+        "dynamics.1.wf_real", "dynamics.1.wf_imag", "dynamics.1.w", "dynamics.1.b",
+        "dynamics.decoder.w_a", "dynamics.decoder.b_a",
+        "dynamics.decoder.w_b", "dynamics.decoder.b_b",
+    ]
+
+
+def _reachable_tensors(value):
+    """Every Tensor reachable from ``value`` through attributes, lists, tuples
+    and dicts: a wider walk than ``parameters`` takes."""
+    if isinstance(value, Tensor):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _reachable_tensors(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _reachable_tensors(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from _reachable_tensors(item)
+
+
+def test_parameters_reach_every_tensor_of_the_models():
+    for model in _models():
+        reachable = list(_reachable_tensors(model))
+        assert [id(t) for t in parameters(model).values()] == [id(t) for t in reachable]
+    stack = _models()[0]
+    assert [layer.resid_w is not None for layer in stack.gnn] == [True, False, True]

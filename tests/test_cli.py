@@ -8,6 +8,7 @@ import yaml
 
 from sparkpde import cli, config, dynamics, serialization, state_dictionary
 from sparkpde.augment import curriculum_ratio
+from sparkpde.autodiff import parameters
 from sparkpde.checkpoint import load_checkpoint, save_checkpoint
 from sparkpde.cli import main
 from sparkpde.config import config_to_dict, load_config, settings
@@ -600,10 +601,50 @@ def test_mixed_parameter_lengths_exit_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["inspect-codebook", "train"])
+@pytest.mark.parametrize(
+    "tensor, change, message",
+    [
+        ("codebook.usage", "drop", "'codebook.usage' must have shape (12,), got none"),
+        ("codebook.usage", "shorten", "'codebook.usage' must have shape (12,), got (11,)"),
+        ("codebook.embeddings", "drop", "'codebook.embeddings' must have shape (M, D)"),
+    ],
+    ids=["no-usage", "short-usage", "no-embeddings"],
+)
+def test_stored_codebook_needs_both_tensors_of_m_entries(
+    workspace, tmp_path, capsys, command, tensor, change, message
+):
+    ckpt = load_checkpoint(str(workspace["pretrain_ckpt"]))
+    if change == "drop":
+        del ckpt.tensors[tensor]
+    else:
+        ckpt.tensors[tensor] = ckpt.tensors[tensor][:-1]
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, str(bad))
+    out = tmp_path / "train"
+    argv = {
+        "inspect-codebook": ["inspect-codebook", "--checkpoint", str(bad)],
+        "train": _train_argv(workspace, out, checkpoint=bad),
+    }[command]
+    assert main(argv) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inspect_codebook_csv_directory_exits_2(workspace, tmp_path, capsys):
     argv = ["inspect-codebook", "--checkpoint", str(workspace["pretrain_ckpt"])]
     assert main(argv + ["--csv", str(tmp_path)]) == 2
     assert "--csv is a directory" in capsys.readouterr().err
+
+
+def _rebuild(workspace):
+    """The models the workspace's checkpoints hold, and the two tensor tables."""
+    ds = load_dataset(str(workspace["dataset"]))
+    pre = load_checkpoint(str(workspace["pretrain_ckpt"]))
+    encoder, codebook = rebuild_pretrained(stored_config(pre.config), pre.tensors, ds)
+    dyn = load_checkpoint(str(workspace["dynamics_ckpt"]))
+    weights = rebuild_dynamics(stored_config(dyn.config), dyn.tensors, ds, codebook.dim)
+    return (encoder, codebook, weights), pre.tensors, dyn.tensors
 
 
 def test_checkpoint_rebuild_draws_no_random_numbers(workspace, monkeypatch):
@@ -611,18 +652,19 @@ def test_checkpoint_rebuild_draws_no_random_numbers(workspace, monkeypatch):
         raise AssertionError("a checkpoint rebuild drew random numbers")
 
     monkeypatch.setattr(Xoshiro256StarStar, "normal", no_draws)
-    pre = load_checkpoint(str(workspace["pretrain_ckpt"]))
-    grid = load_dataset(str(workspace["dataset"])).grid
-    encoder, codebook = rebuild_pretrained(
-        stored_config(pre.config), pre.config["meta"], pre.tensors, grid
-    )
-    dyn = load_checkpoint(str(workspace["dynamics_ckpt"]))
-    weights = rebuild_dynamics(
-        stored_config(dyn.config), dyn.tensors, grid, d_obs=1, d_latent=codebook.dim
-    )
-    for params, tensors in ((encoder.params(), pre.tensors), (weights.params(), dyn.tensors)):
-        for name, t in params.items():
-            assert t.data.tobytes() == tensors[name].tobytes()
+    _rebuild(workspace)
+
+
+def test_rebuild_assigns_every_parameter(workspace):
+    # Each table holds exactly the names ad.parameters yields (plus the usage
+    # counts), and a rebuild, whose tensors start at zero, assigns every one.
+    (encoder, codebook, weights), pre, dyn = _rebuild(workspace)
+    frozen, trained = parameters(encoder, codebook), parameters(weights)
+    assert sorted(pre) == sorted([*frozen, "codebook.usage"])
+    assert sorted(dyn) == sorted([*frozen, *trained, "codebook.usage"])
+    for name, t in {**frozen, **trained}.items():
+        assert t.data.tobytes() == dyn[name].tobytes(), name
+    assert codebook.usage.tobytes() == pre["codebook.usage"].tobytes()
 
 
 def test_help_documents_config_keys(capsys):

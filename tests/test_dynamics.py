@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sparkpde import dynamics, rng
-from sparkpde.autodiff import Tape, Tensor, square, tensor_sum
+from sparkpde.autodiff import Tape, Tensor, parameters, square, tensor_sum
 from sparkpde.config import AugmentSection, DynamicsSection, PretrainSection
 from sparkpde.datagen import EpisodeDataset
 from sparkpde.datagen.dataset import Episode
@@ -157,7 +157,7 @@ def test_rhs_mixes_with_the_plan_its_weights_hold(grid, monkeypatch):
     w = init_dynamics(rng.substream(6, "plan"), cfg, grid, d_latent=3, d_obs=1)
     assert w.plan.mix_in is not None
     h = rng.substream(7, "plan/h").normal_array((2, grid.n_nodes, 3))
-    runs, plans = recorded_twice(lambda: ode_rhs(h, grid, w), w.params(), monkeypatch)
+    runs, plans = recorded_twice(lambda: ode_rhs(h, grid, w), parameters(w), monkeypatch)
     assert len(plans) == 2 * 2 and all(plan is w.plan for plan in plans)
     for first, second in zip(*runs):
         assert first.tobytes() == second.tobytes()
@@ -269,7 +269,7 @@ def test_integrate_divergence_aborts_with_time_index():
 
 def test_decode_zero_weights(grid):
     w = _weights(grid)
-    for t in w.decoder.params().values():
+    for t in parameters(w.decoder).values():
         t.data[:] = 0.0
     h = rng.substream(10, "dec").normal_array((grid.n_nodes, 3))
     np.testing.assert_array_equal(decode(h, w).data, np.zeros((grid.n_nodes, 1)))
@@ -286,7 +286,7 @@ def test_end_to_end_gradient_small_instance():
     )
     h_seq0 = gen.normal_array((2, grid.n_nodes, 4))
     target = gen.normal_array((2, grid.n_nodes, 1))
-    names = dict(w.params())
+    names = dict(parameters(w))
     values = {k: t.data.copy() for k, t in names.items()}
 
     def loss(p):
@@ -375,7 +375,7 @@ def test_weight_decay_shrinks_norms():
     ds.compute_normalization()
 
     def total_norm(result):
-        return sum(float(np.sum(t.data**2)) for t in result.weights.params().values())
+        return sum(float(np.sum(t.data**2)) for t in parameters(result.weights).values())
 
     free = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(lambda_reg=0.0), seed=SEED)
     decayed = train_dynamics(ds, encoder, codebook, _tiny_dyn_config(lambda_reg=10.0), seed=SEED)

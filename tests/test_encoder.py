@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from sparkpde import rng
-from sparkpde.autodiff import Tensor, square, tensor_sum
+from sparkpde.autodiff import Tensor, parameters, square, tensor_sum
 from sparkpde.config import PretrainSection
 from sparkpde.encoder import (
-    GnnEncoderWeights,
     GnnLayer,
     MlpDecoderWeights,
     channel_attention,
@@ -83,7 +82,7 @@ def test_attention_mixes_with_the_plan_its_weights_hold(grid, monkeypatch):
     w = _weights(grid)
     x = rng.substream(9, "x").normal_array((2, grid.n_nodes, 2))
     delta = np.array([[0.3], [0.7]])
-    runs, plans = recorded_twice(lambda: channel_attention(x, delta, w, grid), w.params(), monkeypatch)
+    runs, plans = recorded_twice(lambda: channel_attention(x, delta, w, grid), parameters(w), monkeypatch)
     assert len(plans) == 2 and all(plan is w.plan for plan in plans)
     for first, second in zip(*runs):
         assert first.tobytes() == second.tobytes()
@@ -122,7 +121,7 @@ def test_channel_attention_gradients(grid):
     w = init_channel_attention(gen, 2, 1, 3, small, k_max=1)
     x0 = gen.normal_array((small.n_nodes, 2))
     d0 = np.array([0.4])
-    values = {name: t.data.copy() for name, t in w.params().items()}
+    values = {name: t.data.copy() for name, t in parameters(w).items()}
     values["x"] = x0
 
     def loss(p):
@@ -155,9 +154,8 @@ def test_gnn_aggregate_only_matches_dense_oracle(grid):
         combine_b=Tensor(np.zeros(d_out), requires_grad=True, name="g.b"),
         resid_w=Tensor(np.zeros((d_in, d_out)), requires_grad=True, name="g.r"),
     )
-    w = GnnEncoderWeights(layers=[layer])
     x = gen.normal_array((grid.n_nodes, d_in))
-    out = gnn_encode(x, grid, w).data
+    out = gnn_encode(x, grid, [layer]).data
     expected = gelu(grid.adjacency.toarray() @ x @ proj)
     np.testing.assert_allclose(out, expected, atol=1e-10)
 
@@ -184,7 +182,7 @@ def test_gnn_permutation_equivariance_bit_exact_single_layer():
     gen = rng.substream(10, "perm")
     quant = lambda a: np.round(a * 8.0) / 8.0
     w = init_gnn_encoder(gen, 2, 4, 3, n_layers=1)
-    for t in w.params().values():
+    for t in parameters(w).values():
         t.data = quant(t.data)
     x = quant(gen.normal_array((n, 2)))
 
@@ -217,12 +215,12 @@ def test_gnn_gradients():
     small = GridGraph(4, 4)
     gen = rng.substream(12, "gnn-grad")
     w = init_gnn_encoder(gen, 2, 3, 2, n_layers=2)
-    values = {name: t.data.copy() for name, t in w.params().items()}
+    values = {name: t.data.copy() for name, t in parameters(w).items()}
     x0 = gen.normal_array((small.n_nodes, 2))
 
     def loss(p):
         layers = []
-        for layer_idx, layer in enumerate(w.layers):
+        for layer_idx, layer in enumerate(w):
             layers.append(
                 GnnLayer(
                     combine_w=p[f"encoder.gnn.{layer_idx}.combine_w"],
@@ -234,8 +232,7 @@ def test_gnn_gradients():
                     ),
                 )
             )
-        weights = GnnEncoderWeights(layers=layers)
-        out = gnn_encode(Tensor(x0), small, weights)
+        out = gnn_encode(Tensor(x0), small, layers)
         return tensor_sum(square(out))
 
     check_gradients(loss, values)
@@ -244,7 +241,7 @@ def test_gnn_gradients():
 def test_reconstruct_zero_weights_gives_zero():
     gen = rng.substream(13, "dec")
     w = init_mlp_decoder(gen, 3, 4, 2)
-    for t in w.params().values():
+    for t in parameters(w).values():
         t.data[:] = 0.0
     z = gen.normal_array((10, 3))
     out = reconstruct(z, w).data
@@ -266,7 +263,7 @@ def test_reconstruct_identity_configuration():
 def test_reconstruct_gradients():
     gen = rng.substream(15, "dec-grad")
     w = init_mlp_decoder(gen, 3, 4, 2)
-    values = {name: t.data.copy() for name, t in w.params().items()}
+    values = {name: t.data.copy() for name, t in parameters(w).items()}
     z0 = gen.normal_array((5, 3))
 
     def loss(p):
@@ -293,6 +290,6 @@ def test_full_stack_finite_gradients():
         z = stack.encode(x, np.array([0.1]), grid)
         xr = reconstruct(z, stack.decoder)
         loss = tensor_sum(square(xr - Tensor(x)))
-    grads = backward(loss, tape, params=stack.params().values())
+    grads = backward(loss, tape, params=parameters(stack).values())
     for g in grads.values():
         assert np.all(np.isfinite(g))
