@@ -167,6 +167,12 @@ class Tape:
         _ACTIVE_TAPE = self._previous
 
 
+def tape_recording() -> bool:
+    """Whether a ``Tape`` is recording. There is one active tape per process,
+    shared by every thread."""
+    return _ACTIVE_TAPE is not None
+
+
 def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 

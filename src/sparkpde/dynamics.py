@@ -328,6 +328,8 @@ def train_dynamics(
     curriculum ratio; it never touches validation windows. All randomness
     derives from the root ``seed``.
     """
+    from .evaluation import forecast_windows  # evaluation imports this module
+
     if aug is not None and min(aug.start_epoch, aug.ramp_epochs) < 0:
         raise ContractViolation(
             "augment.start_epoch/ramp_epochs are unresolved (-1); loading resolves them"
@@ -403,14 +405,12 @@ def train_dynamics(
 
         val_mse = float("nan")
         if val_windows:
-            v_total, v_count = 0.0, 0
-            for lo in range(0, len(val_windows), cfg.batch_size):
-                batch = val_windows[lo : lo + cfg.batch_size]
-                y_hat, y = _forecast_batch(latents, ds, batch, weights, cfg)
-                diff = y_hat.data - y.data
-                v_total += float(np.mean(np.sum(diff * diff, axis=-1))) * len(batch)
-                v_count += len(batch)
-            val_mse = v_total / v_count
+            v_total = 0.0
+            batches = forecast_windows(latents, ds, val_windows, weights, cfg, cfg.batch_size, "in")
+            for y_hat, y in batches:
+                diff = y_hat - y
+                v_total += float(np.mean(np.sum(diff * diff, axis=-1))) * y.shape[1]
+            val_mse = v_total / len(val_windows)
 
         history.append(
             EpochRow(

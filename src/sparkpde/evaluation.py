@@ -3,26 +3,88 @@
 Metrics are computed in normalized observation space (the space the model is
 trained in), with max_val for SSIM/PSNR taken from the evaluated split's
 truth frames. Augmentation is never applied here.
+
+Windows are forecast in batches of ``BATCH_SIZE`` on a thread pool with one
+worker per CPU of the process's affinity (at most one per batch), and the
+episode latents of the split on the same kind of pool. numpy's GEMMs and
+ufuncs and scipy's sparse products release the GIL, so the batches overlap.
+The partition into batches is fixed and results are gathered in window
+order, so the outputs do not depend on the worker count. Every op of a
+forecast treats windows as independent GEMM rows or columns, elementwise work
+or per-window reductions, so they do not depend on the batch size either, as
+long as BLAS computes a column the same way whatever the number of columns;
+OpenBLAS does not for GEMMs of at most 4 columns, which a latent width of 4 or
+less gives a batch of one window.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import autodiff as ad
 from .config import DynamicsSection
 from .datagen import EpisodeDataset
 from .dynamics import DynamicsWeights, _forecast_batch, _windows, episode_latents
 from .encoder import EncoderStack
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericError
 from .metrics import MetricReport, energy_spectrum, mse, psnr, ssim
 
 log = logging.getLogger("sparkpde")
 
-BATCH_SIZE = 8  # windows per forecast batch
+# Windows per forecast batch; small, so that the batches forecast at once
+# hold little memory.
+BATCH_SIZE = 2
+
+
+def _in_order(fn: Callable, items: list) -> list:
+    """``[fn(item) for item in items]``, run on a thread pool with one worker
+    per CPU of the process's affinity, at most one per item; with one worker,
+    in the calling thread. The first exception in item order is raised.
+
+    The workers share the module-global active tape, so none may record: a
+    recording ``Tape`` is a ``ContractViolation``, whatever the core count.
+    """
+    if ad.tape_recording():
+        raise ContractViolation("forecasts run on worker threads; none may run while a Tape records")
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def forecast_windows(
+    latents: dict[int, np.ndarray],
+    ds: EpisodeDataset,
+    windows: list[tuple[int, int]],
+    weights: DynamicsWeights,
+    cfg: DynamicsSection,
+    batch_size: int,
+    split: str,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(y_hat, y) arrays, each (T, B, N, d), of each run of ``batch_size``
+    windows in turn, forecast with no tape (``_in_order``). ``ds.stats`` must be
+    set, so that the workers only read the dataset. A forecast that diverges
+    raises ``NumericError`` naming ``split`` and its batch's windows."""
+
+    def forecast(batch: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            y_hat, y = _forecast_batch(latents, ds, batch, weights, cfg)
+        except NumericError as exc:
+            raise NumericError(
+                f"forecast of split '{split}' windows (episode, start) {batch}: {exc}"
+            ) from exc
+        return y_hat.data, y.data
+
+    batches = [windows[lo : lo + batch_size] for lo in range(0, len(windows), batch_size)]
+    return _in_order(forecast, batches)
 
 
 @dataclass
@@ -45,17 +107,15 @@ def evaluate_split(
     if not windows:
         raise ContractViolation(f"dataset has no '{split}' windows to evaluate")
 
-    episode_ids = sorted({e for e, _ in windows})
-    latents = {e: episode_latents(ds, encoder, e) for e in episode_ids}
+    if ds.stats is None:
+        ds.compute_normalization()  # before the pool: the workers only read it
 
-    preds, targets = [], []
-    for lo in range(0, len(windows), BATCH_SIZE):
-        batch = windows[lo : lo + BATCH_SIZE]
-        y_hat, y = _forecast_batch(latents, ds, batch, weights, cfg)
-        preds.append(np.swapaxes(y_hat.data, 0, 1))  # (B, T, N, d)
-        targets.append(np.swapaxes(y.data, 0, 1))
-    predictions = np.concatenate(preds)
-    truth = np.concatenate(targets)
+    episode_ids = sorted({e for e, _ in windows})
+    encoded = _in_order(lambda e: episode_latents(ds, encoder, e), episode_ids)
+    latents = dict(zip(episode_ids, encoded))
+    batches = forecast_windows(latents, ds, windows, weights, cfg, BATCH_SIZE, split)
+    predictions = np.concatenate([np.swapaxes(y_hat, 0, 1) for y_hat, _ in batches])  # (W, T, N, d)
+    truth = np.concatenate([np.swapaxes(y, 0, 1) for _, y in batches])
 
     per_step = [mse(truth[:, t], predictions[:, t]) for t in range(cfg.horizon)]
     aggregate = mse(truth, predictions)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from sparkpde import cli, config, dynamics, serialization, state_dictionary
+from sparkpde import cli, config, dynamics, evaluation, serialization, state_dictionary
 from sparkpde.augment import curriculum_ratio
 from sparkpde.autodiff import parameters
 from sparkpde.checkpoint import load_checkpoint, save_checkpoint
@@ -214,6 +214,25 @@ def test_train_divergence_leaves_train_failed(workspace, tmp_path, monkeypatch, 
     monkeypatch.undo()
     assert main(_train_argv(workspace, out, config=config)) == 0
     assert (out / "dynamics.ckpt").exists() and not (out / "train.failed").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_divergence_exits_3_naming_the_windows(workspace, tmp_path, capsys):
+    # An ODE bias at the top of the float range overflows the first RK4 step.
+    ckpt = load_checkpoint(str(workspace["dynamics_ckpt"]))
+    ckpt.tensors["dynamics.0.b"] = np.full_like(ckpt.tensors["dynamics.0.b"], 1e308)
+    bad = tmp_path / "diverging.ckpt"
+    save_checkpoint(ckpt, str(bad))
+    ds = load_dataset(str(workspace["dataset"]))
+    windows = [(e, 0) for e, ep in enumerate(ds.episodes) if ep.split == "out"]
+    argv = ["eval", "--checkpoint", str(bad), "--dataset", str(workspace["dataset"]),
+            "--split", "out", "--out", str(tmp_path / "eval")]
+    assert main(argv) == 3
+    message = (
+        f"numeric failure: forecast of split 'out' windows (episode, start) "
+        f"{windows[:evaluation.BATCH_SIZE]}: integration diverged at t=1"
+    )
+    assert message in capsys.readouterr().err
 
 
 def test_pretrain_reproducible(workspace, tmp_path):
