@@ -23,10 +23,10 @@ values and gradients are bit-equal to those of the separate ops.
 Complex spectral weights are represented as explicit real/imaginary tensor
 pairs. The one spectral op, ``spectral_channel_mix``, takes its DFTs with
 real GEMMs: unnormalized forward and 1/(H*W) inverse, as ``np.fft.fft2`` and
-``np.fft.ifft2``. Which Fourier modes it keeps (|k| <= k_max per axis) and the
-matrices it applies are one ``SpectralPlan``, which ``spectral_plan`` builds
-once per spectral layer, with that layer's weights. The module keeps no state
-besides the active tape.
+``np.fft.ifft2``. Which Fourier modes it keeps (|k| <= k_max per axis), the
+matrices it applies and the adjacency's pointwise Fourier symbol are one
+``SpectralPlan``, which ``spectral_plan`` builds once per spectral layer,
+with that layer's weights. The module keeps no state besides the active tape.
 """
 
 from __future__ import annotations
@@ -393,8 +393,9 @@ def _cos_sin(freqs: Array, n: int) -> tuple[Array, Array]:
 
 
 class SpectralPlan(NamedTuple):
-    """The retained Fourier modes of one H x W grid, and the index sets and
-    real DFT matrices ``spectral_channel_mix`` applies for them.
+    """The retained Fourier modes of one H x W grid, the real DFT matrices
+    ``spectral_channel_mix`` applies for them, and the adjacency's Fourier
+    symbol, if any.
 
     Matrix axes that pair a frequency with re/im are laid out (freq, re/im);
     ones that pair a sample with re/im are laid out (re/im, sample).
@@ -403,14 +404,12 @@ class SpectralPlan(NamedTuple):
     height: int
     width: int
     mode_idx: Array  # (K,) flat spectrum indices kr*W + kc, row-major
-    in_shape: tuple[int, int]  # rows x columns of the spectrum that is read
-    mix_in: _sparse.csr_matrix | None  # A[mode_idx, read nodes]
-    mix_in_t: _sparse.csr_matrix | None
-    out_shape: tuple[int, int]  # retained rows x retained columns
+    shape: tuple[int, int]  # retained rows x retained columns
+    symbol: Array | None  # (H*W,) real DFT of node 0's adjacency stencil
     dft_h: Array  # (2R, H): real field -> complex DFT along H
     dft_w: Array  # (2S, 2W): complex -> complex DFT along W
-    idft_w: Array  # (2W, 2S'): complex inverse DFT along W
-    idft_h: Array  # (H, 2R'): real part of the inverse along H, times 1/(H*W)
+    idft_w: Array  # (2W, 2S): complex inverse DFT along W
+    idft_h: Array  # (H, 2R): real part of the inverse along H, times 1/(H*W)
 
 
 def spectral_plan(height: int, width: int, k_max: int,
@@ -420,62 +419,49 @@ def spectral_plan(height: int, width: int, k_max: int,
     Wavenumbers follow the DFT layout (non-negative then negative), so the
     retained modes are the product of the retained rows and the retained
     columns: the four corner blocks of the spectrum, K modes in all. With the
-    grid's (H*W, H*W) ``adjacency``, the plan mixes the spectral coefficients
-    across grid nodes before the channel mix, keeping the retained rows of
-    A @ DFT(x). Each spectral layer builds its plan once, with its weights.
+    grid's (H*W, H*W) ``adjacency``, the op keeps the retained rows of
+    A @ DFT(x) instead. Each spectral layer builds its plan once, with its
+    weights.
+
+    Precondition: A is the same stencil a at every node, A[i, j] = a[j - i]
+    with grid offsets mod (H, W), as ``GridGraph``'s periodic row mean is.
+    Such an A is circulant, so diagonal in Fourier space: A @ DFT(x) =
+    DFT(s * x), where the symbol s = fft2(a) is the DFT of node 0's stencil,
+    real because a[d] = a[-d]. The plan keeps s.
     """
     if min(height, width) < 1 or not 0 <= k_max <= min(height, width) // 2:
         raise ContractViolation(
             f"k_max={k_max} is outside [0, floor(min(H,W)/2)] on a {height}x{width} grid"
         )
     n_nodes = height * width
-    if adjacency is not None and adjacency.shape != (n_nodes, n_nodes):
-        raise ContractViolation(
-            f"spectral_plan: adjacency must be ({n_nodes}, {n_nodes}), got {adjacency.shape}"
-        )
-    out_rows, out_cols = (
+    symbol = None
+    if adjacency is not None:
+        if adjacency.shape != (n_nodes, n_nodes):
+            raise ContractViolation(
+                f"spectral_plan: adjacency must be ({n_nodes}, {n_nodes}), got {adjacency.shape}"
+            )
+        symbol = np.fft.fft2(adjacency[0].toarray().reshape(height, width)).real.reshape(-1)
+    rows, cols = (
         np.flatnonzero(np.minimum(np.arange(n), n - np.arange(n)) <= k_max)
         for n in (height, width)
     )
-    mode_idx = (out_rows[:, None] * width + out_cols[None, :]).reshape(-1)
-    mix_in = mix_in_t = None
-    if adjacency is None:
-        in_rows, in_cols = out_rows, out_cols
-    else:
-        adjacency_rows = adjacency[mode_idx, :]
-        # The spectrum is read on the row x column product set that covers
-        # every node the retained rows of A touch.
-        in_rows, in_cols = (
-            np.unique(axis) for axis in np.divmod(np.unique(adjacency_rows.indices), width)
-        )
-        read = (in_rows[:, None] * width + in_cols[None, :]).reshape(-1)
-        position = np.zeros(n_nodes, dtype=adjacency_rows.indices.dtype)
-        position[read] = np.arange(len(read))
-        # Same entries in the same per-row order, columns renumbered to ``read``.
-        mix_in = _sparse.csr_matrix(
-            (adjacency_rows.data, position[adjacency_rows.indices], adjacency_rows.indptr),
-            shape=(len(mode_idx), len(read)),
-        )
-        mix_in_t = mix_in.T.tocsr()
+    mode_idx = (rows[:, None] * width + cols[None, :]).reshape(-1)
 
-    cos, sin = _cos_sin(in_rows, height)
+    cos, sin = _cos_sin(rows, height)
     dft_h = np.stack([cos, -sin], axis=1).reshape(-1, height)
-    cos, sin = _cos_sin(in_cols, width)
+    idft_h = np.stack([cos.T, -sin.T], axis=2).reshape(height, -1) / n_nodes
+    cos, sin = _cos_sin(cols, width)
     dft_w = np.stack(
         [np.concatenate([cos, sin], axis=1), np.concatenate([-sin, cos], axis=1)], axis=1
     ).reshape(-1, 2 * width)
-    cos, sin = _cos_sin(out_cols, width)
     idft_w = np.concatenate(
         [
             np.stack([cos.T, -sin.T], axis=2).reshape(width, -1),
             np.stack([sin.T, cos.T], axis=2).reshape(width, -1),
         ]
     )
-    cos, sin = _cos_sin(out_rows, height)
-    idft_h = np.stack([cos.T, -sin.T], axis=2).reshape(height, -1) / n_nodes
     return SpectralPlan(
-        height, width, mode_idx, (len(in_rows), len(in_cols)), mix_in, mix_in_t,
-        (len(out_rows), len(out_cols)), dft_h, dft_w, idft_w, idft_h,
+        height, width, mode_idx, (len(rows), len(cols)), symbol, dft_h, dft_w, idft_w, idft_h,
     )
 
 
@@ -486,22 +472,22 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
     graph layers hold; the output is (..., H*W, C_out) in the same layout.
     w_real/w_imag: (K, C_in, C_out), the complex channel mix of each of the
     K retained modes of ``plan`` (``plan.mode_idx`` order); every other mode
-    is zeroed. A plan built with the adjacency mixes the spectral
-    coefficients across grid nodes before the channel mix, giving the
-    retained rows of A @ DFT(x).
+    is zeroed. A plan built with the adjacency gives the retained rows of
+    A @ DFT(x) = DFT(s * x): the field is multiplied by the plan's real
+    symbol s, the DFT of node 0's stencil (see ``spectral_plan``), first.
 
     The transforms are truncated separable DFTs made of real GEMMs, never a
-    full FFT. The forward DFT runs along H, then along W, only over the rows
-    and columns of the spectrum that are read: the retained ones, or with
-    the adjacency those its retained rows touch. The inverse runs from the
-    retained rows x columns straight to the real field. DFTs are
-    unnormalized forward and 1/(H*W) inverse, as ``np.fft.fft2`` and
-    ``np.fft.ifft2``. The plan's matrices are built once, with the model.
+    full FFT. The forward DFT runs along H, then along W, only over the
+    retained rows and columns of the spectrum; the inverse runs from them
+    straight to the real field. DFTs are unnormalized forward and 1/(H*W)
+    inverse, as ``np.fft.fft2`` and ``np.fft.ifft2``. The plan's matrices
+    are built once, with the model.
 
-    One tape node. The VJP applies the transposes of the same matrices and
-    keeps only the truncated coefficients (K x 2 x B x C_in, real and
-    imaginary parts) for the weight gradient, so the memory kept per
-    evaluation is O(K), not O(H*W).
+    One tape node. The VJP applies the transposes of the same matrices (and
+    multiplies the field's gradient by the symbol in place) and keeps only
+    the truncated coefficients (K x 2 x B x C_in, real and imaginary parts)
+    for the weight gradient, so the memory kept per evaluation is O(K), not
+    O(H*W).
     """
     x, w_real, w_imag = _as_tensor(x), _as_tensor(w_real), _as_tensor(w_imag)
     height, width = plan.height, plan.width
@@ -514,30 +500,29 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
         raise ContractViolation("spectral_channel_mix: weight shape mismatch")
     c_out = w_real.shape[-1]
     batch = int(np.prod(lead)) if lead else 1
-    (in_r, in_s), (out_r, out_s) = plan.in_shape, plan.out_shape
+    rows, cols = plan.shape
     wr, wi = w_real.data, w_imag.data
 
     # Grid axes are GEMM rows; (batch, channel) ride along as columns.
     xt = x.data.reshape(batch, height, width, c_in).transpose(1, 2, 0, 3)
+    if plan.symbol is not None:  # A @ DFT(x) = DFT(s * x)
+        xt = np.multiply(xt, plan.symbol.reshape(height, width, 1, 1), out=np.empty(xt.shape))
     xt = xt.reshape(height, width * batch * c_in)
-    part = (plan.dft_h @ xt).reshape(in_r, 2 * width, batch * c_in)
-    spec = (plan.dft_w @ part).reshape(in_r * in_s, 2 * batch * c_in)
-    if plan.mix_in is not None:
-        spec = plan.mix_in @ spec
-    trunc = spec.reshape(k, 2 * batch, c_in)  # rows (re/im, batch); saved for the VJP
+    part = (plan.dft_h @ xt).reshape(rows, 2 * width, batch * c_in)
+    trunc = (plan.dft_w @ part).reshape(k, 2 * batch, c_in)  # rows (re/im, batch); kept for the VJP
     u, v = trunc @ wr, trunc @ wi
     mixed = np.empty((k, 2, batch, c_out))
     np.subtract(u[:, :batch], v[:, batch:], out=mixed[:, 0])
     np.add(v[:, :batch], u[:, batch:], out=mixed[:, 1])
-    field = plan.idft_w @ mixed.reshape(out_r, 2 * out_s, batch * c_out)
-    field = plan.idft_h @ field.reshape(2 * out_r, width * batch * c_out)
+    field = plan.idft_w @ mixed.reshape(rows, 2 * cols, batch * c_out)
+    field = plan.idft_h @ field.reshape(2 * rows, width * batch * c_out)
     field = field.reshape(height, width, batch, c_out).transpose(2, 0, 1, 3)
     out = Tensor(np.ascontiguousarray(field).reshape(lead + (n_nodes, c_out)))
 
     def vjp(g):
         gt = g.reshape(batch, height, width, c_out).transpose(1, 2, 0, 3)
         gt = gt.reshape(height, width * batch * c_out)
-        g_field = (plan.idft_h.T @ gt).reshape(out_r, 2 * width, batch * c_out)
+        g_field = (plan.idft_h.T @ gt).reshape(rows, 2 * width, batch * c_out)
         g_mixed = (plan.idft_w.T @ g_field).reshape(k, 2, batch, c_out)
         g_u = g_mixed.reshape(k, 2 * batch, c_out)
         g_v = np.empty((k, 2, batch, c_out))
@@ -549,12 +534,12 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
         if not x.requires_grad:
             return (None, g_wr, g_wi)
         g_spec = g_u @ wr.swapaxes(-1, -2) + g_v @ wi.swapaxes(-1, -2)
-        g_spec = g_spec.reshape(k, 2 * batch * c_in)
-        if plan.mix_in_t is not None:
-            g_spec = plan.mix_in_t @ g_spec
-        g_part = plan.dft_w.T @ g_spec.reshape(in_r, 2 * in_s, batch * c_in)
-        g_xt = plan.dft_h.T @ g_part.reshape(2 * in_r, width * batch * c_in)
-        g_x = g_xt.reshape(height, width, batch, c_in).transpose(2, 0, 1, 3)
+        g_part = plan.dft_w.T @ g_spec.reshape(rows, 2 * cols, batch * c_in)
+        g_xt = plan.dft_h.T @ g_part.reshape(2 * rows, width * batch * c_in)
+        g_xt = g_xt.reshape(height, width, batch, c_in)
+        if plan.symbol is not None:
+            g_xt *= plan.symbol.reshape(height, width, 1, 1)
+        g_x = g_xt.transpose(2, 0, 1, 3)
         return (np.ascontiguousarray(g_x).reshape(x.shape), g_wr, g_wi)
 
     return _record(out, (x, w_real, w_imag), vjp, "spectral_channel_mix")

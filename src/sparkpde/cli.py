@@ -190,7 +190,6 @@ def cmd_gen_data(args) -> int:
         ["vorticity"] if ds_cfg.generator == "navier_stokes" else ["u", "v"]
     )
     ds = EpisodeDataset(grid=grid, channel_names=channel_names, episodes=episodes)
-    ds.compute_normalization()
 
     data_path = out / "dataset.spds"
     save_dataset(ds, str(data_path))

@@ -73,7 +73,12 @@ class EpisodeDataset:
     grid: GridGraph
     channel_names: list[str]
     episodes: list[Episode] = field(default_factory=list)
-    stats: tuple[np.ndarray, np.ndarray] | None = None  # per-channel (means, stds)
+    # Per-channel (means, stds); computed from the episodes when not given.
+    stats: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.stats is None:
+            self.compute_normalization()
 
     @property
     def n_channels(self) -> int:
@@ -100,8 +105,6 @@ class EpisodeDataset:
         return self.stats
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        if self.stats is None:
-            self.compute_normalization()
         means, stds = self.stats
         return (x - means) / stds
 
@@ -149,8 +152,6 @@ def _check_parameter_lengths(episodes: list[Episode], error: type[Exception]) ->
 
 def save_dataset(ds: EpisodeDataset, path: str) -> None:
     _check_parameter_lengths(ds.episodes, ContractViolation)
-    if ds.stats is None:
-        ds.compute_normalization()
     means, stds = ds.stats
     parts = [
         MAGIC,

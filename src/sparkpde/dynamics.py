@@ -12,8 +12,10 @@ truncated DFTs made of real matrix products, and ``ad.graph_layer``, which
 applies the adjacency along the node axis, the spatial mix, the bias and the
 GeLU, and keeps only A H and the GeLU's slope for its VJP. The spectral
 branches of all layers share one ``ad.SpectralPlan`` (the retained modes, the
-adjacency's rows for them and the DFT matrices), which ``init_dynamics``
-builds with the weights.
+DFT matrices and the adjacency's Fourier symbol), which ``init_dynamics``
+builds with the weights. The grid adjacency is node 0's stencil at every
+node, so A applied to the Fourier coefficients is the field multiplied by the
+symbol, the DFT of that stencil, before the DFT: A @ DFT(H) = DFT(s * H).
 Integration is classical fixed-step RK4 (or Euler) unrolled on the tape, so
 gradients are exact for the discretized system.
 ``ad.parameters`` enumerates the weights in field order, which the weight
@@ -62,7 +64,9 @@ class DynamicsWeights:
     w_alpha: Tensor  # (D, D) temporal attention
     layers: list[OdeLayer]
     decoder: MlpDecoderWeights
-    plan: ad.SpectralPlan  # the retained modes, the adjacency's rows and the DFT matrices
+    # The retained modes, the DFT matrices and the adjacency's Fourier symbol
+    # (the DFT of node 0's stencil, the same at every node of the grid).
+    plan: ad.SpectralPlan
 
 
 def init_dynamics(

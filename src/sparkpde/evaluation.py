@@ -70,9 +70,8 @@ def forecast_windows(
     split: str,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(y_hat, y) arrays, each (T, B, N, d), of each run of ``batch_size``
-    windows in turn, forecast with no tape (``_in_order``). ``ds.stats`` must be
-    set, so that the workers only read the dataset. A forecast that diverges
-    raises ``NumericError`` naming ``split`` and its batch's windows."""
+    windows in turn, forecast with no tape (``_in_order``). A forecast that
+    diverges raises ``NumericError`` naming ``split`` and its batch's windows."""
 
     def forecast(batch: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
         try:
@@ -107,15 +106,15 @@ def evaluate_split(
     if not windows:
         raise ContractViolation(f"dataset has no '{split}' windows to evaluate")
 
-    if ds.stats is None:
-        ds.compute_normalization()  # before the pool: the workers only read it
-
     episode_ids = sorted({e for e, _ in windows})
     encoded = _in_order(lambda e: episode_latents(ds, encoder, e), episode_ids)
     latents = dict(zip(episode_ids, encoded))
     batches = forecast_windows(latents, ds, windows, weights, cfg, BATCH_SIZE, split)
-    predictions = np.concatenate([np.swapaxes(y_hat, 0, 1) for y_hat, _ in batches])  # (W, T, N, d)
-    truth = np.concatenate([np.swapaxes(y, 0, 1) for _, y in batches])
+    # (W, T, N, d) in C order: concatenating the swapped batches keeps their
+    # T-major layout (C order for batches of one window), and the metrics sum
+    # in memory order.
+    predictions = np.ascontiguousarray(np.concatenate([y_hat.swapaxes(0, 1) for y_hat, _ in batches]))
+    truth = np.ascontiguousarray(np.concatenate([y.swapaxes(0, 1) for _, y in batches]))
 
     per_step = [mse(truth[:, t], predictions[:, t]) for t in range(cfg.horizon)]
     aggregate = mse(truth, predictions)

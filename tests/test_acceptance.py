@@ -373,7 +373,6 @@ def _ns_dataset(id_values, ood_values, reps, t_total, seed=0, record_every=25, d
     for ep, (nu, _) in zip(episodes, jobs):
         ep.split = SPLIT_IN if nu in id_values else SPLIT_OUT
     ds = EpisodeDataset(grid=grid, channel_names=["vorticity"], episodes=episodes)
-    ds.compute_normalization()
     return ds
 
 

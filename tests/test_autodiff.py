@@ -461,7 +461,6 @@ def test_pretrain_step_tape_budget(monkeypatch):
     gen = rng.substream(67, "pretrain-tape-budget")
     episode = Episode(delta=np.array([1e-3, 2e-3]), x=gen.normal_array((4, 16, 2)), seed=0)
     ds = EpisodeDataset(grid=grid, channel_names=["u", "v"], episodes=[episode])
-    ds.compute_normalization()
     cfg = PretrainSection(
         epochs=1, batch_size=4, codebook_size=4, d_latent=5, hidden=5,
         attention_hidden=3, gnn_layers=2, k_max=1,

@@ -1,4 +1,5 @@
-"""tools/compare_artifacts.py: what counts as a difference, and its exit status."""
+"""tools/compare_artifacts.py: what counts as a difference, how it is reported,
+and the exit status."""
 
 from __future__ import annotations
 
@@ -60,3 +61,27 @@ def test_any_other_difference_fails(tmp_path, capsys, part):
         (b / "manifest.txt").write_text("root seed: 2\ngenerated_at: 1.5\n")
     assert compare_artifacts.main([str(a), str(b)]) == 1
     assert "DIFF" in capsys.readouterr().out
+
+
+def test_differing_values_are_named_with_their_drift(tmp_path, capsys):
+    # One checkpoint tensor and one npz array moved in the last bits: each is
+    # named with max |a-b| / max|a|; the tensor and array that agree are not.
+    w = np.arange(1.0, 7.0).reshape(2, 3)
+    a = _tree(tmp_path / "a", {"seed": 1}, w, "1.5")
+    b = _tree(tmp_path / "b", {"seed": 1}, w, "1.5")
+    moved = w.copy()
+    moved[1, 2] = np.nextafter(6.0, 7.0)
+    for root, weights in ((a, w), (b, moved)):
+        save_checkpoint(
+            ModelCheckpoint(config={"seed": 1},
+                            tensors={"w": weights, "steps": np.arange(3)}, frozen_names=[]),
+            str(root / "model.ckpt"),
+        )
+    np.savez(b / "predictions_out.npz", predictions=moved, windows=np.arange(3))
+    assert compare_artifacts.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    drift = f"{(np.nextafter(6.0, 7.0) - 6.0) / 6.0:.3g}"
+    assert f"DIFF     model.ckpt: w: values differ, max |a-b| / max|a| = {drift}" in out
+    assert f"DIFF     predictions_out.npz: predictions: values differ, max |a-b| / max|a| = {drift}" in out
+    assert "steps" not in out and "windows" not in out
+    assert "2 file(s) differ" in out

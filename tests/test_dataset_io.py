@@ -35,7 +35,6 @@ def _toy_dataset(n_episodes=10, height=32, width=32, channels=1, t_total=6) -> E
         episodes.append(Episode(delta=np.array([10.0**-i]), x=x, seed=i, split=split))
     names = [f"ch{c}" for c in range(channels)]
     ds = EpisodeDataset(grid=grid, channel_names=names, episodes=episodes)
-    ds.compute_normalization()
     return ds
 
 

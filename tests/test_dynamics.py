@@ -151,11 +151,12 @@ def test_rhs_matches_dense_oracle(grid):
 
 def test_rhs_mixes_with_the_plan_its_weights_hold(grid, monkeypatch):
     # Every layer's spectral op takes the one plan built with the weights,
-    # which holds the adjacency's retained rows; no call builds a plan, and
+    # which holds the adjacency's Fourier symbol; no call builds a plan, and
     # two calls give the same output and gradients bit for bit.
     cfg = DynamicsSection(ode_layers=2, k_max=1, decoder_hidden=4)
     w = init_dynamics(rng.substream(6, "plan"), cfg, grid, d_latent=3, d_obs=1)
-    assert w.plan.mix_in is not None
+    stencil = grid.adjacency[0].toarray().reshape(grid.height, grid.width)
+    np.testing.assert_array_equal(w.plan.symbol, np.fft.fft2(stencil).real.reshape(-1))
     h = rng.substream(7, "plan/h").normal_array((2, grid.n_nodes, 3))
     runs, plans = recorded_twice(lambda: ode_rhs(h, grid, w), parameters(w), monkeypatch)
     assert len(plans) == 2 * 2 and all(plan is w.plan for plan in plans)
@@ -329,9 +330,7 @@ def _constant_dataset(grid, episodes=2, t_total=8):
         )
         for i in range(episodes)
     ]
-    ds = EpisodeDataset(grid=grid, channel_names=["field"], episodes=eps)
-    ds.compute_normalization()
-    return ds
+    return EpisodeDataset(grid=grid, channel_names=["field"], episodes=eps)
 
 
 def _frozen_stack(grid, d_latent=4):
@@ -372,7 +371,6 @@ def test_weight_decay_shrinks_norms():
         for i in range(2)
     ]
     ds = EpisodeDataset(grid=grid, channel_names=["field"], episodes=eps)
-    ds.compute_normalization()
 
     def total_norm(result):
         return sum(float(np.sum(t.data**2)) for t in parameters(result.weights).values())

@@ -7,7 +7,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -40,7 +39,6 @@ def model():
     for ep in episodes[1:]:
         ep.split = "out"
     ds = EpisodeDataset(grid=grid, channel_names=["vorticity"], episodes=episodes)
-    ds.compute_normalization()
     gen = rng.substream(11, "evaluation")
     pre = PretrainSection(d_latent=8, hidden=8, attention_hidden=4, gnn_layers=1, k_max=2)
     encoder = init_encoder_stack(gen, pre, grid, d_obs=1, d_delta=1)
@@ -103,6 +101,20 @@ def test_outputs_do_not_depend_on_the_batch_size(model, monkeypatch):
     _assert_same(results[8], results[1])
 
 
+@pytest.mark.parametrize("size", [8, 2, 1])
+def test_metrics_sum_predictions_in_c_order(model, monkeypatch, size):
+    # The batches arrive T-major; the metrics must not sum in that order, or
+    # the same prediction bytes give batch-size-dependent last bits.
+    _cores(monkeypatch, 1)
+    monkeypatch.setattr(evaluation, "BATCH_SIZE", size)
+    report, dump = _evaluate(model)
+    assert dump.predictions.flags.c_contiguous and dump.targets.flags.c_contiguous
+    truth, predictions = dump.targets.copy(), dump.predictions.copy()
+    assert report.mse == evaluation.mse(truth, predictions)
+    assert report.per_step_mse == [evaluation.mse(truth[:, t], predictions[:, t])
+                                   for t in range(CFG.horizon)]
+
+
 @pytest.mark.parametrize("cores", [2, 4])
 def test_outputs_do_not_depend_on_the_core_count(model, monkeypatch, cores):
     # Two or four workers, switching threads every 10 us, interleave the
@@ -146,21 +158,14 @@ def test_refused_while_a_tape_records(model, monkeypatch, cores):
     assert tape._nodes == []
 
 
-def test_dataset_stats_settled_before_the_pool(model, monkeypatch):
+def test_dataset_stats_exist_from_construction(model):
+    # The forecast workers only read the dataset: its stats are computed when
+    # it is built, never on first use.
     ds = model[0]
-    unsettled = dataclasses.replace(ds, stats=None)
-    threads = []
-    settle = EpisodeDataset.compute_normalization
-
-    def recorded(self):
-        threads.append(threading.current_thread())
-        return settle(self)
-
-    monkeypatch.setattr(EpisodeDataset, "compute_normalization", recorded)
-    _cores(monkeypatch, 2)
-    result = _evaluate(model, unsettled)
-    assert threads == [threading.main_thread()]
-    _assert_same(result, _evaluate(model))
+    rebuilt = dataclasses.replace(ds, stats=None)
+    for ours, theirs in zip(rebuilt.stats, ds.stats):
+        assert ours.tobytes() == theirs.tobytes()
+    _assert_same(_evaluate(model, rebuilt), _evaluate(model))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,6 +1,7 @@
 """Spectral transform contracts of ``spectral_plan`` and ``spectral_channel_mix``,
-the one spectral op of the model: the retained mode set, DFT oracle, round
-trip, truncated Parseval, gradients. Most read the op as the projection P of
+the one spectral op of the model: the retained mode set, the adjacency's
+Fourier symbol and its precondition, DFT oracle, round trip, truncated
+Parseval, gradients. Most read the op as the projection P of
 ``helpers.spectral_projection``.
 """
 
@@ -46,6 +47,40 @@ def test_plan_keeps_modes_within_k_max_per_axis(h, w, k_max):
         plan = spectral_plan(h, w, k_max, adjacency)
         np.testing.assert_array_equal(plan.mode_idx, expected)
         assert (plan.height, plan.width) == (h, w)
+
+
+# Every grid shape the tests build, and the degenerate periodic ones: a single
+# row (no vertical neighbour) and two rows or columns (the two neighbours on
+# that axis are one node).
+GRIDS = [(1, 4), (1, 5), (2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (4, 5), (4, 9), (5, 7),
+         (5, 8), (6, 5), (7, 7), (8, 8), (16, 16), (32, 32), (33, 33)]
+
+
+@pytest.mark.parametrize("h, w", GRIDS)
+def test_grid_adjacency_is_one_stencil_at_every_node(h, w):
+    # The symbol's precondition: row i of A is node 0's stencil shifted to
+    # node i, A[i, j] = a[j - i] with grid offsets mod (H, W).
+    dense = GridGraph(h, w).adjacency.toarray().reshape(h, w, h, w)
+    stencil = dense[0, 0]
+    for r in range(h):
+        for c in range(w):
+            np.testing.assert_array_equal(dense[r, c], np.roll(stencil, (r, c), axis=(0, 1)))
+
+
+@pytest.mark.parametrize("h, w", GRIDS)
+def test_adjacency_is_its_symbol_in_fourier_space(h, w):
+    # A @ DFT(x) = DFT(s * x) for the plan's symbol s, and fft2 of node 0's
+    # stencil is real to rounding, so s drops nothing.
+    adjacency = GridGraph(h, w).adjacency
+    plan = spectral_plan(h, w, min(h, w) // 2, adjacency)
+    assert plan.symbol.shape == (h * w,)
+    assert np.max(np.abs(np.fft.fft2(adjacency[0].toarray().reshape(h, w)).imag)) < 1e-15
+    x = _field(f"symbol/{h}x{w}", h * w, 2)
+    dft = np.kron(*(np.exp(-2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+                    for n in (h, w)))
+    lhs = adjacency @ (dft @ x)
+    rhs = dft @ (plan.symbol[:, None] * x)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-14 * np.max(np.abs(lhs))
 
 
 @pytest.mark.parametrize("size", [4, 8, 16, 32, 33])

@@ -212,7 +212,6 @@ def _constant_dataset(value=0.7, episodes=1, t_total=8) -> EpisodeDataset:
         for i in range(episodes)
     ]
     ds = EpisodeDataset(grid=grid, channel_names=["field"], episodes=eps)
-    ds.compute_normalization()
     return ds
 
 

@@ -15,6 +15,9 @@ side only is a difference. Per kind:
   predictions_*.npz the same array names, each with the same dtype, shape
                     and bytes.
 
+Each checkpoint tensor or npz array whose values differ is named with its
+drift, max |a - b| / max |a|.
+
 Other files (configs, logs) are listed as not compared.
 Exit status: 0 when nothing differs outside the checkpoint snapshots, 1 when
 something does, 2 on a usage error.
@@ -28,6 +31,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+# Checkpoint tensors are read with the package's own reader, from this checkout.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from sparkpde.checkpoint import load_checkpoint  # noqa: E402
 
 CKPT_MAGIC = b"SPARKCK1"
 _ABSENT = "<absent>"
@@ -80,18 +87,27 @@ def _row_problems(rows_a: list[list[str]], rows_b: list[list[str]]) -> list[str]
     return [f"line {first + 1}: {','.join(rows_a[first])} vs {','.join(rows_b[first])}"]
 
 
+def _array_problems(arrays_a: dict, arrays_b: dict) -> list[str]:
+    """Differences between two name -> array maps, naming each array that
+    differs and, where only its values do, its drift."""
+    if sorted(arrays_a) != sorted(arrays_b):
+        return [f"arrays {sorted(arrays_a)} vs {sorted(arrays_b)}"]
+    out = []
+    for name in sorted(arrays_a):
+        x, y = arrays_a[name], arrays_b[name]
+        if (x.dtype, x.shape) != (y.dtype, y.shape):
+            out.append(f"{name}: {x.dtype}{x.shape} vs {y.dtype}{y.shape}")
+        elif x.tobytes() != y.tobytes():
+            x, y = x.astype(np.float64), y.astype(np.float64)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                drift = np.max(np.abs(x - y)) / np.max(np.abs(x))
+            out.append(f"{name}: values differ, max |a-b| / max|a| = {drift:.3g}")
+    return out
+
+
 def _npz_problems(a: Path, b: Path) -> list[str]:
     with np.load(a) as za, np.load(b) as zb:
-        if sorted(za.files) != sorted(zb.files):
-            return [f"arrays {sorted(za.files)} vs {sorted(zb.files)}"]
-        out = []
-        for name in sorted(za.files):
-            x, y = za[name], zb[name]
-            if (x.dtype, x.shape) != (y.dtype, y.shape):
-                out.append(f"{name}: {x.dtype}{x.shape} vs {y.dtype}{y.shape}")
-            elif x.tobytes() != y.tobytes():
-                out.append(f"{name}: values differ")
-        return out
+        return _array_problems(dict(za.items()), dict(zb.items()))
 
 
 def compare_file(a: Path, b: Path) -> tuple[list[str], list[str]] | None:
@@ -108,6 +124,9 @@ def compare_file(a: Path, b: Path) -> tuple[list[str], list[str]] | None:
             problems.append("header differs")
         if tables_a != tables_b:
             problems.append("tensor table, payloads or frozen table differ")
+            problems += _array_problems(
+                load_checkpoint(str(a)).tensors, load_checkpoint(str(b)).tensors
+            )
         return problems, json_diff(snap_a, snap_b)
     if name.endswith(".csv"):
         return _row_problems(_csv_rows(a), _csv_rows(b)), []
