@@ -14,7 +14,7 @@ import numpy as np
 from .config import AugmentSection
 from .errors import ContractViolation
 from .rng import Xoshiro256StarStar
-from .state_dictionary import Codebook, nearest_indices
+from .state_dictionary import Codebook, _squared_distances, nearest_indices
 
 
 def snap(h: np.ndarray, cb: Codebook) -> np.ndarray:
@@ -35,12 +35,7 @@ def interpolate_topk(h: np.ndarray, cb: Codebook, k: int, tau: float) -> np.ndar
         raise ContractViolation("tau must be positive")
     if k == 1:
         return snap(h, cb)
-    flat = h.reshape(-1, h.shape[-1])
-    d2 = (
-        np.sum(flat * flat, axis=1, keepdims=True)
-        - 2.0 * flat @ entries.T
-        + np.sum(entries * entries, axis=1)
-    )
+    d2 = _squared_distances(h, entries)
     # stable full sort keeps tie order by index, matching the snap tie rule
     order = np.argsort(d2, axis=1, kind="stable")[:, :k]
     top_d2 = np.take_along_axis(d2, order, axis=1)
@@ -56,6 +51,7 @@ def calibrate_tau(latents: np.ndarray, cb: Codebook) -> float:
     """Mean squared nearest-neighbor distance of ``latents`` to the codebook."""
     flat = np.asarray(latents, dtype=np.float64).reshape(-1, cb.dim)
     idx = nearest_indices(flat, cb.embeddings.data)
+    # The difference form, not _squared_distances: it rounds differently.
     d2 = np.sum((flat - cb.embeddings.data[idx]) ** 2, axis=1)
     return float(max(d2.mean(), 1e-12))
 

@@ -87,26 +87,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -259,15 +247,24 @@ def square(a) -> Tensor:
     return _record(out, (a,), vjp, "square")
 
 
+def _gelu_cdf(z: Array) -> Array:
+    """Phi(z), the standard normal CDF: the exact GeLU is z Phi(z)."""
+    return 0.5 * (1.0 + _erf(z * _INV_SQRT2))
+
+
+def _gelu_slope(z: Array, cdf: Array) -> Array:
+    """The GeLU's derivative Phi(z) + z phi(z), given ``cdf`` = Phi(z)."""
+    return cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))
+
+
 def gelu(a) -> Tensor:
-    """Exact (erf-form) GeLU."""
+    """Exact (erf-form) GeLU; the VJP takes the slope from the kept CDF."""
     a = _as_tensor(a)
-    cdf = 0.5 * (1.0 + _erf(a.data * _INV_SQRT2))
+    cdf = _gelu_cdf(a.data)
     out = Tensor(a.data * cdf)
 
     def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-        return (g * (cdf + a.data * pdf),)
+        return (g * _gelu_slope(a.data, cdf),)
 
     return _record(out, (a,), vjp, "gelu")
 
@@ -405,7 +402,7 @@ class SpectralPlan(NamedTuple):
     width: int
     mode_idx: Array  # (K,) flat spectrum indices kr*W + kc, row-major
     shape: tuple[int, int]  # retained rows x retained columns
-    symbol: Array | None  # (H*W,) real DFT of node 0's adjacency stencil
+    symbol: Array | None  # (H*W,) real DFT of the adjacency's stencil
     dft_h: Array  # (2R, H): real field -> complex DFT along H
     dft_w: Array  # (2S, 2W): complex -> complex DFT along W
     idft_w: Array  # (2W, 2S): complex inverse DFT along W
@@ -413,34 +410,33 @@ class SpectralPlan(NamedTuple):
 
 
 def spectral_plan(height: int, width: int, k_max: int,
-                  adjacency: _sparse.csr_matrix | None = None) -> SpectralPlan:
+                  stencil: Array | None = None) -> SpectralPlan:
     """The plan of the Fourier modes with |k| <= k_max per axis on an H x W grid.
 
     Wavenumbers follow the DFT layout (non-negative then negative), so the
     retained modes are the product of the retained rows and the retained
     columns: the four corner blocks of the spectrum, K modes in all. With the
-    grid's (H*W, H*W) ``adjacency``, the op keeps the retained rows of
+    grid adjacency's (H, W) ``stencil``, the op keeps the retained rows of
     A @ DFT(x) instead. Each spectral layer builds its plan once, with its
     weights.
 
     Precondition: A is the same stencil a at every node, A[i, j] = a[j - i]
-    with grid offsets mod (H, W), as ``GridGraph``'s periodic row mean is.
-    Such an A is circulant, so diagonal in Fourier space: A @ DFT(x) =
-    DFT(s * x), where the symbol s = fft2(a) is the DFT of node 0's stencil,
-    real because a[d] = a[-d]. The plan keeps s.
+    with grid offsets mod (H, W), as ``GridGraph``'s periodic neighbor mean
+    is by construction (``GridGraph.stencil`` is a). Such an A is circulant,
+    so diagonal in Fourier space: A @ DFT(x) = DFT(s * x), where the symbol
+    s = fft2(a) is real because a[d] = a[-d]. The plan keeps s.
     """
     if min(height, width) < 1 or not 0 <= k_max <= min(height, width) // 2:
         raise ContractViolation(
             f"k_max={k_max} is outside [0, floor(min(H,W)/2)] on a {height}x{width} grid"
         )
-    n_nodes = height * width
     symbol = None
-    if adjacency is not None:
-        if adjacency.shape != (n_nodes, n_nodes):
+    if stencil is not None:
+        if stencil.shape != (height, width):
             raise ContractViolation(
-                f"spectral_plan: adjacency must be ({n_nodes}, {n_nodes}), got {adjacency.shape}"
+                f"spectral_plan: stencil must be ({height}, {width}), got {stencil.shape}"
             )
-        symbol = np.fft.fft2(adjacency[0].toarray().reshape(height, width)).real.reshape(-1)
+        symbol = np.fft.fft2(stencil).real.reshape(-1)
     rows, cols = (
         np.flatnonzero(np.minimum(np.arange(n), n - np.arange(n)) <= k_max)
         for n in (height, width)
@@ -449,7 +445,7 @@ def spectral_plan(height: int, width: int, k_max: int,
 
     cos, sin = _cos_sin(rows, height)
     dft_h = np.stack([cos, -sin], axis=1).reshape(-1, height)
-    idft_h = np.stack([cos.T, -sin.T], axis=2).reshape(height, -1) / n_nodes
+    idft_h = np.stack([cos.T, -sin.T], axis=2).reshape(height, -1) / (height * width)
     cos, sin = _cos_sin(cols, width)
     dft_w = np.stack(
         [np.concatenate([cos, sin], axis=1), np.concatenate([-sin, cos], axis=1)], axis=1
@@ -474,7 +470,7 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
     K retained modes of ``plan`` (``plan.mode_idx`` order); every other mode
     is zeroed. A plan built with the adjacency gives the retained rows of
     A @ DFT(x) = DFT(s * x): the field is multiplied by the plan's real
-    symbol s, the DFT of node 0's stencil (see ``spectral_plan``), first.
+    symbol s, the DFT of the adjacency's stencil (see ``spectral_plan``), first.
 
     The transforms are truncated separable DFTs made of real GEMMs, never a
     full FFT. The forward DFT runs along H, then along W, only over the
@@ -551,8 +547,8 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
 def _gelu_in_place(z: Array, recording: bool) -> Array | None:
     """Overwrite ``z`` with its exact (erf-form) GeLU, as ``gelu`` computes it;
     returns the slope at the old ``z`` when recording, else None."""
-    cdf = 0.5 * (1.0 + _erf(z * _INV_SQRT2))
-    slope = cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z)) if recording else None
+    cdf = _gelu_cdf(z)
+    slope = _gelu_slope(z, cdf) if recording else None
     z *= cdf
     return slope
 

@@ -13,9 +13,9 @@ applies the adjacency along the node axis, the spatial mix, the bias and the
 GeLU, and keeps only A H and the GeLU's slope for its VJP. The spectral
 branches of all layers share one ``ad.SpectralPlan`` (the retained modes, the
 DFT matrices and the adjacency's Fourier symbol), which ``init_dynamics``
-builds with the weights. The grid adjacency is node 0's stencil at every
-node, so A applied to the Fourier coefficients is the field multiplied by the
-symbol, the DFT of that stencil, before the DFT: A @ DFT(H) = DFT(s * H).
+builds with the weights from ``GridGraph.stencil``. The adjacency is that
+stencil at every node, so A applied to the Fourier coefficients is the field
+times the symbol s, the stencil's DFT, before the DFT: A @ DFT(H) = DFT(s * H).
 Integration is classical fixed-step RK4 (or Euler) unrolled on the tape, so
 gradients are exact for the discretized system.
 ``ad.parameters`` enumerates the weights in field order, which the weight
@@ -65,7 +65,7 @@ class DynamicsWeights:
     layers: list[OdeLayer]
     decoder: MlpDecoderWeights
     # The retained modes, the DFT matrices and the adjacency's Fourier symbol
-    # (the DFT of node 0's stencil, the same at every node of the grid).
+    # (the DFT of ``GridGraph.stencil``, the same at every node of the grid).
     plan: ad.SpectralPlan
 
 
@@ -77,7 +77,7 @@ def init_dynamics(
     d_obs: int,
 ) -> DynamicsWeights:
     """The forecaster ``cfg`` describes, for d_latent latents and d_obs channels."""
-    plan = ad.spectral_plan(grid.height, grid.width, cfg.k_max, grid.adjacency)
+    plan = ad.spectral_plan(grid.height, grid.width, cfg.k_max, grid.stencil)
     k = len(plan.mode_idx)
     spectral_std = 0.1 / np.sqrt(d_latent)
     spatial_std = 0.5 / np.sqrt(d_latent)

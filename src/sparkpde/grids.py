@@ -1,8 +1,14 @@
 """The regular-grid observation graph.
 
 Nodes live on an H x W lattice in row-major order (node i = r*W + c). The
-adjacency is the periodic sparse 4-neighbor stencil, normalized
-row-stochastically (the neighbor mean).
+adjacency is the periodic 4-neighbor mean: node i's neighbors are the
+distinct nodes at offsets (+-1, 0) and (0, +-1) mod (H, W), each weighted by
+one over their count. Every node has the same offsets, so the graph is one
+stencil, and it is symmetric because the offsets are closed under negation.
+
+The column order within each CSR row is part of the artifact bytes, since a
+sparse product sums each row in stored order: descending in ``adjacency``
+(every forward pass), ascending in ``adjacency_t`` (every VJP).
 """
 
 from __future__ import annotations
@@ -14,7 +20,11 @@ from .errors import ContractViolation
 
 
 class GridGraph:
-    """Periodic H x W lattice with a sparse row-normalized adjacency."""
+    """Periodic H x W lattice: ``stencil`` is the (H, W) weight at each grid
+    offset, ``adjacency`` the (N, N) CSR matrix whose row i is the stencil
+    shifted to node i, with its columns in descending order, and
+    ``adjacency_t`` its transpose, in ascending order. The orders are part
+    of the artifact bytes (see the module docstring)."""
 
     def __init__(self, height: int, width: int):
         if height < 1 or width < 1:
@@ -23,31 +33,24 @@ class GridGraph:
         self.width = width
         self.n_nodes = height * width
 
-        binary = self._build_binary()
-        degrees = np.asarray(binary.sum(axis=1)).reshape(-1)
-        if np.any(degrees < 1):
+        neighbors = ((-1, 0), (1, 0), (0, -1), (0, 1))
+        offsets = {(dr % height, dc % width) for dr, dc in neighbors} - {(0, 0)}
+        if not offsets:
             raise ContractViolation("grid graph has an isolated node")
-        self.adjacency = (sparse.diags(1.0 / degrees) @ binary).tocsr()
-        self.adjacency_t = self.adjacency.T.tocsr()
+        weight = 1.0 / len(offsets)
+        dr, dc = np.array(sorted(offsets)).T
+        self.stencil = np.zeros((height, width))
+        self.stencil[dr, dc] = weight
 
-    def _build_binary(self) -> sparse.csr_matrix:
-        h, w = self.height, self.width
-        rows, cols = [], []
-        for r in range(h):
-            for c in range(w):
-                i = r * w + c
-                for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                    j = (r + dr) % h * w + (c + dc) % w
-                    if j == i:
-                        continue
-                    rows.append(i)
-                    cols.append(j)
-        data = np.ones(len(rows), dtype=np.float64)
-        mat = sparse.coo_matrix((data, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
-        # Duplicate entries collapse (e.g. 1x2 periodic grids); keep binary weights.
-        mat.sum_duplicates()
-        mat.data[:] = 1.0
-        out = mat.tocsr()
-        if (out != out.T).nnz != 0:
-            raise ContractViolation("adjacency construction produced an asymmetric matrix")
-        return out
+        r, c = np.divmod(np.arange(self.n_nodes), width)
+        columns = np.sort((r[:, None] + dr) % height * width + (c[:, None] + dc) % width, axis=1)
+
+        def csr(ordered: np.ndarray) -> sparse.csr_matrix:
+            return sparse.csr_matrix(
+                (np.full(ordered.size, weight), ordered.reshape(-1),
+                 np.arange(0, ordered.size + 1, len(offsets))),
+                shape=(self.n_nodes, self.n_nodes),
+            )
+
+        self.adjacency = csr(columns[:, ::-1])
+        self.adjacency_t = csr(columns)

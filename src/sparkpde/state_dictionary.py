@@ -57,19 +57,23 @@ def new_codebook(entries: np.ndarray) -> Codebook:
     )
 
 
+def _squared_distances(h: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """(Q, M) ||h_q||^2 - 2 h_q.e_m + ||e_m||^2 of the Q latents of ``h``."""
+    flat = h.reshape(-1, h.shape[-1])
+    return (
+        np.sum(flat * flat, axis=1, keepdims=True)
+        - 2.0 * flat @ entries.T
+        + np.sum(entries * entries, axis=1)
+    )
+
+
 def nearest_indices(h: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """argmin_j ||h_i - e_j||^2 with ties broken by the lowest index."""
     if entries.shape[0] == 0:
         raise ContractViolation("codebook is empty")
     if not np.all(np.isfinite(h)):
         raise NumericError("NaN/Inf in latents passed to quantization")
-    flat = h.reshape(-1, h.shape[-1])
-    d2 = (
-        np.sum(flat * flat, axis=1, keepdims=True)
-        - 2.0 * flat @ entries.T
-        + np.sum(entries * entries, axis=1)
-    )
-    return np.argmin(d2, axis=1).reshape(h.shape[:-1])
+    return np.argmin(_squared_distances(h, entries), axis=1).reshape(h.shape[:-1])
 
 
 class QuantizeResult(NamedTuple):
@@ -89,7 +93,7 @@ def quantize(h: Tensor | np.ndarray, cb: Codebook) -> QuantizeResult:
     np.add.at(cb.usage, indices.reshape(-1), 1)
     flat_codes = ad.gather_rows(cb.embeddings, indices.reshape(-1))
     codes = flat_codes.reshape(*indices.shape, cb.dim)
-    straight = h + ad.stop_gradient(codes - h)
+    straight = h + ad.stop_gradient(codes.data - h.data)
     return QuantizeResult(indices=indices, codes=codes, straight_through=straight)
 
 

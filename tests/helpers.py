@@ -5,7 +5,9 @@ one-word-at-a-time random draws are defined here once and kept independent
 of the implementation paths they check; ``spectral_projection`` is the one
 helper that runs the library's spectral op, for the oracles to read.
 ``sparse_matmul`` records the sparse adjacency product as a separate tape
-node, for the composed-op oracles of the fused graph layers.
+node, for the composed-op oracles of the fused graph layers, and
+``reference_adjacency`` builds the grid adjacency node by node, for the
+oracle of ``GridGraph``'s closed form and its column order.
 ``recorded_twice`` runs a model call twice on a tape, with the spectral
 plans it takes recorded. ``with_table_shape`` crafts inconsistent
 checkpoints and ``write_parameter_lengths`` inconsistent datasets for the
@@ -20,6 +22,7 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from sparkpde import autodiff
 from sparkpde.autodiff import Tape, Tensor, backward, spectral_channel_mix, square, tensor_sum
@@ -92,6 +95,32 @@ def sparse_matmul(matrix, x, matrix_t) -> Tensor:
         Tensor(along_nodes(matrix, x.data)), (x,),
         lambda g: (along_nodes(matrix_t, g),), "sparse_matmul",
     )
+
+
+def reference_adjacency(height: int, width: int):
+    """(A, A^T) of the periodic H x W 4-neighbour mean, built node by node:
+    a COO matrix of each node's distinct neighbours, its duplicates summed and
+    reset to 1, row-normalized by ``diags(1 / degree) @ binary``, transposed
+    by ``A.T.tocsr()``. The CSR rows hold their columns in the order scipy's
+    sparse product and transpose emit them, the order every trained byte was
+    summed in before ``GridGraph`` built both matrices in closed form."""
+    n = height * width
+    rows, cols = [], []
+    for r in range(height):
+        for c in range(width):
+            i = r * width + c
+            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                j = (r + dr) % height * width + (c + dc) % width
+                if j != i:
+                    rows.append(i)
+                    cols.append(j)
+    binary = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    binary.sum_duplicates()
+    binary.data[:] = 1.0
+    binary = binary.tocsr()
+    degrees = np.asarray(binary.sum(axis=1)).reshape(-1)
+    adjacency = (sparse.diags(1.0 / degrees) @ binary).tocsr()
+    return adjacency, adjacency.T.tocsr()
 
 
 _erf = np.vectorize(math.erf, otypes=[np.float64])

@@ -185,7 +185,7 @@ def test_matmul_batched_gradients():
 
 
 def test_spectral_channel_mix_gradient_small():
-    plan = spectral_plan(4, 4, 1, GridGraph(4, 4).adjacency)
+    plan = spectral_plan(4, 4, 1, GridGraph(4, 4).stencil)
     k = len(plan.mode_idx)
     gen = rng.substream(29, "mix")
     values = {
@@ -252,7 +252,7 @@ def _check_fused_against_composed(h, k_max, batch, channels, adjacency):
     n = h * w
     grid = GridGraph(h, w)
     plan = spectral_plan(h, w, h // 2 if k_max is None else k_max,
-                         grid.adjacency if adjacency else None)
+                         grid.stencil if adjacency else None)
     idx = plan.mode_idx
     k = len(idx)
     c = channels
@@ -301,7 +301,7 @@ def test_graph_layer_bit_equal_to_composed_ops(lead, const):
     # accumulates across both; values and every gradient must be the same bits.
     grid = GridGraph(4, 4)
     gen = rng.substream(43, f"graph-layer/gelu/{len(lead)}")
-    plan = spectral_plan(4, 4, 1, grid.adjacency)
+    plan = spectral_plan(4, 4, 1, grid.stencil)
     x0 = gen.normal_array(lead + (grid.n_nodes, 3))
     spectral0 = gen.normal_array(lead + (grid.n_nodes, 2))
     weights = {

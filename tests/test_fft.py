@@ -1,8 +1,8 @@
 """Spectral transform contracts of ``spectral_plan`` and ``spectral_channel_mix``,
-the one spectral op of the model: the retained mode set, the adjacency's
-Fourier symbol and its precondition, DFT oracle, round trip, truncated
-Parseval, gradients. Most read the op as the projection P of
-``helpers.spectral_projection``.
+the one spectral op of the model: the retained mode set, the grid
+adjacency's column order, the adjacency's Fourier symbol and its
+precondition, DFT oracle, round trip, truncated Parseval, gradients. Most
+read the op as the projection P of ``helpers.spectral_projection``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from sparkpde.autodiff import Tensor, spectral_channel_mix, spectral_plan, squar
 from sparkpde.errors import ContractViolation
 from sparkpde.grids import GridGraph
 
-from helpers import check_gradients, direct_spectral_mix, spectral_projection
+from helpers import check_gradients, direct_spectral_mix, reference_adjacency, spectral_projection
 
 
 def _field(stream: str, n: int, c: int) -> np.ndarray:
@@ -43,8 +43,8 @@ def test_plan_keeps_modes_within_k_max_per_axis(h, w, k_max):
     ky = np.minimum(np.arange(h), h - np.arange(h))
     kx = np.minimum(np.arange(w), w - np.arange(w))
     expected = np.flatnonzero((ky[:, None] <= k_max) & (kx[None, :] <= k_max))
-    for adjacency in (None, GridGraph(h, w).adjacency):
-        plan = spectral_plan(h, w, k_max, adjacency)
+    for stencil in (None, GridGraph(h, w).stencil):
+        plan = spectral_plan(h, w, k_max, stencil)
         np.testing.assert_array_equal(plan.mode_idx, expected)
         assert (plan.height, plan.width) == (h, w)
 
@@ -56,25 +56,51 @@ GRIDS = [(1, 4), (1, 5), (2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (4, 5), (4, 9),
          (5, 8), (6, 5), (7, 7), (8, 8), (16, 16), (32, 32), (33, 33)]
 
 
+@pytest.mark.parametrize("h, w", GRIDS + [(1, 2), (2, 1), (7, 1)])
+def test_adjacency_rows_fix_the_summation_order(h, w):
+    # A sparse product sums each row in stored order, so the column order is
+    # part of the bytes: descending in A (the forward), ascending in A^T (the
+    # VJP), each equal to the node-by-node build of the oracle bit for bit.
+    grid = GridGraph(h, w)
+    for matrix, reference, step in zip((grid.adjacency, grid.adjacency_t),
+                                       reference_adjacency(h, w), (-1, 1)):
+        for i in range(grid.n_nodes):
+            row = matrix.indices[matrix.indptr[i]:matrix.indptr[i + 1]]
+            assert np.all(np.sign(np.diff(row)) == step), (i, row)
+        for field in ("indptr", "indices", "data"):
+            got, want = getattr(matrix, field), getattr(reference, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        assert type(matrix) is type(reference) and matrix.shape == reference.shape
+
+
+@pytest.mark.parametrize("h, w, message", [(0, 4, "positive"), (3, 0, "positive"),
+                                            (1, 1, "isolated")])
+def test_grid_rejects_grids_without_neighbours(h, w, message):
+    # On a 1 x 1 grid every offset wraps to the node itself.
+    with pytest.raises(ContractViolation, match=message):
+        GridGraph(h, w)
+
+
 @pytest.mark.parametrize("h, w", GRIDS)
 def test_grid_adjacency_is_one_stencil_at_every_node(h, w):
-    # The symbol's precondition: row i of A is node 0's stencil shifted to
+    # The symbol's precondition: row i of A is the grid's stencil shifted to
     # node i, A[i, j] = a[j - i] with grid offsets mod (H, W).
-    dense = GridGraph(h, w).adjacency.toarray().reshape(h, w, h, w)
-    stencil = dense[0, 0]
+    grid = GridGraph(h, w)
+    dense = grid.adjacency.toarray().reshape(h, w, h, w)
     for r in range(h):
         for c in range(w):
-            np.testing.assert_array_equal(dense[r, c], np.roll(stencil, (r, c), axis=(0, 1)))
+            np.testing.assert_array_equal(dense[r, c], np.roll(grid.stencil, (r, c), axis=(0, 1)))
 
 
 @pytest.mark.parametrize("h, w", GRIDS)
 def test_adjacency_is_its_symbol_in_fourier_space(h, w):
-    # A @ DFT(x) = DFT(s * x) for the plan's symbol s, and fft2 of node 0's
+    # A @ DFT(x) = DFT(s * x) for the plan's symbol s, and fft2 of the
     # stencil is real to rounding, so s drops nothing.
-    adjacency = GridGraph(h, w).adjacency
-    plan = spectral_plan(h, w, min(h, w) // 2, adjacency)
+    grid = GridGraph(h, w)
+    adjacency = grid.adjacency
+    plan = spectral_plan(h, w, min(h, w) // 2, grid.stencil)
     assert plan.symbol.shape == (h * w,)
-    assert np.max(np.abs(np.fft.fft2(adjacency[0].toarray().reshape(h, w)).imag)) < 1e-15
+    assert np.max(np.abs(np.fft.fft2(grid.stencil).imag)) < 1e-15
     x = _field(f"symbol/{h}x{w}", h * w, 2)
     dft = np.kron(*(np.exp(-2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
                     for n in (h, w)))
@@ -136,7 +162,7 @@ def test_non_square_gradient_matches_finite_differences(adjacency):
     # H != W with W odd, and weights only on modes that fill no row x column
     # product set (zero on the plan's other modes).
     h, w = 6, 5
-    plan = spectral_plan(h, w, 2, GridGraph(h, w).adjacency if adjacency else None)
+    plan = spectral_plan(h, w, 2, GridGraph(h, w).stencil if adjacency else None)
     off = ~np.isin(plan.mode_idx, [0, 1, 6, 13, 29])
     gen = rng.substream(2024, f"grad/{adjacency}")
     values = {
@@ -171,6 +197,6 @@ def test_plan_rejects_k_max_out_of_range(h, w, k_max):
         spectral_plan(h, w, k_max)
 
 
-def test_plan_rejects_adjacency_of_another_grid():
-    with pytest.raises(ContractViolation, match="adjacency"):
-        spectral_plan(4, 4, 1, GridGraph(4, 5).adjacency)
+def test_plan_rejects_stencil_of_another_grid():
+    with pytest.raises(ContractViolation, match="stencil"):
+        spectral_plan(4, 4, 1, GridGraph(4, 5).stencil)

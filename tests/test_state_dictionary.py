@@ -130,6 +130,19 @@ def test_straight_through_gradient_contract():
     np.testing.assert_allclose(ad_grad(), fd, rtol=1e-6, atol=1e-8)
 
 
+def test_quantize_tape_holds_no_node_the_stop_gradient_cuts():
+    # The straight-through offset codes - h is taken on the arrays: a
+    # recorded sub node would get no cotangent past the stop-gradient, yet
+    # keep its (..., D) output on the tape.
+    gen = rng.substream(37, "st/tape")
+    cb = new_codebook(gen.normal_array((6, 3)))
+    h = Tensor(gen.normal_array((2, 4, 3)), requires_grad=True, name="h")
+    with Tape() as tape:
+        q = quantize(h, cb)
+    assert [node._op for node in tape._nodes] == ["gather_rows", "reshape", "add"]
+    assert q.straight_through.data.tobytes() == (h.data + (q.codes.data - h.data)).tobytes()
+
+
 def test_pretrain_loss_examples():
     x = Tensor(np.zeros((5, 2)))
     h = Tensor(np.ones((5, 3)))
