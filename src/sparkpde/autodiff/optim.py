@@ -9,6 +9,11 @@ import numpy as np
 from ..errors import ContractViolation
 from .tensor import Tensor
 
+# The moment decay rates and the denominator's guard (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -24,17 +29,14 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One in-place Adam update; deterministic given inputs."""
     if lr <= 0.0:
         raise ContractViolation(f"learning rate must be positive, got {lr}")
     state.step += 1
     t = state.step
-    bias1 = 1.0 - beta1**t
-    bias2 = 1.0 - beta2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -44,8 +46,8 @@ def adam_step(
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data = p.data - lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data = p.data - lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)

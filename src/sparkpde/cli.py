@@ -34,6 +34,7 @@ from .config import ExperimentConfig, describe_config, load_config, with_augment
 from .datagen import (
     SPLIT_IN,
     SPLIT_OUT,
+    Episode,
     EpisodeDataset,
     load_dataset,
     make_ood_split,
@@ -42,6 +43,7 @@ from .datagen import (
     simulate_reaction_diffusion,
 )
 from .dynamics import EpochRow, train_dynamics
+from .encoder import EncoderStack
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -65,7 +67,7 @@ from .serialization import (
     stored_codebook,
     stored_config,
 )
-from .state_dictionary import codebook_perplexity, pretrain
+from .state_dictionary import Codebook, codebook_perplexity, pretrain
 
 log = logging.getLogger("sparkpde")
 
@@ -90,14 +92,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list | tuple]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_config(args) -> ExperimentConfig:
-    if not args.config:
-        raise ConfigError("--config is required")
-    return load_config(args.config)
-
-
-def _input_file(path: str | None, what: str) -> str:
-    if not path or not Path(path).exists():
+def _input_file(path: str, what: str) -> str:
+    if not Path(path).exists():
         raise ConfigError(f"{what} not found: {path}")
     if not Path(path).is_file():
         raise ConfigError(f"{what} is not a file: {path}")
@@ -105,8 +101,6 @@ def _input_file(path: str | None, what: str) -> str:
 
 
 def _load_dataset(path: str) -> EpisodeDataset:
-    if not path:
-        raise ConfigError("--dataset is required")
     return load_dataset(_input_file(path, "dataset"))
 
 
@@ -135,16 +129,18 @@ def _failure_note(path: Path):
 # -- gen-data ----------------------------------------------------------------------
 
 
-def _simulate(cfg: ExperimentConfig, grid: GridGraph, jobs) -> list:
-    """Every (delta, split, seed) job's episode, from one stacked solver call."""
+def _simulate(cfg: ExperimentConfig, grid: GridGraph, jobs) -> list[Episode]:
+    """Every (delta, split, seed) job's episode, from one stacked solver call.
+    An episode stores the parameters its solver read: (nu,) for Navier-Stokes,
+    (d_u, d_v) for Gray-Scott, where one value gives both diffusivities."""
     ds_cfg = cfg.dataset
-    deltas = [delta for delta, _, _ in jobs]
     seeds = [seed for _, _, seed in jobs]
     steps = (ds_cfg.t_total - 1) * ds_cfg.record_every
     if ds_cfg.generator == "navier_stokes":
-        episodes = simulate_navier_stokes(
+        params = [(delta[0],) for delta, _, _ in jobs]
+        trajectories = simulate_navier_stokes(
             grid,
-            nu=[delta[0] for delta in deltas],
+            nu=[p[0] for p in params],
             ic_seed=seeds,
             steps=steps,
             dt=ds_cfg.dt,
@@ -152,10 +148,11 @@ def _simulate(cfg: ExperimentConfig, grid: GridGraph, jobs) -> list:
             ic_modes=ds_cfg.ic_modes,
         )
     else:
-        episodes = simulate_reaction_diffusion(
+        params = [(delta[0], delta[1] if len(delta) > 1 else delta[0]) for delta, _, _ in jobs]
+        trajectories = simulate_reaction_diffusion(
             grid,
-            d_u=[delta[0] for delta in deltas],
-            d_v=[delta[1] if len(delta) > 1 else delta[0] for delta in deltas],
+            d_u=[p[0] for p in params],
+            d_v=[p[1] for p in params],
             feed=ds_cfg.feed,
             kill=ds_cfg.kill,
             ic_seed=seeds,
@@ -165,13 +162,14 @@ def _simulate(cfg: ExperimentConfig, grid: GridGraph, jobs) -> list:
             reaction_strength=ds_cfg.reaction_strength,
             ic_modes=ds_cfg.ic_modes,
         )
-    for ep, (_, split, _) in zip(episodes, jobs):
-        ep.split = split
-    return episodes
+    return [
+        Episode(delta=delta, x=x, seed=seed, split=split)
+        for delta, x, (_, split, seed) in zip(params, trajectories, jobs)
+    ]
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args.config)
     ds_cfg = cfg.dataset
     grid = GridGraph(ds_cfg.grid.height, ds_cfg.grid.width)
     in_params, out_params = make_ood_split(ds_cfg.params, ds_cfg.ood)
@@ -194,8 +192,8 @@ def cmd_gen_data(args) -> int:
     data_path = out / "dataset.spds"
     save_dataset(ds, str(data_path))
 
-    n_in = len(ds.split_episodes(SPLIT_IN))
-    n_out = len(ds.split_episodes(SPLIT_OUT))
+    n_in = len(ds.split_indices(SPLIT_IN))
+    n_out = len(ds.split_indices(SPLIT_OUT))
     crc = zlib.crc32(data_path.read_bytes()) & 0xFFFFFFFF
     manifest = [
         f"generator: {ds_cfg.generator}",
@@ -217,7 +215,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args.config)
     ds = _load_dataset(args.dataset)
     grid = cfg.dataset.grid
     if (grid.height, grid.width) != (ds.grid.height, ds.grid.width):
@@ -268,13 +266,22 @@ def _load_checkpoint(path: str, kind: str) -> tuple[ModelCheckpoint, ExperimentC
     return ckpt, stored_config(ckpt.config)
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
+def _load_pretrained(
+    args, cfg: ExperimentConfig
+) -> tuple[EpisodeDataset, EncoderStack, Codebook]:
+    """The dataset and the pretrained encoder and codebook that ``train`` and
+    ``sweep-k`` start from, checked against each other and against ``cfg``."""
     ds = _load_dataset(args.dataset)
     ckpt, stored = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
     check_dataset_compatibility(stored, ckpt.config["meta"], ds)
     check_config_compatibility(stored, cfg)
     encoder, codebook = rebuild_pretrained(stored, ckpt.tensors, ds)
+    return ds, encoder, codebook
+
+
+def cmd_train(args) -> int:
+    cfg = load_config(args.config)
+    ds, encoder, codebook = _load_pretrained(args, cfg)
     out = _make_dir(Path(args.out))
 
     aug = None if args.no_augment else cfg.augment
@@ -317,7 +324,7 @@ def cmd_eval(args) -> int:
     check_dataset_compatibility(cfg, ckpt.config["meta"], ds)
     encoder, codebook = rebuild_pretrained(cfg, ckpt.tensors, ds)
     weights = rebuild_dynamics(cfg, ckpt.tensors, ds, codebook.dim)
-    if not ds.split_episodes(args.split):
+    if not ds.split_indices(args.split):
         raise ContractViolation(f"dataset has no '{args.split}' episodes")
     out = _make_dir(Path(args.out))
     report, dump = evaluate_split(ds, encoder, weights, cfg.dynamics, args.split)
@@ -377,21 +384,17 @@ def cmd_inspect_codebook(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args.config)
     augs = [with_augment(cfg, mode="interpolate", k=k).augment for k in K_SWEEP_GRID]
-    ds = _load_dataset(args.dataset)
-    ckpt, stored = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
-    check_dataset_compatibility(stored, ckpt.config["meta"], ds)
-    check_config_compatibility(stored, cfg)
     # train_dynamics verifies by checksum that it leaves these frozen.
-    encoder, codebook = rebuild_pretrained(stored, ckpt.tensors, ds)
+    ds, encoder, codebook = _load_pretrained(args, cfg)
     out = _make_dir(Path(args.out))
     rows = []
     for k, aug in zip(K_SWEEP_GRID, augs):
         result = train_dynamics(ds, encoder, codebook, cfg.dynamics, seed=cfg.seed, aug=aug)
         row = [k, result.history[-1].train_mse, result.history[-1].val_mse]
         for split in (SPLIT_IN, SPLIT_OUT):
-            if ds.split_episodes(split):
+            if ds.split_indices(split):
                 report, _ = evaluate_split(
                     ds, encoder, result.weights, cfg.dynamics, split, with_spectra=False
                 )
@@ -424,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, dataset=False, checkpoint=False, config=True, out=True):
         if config:
-            p.add_argument("--config", help="YAML experiment config")
+            p.add_argument("--config", required=True, help="YAML experiment config")
         if out:
             p.add_argument("--out", required=True, help="output directory")
         if dataset:
-            p.add_argument("--dataset", help="dataset file (.spds)")
+            p.add_argument("--dataset", required=True, help="dataset file (.spds)")
         if checkpoint:
-            p.add_argument("--checkpoint", help="checkpoint file (.ckpt)")
+            p.add_argument("--checkpoint", required=True, help="checkpoint file (.ckpt)")
 
     p = sub.add_parser("gen-data", help="generate a synthetic episode dataset")
     common(p)

@@ -3,6 +3,7 @@
 from .dataset import (
     SPLIT_IN,
     SPLIT_OUT,
+    Episode,
     EpisodeDataset,
     load_dataset,
     make_ood_split,
@@ -14,6 +15,7 @@ from .reaction_diffusion import simulate_reaction_diffusion
 __all__ = [
     "SPLIT_IN",
     "SPLIT_OUT",
+    "Episode",
     "EpisodeDataset",
     "load_dataset",
     "make_ood_split",

@@ -89,15 +89,18 @@ class EpisodeDataset:
         """Length of every episode's parameter vector (1 with no episodes)."""
         return int(self.episodes[0].delta.size) if self.episodes else 1
 
-    def split_episodes(self, split: str) -> list[Episode]:
-        return [e for e in self.episodes if e.split == split]
+    def split_indices(self, split: str) -> list[int]:
+        """Indices of the episodes in ``split``, in dataset order."""
+        return [i for i, ep in enumerate(self.episodes) if ep.split == split]
 
     def compute_normalization(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-channel mean/std over in-domain episodes only (no OOD leakage)."""
-        in_domain = self.split_episodes(SPLIT_IN)
+        in_domain = self.split_indices(SPLIT_IN)
         if not in_domain:
             raise ContractViolation("cannot normalize: no in-domain episodes")
-        stacked = np.concatenate([e.x.reshape(-1, self.n_channels) for e in in_domain])
+        stacked = np.concatenate(
+            [self.episodes[i].x.reshape(-1, self.n_channels) for i in in_domain]
+        )
         means = stacked.mean(axis=0)
         stds = stacked.std(axis=0)
         stds = np.where(stds < 1e-12, 1.0, stds)

@@ -23,8 +23,9 @@ def band_limited_field(
     kc = np.fft.fftfreq(width, d=1.0 / width).astype(np.int64)
     radius = np.hypot(kr[:, None], kc[None, :])
     retained = (radius != 0) & (radius <= max_mode)
-    # Two scalar draws (real, imaginary) per retained mode, in row-major order.
-    draws = np.array([gen.normal() for _ in range(2 * int(retained.sum()))])
+    # Two variates (real, imaginary) per retained mode, in row-major order,
+    # each the cosine variate of its own word pair.
+    draws = gen.normal(4 * int(retained.sum()))[0::2]
     spectrum = np.zeros((height, width), dtype=np.complex128)
     spectrum[retained] = draws[0::2] + 1j * draws[1::2]
     field = np.fft.ifft2(spectrum).real * (height * width)

@@ -15,7 +15,8 @@ episode has its own viscosity (an (E, H, W) integrating factor) and
 initial-condition seed, while dt and the step count are shared. The FFTs
 transform each episode's grid on its own and every other operation is
 elementwise, so each episode's trajectory has the same bytes as a stack of
-one gives for it.
+one gives for it. The solver returns the fields; ``gen-data`` packs them into
+episodes with their parameters, seeds and splits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from ..errors import ContractViolation, NumericError
 from ..grids import GridGraph
 from ..rng import Xoshiro256StarStar
-from .dataset import SPLIT_IN, Episode
 from .fields import band_limited_field
 
 CFL_SAFETY = 0.5
@@ -83,9 +83,10 @@ def simulate_navier_stokes(
     record_every: int = 1,
     ic_modes: int = 4,
     initial_vorticity: np.ndarray | None = None,
-) -> list[Episode]:
+) -> np.ndarray:
     """Simulate one episode per entry of ``nu``/``ic_seed``, stepped together,
     recording vorticity every ``record_every`` steps (frame 0 included).
+    Returns the (E, T, N, 1) trajectories in the grid's row-major node order.
 
     ``initial_vorticity`` is a finite (E, H, W) array; without it each
     episode's initial condition comes from its own ``ic_seed``. Every check,
@@ -161,8 +162,4 @@ def simulate_navier_stokes(
         if step % record_every == 0:
             frames.append(np.fft.ifft2(w_hat).real.copy())
 
-    trajectory = np.stack(frames, axis=1).reshape(n, len(frames), grid.n_nodes, 1)
-    return [
-        Episode(delta=np.array([nu[e]]), x=trajectory[e], seed=seeds[e], split=SPLIT_IN)
-        for e in range(n)
-    ]
+    return np.stack(frames, axis=1).reshape(n, len(frames), grid.n_nodes, 1)

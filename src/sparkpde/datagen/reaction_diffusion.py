@@ -11,7 +11,8 @@ One call steps a stack of E episodes together as (E, H, W) fields: each
 episode has its own (D_u, D_v) and initial-condition seed, while F, k, s, dt
 and the step count are shared. Every operation is elementwise or a roll along
 the grid axes, so each episode's trajectory has the same bytes as a stack of
-one gives for it.
+one gives for it. The solver returns the fields; ``gen-data`` packs them into
+episodes with their parameters, seeds and splits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from ..errors import ContractViolation, NumericError
 from ..grids import GridGraph
 from ..rng import Xoshiro256StarStar
-from .dataset import SPLIT_IN, Episode
 from .fields import band_limited_field
 
 FEED_RANGE = (0.0, 0.3)
@@ -68,9 +68,11 @@ def simulate_reaction_diffusion(
     reaction_strength: float = 1.0,
     ic_modes: int = 4,
     initial_state: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[Episode]:
+) -> np.ndarray:
     """Simulate one episode per entry of ``d_u``/``d_v``/``ic_seed``, stepped
     together, recording every ``record_every`` steps (frame 0 included).
+    Returns the (E, T, N, 2) trajectories of (u, v) in the grid's row-major
+    node order.
 
     ``initial_state`` is a (u, v) pair of finite (E, H, W) arrays; without it
     each episode's initial condition comes from its own ``ic_seed``. Every
@@ -136,13 +138,4 @@ def simulate_reaction_diffusion(
         if step % record_every == 0:
             frames.append(np.stack([u, v], axis=-1))
 
-    trajectory = np.stack(frames, axis=1).reshape(n, len(frames), grid.n_nodes, 2)
-    return [
-        Episode(
-            delta=np.array([d_u[e], d_v[e]]),
-            x=trajectory[e],
-            seed=seeds[e],
-            split=SPLIT_IN,
-        )
-        for e in range(n)
-    ]
+    return np.stack(frames, axis=1).reshape(n, len(frames), grid.n_nodes, 2)

@@ -41,8 +41,8 @@ from .augment import (
 )
 from .autodiff import AdamState, Tape, Tensor, adam_step, backward
 from .config import SOLVERS, AugmentSection, DynamicsSection
-from .datagen import EpisodeDataset
-from .encoder import EncoderStack, MlpDecoderWeights, init_mlp_decoder
+from .datagen import SPLIT_IN, EpisodeDataset
+from .encoder import EncoderStack, MlpWeights, init_mlp_decoder
 from .errors import ContractViolation, NumericError
 from .grids import GridGraph
 from .rng import Xoshiro256StarStar, derive_seed, substream
@@ -63,7 +63,7 @@ class OdeLayer:
 class DynamicsWeights:
     w_alpha: Tensor  # (D, D) temporal attention
     layers: list[OdeLayer]
-    decoder: MlpDecoderWeights
+    decoder: MlpWeights
     # The retained modes, the DFT matrices and the adjacency's Fourier symbol
     # (the DFT of ``GridGraph.stencil``, the same at every node of the grid).
     plan: ad.SpectralPlan
@@ -161,33 +161,25 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
 def integrate(
     h0: Tensor | np.ndarray,
     rhs: Callable[[Tensor], Tensor],
-    times: list[float],
+    horizon: int,
     solver: str = "rk4",
     substeps: int = 4,
 ) -> Tensor:
-    """Fixed-step integration through the requested times, fully on the tape.
+    """Fixed-step integration to t = 1, ..., ``horizon``, fully on the tape.
 
-    ``substeps`` counts steps per unit time; each interval gets at least one
-    step. Returns the trajectory stacked along a new leading time axis.
+    Each unit interval takes ``substeps`` steps of dt = 1 / substeps. Returns
+    the states at those times stacked along a new leading time axis.
     """
     if solver not in SOLVERS:
         raise ContractViolation(f"solver must be one of {SOLVERS}")
     if substeps < 1:
         raise ContractViolation("substeps must be at least 1")
-    prev_t = 0.0
-    for t in times:
-        if t <= prev_t:
-            raise ContractViolation("times must be strictly increasing and positive")
-        prev_t = t
 
     state = h0 if isinstance(h0, Tensor) else Tensor(h0)
+    dt = 1.0 / substeps
     outputs = []
-    prev_t = 0.0
-    for t in times:
-        span = t - prev_t
-        n_steps = max(1, int(round(substeps * span)))
-        dt = span / n_steps
-        for _ in range(n_steps):
+    for t in range(1, horizon + 1):
+        for _ in range(substeps):
             if solver == "euler":
                 state = state + dt * rhs(state)
             else:
@@ -199,11 +191,10 @@ def integrate(
         if not np.all(np.isfinite(state.data)):
             finite = np.abs(state.data[np.isfinite(state.data)])
             raise NumericError(
-                f"integration diverged at t={t:g} "
+                f"integration diverged at t={t} "
                 f"(max finite |H| = {np.max(finite, initial=0.0):g})"
             )
         outputs.append(state.reshape(1, *state.shape))
-        prev_t = t
     return ad.concat(outputs, axis=0)
 
 
@@ -272,9 +263,8 @@ def _windows(
     """(episode, start) of every t0+horizon window of ``split``, ``stride`` apart."""
     spans = []
     needed = cfg.t0 + cfg.horizon
-    for e_idx, ep in enumerate(ds.episodes):
-        if ep.split != split:
-            continue
+    for e_idx in ds.split_indices(split):
+        ep = ds.episodes[e_idx]
         if ep.t_total < needed:
             raise ContractViolation(
                 f"episode {e_idx} has {ep.t_total} frames; needs >= {needed}"
@@ -306,11 +296,7 @@ def _forecast_batch(
     h0 = encode_history(Tensor(hist), weights)
     grid = ds.grid
     trajectory = integrate(
-        h0,
-        lambda s: ode_rhs(s, grid, weights),
-        times=[float(j) for j in range(1, horizon + 1)],
-        solver=cfg.solver,
-        substeps=cfg.substeps,
+        h0, lambda s: ode_rhs(s, grid, weights), horizon, cfg.solver, cfg.substeps
     )  # (T, B, N, D)
     y_hat = decode(trajectory, weights)
     y = Tensor(np.swapaxes(future, 0, 1).copy())  # (T, B, N, d)
@@ -346,12 +332,13 @@ def train_dynamics(
         substream(seed, "dynamics/init"), cfg, ds.grid, d_latent=d_latent, d_obs=ds.n_channels
     )
 
-    in_episodes = [i for i, ep in enumerate(ds.episodes) if ep.split == "in"]
-    if not in_episodes:
+    # Encoded in this thread: on a pool, the worker threads' malloc arenas
+    # would keep their freed blocks through training and raise its peak RSS.
+    latents = {i: episode_latents(ds, encoder, i) for i in ds.split_indices(SPLIT_IN)}
+    if not latents:
         raise ContractViolation("dataset has no in-domain episodes")
-    latents = {i: episode_latents(ds, encoder, i) for i in in_episodes}
 
-    windows = _windows(ds, cfg, "in", cfg.window_stride)
+    windows = _windows(ds, cfg, SPLIT_IN, cfg.window_stride)
     order_gen = substream(seed, "dynamics/shuffle")
     order_gen.shuffle(windows)
     n_val = int(round(len(windows) * cfg.val_fraction))
@@ -365,7 +352,7 @@ def train_dynamics(
     aug_calls = 0
     if aug is not None:
         decision_gen = substream(derive_seed(seed, "augment"), "curriculum")
-        all_latents = np.concatenate([latents[i].reshape(-1, d_latent) for i in in_episodes])
+        all_latents = np.concatenate([z.reshape(-1, d_latent) for z in latents.values()])
         tau = aug.tau if aug.tau is not None else calibrate_tau(all_latents, codebook)
 
         def aug_fn(window, _tau=tau):
@@ -410,7 +397,9 @@ def train_dynamics(
         val_mse = float("nan")
         if val_windows:
             v_total = 0.0
-            batches = forecast_windows(latents, ds, val_windows, weights, cfg, cfg.batch_size, "in")
+            batches = forecast_windows(
+                latents, ds, val_windows, weights, cfg, cfg.batch_size, SPLIT_IN
+            )
             for y_hat, y in batches:
                 diff = y_hat - y
                 v_total += float(np.mean(np.sum(diff * diff, axis=-1))) * y.shape[1]

@@ -3,15 +3,17 @@
 Three pieces:
 
   * channel attention — two gating vectors computed from the physical
-    parameters by per-branch 2-layer MLPs modulate a pointwise (1x1) linear
-    branch and a global spectral-convolution branch, added to the input
-    residually: h = x + a1 * g1(x) + a2 * g2(x). g2 mixes channels per
-    retained Fourier mode through the ``ad.SpectralPlan`` that
-    ``init_channel_attention`` builds with its weights;
+    parameters by per-branch 2-layer MLPs (``reconstruct`` on a gate's
+    ``MlpWeights``) modulate a pointwise (1x1) linear branch and a global
+    spectral-convolution branch, added to the input residually:
+    h = x + a1 * g1(x) + a2 * g2(x). g2 mixes channels per retained Fourier
+    mode through the ``ad.SpectralPlan`` that ``init_channel_attention``
+    builds with its weights;
   * an L-layer GNN over the grid graph (neighbor-mean aggregation, residual
     combine over the concatenated self/aggregate features), one fused tape
     node per layer (``ad.gnn_layer``);
-  * a 2-layer MLP decoder back to observation space.
+  * a 2-layer MLP decoder back to observation space, the same ``MlpWeights``
+    and ``reconstruct`` as the gates (and as the dynamics decoder).
 
 All linear maps use the right-multiplication convention (x @ W, W is
 (in, out)). The activation is exact (erf-form) GeLU. Each piece's weights are a
@@ -41,6 +43,45 @@ def _zeros(shape, name: str) -> Tensor:
     return ad.parameter(np.zeros(shape), name)
 
 
+# -- two-layer MLP ---------------------------------------------------------------
+
+
+@dataclass
+class MlpWeights:
+    """A two-layer MLP: the decoders, and the gates of channel attention."""
+
+    w_a: Tensor  # (d_in, hidden)
+    b_a: Tensor
+    w_b: Tensor  # (hidden, d_out)
+    b_b: Tensor
+
+
+def init_mlp_decoder(
+    gen: Xoshiro256StarStar,
+    d_in: int,
+    hidden: int,
+    d_out: int,
+    prefix: str = "encoder.decoder",
+) -> MlpWeights:
+    return MlpWeights(
+        w_a=_init_linear(gen, d_in, hidden, f"{prefix}.w_a"),
+        b_a=_zeros(hidden, f"{prefix}.b_a"),
+        w_b=_init_linear(gen, hidden, d_out, f"{prefix}.w_b"),
+        b_b=_zeros(d_out, f"{prefix}.b_b"),
+    )
+
+
+def reconstruct(z: Tensor | np.ndarray, w: MlpWeights) -> Tensor:
+    """Two-layer MLP applied along the last axis: gelu(z W_a + b_a) W_b + b_b."""
+    z = z if isinstance(z, Tensor) else Tensor(z)
+    if z.shape[-1] != w.w_a.shape[0]:
+        raise ContractViolation(
+            f"latent width {z.shape[-1]} does not match decoder input {w.w_a.shape[0]}"
+        )
+    hidden = ad.gelu(ad.matmul(z, w.w_a) + w.b_a)
+    return ad.matmul(hidden, w.w_b) + w.b_b
+
+
 # -- channel attention ---------------------------------------------------------
 
 
@@ -48,18 +89,25 @@ def _zeros(shape, name: str) -> Tensor:
 class ChannelAttentionWeights:
     """Per-branch gating MLPs plus the two convolutional branches."""
 
-    w1_1: Tensor
-    b1_1: Tensor
-    w2_1: Tensor
-    b2_1: Tensor
-    w1_2: Tensor
-    b1_2: Tensor
-    w2_2: Tensor
-    b2_2: Tensor
+    gate1: MlpWeights  # delta -> a1, the pointwise branch's gate
+    gate2: MlpWeights  # delta -> a2, the spectral branch's gate
     g1: Tensor  # (d, d) pointwise channel mix
     g2_real: Tensor  # (K, d, d) spectral weights per retained mode of ``plan``
     g2_imag: Tensor
     plan: ad.SpectralPlan  # the retained modes and their DFT matrices
+
+
+def _init_gate(
+    gen: Xoshiro256StarStar, d_delta: int, hidden: int, d_obs: int, i: int
+) -> MlpWeights:
+    # The gate starts small (w_b ~ 0.05 N(0, 1), b_b zero), so the block
+    # starts near the residual identity.
+    return MlpWeights(
+        w_a=_init_linear(gen, d_delta, hidden, f"encoder.attn.w1_{i}"),
+        b_a=_zeros(hidden, f"encoder.attn.b1_{i}"),
+        w_b=ad.parameter(gen.normal_array((hidden, d_obs)) * 0.05, f"encoder.attn.w2_{i}"),
+        b_b=_zeros(d_obs, f"encoder.attn.b2_{i}"),
+    )
 
 
 def init_channel_attention(
@@ -72,29 +120,20 @@ def init_channel_attention(
 ) -> ChannelAttentionWeights:
     plan = ad.spectral_plan(grid.height, grid.width, k_max)
     k = len(plan.mode_idx)
-    # Gating vectors start at zero (w2/b2 zero) so the block is an exact
-    # residual identity at initialization.
     spectral_std = 0.1 / np.sqrt(d_obs)
-    prefix = "encoder.attn"
+    # Keyword arguments evaluate in order, so this is the draw order.
     return ChannelAttentionWeights(
-        w1_1=_init_linear(gen, d_delta, hidden, f"{prefix}.w1_1"),
-        b1_1=_zeros(hidden, f"{prefix}.b1_1"),
-        w2_1=ad.parameter(gen.normal_array((hidden, d_obs)) * 0.05, f"{prefix}.w2_1"),
-        b2_1=_zeros(d_obs, f"{prefix}.b2_1"),
-        w1_2=_init_linear(gen, d_delta, hidden, f"{prefix}.w1_2"),
-        b1_2=_zeros(hidden, f"{prefix}.b1_2"),
-        w2_2=ad.parameter(gen.normal_array((hidden, d_obs)) * 0.05, f"{prefix}.w2_2"),
-        b2_2=_zeros(d_obs, f"{prefix}.b2_2"),
-        g1=ad.parameter(np.eye(d_obs), f"{prefix}.g1"),
-        g2_real=ad.parameter(gen.normal_array((k, d_obs, d_obs)) * spectral_std, f"{prefix}.g2_real"),
-        g2_imag=ad.parameter(gen.normal_array((k, d_obs, d_obs)) * spectral_std, f"{prefix}.g2_imag"),
+        gate1=_init_gate(gen, d_delta, hidden, d_obs, 1),
+        gate2=_init_gate(gen, d_delta, hidden, d_obs, 2),
+        g1=ad.parameter(np.eye(d_obs), "encoder.attn.g1"),
+        g2_real=ad.parameter(
+            gen.normal_array((k, d_obs, d_obs)) * spectral_std, "encoder.attn.g2_real"
+        ),
+        g2_imag=ad.parameter(
+            gen.normal_array((k, d_obs, d_obs)) * spectral_std, "encoder.attn.g2_imag"
+        ),
         plan=plan,
     )
-
-
-def _attention_vector(delta: Tensor, w1, b1, w2, b2) -> Tensor:
-    hidden = ad.gelu(ad.matmul(delta, w1) + b1)
-    return ad.matmul(hidden, w2) + b2
 
 
 def channel_attention(
@@ -116,18 +155,17 @@ def channel_attention(
             f"node count {x.shape[-2]} does not match grid ({grid.height}x{grid.width})"
         )
     d_obs, d_delta = x.shape[-1], delta.shape[-1]
-    if d_delta != w.w1_1.shape[0]:
+    if d_delta != w.gate1.w_a.shape[0]:
         raise ContractViolation(
-            f"parameter dimension {d_delta} does not match weights ({w.w1_1.shape[0]})"
+            f"parameter dimension {d_delta} does not match weights ({w.gate1.w_a.shape[0]})"
         )
 
     # The gating MLPs run as 2-D GEMMs on (samples, d_delta) rows at any
     # leading rank; each gate then broadcasts over its sample's nodes.
     rows = delta.reshape(-1, d_delta)
     gate_shape = delta.shape[:-1] + (1, d_obs)
-    a1 = _attention_vector(rows, w.w1_1, w.b1_1, w.w2_1, w.b2_1)
-    a2 = _attention_vector(rows, w.w1_2, w.b1_2, w.w2_2, w.b2_2)
-    a1, a2 = a1.reshape(gate_shape), a2.reshape(gate_shape)
+    a1 = reconstruct(rows, w.gate1).reshape(gate_shape)
+    a2 = reconstruct(rows, w.gate2).reshape(gate_shape)
 
     branch1 = ad.matmul(x, w.g1)
     branch2 = ad.spectral_channel_mix(x, w.g2_real, w.g2_imag, w.plan)
@@ -188,43 +226,6 @@ def gnn_encode(h: Tensor | np.ndarray, grid: GridGraph, layers: list[GnnLayer]) 
     return h
 
 
-# -- MLP decoder -------------------------------------------------------------------
-
-
-@dataclass
-class MlpDecoderWeights:
-    w_a: Tensor  # (d_in, hidden)
-    b_a: Tensor
-    w_b: Tensor  # (hidden, d_out)
-    b_b: Tensor
-
-
-def init_mlp_decoder(
-    gen: Xoshiro256StarStar,
-    d_in: int,
-    hidden: int,
-    d_out: int,
-    prefix: str = "encoder.decoder",
-) -> MlpDecoderWeights:
-    return MlpDecoderWeights(
-        w_a=_init_linear(gen, d_in, hidden, f"{prefix}.w_a"),
-        b_a=_zeros(hidden, f"{prefix}.b_a"),
-        w_b=_init_linear(gen, hidden, d_out, f"{prefix}.w_b"),
-        b_b=_zeros(d_out, f"{prefix}.b_b"),
-    )
-
-
-def reconstruct(z: Tensor | np.ndarray, w: MlpDecoderWeights) -> Tensor:
-    """Two-layer MLP applied per node: W_b gelu(W_a z + b_a) + b_b."""
-    z = z if isinstance(z, Tensor) else Tensor(z)
-    if z.shape[-1] != w.w_a.shape[0]:
-        raise ContractViolation(
-            f"latent width {z.shape[-1]} does not match decoder input {w.w_a.shape[0]}"
-        )
-    hidden = ad.gelu(ad.matmul(z, w.w_a) + w.b_a)
-    return ad.matmul(hidden, w.w_b) + w.b_b
-
-
 # -- assembled stack -----------------------------------------------------------------
 
 
@@ -248,7 +249,7 @@ class EncoderStack:
 
     attention: ChannelAttentionWeights
     gnn: list[GnnLayer]
-    decoder: MlpDecoderWeights
+    decoder: MlpWeights
 
     def encode(self, x, delta: np.ndarray, grid: GridGraph) -> Tensor:
         """Latents of x (..., N, d_obs) under raw parameters delta (..., d_delta)."""

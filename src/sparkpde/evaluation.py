@@ -106,7 +106,7 @@ def evaluate_split(
     if not windows:
         raise ContractViolation(f"dataset has no '{split}' windows to evaluate")
 
-    episode_ids = sorted({e for e, _ in windows})
+    episode_ids = ds.split_indices(split)
     encoded = _in_order(lambda e: episode_latents(ds, encoder, e), episode_ids)
     latents = dict(zip(episode_ids, encoded))
     batches = forecast_windows(latents, ds, windows, weights, cfg, BATCH_SIZE, split)

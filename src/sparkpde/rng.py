@@ -19,6 +19,9 @@ doubling with cached jump matrices, and all lanes then step together in
 numpy ``uint64`` arithmetic. Read lane after lane, the words are exactly
 those of repeated ``next_u64`` calls, and the generator is left where those
 calls would leave it; so artifacts do not depend on how a draw is split.
+
+Box-Muller is written once, for arrays: ``normal(n)``. A caller that wants one
+variate per word pair (the cosine one) takes ``normal(2 * m)[0::2]``.
 """
 
 from __future__ import annotations
@@ -172,19 +175,14 @@ class Xoshiro256StarStar:
             return (self.next_u64() >> 11) * 2.0**-53
         return (self.next_words(n) >> 11) * 2.0**-53
 
-    def normal(self, n: int | None = None) -> np.ndarray | float:
-        """Standard normal variates via the Box-Muller transform.
+    def normal(self, n: int) -> np.ndarray:
+        """``n`` standard normal variates via the Box-Muller transform.
 
         Each pair of words gives a cosine then a sine variate; an odd count
         drops the last sine. The logarithm and trigonometric functions are
         libm's, per element (``math``): numpy's vectorized ones differ in the
         last bits on some inputs, which would change the stream.
         """
-        if n is None:
-            # The array path's arithmetic on one pair, without numpy's set-up.
-            u1 = 1.0 - (self.next_u64() >> 11) * 2.0**-53
-            u2 = (self.next_u64() >> 11) * 2.0**-53
-            return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         words = self.next_words(2 * ((n + 1) // 2))
         # u1 in (0, 1] so log() is finite.
         u1 = 1.0 - (words[0::2] >> 11) * 2.0**-53

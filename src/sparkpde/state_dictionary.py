@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, adam_step, backward
 from .config import PretrainSection
-from .datagen import EpisodeDataset
+from .datagen import SPLIT_IN, EpisodeDataset
 from .encoder import EncoderStack, init_encoder_stack, reconstruct
 from .errors import ContractViolation, NumericError
 from .rng import Xoshiro256StarStar, substream
@@ -170,16 +170,6 @@ class PretrainResult:
     wallclock: float = 0.0
 
 
-def _episode_frames(ds: EpisodeDataset) -> list[tuple[int, int]]:
-    frames = []
-    for e_idx, ep in enumerate(ds.episodes):
-        if ep.split != "in":
-            continue
-        for t in range(ep.t_total):
-            frames.append((e_idx, t))
-    return frames
-
-
 def _gather_batch(
     ds: EpisodeDataset, frames: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +187,7 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
     in-domain episodes only. All randomness derives from the root ``seed``.
     """
     start = time.perf_counter()
-    frames = _episode_frames(ds)
+    frames = [(e, t) for e in ds.split_indices(SPLIT_IN) for t in range(ds.episodes[e].t_total)]
     if not frames:
         raise ContractViolation("dataset has no in-domain episodes")
 

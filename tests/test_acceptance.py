@@ -36,6 +36,7 @@ from sparkpde.config import AugmentSection, DynamicsSection, PretrainSection
 from sparkpde.datagen import (
     SPLIT_IN,
     SPLIT_OUT,
+    Episode,
     EpisodeDataset,
     simulate_navier_stokes,
 )
@@ -145,7 +146,7 @@ def test_gradient_integrity():
 
     def dyn_loss(p):
         from sparkpde.dynamics import OdeLayer
-        from sparkpde.encoder import MlpDecoderWeights
+        from sparkpde.encoder import MlpWeights
 
         w = copy.copy(dyn)
         w.w_alpha = p["dynamics.w_alpha"]
@@ -157,14 +158,14 @@ def test_gradient_integrity():
                 b=p["dynamics.0.b"],
             )
         ]
-        w.decoder = MlpDecoderWeights(
+        w.decoder = MlpWeights(
             w_a=p["dynamics.decoder.w_a"],
             b_a=p["dynamics.decoder.b_a"],
             w_b=p["dynamics.decoder.w_b"],
             b_b=p["dynamics.decoder.b_b"],
         )
         h0 = encode_history(Tensor(h_seq0), w)
-        traj = integrate(h0, lambda s: ode_rhs(s, grid, w), [1.0, 2.0], solver="rk4", substeps=2)
+        traj = integrate(h0, lambda s: ode_rhs(s, grid, w), 2, solver="rk4", substeps=2)
         y_hat = decode(traj, w)
         return tensor_sum(square(y_hat - Tensor(np.stack([y0, y0]))))
 
@@ -178,9 +179,9 @@ def test_gradient_integrity():
     x_obs = gen.normal_array((6, 2))
 
     def pre_loss(p):
-        from sparkpde.encoder import MlpDecoderWeights
+        from sparkpde.encoder import MlpWeights
 
-        w = MlpDecoderWeights(
+        w = MlpWeights(
             w_a=p["encoder.decoder.w_a"],
             b_a=p["encoder.decoder.b_a"],
             w_b=p["encoder.decoder.w_b"],
@@ -202,9 +203,9 @@ def test_gradient_integrity():
     base_offset = base_codes - p_values["h"]
 
     def pre_surrogate(p):
-        from sparkpde.encoder import MlpDecoderWeights
+        from sparkpde.encoder import MlpWeights
 
-        w = MlpDecoderWeights(
+        w = MlpWeights(
             w_a=p["encoder.decoder.w_a"],
             b_a=p["encoder.decoder.b_a"],
             w_b=p["encoder.decoder.w_b"],
@@ -275,7 +276,7 @@ def test_solver_order():
     errors = []
     for substeps in (4, 8, 16, 32, 64):
         out = integrate(
-            Tensor(np.array([[1.0]])), lambda s: -1.0 * s, [1.0], solver="rk4", substeps=substeps
+            Tensor(np.array([[1.0]])), lambda s: -1.0 * s, 1, solver="rk4", substeps=substeps
         )
         errors.append(abs(out.data[0, 0, 0] - np.exp(-1.0)))
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
@@ -292,17 +293,17 @@ def test_simulator_physics():
     x = np.arange(grid.width) / grid.width
     omega0 = amp * np.tile(np.sin(2 * np.pi * x), (grid.height, 1))
     nu = 0.05
-    [ep] = simulate_navier_stokes(
+    [x] = simulate_navier_stokes(
         grid, nu=[nu], ic_seed=[0], steps=100, dt=1e-3, initial_vorticity=omega0[None]
     )
     expected = omega0 * np.exp(-nu * (2 * np.pi) ** 2 * 0.1)
     decay_rel = float(
-        np.max(np.abs(ep.x[-1, :, 0].reshape(32, 32) - expected)) / np.max(np.abs(expected))
+        np.max(np.abs(x[-1, :, 0].reshape(32, 32) - expected)) / np.max(np.abs(expected))
     )
 
-    [ep2] = simulate_navier_stokes(grid, nu=[1e-3], ic_seed=[7], steps=150, dt=2e-3)
-    mean_err = float(np.max(np.abs(ep2.x[:, :, 0].mean(axis=1))))
-    enstrophy = np.sum(ep2.x[:, :, 0] ** 2, axis=1)
+    [x2] = simulate_navier_stokes(grid, nu=[1e-3], ic_seed=[7], steps=150, dt=2e-3)
+    mean_err = float(np.max(np.abs(x2[:, :, 0].mean(axis=1))))
+    enstrophy = np.sum(x2[:, :, 0] ** 2, axis=1)
     monotone = bool(np.all(np.diff(enstrophy) <= enstrophy[0] * 1e-12))
 
     ok = decay_rel < 1e-4 and mean_err < 1e-12 and monotone
@@ -362,16 +363,19 @@ def test_quantization_contracts():
 def _ns_dataset(id_values, ood_values, reps, t_total, seed=0, record_every=25, dt=2e-3):
     grid = GridGraph(32, 32)
     jobs = [(nu, rep) for nu in list(id_values) + list(ood_values) for rep in range(reps)]
-    episodes = simulate_navier_stokes(
+    seeds = [derive_seed(seed, f"datagen/{nu!r}/{rep}") for nu, rep in jobs]
+    trajectories = simulate_navier_stokes(
         grid,
         nu=[nu for nu, _ in jobs],
-        ic_seed=[derive_seed(seed, f"datagen/{nu!r}/{rep}") for nu, rep in jobs],
+        ic_seed=seeds,
         steps=(t_total - 1) * record_every,
         dt=dt,
         record_every=record_every,
     )
-    for ep, (nu, _) in zip(episodes, jobs):
-        ep.split = SPLIT_IN if nu in id_values else SPLIT_OUT
+    episodes = [
+        Episode(delta=[nu], x=x, seed=s, split=SPLIT_IN if nu in id_values else SPLIT_OUT)
+        for (nu, _), x, s in zip(jobs, trajectories, seeds)
+    ]
     ds = EpisodeDataset(grid=grid, channel_names=["vorticity"], episodes=episodes)
     return ds
 
@@ -385,14 +389,14 @@ def test_pretraining_progress():
     ds = _ns_dataset(
         id_values=[1e-2, 3e-3, 1e-3, 3e-4], ood_values=[1e-4], reps=8, t_total=14, seed=11
     )
-    assert len(ds.split_episodes(SPLIT_IN)) == 32
+    assert len(ds.split_indices(SPLIT_IN)) == 32
     # top up to exactly 40 in-domain episodes with a second parameter sweep
     extra = _ns_dataset(
         id_values=[3e-2, 1e-3], ood_values=[], reps=4, t_total=14, seed=12
     )
-    ds.episodes.extend(extra.split_episodes(SPLIT_IN))
+    ds.episodes.extend(extra.episodes[i] for i in extra.split_indices(SPLIT_IN))
     ds.compute_normalization()
-    n_in = len(ds.split_episodes(SPLIT_IN))
+    n_in = len(ds.split_indices(SPLIT_IN))
     assert n_in == 40
 
     cfg = PretrainSection(

@@ -14,7 +14,7 @@ from sparkpde.cli import main
 from sparkpde.config import config_to_dict, load_config, settings
 from sparkpde.datagen import load_dataset, reaction_diffusion
 from sparkpde.grids import GridGraph
-from sparkpde.rng import Xoshiro256StarStar
+from sparkpde.rng import Xoshiro256StarStar, derive_seed
 from sparkpde.serialization import rebuild_dynamics, rebuild_pretrained, stored_config
 
 from helpers import with_table_shape, write_parameter_lengths
@@ -923,3 +923,66 @@ def test_each_snapshot_is_parsed_once(workspace, tmp_path, monkeypatch, command,
         monkeypatch.setattr(module, "config_from_dict", counting)
     assert main([command] + _argv(workspace, command, tmp_path / "out")) == 0
     assert len(parsed) == calls
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("gen-data", "--config"),
+        ("pretrain", "--config"),
+        ("pretrain", "--dataset"),
+        ("train", "--config"),
+        ("train", "--dataset"),
+        ("train", "--checkpoint"),
+        ("eval", "--dataset"),
+        ("eval", "--checkpoint"),
+        ("sweep-k", "--config"),
+        ("sweep-k", "--dataset"),
+        ("sweep-k", "--checkpoint"),
+        ("inspect-codebook", "--checkpoint"),
+    ],
+)
+def test_input_flags_are_required(workspace, tmp_path, capsys, command, flag):
+    # A command without one of the inputs it reads exits 2 at parsing, naming
+    # the flag, and writes nothing.
+    out = tmp_path / "d"
+    argv = _argv(workspace, command, out)
+    at = argv.index(flag)
+    with pytest.raises(SystemExit) as exc:
+        main([command] + argv[:at] + argv[at + 2 :])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_episodes_carry_what_each_solver_read(workspace, tmp_path):
+    # Navier-Stokes stores (nu,), Gray-Scott (d_u, d_v), where one value
+    # gives both; each episode holds its job's seed, split and trajectory.
+    ns = load_dataset(str(workspace["dataset"]))
+    nus = [1.0e-2, 1.0e-2, 1.0e-3, 1.0e-3]
+    assert [ep.delta.tolist() for ep in ns.episodes] == [[nu] for nu in nus]
+    assert [ep.split for ep in ns.episodes] == ["in", "in", "out", "out"]
+    assert [ep.seed for ep in ns.episodes] == [
+        derive_seed(42, f"datagen/{(nu,)!r}/{rep}") for nu, rep in zip(nus, [0, 1, 0, 1])
+    ]
+
+    config = _rd_config(
+        tmp_path,
+        params=[[1.0e-5, 2.0e-5], 3.0e-5],
+        ood={"mode": "explicit", "out_values": [3.0e-5]},
+        episodes_per_param=1,
+    )
+    assert main(["gen-data", "--config", config, "--out", str(tmp_path / "rd")]) == 0
+    rd = load_dataset(str(tmp_path / "rd" / "dataset.spds"))
+    assert [ep.delta.tolist() for ep in rd.episodes] == [[1.0e-5, 2.0e-5], [3.0e-5, 3.0e-5]]
+    assert [ep.split for ep in rd.episodes] == ["in", "out"]
+    ds_cfg = load_config(config).dataset
+    seeds = [derive_seed(42, f"datagen/{delta!r}/0") for delta in [(1.0e-5, 2.0e-5), (3.0e-5,)]]
+    assert [ep.seed for ep in rd.episodes] == seeds
+    trajectories = reaction_diffusion.simulate_reaction_diffusion(
+        rd.grid, d_u=[1.0e-5, 3.0e-5], d_v=[2.0e-5, 3.0e-5], feed=ds_cfg.feed,
+        kill=ds_cfg.kill, ic_seed=seeds, steps=(ds_cfg.t_total - 1) * ds_cfg.record_every,
+        dt=ds_cfg.dt, record_every=ds_cfg.record_every,
+        reaction_strength=ds_cfg.reaction_strength, ic_modes=ds_cfg.ic_modes,
+    )
+    assert [ep.x.tobytes() for ep in rd.episodes] == [x.tobytes() for x in trajectories]

@@ -175,8 +175,20 @@ def test_ood_split_empty_in_domain_rejected():
 def test_normalization_ignores_out_domain_episodes():
     ds = _toy_dataset(n_episodes=10)
     means, stds = ds.compute_normalization()
-    for ep in ds.split_episodes(SPLIT_OUT):
-        ep.x += 1000.0
+    for i in ds.split_indices(SPLIT_OUT):
+        ds.episodes[i].x += 1000.0
     means2, stds2 = ds.compute_normalization()
     np.testing.assert_array_equal(means, means2)
     np.testing.assert_array_equal(stds, stds2)
+
+
+def test_split_indices_enumerate_each_split_in_dataset_order():
+    ds = _toy_dataset(n_episodes=10)
+    assert ds.split_indices(SPLIT_IN) == [0, 1, 2, 3, 5, 6, 7, 8]
+    assert ds.split_indices(SPLIT_OUT) == [4, 9]
+    # A split with no episodes enumerates none.
+    in_only = _toy_dataset(n_episodes=4)
+    assert in_only.split_indices(SPLIT_OUT) == []
+    assert in_only.split_indices(SPLIT_IN) == [0, 1, 2, 3]
+    empty = EpisodeDataset(GridGraph(4, 4), ["c"], stats=(np.zeros(1), np.ones(1)))
+    assert empty.split_indices(SPLIT_IN) == empty.split_indices(SPLIT_OUT) == []

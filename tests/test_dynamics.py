@@ -174,7 +174,7 @@ def test_rk4_step_tape_budget(grid):
     w = init_dynamics(rng.substream(6, "tape-budget"), cfg, grid, d_latent=3, d_obs=1)
     h = rng.substream(7, "tape-budget/h").normal_array((2, grid.n_nodes, 3))
     with Tape() as tape:
-        integrate(Tensor(h), lambda s: ode_rhs(s, grid, w), [0.25], substeps=4)
+        integrate(Tensor(h), lambda s: ode_rhs(s, grid, w), 1, substeps=1)
     ops = Counter(node._op for node in tape._nodes)
     assert ops == {
         "spectral_channel_mix": 4 * 2,
@@ -222,14 +222,14 @@ def test_rhs_gradient_matches_finite_differences(grid):
 
 def test_integrate_zero_rhs_constant():
     h0 = rng.substream(9, "h0").normal_array((5, 2))
-    out = integrate(Tensor(h0), lambda s: Tensor(np.zeros_like(s.data)), [1.0, 2.0, 3.0])
+    out = integrate(Tensor(h0), lambda s: Tensor(np.zeros_like(s.data)), 3)
     for t in range(3):
         np.testing.assert_array_equal(out.data[t], h0)
 
 
 def test_integrate_linear_decay_matches_exponential():
     h0 = Tensor(np.array([[1.0]]))
-    out = integrate(h0, lambda s: -1.0 * s, [1.0], solver="rk4", substeps=32)
+    out = integrate(h0, lambda s: -1.0 * s, 1, solver="rk4", substeps=32)
     assert out.data[0, 0, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
@@ -237,7 +237,7 @@ def test_rk4_convergence_order():
     errors = []
     substeps_grid = [4, 8, 16, 32, 64]
     for n in substeps_grid:
-        out = integrate(Tensor(np.array([[1.0]])), lambda s: -1.0 * s, [1.0], substeps=n)
+        out = integrate(Tensor(np.array([[1.0]])), lambda s: -1.0 * s, 1, substeps=n)
         errors.append(abs(out.data[0, 0, 0] - np.exp(-1.0)))
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     for order in orders:
@@ -247,22 +247,22 @@ def test_rk4_convergence_order():
 def test_euler_single_step_definition():
     h0 = np.array([[2.0, -1.0]])
     rhs_value = np.array([[0.5, 0.25]])
-    out = integrate(Tensor(h0), lambda s: Tensor(rhs_value), [1.0], solver="euler", substeps=1)
+    out = integrate(Tensor(h0), lambda s: Tensor(rhs_value), 1, solver="euler", substeps=1)
     np.testing.assert_array_equal(out.data[0], h0 + rhs_value)
 
 
-def test_integrate_rejects_bad_times():
-    with pytest.raises(ContractViolation):
-        integrate(Tensor(np.zeros((2, 2))), lambda s: s, [1.0, 0.5])
-    with pytest.raises(ContractViolation):
-        integrate(Tensor(np.zeros((2, 2))), lambda s: s, [1.0], solver="rk9")
+def test_integrate_rejects_bad_solver_settings():
+    with pytest.raises(ContractViolation, match="solver"):
+        integrate(Tensor(np.zeros((2, 2))), lambda s: s, 1, solver="rk9")
+    with pytest.raises(ContractViolation, match="substeps"):
+        integrate(Tensor(np.zeros((2, 2))), lambda s: s, 1, substeps=0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_integrate_divergence_aborts_with_time_index():
     h0 = Tensor(np.array([[1.0]]))
     with pytest.raises(NumericError, match="t=2"):
-        integrate(h0, lambda s: 1e200 * s * s, [1.0, 2.0, 3.0], solver="euler", substeps=1)
+        integrate(h0, lambda s: 1e200 * s * s, 3, solver="euler", substeps=1)
 
 
 # -- decode -----------------------------------------------------------------------
@@ -310,7 +310,7 @@ def test_end_to_end_gradient_small_instance():
             b_b=p["dynamics.decoder.b_b"],
         )
         h0 = encode_history(Tensor(h_seq0), ww)
-        traj = integrate(h0, lambda s: ode_rhs(s, grid, ww), [1.0, 2.0], substeps=1)
+        traj = integrate(h0, lambda s: ode_rhs(s, grid, ww), 2, substeps=1)
         y_hat = decode(traj, ww)
         return tensor_sum(square(y_hat - Tensor(np.stack([target, target]))))
 

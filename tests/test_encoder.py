@@ -12,7 +12,7 @@ from sparkpde.autodiff import Tensor, parameters, square, tensor_sum
 from sparkpde.config import PretrainSection
 from sparkpde.encoder import (
     GnnLayer,
-    MlpDecoderWeights,
+    MlpWeights,
     channel_attention,
     gnn_encode,
     init_channel_attention,
@@ -39,8 +39,8 @@ def _weights(grid, d_obs=2, d_delta=1, hidden=4, k_max=2, seed=5):
 
 def test_zero_gates_give_residual_identity(grid):
     w = _weights(grid)
-    w.w2_1.data[:] = 0.0
-    w.w2_2.data[:] = 0.0
+    w.gate1.w_b.data[:] = 0.0
+    w.gate2.w_b.data[:] = 0.0
     x = rng.substream(1, "x").normal_array((grid.n_nodes, 2))
     out = channel_attention(x, np.array([0.3]), w, grid)
     np.testing.assert_array_equal(out.data, x)
@@ -48,9 +48,9 @@ def test_zero_gates_give_residual_identity(grid):
 
 def test_unit_gate_identity_g1_doubles_input(grid):
     w = _weights(grid)
-    w.w2_1.data[:] = 0.0
-    w.b2_1.data[:] = 1.0  # a_1 = ones
-    w.w2_2.data[:] = 0.0  # a_2 = 0
+    w.gate1.w_b.data[:] = 0.0
+    w.gate1.b_b.data[:] = 1.0  # a_1 = ones
+    w.gate2.w_b.data[:] = 0.0  # a_2 = 0
     w.g1.data[:] = np.eye(2)
     w.g2_real.data[:] = 0.0
     w.g2_imag.data[:] = 0.0
@@ -64,10 +64,10 @@ def test_spectral_branch_matches_dense_dft_oracle(grid):
     # O(N^2) DFT implementation of the truncated spectral convolution.
     d, k_max = 2, 2
     w = _weights(grid, d_obs=d, k_max=k_max)
-    w.w2_1.data[:] = 0.0
-    w.b2_1.data[:] = 0.0
-    w.w2_2.data[:] = 0.0
-    w.b2_2.data[:] = 1.0
+    w.gate1.w_b.data[:] = 0.0
+    w.gate1.b_b.data[:] = 0.0
+    w.gate2.w_b.data[:] = 0.0
+    w.gate2.b_b.data[:] = 1.0
     x = rng.substream(3, "x").normal_array((grid.n_nodes, d))
     out = channel_attention(x, np.array([0.5]), w, grid).data - x
 
@@ -250,7 +250,7 @@ def test_reconstruct_zero_weights_gives_zero():
 
 def test_reconstruct_identity_configuration():
     # Identity weights and zero biases leave only the activation: gelu(z).
-    w = MlpDecoderWeights(
+    w = MlpWeights(
         w_a=Tensor(np.eye(3), name="d.wa"),
         b_a=Tensor(np.zeros(3), name="d.ba"),
         w_b=Tensor(np.eye(3), name="d.wb"),
@@ -267,7 +267,7 @@ def test_reconstruct_gradients():
     z0 = gen.normal_array((5, 3))
 
     def loss(p):
-        weights = MlpDecoderWeights(
+        weights = MlpWeights(
             w_a=p["encoder.decoder.w_a"],
             b_a=p["encoder.decoder.b_a"],
             w_b=p["encoder.decoder.w_b"],

@@ -32,12 +32,14 @@ def model():
     """A small NS dataset (one in-domain episode, three out-of-domain ones of
     12 frames: 15 'out' windows) with a random encoder and forecaster."""
     grid = GridGraph(8, 8)
-    episodes = simulate_navier_stokes(
-        grid, nu=[1e-2, 3e-3, 1e-3, 3e-4], ic_seed=[1, 2, 3, 4],
-        steps=22, dt=2e-3, record_every=2,
+    nu, seeds = [1e-2, 3e-3, 1e-3, 3e-4], [1, 2, 3, 4]
+    trajectories = simulate_navier_stokes(
+        grid, nu=nu, ic_seed=seeds, steps=22, dt=2e-3, record_every=2
     )
-    for ep in episodes[1:]:
-        ep.split = "out"
+    episodes = [
+        Episode(delta=[v], x=x, seed=seed, split="in" if e == 0 else "out")
+        for e, (v, x, seed) in enumerate(zip(nu, trajectories, seeds))
+    ]
     ds = EpisodeDataset(grid=grid, channel_names=["vorticity"], episodes=episodes)
     gen = rng.substream(11, "evaluation")
     pre = PretrainSection(d_latent=8, hidden=8, attention_hidden=4, gnn_layers=1, k_max=2)

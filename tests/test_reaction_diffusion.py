@@ -17,41 +17,40 @@ def grid():
 
 
 def test_no_dynamics_means_constant_trajectory(grid):
-    [ep] = simulate_reaction_diffusion(
+    [x] = simulate_reaction_diffusion(
         grid, d_u=[0.0], d_v=[0.0], feed=0.04, kill=0.06,
         ic_seed=[2], steps=25, dt=0.5, reaction_strength=0.0,
     )
-    for t in range(1, ep.t_total):
-        np.testing.assert_array_equal(ep.x[t], ep.x[0])
+    for t in range(1, len(x)):
+        np.testing.assert_array_equal(x[t], x[0])
 
 
 def test_uniform_fixed_point_is_stationary(grid):
     u0 = np.ones((1, 32, 32))
     v0 = np.zeros((1, 32, 32))
-    [ep] = simulate_reaction_diffusion(
+    [x] = simulate_reaction_diffusion(
         grid, d_u=[1e-4], d_v=[5e-5], feed=0.04, kill=0.06,
         ic_seed=[0], steps=200, dt=1e-2, initial_state=(u0, v0),
     )
-    assert np.max(np.abs(ep.x[-1, :, 0] - 1.0)) < 1e-10
-    assert np.max(np.abs(ep.x[-1, :, 1])) < 1e-10
+    assert np.max(np.abs(x[-1, :, 0] - 1.0)) < 1e-10
+    assert np.max(np.abs(x[-1, :, 1])) < 1e-10
 
 
 def test_pure_diffusion_single_mode_decay(grid):
     d = 0.01
-    x = np.arange(32) / 32
-    mode = np.tile(np.sin(2 * np.pi * x), (32, 1))
+    mode = np.tile(np.sin(2 * np.pi * np.arange(32) / 32), (32, 1))
     u0 = mode.copy()
     v0 = np.zeros_like(mode)
     dt = 1e-3
     steps = 350  # t = 0.35, about 0.14 e-folds
-    [ep] = simulate_reaction_diffusion(
+    [x] = simulate_reaction_diffusion(
         grid, d_u=[d], d_v=[d], feed=0.0, kill=0.0,
         ic_seed=[0], steps=steps, dt=dt,
         reaction_strength=0.0, initial_state=(u0[None], v0[None]),
     )
     t_final = steps * dt
     expected = mode * np.exp(-d * (2 * np.pi) ** 2 * t_final)
-    got = ep.x[-1, :, 0].reshape(32, 32)
+    got = x[-1, :, 0].reshape(32, 32)
     rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
     assert rel < 1e-3
 
@@ -83,7 +82,7 @@ def test_deterministic_given_seed(grid):
     kwargs = dict(d_u=[2e-4], d_v=[1e-4], feed=0.04, kill=0.06, steps=30, dt=5e-2)
     [a] = simulate_reaction_diffusion(grid, ic_seed=[8], **kwargs)
     [b] = simulate_reaction_diffusion(grid, ic_seed=[8], **kwargs)
-    assert a.x.tobytes() == b.x.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 # Three episodes with distinct diffusivities and seeds.
@@ -94,19 +93,17 @@ def test_stack_steps_each_episode_as_alone():
     grid = GridGraph(6, 5)
     kwargs = dict(feed=0.04, kill=0.06, steps=40, dt=0.5, record_every=4)
     stacked = simulate_reaction_diffusion(grid, **STACK, **kwargs)
-    assert [ep.x.shape for ep in stacked] == [(11, 30, 2)] * 3
-    assert len({ep.x.tobytes() for ep in stacked}) == 3
-    for e, ep in enumerate(stacked):
+    assert stacked.shape == (3, 11, 30, 2)
+    assert len({x.tobytes() for x in stacked}) == 3
+    for e, x in enumerate(stacked):
         [alone] = simulate_reaction_diffusion(
             grid, **{key: [values[e]] for key, values in STACK.items()}, **kwargs
         )
-        assert ep.x.tobytes() == alone.x.tobytes()
-        assert ep.delta.tobytes() == alone.delta.tobytes()
-        assert ep.seed == alone.seed == STACK["ic_seed"][e]
+        assert x.tobytes() == alone.tobytes()
     backwards = simulate_reaction_diffusion(
         grid, **{key: values[::-1] for key, values in STACK.items()}, **kwargs
     )
-    assert [ep.x.tobytes() for ep in backwards] == [ep.x.tobytes() for ep in stacked][::-1]
+    assert [x.tobytes() for x in backwards] == [x.tobytes() for x in stacked][::-1]
 
 
 def test_every_episode_checked_before_any_step(grid, monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sparkpde import rng
+from sparkpde.datagen.fields import band_limited_field
 
 from helpers import scalar_normal, scalar_uniform
 
@@ -113,11 +114,12 @@ def test_array_draws_match_scalar_stream_bit_for_bit(seed):
     for n in BOUNDARY_SIZES + [1]:
         assert np.array_equal(gen.uniform(n), scalar_uniform(ref, n)), n
         _assert_same_state(gen, ref)
-    for _ in range(1000):
-        z = gen.normal()
-        assert type(z) is float
-        assert z == scalar_normal(ref, 1)[0]
-    _assert_same_state(gen, ref)
+    # One variate per word pair, as band_limited_field draws them: the cosine
+    # variates of an even-sized draw.
+    for count in (1, 2, 1000):
+        cosines = gen.normal(2 * count)[0::2]
+        assert cosines.tolist() == [scalar_normal(ref, 1)[0] for _ in range(count)]
+        _assert_same_state(gen, ref)
 
 
 def test_normal_stream_frozen():
@@ -130,3 +132,39 @@ def test_normal_stream_frozen():
         "27e22707ec65eddd8d44a8ff389063e81b36d66f662514f7305c15cf64e6e237"
     )
     assert gen.next_u64() == 282683027220569910
+
+
+def _reference_band_limited_field(gen, height, width, max_mode):
+    """``band_limited_field`` with its coefficients drawn one word pair at a
+    time: the real, then the imaginary part of each retained mode in
+    row-major order, each the cosine variate of its own pair."""
+    kr = np.fft.fftfreq(height, d=1.0 / height).astype(np.int64)
+    kc = np.fft.fftfreq(width, d=1.0 / width).astype(np.int64)
+    spectrum = np.zeros((height, width), dtype=np.complex128)
+    for r in range(height):
+        for c in range(width):
+            if 0 < kr[r] ** 2 + kc[c] ** 2 <= max_mode**2:
+                real = scalar_normal(gen, 1)[0]
+                imag = scalar_normal(gen, 1)[0]
+                spectrum[r, c] = real + 1j * imag
+    field = np.fft.ifft2(spectrum).real * (height * width)
+    field -= field.mean()
+    std = field.std()
+    if std > 0:
+        field *= 1.0 / std
+    return field
+
+
+# (height, width, max_mode); the last draws 4 * 2124 words, so it steps lanes.
+FIELDS = [(32, 32, 4), (32, 32, 1), (16, 24, 3), (7, 5, 6), (9, 1, 2), (64, 64, 26)]
+
+
+@pytest.mark.parametrize("height,width,max_mode", FIELDS)
+def test_band_limited_field_draws_one_word_pair_per_coefficient(height, width, max_mode):
+    for seed in (0, 7, 2**64 - 1):
+        gen = rng.Xoshiro256StarStar(seed)
+        ref = rng.Xoshiro256StarStar(seed)
+        field = band_limited_field(gen, height, width, max_mode=max_mode)
+        expected = _reference_band_limited_field(ref, height, width, max_mode)
+        assert field.tobytes() == expected.tobytes()
+        _assert_same_state(gen, ref)
