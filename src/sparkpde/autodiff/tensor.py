@@ -6,6 +6,13 @@ block append their node to that tape; outside a tape they are plain numpy
 computations (used for frozen models and data generation). ``parameters``
 enumerates a model's named tensors by walking its weight dataclasses.
 
+A tape records a ``Node`` per op: the grad keys of its operands, its VJP
+and its name. A node keeps the arrays its VJP reads and never the op's
+output: the output ``Tensor`` points at its node, the tape holds no
+reference to it, and no VJP closure captures a ``Tensor``. So an output
+lives only as long as the forward's code holds it (``add``'s VJP keeps
+shapes only, ``mul``'s the other operand's array).
+
 ``backward`` replays the tape once, in reverse recording order. Recording
 order is a topological order by construction (an op can only consume already
 created tensors), so each node's adjoint is complete when visited and every
@@ -17,8 +24,9 @@ for operands that need no gradient.
 
 ``graph_layer`` is one Fourier-graph ODE layer, gelu(spectral + (A x) W + b),
 and ``gnn_layer`` one GNN-encoder layer, h R + gelu(concat([h, A h]) W + b),
-each as a single node that keeps only A x (or A h) and the GeLU's slope; their
-values and gradients are bit-equal to those of the separate ops.
+each as a single node that keeps A x (or A h), the GeLU's slope and the
+weight arrays its VJP reads; their values and gradients are bit-equal to
+those of the separate ops.
 
 Complex spectral weights are represented as explicit real/imaginary tensor
 pairs. The one spectral op, ``spectral_channel_mix``, takes its DFTs with
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -57,19 +66,29 @@ def _asarray(value) -> Array:
 class Tensor:
     """A float64 array, optionally recorded on the active tape.
 
-    ``_vjp`` maps the output cotangent to a tuple of cotangents aligned with
-    ``_parents``; entries may be None for non-differentiable parents.
+    A recorded tensor points at its tape ``Node``; ``_vjp`` reads and
+    reassigns that node's VJP, which maps the output cotangent to a tuple of
+    cotangents aligned with the node's parents (None for an operand that
+    needs no gradient).
     """
 
-    __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "requires_grad", "name", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _asarray(data)
         self.requires_grad = requires_grad
         self.name = name
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[Array], tuple] | None = None
-        self._op: str = "leaf"
+        self._node: Node | None = None
+
+    @property
+    def _vjp(self) -> Callable[[Array], tuple] | None:
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp: Callable[[Array], tuple]) -> None:
+        if self._node is None:
+            raise ContractViolation("only a recorded tensor has a VJP")
+        self._node.vjp = vjp
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,7 +100,8 @@ class Tensor:
 
     def __repr__(self) -> str:
         label = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, op={self._op}{label})"
+        op = "leaf" if self._node is None else self._node.op
+        return f"Tensor(shape={self.data.shape}, op={op}{label})"
 
     # -- arithmetic sugar ---------------------------------------------------
     def __add__(self, other):
@@ -138,11 +158,37 @@ def parameters(*models) -> dict[str, Tensor]:
     return out
 
 
+_NO_DATA = np.empty(0)
+
+
+class Node:
+    """One recorded op: its operands' grad keys, its VJP and its name.
+
+    A parent's grad key is its own node, the leaf ``Tensor`` itself when it
+    needs a gradient, or None when it needs none. The node holds its output
+    only weakly: ``data`` is the output's array while something else keeps
+    the output alive, and an empty array once it is gone.
+    """
+
+    __slots__ = ("parents", "vjp", "op", "_out")
+
+    def __init__(self, parents: tuple, vjp: Callable[[Array], tuple], op: str, out: Tensor):
+        self.parents = parents
+        self.vjp = vjp
+        self.op = op
+        self._out = weakref.ref(out)
+
+    @property
+    def data(self) -> Array:
+        out = self._out()
+        return _NO_DATA if out is None else out.data
+
+
 class Tape:
     """Ordered record of primitive operations for one backward pass."""
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self._nodes: list[Node] = []
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -171,14 +217,21 @@ def _recording(parents: tuple[Tensor, ...]) -> bool:
     return _ACTIVE_TAPE is not None and any(p.requires_grad for p in parents)
 
 
+def _grad_key(t: Tensor) -> Node | Tensor | None:
+    """Where ``backward`` sums ``t``'s cotangent: its node, or the leaf itself."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 def _record(out: Tensor, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    """Attach provenance to ``out`` if recording is on and any parent needs grads."""
+    """Record ``out``'s node if recording is on and any parent needs grads.
+    ``vjp`` must capture no ``Tensor``, only the shapes, flags and arrays it
+    reads."""
     if _recording(parents):
         out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-        out._op = op
-        _ACTIVE_TAPE._nodes.append(out)
+        out._node = Node(tuple(_grad_key(p) for p in parents), vjp, op, out)
+        _ACTIVE_TAPE._nodes.append(out._node)
     return out
 
 
@@ -198,14 +251,21 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # -- elementwise primitives ---------------------------------------------------
 
 
+def _grad_shape(t: Tensor) -> tuple[int, ...] | None:
+    """``t``'s shape if it needs a gradient, else None: all that ``add`` and
+    ``sub`` keep of an operand."""
+    return t.shape if t.requires_grad else None
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
+    shape_a, shape_b = _grad_shape(a), _grad_shape(b)
 
     def vjp(g):
         return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
+            None if shape_a is None else _unbroadcast(g, shape_a),
+            None if shape_b is None else _unbroadcast(g, shape_b),
         )
 
     return _record(out, (a, b), vjp, "add")
@@ -214,11 +274,12 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data)
+    shape_a, shape_b = _grad_shape(a), _grad_shape(b)
 
     def vjp(g):
         return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+            None if shape_a is None else _unbroadcast(g, shape_a),
+            None if shape_b is None else _unbroadcast(-g, shape_b),
         )
 
     return _record(out, (a, b), vjp, "sub")
@@ -227,11 +288,15 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
+    # Each operand's gradient reads the other operand's array.
+    shape_a, shape_b = a.shape, b.shape
+    for_a = b.data if a.requires_grad else None
+    for_b = a.data if b.requires_grad else None
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+            None if for_a is None else _unbroadcast(g * for_a, shape_a),
+            None if for_b is None else _unbroadcast(g * for_b, shape_b),
         )
 
     return _record(out, (a, b), vjp, "mul")
@@ -239,10 +304,11 @@ def mul(a, b) -> Tensor:
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data * a.data)
+    x = a.data
+    out = Tensor(x * x)
 
     def vjp(g):
-        return (2.0 * a.data * g,)
+        return (2.0 * x * g,)
 
     return _record(out, (a,), vjp, "square")
 
@@ -260,11 +326,12 @@ def _gelu_slope(z: Array, cdf: Array) -> Array:
 def gelu(a) -> Tensor:
     """Exact (erf-form) GeLU; the VJP takes the slope from the kept CDF."""
     a = _as_tensor(a)
-    cdf = _gelu_cdf(a.data)
-    out = Tensor(a.data * cdf)
+    x = a.data
+    cdf = _gelu_cdf(x)
+    out = Tensor(x * cdf)
 
     def vjp(g):
-        return (g * _gelu_slope(a.data, cdf),)
+        return (g * _gelu_slope(x, cdf),)
 
     return _record(out, (a,), vjp, "gelu")
 
@@ -292,14 +359,15 @@ def stop_gradient(a) -> Tensor:
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.sum(a.data, axis=axis, keepdims=keepdims))
+    shape = a.shape
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         axes = axis if isinstance(axis, tuple) else (axis,)
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record(out, (a,), vjp, "sum")
 
@@ -317,9 +385,10 @@ def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
+    shape_a = a.shape
 
     def vjp(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(shape_a),)
 
     return _record(out, (a,), vjp, "reshape")
 
@@ -332,7 +401,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
     def vjp(g):
         pieces = []
-        for i in range(len(tensors)):
+        for i in range(len(sizes)):
             index = [slice(None)] * g.ndim
             index[axis] = slice(offsets[i], offsets[i + 1])
             pieces.append(g[tuple(index)])
@@ -346,9 +415,10 @@ def gather_rows(a, indices: Array) -> Tensor:
     a = _as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
     out = Tensor(a.data[idx])
+    shape = a.shape
 
     def vjp(g):
-        grad = np.zeros(a.shape, dtype=np.float64)
+        grad = np.zeros(shape, dtype=np.float64)
         np.add.at(grad, idx, g)
         return (grad,)
 
@@ -363,10 +433,14 @@ def matmul(a, b) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ContractViolation("matmul requires tensors with ndim >= 2")
     out = Tensor(a.data @ b.data)
+    # Each operand's gradient reads the other operand's array.
+    shape_a, shape_b = a.shape, b.shape
+    for_a = b.data if a.requires_grad else None
+    for_b = a.data if b.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None
+        ga = None if for_a is None else _unbroadcast(g @ for_a.swapaxes(-1, -2), shape_a)
+        gb = None if for_b is None else _unbroadcast(for_b.swapaxes(-1, -2) @ g, shape_b)
         return (ga, gb)
 
     return _record(out, (a, b), vjp, "matmul")
@@ -482,8 +556,9 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
     One tape node. The VJP applies the transposes of the same matrices (and
     multiplies the field's gradient by the symbol in place) and keeps only
     the truncated coefficients (K x 2 x B x C_in, real and imaginary parts)
-    for the weight gradient, so the memory kept per evaluation is O(K), not
-    O(H*W).
+    for the weight gradient, and the weight arrays for the field's, so the
+    memory kept per evaluation is O(K), not O(H*W); it never keeps x or the
+    output.
     """
     x, w_real, w_imag = _as_tensor(x), _as_tensor(w_real), _as_tensor(w_imag)
     height, width = plan.height, plan.width
@@ -514,6 +589,7 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
     field = plan.idft_h @ field.reshape(2 * rows, width * batch * c_out)
     field = field.reshape(height, width, batch, c_out).transpose(2, 0, 1, 3)
     out = Tensor(np.ascontiguousarray(field).reshape(lead + (n_nodes, c_out)))
+    x_shape = _grad_shape(x)
 
     def vjp(g):
         gt = g.reshape(batch, height, width, c_out).transpose(1, 2, 0, 3)
@@ -527,7 +603,7 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
         g_v = g_v.reshape(k, 2 * batch, c_out)
         trunc_t = trunc.swapaxes(-1, -2)
         g_wr, g_wi = trunc_t @ g_u, trunc_t @ g_v
-        if not x.requires_grad:
+        if x_shape is None:
             return (None, g_wr, g_wi)
         g_spec = g_u @ wr.swapaxes(-1, -2) + g_v @ wi.swapaxes(-1, -2)
         g_part = plan.dft_w.T @ g_spec.reshape(rows, 2 * cols, batch * c_in)
@@ -536,7 +612,7 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
         if plan.symbol is not None:
             g_xt *= plan.symbol.reshape(height, width, 1, 1)
         g_x = g_xt.transpose(2, 0, 1, 3)
-        return (np.ascontiguousarray(g_x).reshape(x.shape), g_wr, g_wi)
+        return (np.ascontiguousarray(g_x).reshape(x_shape), g_wr, g_wi)
 
     return _record(out, (x, w_real, w_imag), vjp, "spectral_channel_mix")
 
@@ -564,8 +640,9 @@ def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse
 
     The pre-activation is summed in place in the order of the composed ops
     (the sparse product, matmul, add, add, gelu), so values and gradients are
-    theirs bit for bit. A recorded node keeps only A x and the GeLU's slope
-    for its VJP; an unrecorded one keeps neither.
+    theirs bit for bit. A recorded node keeps only A x, the GeLU's slope and
+    w's array for its VJP, never x or the output; an unrecorded one keeps
+    nothing.
     """
     spectral, x, w, b = _as_tensor(spectral), _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim < 2:
@@ -580,17 +657,19 @@ def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse
     z += b.data
     slope = _gelu_in_place(z, recording)
     out = Tensor(z)
+    w_data, shape_w, shape_b = w.data, w.shape, _grad_shape(b)
+    grad_spectral, grad_x, grad_w = spectral.requires_grad, x.requires_grad, w.requires_grad
 
     def vjp(g):
         gz = g * slope
         g_x = g_w = g_b = None
-        if x.requires_grad:
-            g_x = _along_nodes(adjacency_t, gz @ w.data.swapaxes(-1, -2))
-        if w.requires_grad:
-            g_w = _unbroadcast(adjacent.swapaxes(-1, -2) @ gz, w.shape)
-        if b.requires_grad:
-            g_b = _unbroadcast(gz, b.shape)
-        return (gz if spectral.requires_grad else None, g_x, g_w, g_b)
+        if grad_x:
+            g_x = _along_nodes(adjacency_t, gz @ w_data.swapaxes(-1, -2))
+        if grad_w:
+            g_w = _unbroadcast(adjacent.swapaxes(-1, -2) @ gz, shape_w)
+        if shape_b is not None:
+            g_b = _unbroadcast(gz, shape_b)
+        return (gz if grad_spectral else None, g_x, g_w, g_b)
 
     return _record(out, parents, vjp, "graph_layer")
 
@@ -609,8 +688,9 @@ def gnn_layer(h, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
     concat, matmul, add, gelu, matmul, add); the VJP sums h's skip, self and
     aggregate contributions in the order ``backward`` sums them for those
     ops, so values and gradients are theirs bit for bit. A recorded node
-    keeps only A h and the GeLU's slope, and rebuilds the concatenation for
-    the gradient of w; an unrecorded one keeps neither.
+    keeps A h, the GeLU's slope and the arrays of h, w and r, never the
+    output, and rebuilds the concatenation for the gradient of w; an
+    unrecorded one keeps nothing.
     """
     h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
     if h.ndim < 2:
@@ -632,22 +712,26 @@ def gnn_layer(h, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
         skip = h.data @ r.data
         skip += z
         out = Tensor(skip)
+    h_data, w_data, shape_w, shape_b = h.data, w.data, w.shape, _grad_shape(b)
+    r_data = None if r is None else r.data
+    shape_r = None if r is None else _grad_shape(r)
+    grad_h, grad_w = h.requires_grad, w.requires_grad
 
     def vjp(g):
         gz = g * slope
         g_h = g_w = g_b = None
-        if h.requires_grad:
-            g_cat = gz @ w.data.swapaxes(-1, -2)
-            g_h = (g if r is None else g @ r.data.swapaxes(-1, -2)) + g_cat[..., :d_in]
+        if grad_h:
+            g_cat = gz @ w_data.swapaxes(-1, -2)
+            g_h = (g if r_data is None else g @ r_data.swapaxes(-1, -2)) + g_cat[..., :d_in]
             g_h += _along_nodes(adjacency_t, g_cat[..., d_in:])
-        if w.requires_grad:
-            cat = np.concatenate([h.data, adjacent], axis=-1)
-            g_w = _unbroadcast(cat.swapaxes(-1, -2) @ gz, w.shape)
-        if b.requires_grad:
-            g_b = _unbroadcast(gz, b.shape)
-        if r is None:
+        if grad_w:
+            cat = np.concatenate([h_data, adjacent], axis=-1)
+            g_w = _unbroadcast(cat.swapaxes(-1, -2) @ gz, shape_w)
+        if shape_b is not None:
+            g_b = _unbroadcast(gz, shape_b)
+        if r_data is None:
             return (g_h, g_w, g_b)
-        g_r = _unbroadcast(h.data.swapaxes(-1, -2) @ g, r.shape) if r.requires_grad else None
+        g_r = None if shape_r is None else _unbroadcast(h_data.swapaxes(-1, -2) @ g, shape_r)
         return (g_h, g_w, g_b, g_r)
 
     return _record(out, parents, vjp, "gnn_layer")
@@ -663,8 +747,11 @@ def backward(
 ) -> dict[str, Array]:
     """Accumulate gradients of ``loss`` through ``tape``.
 
-    Returns a map from parameter name to gradient for ``params`` (zeros for
-    parameters the loss does not reach).
+    Cotangents are keyed by the tape's records (a leaf by the tensor
+    itself). A record keeps only the arrays its VJP reads, never the op's
+    output, so outputs the caller dropped after the forward are already
+    freed. Returns a map from parameter name to gradient for ``params``
+    (zeros for parameters the loss does not reach).
     """
     if loss.data.size != 1:
         raise ContractViolation(
@@ -673,30 +760,32 @@ def backward(
     if not np.isfinite(loss.data):
         raise NumericError("backward called on a non-finite loss")
 
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    # Cotangents are keyed by the id of a grad key (a node, or a leaf
+    # tensor), each kept alive by the tape for the whole pass.
+    grads: dict[int, Array] = {id(_grad_key(loss)): np.ones_like(loss.data)}
     # Keys whose array backward allocated itself and may add into in place.
     # Any other array may be shared: VJPs such as add's hand out g itself.
     owned: set[int] = set()
     for node in reversed(tape._nodes):
         g = grads.pop(id(node), None)
         owned.discard(id(node))
-        if g is None or node._vjp is None:
+        if g is None:
             continue
-        contributions = node._vjp(g)
-        for parent, contrib in zip(node._parents, contributions):
-            if contrib is None or not parent.requires_grad:
+        contributions = node.vjp(g)
+        for parent, contrib in zip(node.parents, contributions):
+            if contrib is None or parent is None:
                 continue
             # A sum is non-finite whenever an element is; it can also
             # overflow on finite elements, so only then check them all.
             with np.errstate(over="ignore", invalid="ignore"):
                 total = np.sum(contrib)
             if not np.isfinite(total) and not np.all(np.isfinite(contrib)):
-                raise NumericError(f"non-finite gradient in backward of '{node._op}'")
+                raise NumericError(f"non-finite gradient in backward of '{node.op}'")
             key = id(parent)
             if key in owned:
                 np.add(grads[key], contrib, out=grads[key])
             elif key in grads:
-                grads[key] = np.add(grads[key], contrib, out=np.empty(parent.shape))
+                grads[key] = np.add(grads[key], contrib)
                 owned.add(key)
             else:
                 grads[key] = contrib
@@ -705,5 +794,5 @@ def backward(
     for p in params:
         if p.name is None:
             raise ContractViolation("parameters passed to backward must be named")
-        result[p.name] = grads.get(id(p), np.zeros(p.shape, dtype=np.float64))
+        result[p.name] = grads.get(id(_grad_key(p)), np.zeros(p.shape, dtype=np.float64))
     return result

@@ -30,11 +30,11 @@ from sparkpde.autodiff import (
     tensor_mean,
     tensor_sum,
 )
-from sparkpde.autodiff.tensor import mul
+from sparkpde.autodiff.tensor import _record, mul
 from sparkpde.config import DynamicsSection, PretrainSection
 from sparkpde.datagen import EpisodeDataset
 from sparkpde.datagen.dataset import Episode
-from sparkpde.dynamics import init_dynamics
+from sparkpde.dynamics import init_dynamics, integrate, ode_rhs
 from sparkpde.encoder import init_encoder_stack
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
@@ -447,9 +447,9 @@ def test_gnn_layer_unrecorded_keeps_nothing():
         recorded = gnn_layer(Tensor(h0), a, a_t, w, b, r)
         constant = gnn_layer(Tensor(h0), a, a_t, Tensor(w.data), Tensor(b.data), Tensor(r.data))
     free = gnn_layer(Tensor(h0), a, a_t, w, b, r)
-    assert recorded._vjp is not None and tape._nodes == [recorded]
+    assert recorded._vjp is not None and tape._nodes == [recorded._node]
     for out in (constant, free):
-        assert out._vjp is None and out._parents == () and not out.requires_grad
+        assert out._vjp is None and out._node is None and not out.requires_grad
         assert out.data.tobytes() == recorded.data.tobytes()
 
 
@@ -469,7 +469,7 @@ def test_pretrain_step_tape_budget(monkeypatch):
     real_backward = state_dictionary.backward
 
     def counting_backward(loss, tape, params):
-        tapes.append(Counter(node._op for node in tape._nodes))
+        tapes.append(Counter(node.op for node in tape._nodes))
         return real_backward(loss, tape, params)
 
     monkeypatch.setattr(state_dictionary, "backward", counting_backward)
@@ -482,13 +482,13 @@ def test_pretrain_step_tape_budget(monkeypatch):
 
 def _out_of_place_backward(loss, tape, params):
     """Reference accumulation: every sum into a fresh array."""
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {id(loss._node): np.ones_like(loss.data)}
     for node in reversed(tape._nodes):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        for parent, contrib in zip(node._parents, node._vjp(g)):
-            if contrib is not None and parent.requires_grad:
+        for parent, contrib in zip(node.parents, node.vjp(g)):
+            if contrib is not None and parent is not None:
                 key = id(parent)
                 grads[key] = grads[key] + contrib if key in grads else contrib
     return {p.name: grads[id(p)] for p in params}
@@ -517,12 +517,101 @@ def test_backward_in_place_accumulation_keeps_shared_cotangents():
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
-def _probe(tape, x, contrib):
+def _vjp_arrays(node):
+    """The float arrays a node's VJP closure captures (index arrays such as
+    concat's offsets are left out); asserts that it captures no ``Tensor``."""
+    cells = [cell.cell_contents for cell in node.vjp.__closure__ or ()]
+    assert not any(isinstance(c, Tensor) for c in cells), node.op
+    return [c for c in cells if isinstance(c, np.ndarray) and c.dtype == np.float64]
+
+
+def test_ode_unroll_tape_keeps_only_what_its_vjps_read():
+    # A recorded 2-layer RK4 unroll. Once the forward's locals are gone, no
+    # spectral, graph_layer, add or mul output is alive, and besides the
+    # weights and the scalar step sizes the nodes keep exactly each
+    # graph_layer's A x and GeLU slope and each spectral op's truncated
+    # coefficients. Gradients are those of the out-of-place reference.
+    grid = GridGraph(8, 8)
+    cfg = DynamicsSection(ode_layers=2, k_max=2, decoder_hidden=4)
+    w = init_dynamics(rng.substream(71, "unroll-retention"), cfg, grid, d_latent=3, d_obs=1)
+    batch, d, horizon = 2, 3, 2
+    h = parameter(rng.substream(72, "unroll-retention/h").normal_array((batch, 64, d)), "h")
+    with Tape() as tape:
+        states = integrate(h, lambda s: ode_rhs(s, grid, w), horizon, substeps=1)
+        loss = tensor_sum(square(states))
+    del states
+    unroll = ("spectral_channel_mix", "graph_layer", "add", "mul")
+    assert all(node.data.nbytes == 0 for node in tape._nodes if node.op in unroll)
+
+    weights = {id(p.data) for p in parameters(w).values()}
+    kept = Counter()
+    k = len(w.plan.mode_idx)
+    for node in tape._nodes:
+        arrays = [a for a in _vjp_arrays(node) if id(a) not in weights and a.ndim > 0]
+        if node.op == "graph_layer":
+            assert [a.shape for a in arrays] == [(batch, 64, d)] * 2
+        elif node.op == "spectral_channel_mix":
+            assert [a.shape for a in arrays] == [(k, 2 * batch, d)]
+        elif node.op == "square":  # the loss reads the stacked states
+            assert [a.shape for a in arrays] == [(horizon, batch, 64, d)]
+        else:
+            assert arrays == [], node.op
+            continue
+        kept[node.op] += len(arrays)
+    n_rhs = 2 * 4 * horizon  # layers x RK4 stages x steps
+    assert kept == {"graph_layer": 2 * n_rhs, "spectral_channel_mix": n_rhs, "square": 1}
+
+    params = [h, *parameters(*w.layers).values()]
+    got = backward(loss, tape, params)
+    want = _out_of_place_backward(loss, tape, params)
+    for p in params:
+        assert got[p.name].tobytes() == want[p.name].tobytes(), p.name
+
+
+def test_tape_surface_the_benchmark_tracer_reads():
+    # The benchmark's tracer sums ``node.data.nbytes`` over ``tape._nodes``
+    # and wraps the spectral op's VJP by reassigning ``out._vjp``.
+    plan = spectral_plan(4, 4, 1)
+    gen = rng.substream(73, "tracer-surface")
+    k = len(plan.mode_idx)
+    x = parameter(gen.normal_array((16, 2)), "x")
+    wr = parameter(gen.normal_array((k, 2, 2)), "wr")
+    wi = parameter(gen.normal_array((k, 2, 2)), "wi")
+    with Tape() as tape:
+        out = spectral_channel_mix(x, wr, wi, plan)
+        loss = tensor_sum(square(out))
+    assert all(isinstance(node.data, np.ndarray) for node in tape._nodes)
+    assert tape._nodes[0].data is out.data
+
+    calls = []
+    vjp = out._vjp
+
+    def wrapped(g):
+        calls.append(g.shape)
+        return vjp(g)
+
+    out._vjp = wrapped
+    assert out._vjp is wrapped
+    want = tape_gradients(
+        lambda p: tensor_sum(square(spectral_channel_mix(p["x"], p["wr"], p["wi"], plan))),
+        {"x": x.data, "wr": wr.data, "wi": wi.data},
+    )
+    del out
+    assert tape._nodes[0].data.nbytes == 0
+    got = backward(loss, tape, [x, wr, wi])
+    assert calls == [(16, 2)]
+    for name in ("x", "wr", "wi"):
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+    unrecorded = Tensor(np.ones(2))
+    assert unrecorded._vjp is None
+    with pytest.raises(ContractViolation, match="recorded"):
+        unrecorded._vjp = wrapped
+
+
+def _probe(x, contrib):
     """A recorded identity node on ``x`` whose VJP passes on ``contrib``."""
-    out = Tensor(x.data.copy(), requires_grad=True)
-    out._parents, out._vjp, out._op = (x,), lambda g: (contrib,), "probe"
-    tape._nodes.append(out)
-    return out
+    return _record(Tensor(x.data.copy()), (x,), lambda g: (contrib,), "probe")
 
 
 @pytest.mark.parametrize(
@@ -532,7 +621,7 @@ def _probe(tape, x, contrib):
 def test_backward_names_op_of_non_finite_gradient(bad):
     x = parameter(np.array([1.0, 2.0]), "x")
     with Tape() as tape:
-        loss = tensor_sum(square(_probe(tape, x, np.array(bad))))
+        loss = tensor_sum(square(_probe(x, np.array(bad))))
     with pytest.raises(NumericError, match="'probe'"):
         backward(loss, tape, params=[x])
 

@@ -175,7 +175,7 @@ def test_rk4_step_tape_budget(grid):
     h = rng.substream(7, "tape-budget/h").normal_array((2, grid.n_nodes, 3))
     with Tape() as tape:
         integrate(Tensor(h), lambda s: ode_rhs(s, grid, w), 1, substeps=1)
-    ops = Counter(node._op for node in tape._nodes)
+    ops = Counter(node.op for node in tape._nodes)
     assert ops == {
         "spectral_channel_mix": 4 * 2,
         "graph_layer": 4 * 2,

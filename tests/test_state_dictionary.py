@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
-from sparkpde import rng
+from sparkpde import rng, state_dictionary
 from sparkpde.autodiff import Tape, Tensor, backward, square, tensor_sum
 from sparkpde.config import PretrainSection
 from sparkpde.datagen import EpisodeDataset
@@ -139,8 +141,30 @@ def test_quantize_tape_holds_no_node_the_stop_gradient_cuts():
     h = Tensor(gen.normal_array((2, 4, 3)), requires_grad=True, name="h")
     with Tape() as tape:
         q = quantize(h, cb)
-    assert [node._op for node in tape._nodes] == ["gather_rows", "reshape", "add"]
+    assert [node.op for node in tape._nodes] == ["gather_rows", "reshape", "add"]
     assert q.straight_through.data.tobytes() == (h.data + (q.codes.data - h.data)).tobytes()
+
+
+def test_quantize_frees_the_straight_through_offset(monkeypatch):
+    # The offset codes - h is a stop-gradient constant of the add node, which
+    # keeps only shapes: once quantize returns under a recording tape,
+    # nothing holds the (..., D) array.
+    offsets = []
+    real = state_dictionary.ad.stop_gradient
+
+    def watched(a):
+        offsets.append(weakref.ref(a))
+        return real(a)
+
+    monkeypatch.setattr(state_dictionary.ad, "stop_gradient", watched)
+    gen = rng.substream(38, "st/offset")
+    cb = new_codebook(gen.normal_array((6, 3)))
+    h = Tensor(gen.normal_array((2, 4, 3)), requires_grad=True, name="h")
+    with Tape() as tape:
+        q = quantize(h, cb)
+    assert len(offsets) == 1 and offsets[0]() is None
+    assert [node.op for node in tape._nodes] == ["gather_rows", "reshape", "add"]
+    assert q.straight_through.requires_grad
 
 
 def test_pretrain_loss_examples():
