@@ -50,6 +50,10 @@ from .state_dictionary import Codebook, scheduled_lr
 
 log = logging.getLogger("sparkpde")
 
+# Frames per GNN pass of ``episode_latents``: few, so that an episode's
+# encoding holds a fraction of its GNN transients at once.
+ENCODE_FRAMES = 4
+
 
 @dataclass
 class OdeLayer:
@@ -236,10 +240,26 @@ def frozen_checksum(encoder: EncoderStack, codebook: Codebook) -> int:
 
 
 def episode_latents(ds: EpisodeDataset, encoder: EncoderStack, episode_idx: int) -> np.ndarray:
-    """Frozen-encoder latents for every frame of one episode."""
+    """Frozen-encoder latents (T, N, D) for every frame of one episode, the
+    bytes of ``encoder.encode`` on the whole episode.
+
+    Channel attention runs on the whole episode: its spectral GEMMs put
+    frames x channels in their columns, and OpenBLAS computes GEMMs of at
+    most 4 columns on another kernel, so fewer frames would change the last
+    bits (its output is only (T, N, d_obs)). The GNN then runs on
+    ``ENCODE_FRAMES`` frames at a time into one preallocated array: it puts
+    frames x nodes in its GEMM rows and applies the adjacency per column, so
+    a chunk's bytes are the whole episode's, and its transients are a chunk's
+    instead of an episode's.
+    """
     ep = ds.episodes[episode_idx]
     x = ds.normalize(ep.x)
-    return encoder.encode(x, np.tile(ep.delta, (x.shape[0], 1)), ds.grid).data
+    fused = encoder.attend(x, np.tile(ep.delta, (x.shape[0], 1)), ds.grid).data
+    latents = np.empty(fused.shape[:-1] + (encoder.gnn[-1].combine_w.shape[1],))
+    for lo in range(0, fused.shape[0], ENCODE_FRAMES):
+        chunk = slice(lo, lo + ENCODE_FRAMES)
+        latents[chunk] = encoder.embed(fused[chunk], ds.grid).data
+    return latents
 
 
 def dynamics_loss(
@@ -318,7 +338,7 @@ def train_dynamics(
     curriculum ratio; it never touches validation windows. All randomness
     derives from the root ``seed``.
     """
-    from .evaluation import forecast_windows  # evaluation imports this module
+    from .evaluation import encode_episodes, forecast_windows  # evaluation imports this module
 
     if aug is not None and min(aug.start_epoch, aug.ramp_epochs) < 0:
         raise ContractViolation(
@@ -332,9 +352,7 @@ def train_dynamics(
         substream(seed, "dynamics/init"), cfg, ds.grid, d_latent=d_latent, d_obs=ds.n_channels
     )
 
-    # Encoded in this thread: on a pool, the worker threads' malloc arenas
-    # would keep their freed blocks through training and raise its peak RSS.
-    latents = {i: episode_latents(ds, encoder, i) for i in ds.split_indices(SPLIT_IN)}
+    latents = encode_episodes(ds, encoder, ds.split_indices(SPLIT_IN))
     if not latents:
         raise ContractViolation("dataset has no in-domain episodes")
 

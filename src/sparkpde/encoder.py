@@ -244,17 +244,25 @@ class EncoderStack:
     """Channel attention -> GNN encoder, with the reconstruction decoder.
 
     ``encode`` takes raw physical parameters and embeds them with
-    ``transform_params`` itself.
+    ``transform_params`` itself; it is ``attend`` then ``embed``.
     """
 
     attention: ChannelAttentionWeights
     gnn: list[GnnLayer]
     decoder: MlpWeights
 
+    def attend(self, x, delta: np.ndarray, grid: GridGraph) -> Tensor:
+        """Channel attention of x (..., N, d_obs) under raw parameters delta
+        (..., d_delta): the fused features, (..., N, d_obs)."""
+        return channel_attention(x, transform_params(delta), self.attention, grid)
+
+    def embed(self, h, grid: GridGraph) -> Tensor:
+        """GNN latents (..., N, D_latent) of fused features h (..., N, d_obs)."""
+        return gnn_encode(h, grid, self.gnn)
+
     def encode(self, x, delta: np.ndarray, grid: GridGraph) -> Tensor:
         """Latents of x (..., N, d_obs) under raw parameters delta (..., d_delta)."""
-        embedded = transform_params(delta)
-        return gnn_encode(channel_attention(x, embedded, self.attention, grid), grid, self.gnn)
+        return self.embed(self.attend(x, delta, grid), grid)
 
 
 def init_encoder_stack(

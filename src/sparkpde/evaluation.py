@@ -5,16 +5,18 @@ trained in), with max_val for SSIM/PSNR taken from the evaluated split's
 truth frames. Augmentation is never applied here.
 
 Windows are forecast in batches of ``BATCH_SIZE`` on a thread pool with one
-worker per CPU of the process's affinity (at most one per batch), and the
-episode latents of the split on the same kind of pool. numpy's GEMMs and
-ufuncs and scipy's sparse products release the GIL, so the batches overlap.
-The partition into batches is fixed and results are gathered in window
-order, so the outputs do not depend on the worker count. Every op of a
-forecast treats windows as independent GEMM rows or columns, elementwise work
-or per-window reductions, so they do not depend on the batch size either, as
-long as BLAS computes a column the same way whatever the number of columns;
-OpenBLAS does not for GEMMs of at most 4 columns, which a latent width of 4 or
-less gives a batch of one window.
+worker per CPU of the process's affinity (at most one per batch).
+``encode_episodes`` encodes episodes on the same kind of pool, one episode per
+task, for evaluation and for training alike; each episode's GNN runs in chunks
+of ``dynamics.ENCODE_FRAMES`` frames, so the episodes encoded at once hold
+little memory. numpy's GEMMs and ufuncs and scipy's sparse products release
+the GIL, so the tasks overlap. The partition into tasks is fixed and results
+are gathered in item order, so the outputs do not depend on the worker count.
+Every op of a forecast treats windows as independent GEMM rows or columns,
+elementwise work or per-window reductions, so they do not depend on the batch
+size either, as long as BLAS computes a column the same way whatever the
+number of columns; OpenBLAS does not for GEMMs of at most 4 columns, which a
+latent width of 4 or less gives a batch of one window.
 """
 
 from __future__ import annotations
@@ -52,12 +54,22 @@ def _in_order(fn: Callable, items: list) -> list:
     recording ``Tape`` is a ``ContractViolation``, whatever the core count.
     """
     if ad.tape_recording():
-        raise ContractViolation("forecasts run on worker threads; none may run while a Tape records")
+        raise ContractViolation(
+            "encodings and forecasts run on worker threads; none may run while a Tape records"
+        )
     workers = min(len(items), len(os.sched_getaffinity(0)))
     if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def encode_episodes(
+    ds: EpisodeDataset, encoder: EncoderStack, ids: list[int]
+) -> dict[int, np.ndarray]:
+    """``episode_latents`` of each episode of ``ids``, by index in ``ids``
+    order, encoded on ``_in_order``."""
+    return dict(zip(ids, _in_order(lambda e: episode_latents(ds, encoder, e), ids)))
 
 
 def forecast_windows(
@@ -106,9 +118,7 @@ def evaluate_split(
     if not windows:
         raise ContractViolation(f"dataset has no '{split}' windows to evaluate")
 
-    episode_ids = ds.split_indices(split)
-    encoded = _in_order(lambda e: episode_latents(ds, encoder, e), episode_ids)
-    latents = dict(zip(episode_ids, encoded))
+    latents = encode_episodes(ds, encoder, ds.split_indices(split))
     batches = forecast_windows(latents, ds, windows, weights, cfg, BATCH_SIZE, split)
     # (W, T, N, d) in C order: concatenating the swapped batches keeps their
     # T-major layout (C order for batches of one window), and the metrics sum

@@ -210,15 +210,20 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
     loss_history: list[float] = []
     perplexity_history: list[float] = []
 
+    def step_loss(xs: np.ndarray, deltas: np.ndarray) -> Tensor:
+        # The forward's outputs are this function's locals, so they are freed
+        # when it returns: backward reads only what the tape's records keep.
+        x_in = Tensor(xs)
+        h = encoder.encode(x_in, deltas, grid)
+        q = quantize(h, codebook)
+        x_hat = reconstruct(q.straight_through, encoder.decoder)
+        return pretrain_loss(x_in, x_hat, h, q.codes, cfg.mu, cfg.gamma)
+
     def train_step(xs: np.ndarray, deltas: np.ndarray, lr: float, epoch: int, index: int) -> float:
         # The step's graph lives in these locals only, so it is released
         # before the next step records.
         with Tape() as tape:
-            x_in = Tensor(xs)
-            h = encoder.encode(x_in, deltas, grid)
-            q = quantize(h, codebook)
-            x_hat = reconstruct(q.straight_through, encoder.decoder)
-            loss = pretrain_loss(x_in, x_hat, h, q.codes, cfg.mu, cfg.gamma)
+            loss = step_loss(xs, deltas)
         value = loss.item()
         if not np.isfinite(value):
             raise NumericError(f"pretraining diverged at epoch {epoch}, batch {index}")

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from sparkpde import dynamics, rng
+from sparkpde import dynamics, evaluation, rng
 from sparkpde.autodiff import Tape, Tensor, parameters, square, tensor_sum
 from sparkpde.config import AugmentSection, DynamicsSection, PretrainSection
 from sparkpde.datagen import EpisodeDataset
@@ -389,13 +390,15 @@ def test_frozen_components_unchanged_and_checksummed(monkeypatch):
     assert frozen_checksum(encoder, codebook) == before
 
     # A frozen tensor written during training is caught by the checksum.
-    latents = dynamics.episode_latents
+    # Training encodes through ``evaluation.encode_episodes``, which reads
+    # ``episode_latents`` from its own module.
+    latents = evaluation.episode_latents
 
     def writing_latents(ds, encoder, episode_idx):
         codebook.embeddings.data[0, 0] += 1.0
         return latents(ds, encoder, episode_idx)
 
-    monkeypatch.setattr(dynamics, "episode_latents", writing_latents)
+    monkeypatch.setattr(evaluation, "episode_latents", writing_latents)
     with pytest.raises(ContractViolation, match="frozen"):
         train_dynamics(ds, encoder, codebook, _tiny_dyn_config(), seed=SEED)
 
@@ -441,3 +444,60 @@ def test_training_deterministic():
         return [row.train_mse for row in result.history]
 
     assert run() == run()
+
+
+# -- episode latents ------------------------------------------------------------
+
+
+def _random_dataset(grid, channels: int, t_totals) -> EpisodeDataset:
+    gen = rng.substream(3, "episodes")
+    eps = [
+        Episode(delta=[10.0 ** -(2 + i)], x=gen.normal_array((t, grid.n_nodes, channels)), seed=i)
+        for i, t in enumerate(t_totals)
+    ]
+    names = [f"c{c}" for c in range(channels)]
+    return EpisodeDataset(grid=grid, channel_names=names, episodes=eps)
+
+
+def _whole_episode_latents(ds, encoder, e) -> np.ndarray:
+    ep = ds.episodes[e]
+    return encoder.encode(ds.normalize(ep.x), np.tile(ep.delta, (ep.t_total, 1)), ds.grid).data
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_episode_latents_are_the_whole_episode_encoding(channels):
+    # Episodes below, at and across ENCODE_FRAMES frames. Channel attention's
+    # spectral GEMMs have frames x channels columns, which at 4 or fewer take
+    # another OpenBLAS kernel, so attention per chunk would change the bytes.
+    # Both GNN layers change the width, so both have a resid_w.
+    assert dynamics.ENCODE_FRAMES == 4
+    grid = GridGraph(8, 8)
+    t_totals = (1, 3, 4, 5, 9)
+    ds = _random_dataset(grid, channels, t_totals)
+    cfg = PretrainSection(d_latent=8, hidden=6, attention_hidden=4, gnn_layers=2, k_max=2)
+    encoder = init_encoder_stack(rng.substream(4, "encoder"), cfg, grid, d_obs=channels, d_delta=1)
+    assert all(layer.resid_w is not None for layer in encoder.gnn)
+    for e, t in enumerate(t_totals):
+        latents = dynamics.episode_latents(ds, encoder, e)
+        assert latents.shape == (t, grid.n_nodes, 8)
+        assert latents.tobytes() == _whole_episode_latents(ds, encoder, e).tobytes()
+
+
+def test_episode_latents_hold_a_fraction_of_the_whole_episode_transients():
+    # A 16-frame 32x32 episode at hidden width 64, as the eval workloads
+    # encode: the GNN transients of 4 frames instead of 16 (13.3 vs 36.3 MiB
+    # traced with numpy 2.4.6).
+    grid = GridGraph(32, 32)
+    ds = _random_dataset(grid, 1, (16,))
+    encoder = init_encoder_stack(rng.substream(4, "encoder"), PretrainSection(hidden=64), grid,
+                                 d_obs=1, d_delta=1)
+
+    def traced_peak(encode) -> int:
+        tracemalloc.start()
+        try:
+            encode(ds, encoder, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(dynamics.episode_latents) < traced_peak(_whole_episode_latents) / 2

@@ -137,6 +137,29 @@ def test_outputs_do_not_depend_on_the_core_count(model, monkeypatch, cores):
     _assert_same(alone, pooled)
 
 
+def test_encoded_episodes_do_not_depend_on_the_core_count(model, monkeypatch):
+    # Training and evaluation both encode through encode_episodes: one
+    # episode per task, its GNN in chunks of frames.
+    ds, encoder, _ = model
+    ids = [3, 0, 2, 1]
+    pools = _pools(monkeypatch)
+    _cores(monkeypatch, 1)
+    alone = evaluation.encode_episodes(ds, encoder, ids)
+    assert pools == []
+    _cores(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = evaluation.encode_episodes(ds, encoder, ids)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [2]
+    assert list(alone) == list(pooled) == ids
+    for e in ids:
+        expected = evaluation.episode_latents(ds, encoder, e).tobytes()
+        assert alone[e].tobytes() == pooled[e].tobytes() == expected
+
+
 def test_one_batch_starts_no_thread(model, monkeypatch):
     def no_pool(max_workers):
         raise AssertionError("a thread pool was started for one batch")

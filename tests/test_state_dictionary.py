@@ -300,6 +300,23 @@ def test_pretrain_deterministic_across_runs():
     )
 
 
+def test_pretrain_frees_the_forward_outputs_before_backward(monkeypatch):
+    # The GNN output h, the reshaped codes, the straight-through sum and the
+    # reconstruction are read by no VJP: when backward starts, no node's
+    # output but the loss's may still be alive.
+    live_ops = []
+    real = state_dictionary.backward
+
+    def watched(loss, tape, params):
+        live_ops.append([node.op for node in tape._nodes
+                         if node.data.size and node is not loss._node])
+        return real(loss, tape, params)
+
+    monkeypatch.setattr(state_dictionary, "backward", watched)
+    pretrain(_constant_dataset(), _tiny_config(epochs=1, gnn_layers=2), seed=SEED)
+    assert live_ops == [[]]
+
+
 def test_pretrain_requires_in_domain_episodes():
     ds = _constant_dataset()
     for ep in ds.episodes:
