@@ -1,5 +1,6 @@
 """Tensors and the enumeration of a model's parameters, the truncated-DFT
-spectral op and its plans, and reverse-mode differentiation."""
+spectral op and its plans, and reverse-mode differentiation with per-step
+recomputation (``checkpoint``)."""
 
 from .optim import AdamState, adam_step
 from .tensor import (
@@ -7,6 +8,7 @@ from .tensor import (
     Tape,
     Tensor,
     backward,
+    checkpoint,
     concat,
     gather_rows,
     gelu,
@@ -32,6 +34,7 @@ __all__ = [
     "Tensor",
     "adam_step",
     "backward",
+    "checkpoint",
     "concat",
     "gather_rows",
     "gelu",

@@ -13,6 +13,13 @@ reference to it, and no VJP closure captures a ``Tensor``. So an output
 lives only as long as the forward's code holds it (``add``'s VJP keeps
 shapes only, ``mul``'s the other operand's array).
 
+``checkpoint(fn, x)`` records the one node that holds a ``Tensor``: its
+input ``x``. Backward re-runs ``fn(x)`` on a private tape, and the nodes it
+records there take ``x``'s own grad key as a parent, so their cotangents
+flow straight into the outer graph. The record keeps nothing else ``fn``
+computed; the ODE unroll wraps each solver step in one, so its tape keeps
+only the step states.
+
 ``backward`` replays the tape once, in reverse recording order. Recording
 order is a topological order by construction (an op can only consume already
 created tensors), so each node's adjoint is complete when visited and every
@@ -34,15 +41,19 @@ real GEMMs: unnormalized forward and 1/(H*W) inverse, as ``np.fft.fft2`` and
 ``np.fft.ifft2``. Which Fourier modes it keeps (|k| <= k_max per axis), the
 matrices it applies and the adjacency's pointwise Fourier symbol are one
 ``SpectralPlan``, which ``spectral_plan`` builds once per spectral layer,
-with that layer's weights. The module keeps no state besides the active tape.
+with that layer's weights. The module keeps no state besides each thread's
+active tape: a thread records only on a tape it entered itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import threading
 import weakref
-from typing import Callable, Iterable, NamedTuple, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse as _sparse
@@ -55,7 +66,14 @@ Array = np.ndarray
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_ACTIVE_TAPE: "Tape | None" = None
+
+class _ThreadState(threading.local):
+    """Each thread's active tape: a thread records only on a tape it entered."""
+
+    tape: "Tape | None" = None
+
+
+_STATE = _ThreadState()
 
 
 def _asarray(value) -> Array:
@@ -191,20 +209,18 @@ class Tape:
         self._nodes: list[Node] = []
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        self._previous = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
+        self._previous = _STATE.tape
+        _STATE.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._previous
+        _STATE.tape = self._previous
 
 
 def tape_recording() -> bool:
-    """Whether a ``Tape`` is recording. There is one active tape per process,
-    shared by every thread."""
-    return _ACTIVE_TAPE is not None
+    """Whether a ``Tape`` is recording in the calling thread. Each thread has
+    its own active tape: ops another thread runs are never recorded on it."""
+    return _STATE.tape is not None
 
 
 def _as_tensor(value) -> Tensor:
@@ -214,7 +230,7 @@ def _as_tensor(value) -> Tensor:
 def _recording(parents: tuple[Tensor, ...]) -> bool:
     """Whether an op on ``parents`` would be recorded: a tape is active and
     some parent needs grads."""
-    return _ACTIVE_TAPE is not None and any(p.requires_grad for p in parents)
+    return _STATE.tape is not None and any(p.requires_grad for p in parents)
 
 
 def _grad_key(t: Tensor) -> Node | Tensor | None:
@@ -231,7 +247,7 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     if _recording(parents):
         out.requires_grad = True
         out._node = Node(tuple(_grad_key(p) for p in parents), vjp, op, out)
-        _ACTIVE_TAPE._nodes.append(out._node)
+        _STATE.tape._nodes.append(out._node)
     return out
 
 
@@ -737,6 +753,67 @@ def gnn_layer(h, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
     return _record(out, parents, vjp, "gnn_layer")
 
 
+# -- recomputation ------------------------------------------------------------------
+
+
+class _Checkpoint(Node):
+    """The record of ``checkpoint``: ``fn`` and its input. It has no VJP;
+    backward replays the tape ``recompute`` records instead."""
+
+    __slots__ = ("fn", "input")
+
+    def __init__(self, fn: Callable[[Tensor], Tensor], x: Tensor, out: Tensor):
+        super().__init__((_grad_key(x),), None, "checkpoint", out)
+        self.fn = fn
+        self.input = x
+
+    def recompute(self) -> tuple[Tape, Node | None]:
+        """``fn(input)`` recorded on a private tape, and its output's node."""
+        with Tape() as tape:
+            out = self.fn(self.input)
+        return tape, out._node
+
+
+def checkpoint(fn: Callable[[Tensor], Tensor], x) -> Tensor:
+    """``fn(x)``, recorded as one node that keeps only ``x``; ``fn`` runs again
+    in backward.
+
+    With no tape recording, this is ``fn(x)``. Under a tape, ``fn`` runs with
+    recording off and the tape gets one record holding ``fn`` and the input
+    Tensor ``x``: backward re-runs ``fn(x)`` on a private tape, whose nodes
+    take ``x``'s own grad key as a parent, and replays them from the output's
+    cotangent. ``fn`` must be deterministic and return a new tensor; it may
+    read parameters and other tensors, whose gradients it sums in the order
+    of a tape that recorded ``fn`` in place.
+    """
+    x = _as_tensor(x)
+    tape = _STATE.tape
+    if tape is None:
+        return fn(x)
+    _STATE.tape = None
+    try:
+        out = fn(x)
+    finally:
+        _STATE.tape = tape
+    if out is x or out._node is not None:
+        raise ContractViolation("checkpoint: fn must return a new tensor")
+    out.requires_grad = True
+    out._node = _Checkpoint(fn, x, out)
+    tape._nodes.append(out._node)
+    return out
+
+
+def _recomputed_ahead(records: list[_Checkpoint], pool: ThreadPoolExecutor) -> Iterator:
+    """Each record's recomputation in order; while the caller uses one, the
+    next is computed on ``pool``, so two recomputed tapes exist at most."""
+    ahead = pool.submit(records[0].recompute)
+    for record in records[1:]:
+        done = ahead.result()
+        ahead = pool.submit(record.recompute)
+        yield done
+    yield ahead.result()
+
+
 # -- backward pass ----------------------------------------------------------------
 
 
@@ -750,8 +827,15 @@ def backward(
     Cotangents are keyed by the tape's records (a leaf by the tensor
     itself). A record keeps only the arrays its VJP reads, never the op's
     output, so outputs the caller dropped after the forward are already
-    freed. Returns a map from parameter name to gradient for ``params``
-    (zeros for parameters the loss does not reach).
+    freed. A ``checkpoint`` record is recomputed on a private tape, whose
+    output node is seeded with the record's cotangent and whose nodes are
+    replayed through the same loop into the same cotangents, so gradients
+    are bit-equal to those of a tape that recorded ``fn`` in place. With two
+    or more CPUs in the process's affinity, one worker thread recomputes the
+    next checkpoint record (in reverse order) while this thread replays the
+    current one; with one, they are recomputed here. Returns a map from
+    parameter name to gradient for ``params`` (zeros for parameters the loss
+    does not reach).
     """
     if loss.data.size != 1:
         raise ContractViolation(
@@ -761,34 +845,57 @@ def backward(
         raise NumericError("backward called on a non-finite loss")
 
     # Cotangents are keyed by the id of a grad key (a node, or a leaf
-    # tensor), each kept alive by the tape for the whole pass.
+    # tensor), each kept alive by its tape until the key is popped.
     grads: dict[int, Array] = {id(_grad_key(loss)): np.ones_like(loss.data)}
     # Keys whose array backward allocated itself and may add into in place.
     # Any other array may be shared: VJPs such as add's hand out g itself.
     owned: set[int] = set()
-    for node in reversed(tape._nodes):
-        g = grads.pop(id(node), None)
-        owned.discard(id(node))
-        if g is None:
-            continue
-        contributions = node.vjp(g)
-        for parent, contrib in zip(node.parents, contributions):
-            if contrib is None or parent is None:
+
+    def replay(nodes: list[Node], ahead: Iterator | None = None) -> None:
+        for node in reversed(nodes):
+            g = grads.pop(id(node), None)
+            owned.discard(id(node))
+            if isinstance(node, _Checkpoint):
+                # A recomputation made ahead is taken with or without a cotangent.
+                resume(node, g, None if ahead is None else next(ahead))
                 continue
-            # A sum is non-finite whenever an element is; it can also
-            # overflow on finite elements, so only then check them all.
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = np.sum(contrib)
-            if not np.isfinite(total) and not np.all(np.isfinite(contrib)):
-                raise NumericError(f"non-finite gradient in backward of '{node.op}'")
-            key = id(parent)
-            if key in owned:
-                np.add(grads[key], contrib, out=grads[key])
-            elif key in grads:
-                grads[key] = np.add(grads[key], contrib)
-                owned.add(key)
-            else:
-                grads[key] = contrib
+            if g is None:
+                continue
+            contributions = node.vjp(g)
+            for parent, contrib in zip(node.parents, contributions):
+                if contrib is None or parent is None:
+                    continue
+                # A sum is non-finite whenever an element is; it can also
+                # overflow on finite elements, so only then check them all.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    total = np.sum(contrib)
+                if not np.isfinite(total) and not np.all(np.isfinite(contrib)):
+                    raise NumericError(f"non-finite gradient in backward of '{node.op}'")
+                key = id(parent)
+                if key in owned:
+                    np.add(grads[key], contrib, out=grads[key])
+                elif key in grads:
+                    grads[key] = np.add(grads[key], contrib)
+                    owned.add(key)
+                else:
+                    grads[key] = contrib
+
+    def resume(record: _Checkpoint, g: Array | None, recomputed: tuple | None) -> None:
+        """Replay ``record``'s recomputed tape from its output's cotangent ``g``;
+        the tape is freed on return."""
+        if g is None:
+            return
+        private, out = recomputed or record.recompute()
+        if out is not None:
+            grads[id(out)] = g
+            replay(private._nodes)
+
+    records = [node for node in reversed(tape._nodes) if isinstance(node, _Checkpoint)]
+    if records and len(os.sched_getaffinity(0)) >= 2:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            replay(tape._nodes, _recomputed_ahead(records, pool))
+    else:
+        replay(tape._nodes)
 
     result = {}
     for p in params:

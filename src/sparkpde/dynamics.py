@@ -16,8 +16,10 @@ DFT matrices and the adjacency's Fourier symbol), which ``init_dynamics``
 builds with the weights from ``GridGraph.stencil``. The adjacency is that
 stencil at every node, so A applied to the Fourier coefficients is the field
 times the symbol s, the stencil's DFT, before the DFT: A @ DFT(H) = DFT(s * H).
-Integration is classical fixed-step RK4 (or Euler) unrolled on the tape, so
-gradients are exact for the discretized system.
+Integration is classical fixed-step RK4 (or Euler). Each step is one
+``ad.checkpoint`` record that keeps only the step's input state; backward
+recomputes the step on a private tape, so gradients are exact for the
+discretized system while the tape holds one state per step.
 ``ad.parameters`` enumerates the weights in field order, which the weight
 decay sums in, so the field order is part of the trained bytes.
 """
@@ -162,6 +164,18 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
     return total
 
 
+def solver_step(state: Tensor, rhs: Callable[[Tensor], Tensor], solver: str,
+                dt: float) -> Tensor:
+    """One classical RK4 (or Euler) step of size ``dt`` from ``state``."""
+    if solver == "euler":
+        return state + dt * rhs(state)
+    k1 = rhs(state)
+    k2 = rhs(state + (0.5 * dt) * k1)
+    k3 = rhs(state + (0.5 * dt) * k2)
+    k4 = rhs(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate(
     h0: Tensor | np.ndarray,
     rhs: Callable[[Tensor], Tensor],
@@ -169,29 +183,31 @@ def integrate(
     solver: str = "rk4",
     substeps: int = 4,
 ) -> Tensor:
-    """Fixed-step integration to t = 1, ..., ``horizon``, fully on the tape.
+    """Fixed-step integration to t = 1, ..., ``horizon``, one tape record per step.
 
     Each unit interval takes ``substeps`` steps of dt = 1 / substeps. Returns
-    the states at those times stacked along a new leading time axis.
+    the states at those times stacked along a new leading time axis. Each
+    ``solver_step`` is an ``ad.checkpoint``: under a tape it keeps only its
+    input state and runs again in backward, so gradients are those of the
+    step recorded in place, bit for bit.
     """
     if solver not in SOLVERS:
         raise ContractViolation(f"solver must be one of {SOLVERS}")
     if substeps < 1:
         raise ContractViolation("substeps must be at least 1")
+    if horizon < 1:
+        raise ContractViolation("horizon must be at least 1")
 
     state = h0 if isinstance(h0, Tensor) else Tensor(h0)
     dt = 1.0 / substeps
+
+    def step(s: Tensor) -> Tensor:
+        return solver_step(s, rhs, solver, dt)
+
     outputs = []
     for t in range(1, horizon + 1):
         for _ in range(substeps):
-            if solver == "euler":
-                state = state + dt * rhs(state)
-            else:
-                k1 = rhs(state)
-                k2 = rhs(state + (0.5 * dt) * k1)
-                k3 = rhs(state + (0.5 * dt) * k2)
-                k4 = rhs(state + dt * k3)
-                state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            state = ad.checkpoint(step, state)
         if not np.all(np.isfinite(state.data)):
             finite = np.abs(state.data[np.isfinite(state.data)])
             raise NumericError(

@@ -50,8 +50,9 @@ def _in_order(fn: Callable, items: list) -> list:
     per CPU of the process's affinity, at most one per item; with one worker,
     in the calling thread. The first exception in item order is raised.
 
-    The workers share the module-global active tape, so none may record: a
-    recording ``Tape`` is a ``ContractViolation``, whatever the core count.
+    Each thread records only on a tape it entered itself, so work on the
+    workers would escape the caller's tape: a ``Tape`` recording in the
+    calling thread is a ``ContractViolation``, whatever the core count.
     """
     if ad.tape_recording():
         raise ContractViolation(

@@ -9,7 +9,8 @@ node, for the composed-op oracles of the fused graph layers, and
 ``reference_adjacency`` builds the grid adjacency node by node, for the
 oracle of ``GridGraph``'s closed form and its column order.
 ``recorded_twice`` runs a model call twice on a tape, with the spectral
-plans it takes recorded. ``with_table_shape`` crafts inconsistent
+plans it takes recorded. ``set_cores`` patches the CPU affinity the pools and
+``backward`` read. ``with_table_shape`` crafts inconsistent
 checkpoints and ``write_parameter_lengths`` inconsistent datasets for the
 format tests.
 """
@@ -17,6 +18,7 @@ format tests.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -234,6 +236,11 @@ def scalar_normal(gen, n: int) -> np.ndarray:
             out[i] = r * math.sin(2.0 * math.pi * u2)
             i += 1
     return out
+
+
+def set_cores(monkeypatch, n: int) -> None:
+    """Make ``os.sched_getaffinity`` report ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def with_crc(body: bytes) -> bytes:

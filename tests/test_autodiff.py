@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -14,6 +15,7 @@ from sparkpde.autodiff import (
     Tape,
     Tensor,
     backward,
+    checkpoint,
     concat,
     gather_rows,
     gelu,
@@ -27,6 +29,7 @@ from sparkpde.autodiff import (
     square,
     stop_gradient,
     tanh,
+    tape_recording,
     tensor_mean,
     tensor_sum,
 )
@@ -34,12 +37,12 @@ from sparkpde.autodiff.tensor import _record, mul
 from sparkpde.config import DynamicsSection, PretrainSection
 from sparkpde.datagen import EpisodeDataset
 from sparkpde.datagen.dataset import Episode
-from sparkpde.dynamics import init_dynamics, integrate, ode_rhs
+from sparkpde.dynamics import init_dynamics, integrate, ode_rhs, solver_step
 from sparkpde.encoder import init_encoder_stack
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 
-from helpers import check_gradients, sparse_matmul, tape_gradients
+from helpers import check_gradients, set_cores, sparse_matmul, tape_gradients
 from helpers import gelu as gelu_oracle
 
 
@@ -526,46 +529,167 @@ def _vjp_arrays(node):
 
 
 def test_ode_unroll_tape_keeps_only_what_its_vjps_read():
-    # A recorded 2-layer RK4 unroll. Once the forward's locals are gone, no
-    # spectral, graph_layer, add or mul output is alive, and besides the
-    # weights and the scalar step sizes the nodes keep exactly each
+    # A recorded 2-layer RK4 unroll. The outer tape keeps one checkpoint
+    # record per step, holding only that step's input state. A step's private
+    # tape, recomputed in backward, keeps per step what the full tape kept:
+    # besides the weights and the scalar step sizes, exactly each
     # graph_layer's A x and GeLU slope and each spectral op's truncated
-    # coefficients. Gradients are those of the out-of-place reference.
+    # coefficients, and no op output. Gradients are those of the out-of-place
+    # reference on the hand-unrolled one-tape graph, bit for bit.
     grid = GridGraph(8, 8)
     cfg = DynamicsSection(ode_layers=2, k_max=2, decoder_hidden=4)
     w = init_dynamics(rng.substream(71, "unroll-retention"), cfg, grid, d_latent=3, d_obs=1)
     batch, d, horizon = 2, 3, 2
     h = parameter(rng.substream(72, "unroll-retention/h").normal_array((batch, 64, d)), "h")
+
+    def rhs(s):
+        return ode_rhs(s, grid, w)
+
     with Tape() as tape:
-        states = integrate(h, lambda s: ode_rhs(s, grid, w), horizon, substeps=1)
+        states = integrate(h, rhs, horizon, substeps=1)
         loss = tensor_sum(square(states))
     del states
-    unroll = ("spectral_channel_mix", "graph_layer", "add", "mul")
-    assert all(node.data.nbytes == 0 for node in tape._nodes if node.op in unroll)
+    assert Counter(node.op for node in tape._nodes) == {
+        "checkpoint": horizon, "reshape": horizon, "concat": 1, "square": 1, "sum": 1,
+    }
+    records = [node for node in tape._nodes if node.op == "checkpoint"]
+    assert records[0].input is h
+    for before, record in zip(records, records[1:]):
+        assert record.input._node is before and record.input.shape == (batch, 64, d)
+    for record in records:
+        cells = [cell.cell_contents for cell in record.fn.__closure__]
+        assert not any(isinstance(c, (Tensor, np.ndarray)) for c in cells)
+    for node in tape._nodes:
+        if node.op == "checkpoint":
+            continue
+        arrays = [a for a in _vjp_arrays(node) if a.ndim > 0]
+        # The loss reads the stacked states; nothing else keeps an array.
+        assert [a.shape for a in arrays] == ([(horizon, batch, 64, d)] if node.op == "square"
+                                             else []), node.op
 
     weights = {id(p.data) for p in parameters(w).values()}
-    kept = Counter()
     k = len(w.plan.mode_idx)
-    for node in tape._nodes:
-        arrays = [a for a in _vjp_arrays(node) if id(a) not in weights and a.ndim > 0]
-        if node.op == "graph_layer":
-            assert [a.shape for a in arrays] == [(batch, 64, d)] * 2
-        elif node.op == "spectral_channel_mix":
-            assert [a.shape for a in arrays] == [(k, 2 * batch, d)]
-        elif node.op == "square":  # the loss reads the stacked states
-            assert [a.shape for a in arrays] == [(horizon, batch, 64, d)]
-        else:
-            assert arrays == [], node.op
-            continue
-        kept[node.op] += len(arrays)
-    n_rhs = 2 * 4 * horizon  # layers x RK4 stages x steps
-    assert kept == {"graph_layer": 2 * n_rhs, "spectral_channel_mix": n_rhs, "square": 1}
+    for record in records:
+        private, _ = record.recompute()
+        assert all(node.data.nbytes == 0 for node in private._nodes)
+        kept = Counter()
+        for node in private._nodes:
+            arrays = [a for a in _vjp_arrays(node) if id(a) not in weights and a.ndim > 0]
+            if node.op == "graph_layer":
+                assert [a.shape for a in arrays] == [(batch, 64, d)] * 2
+            elif node.op == "spectral_channel_mix":
+                assert [a.shape for a in arrays] == [(k, 2 * batch, d)]
+            else:
+                assert arrays == [], node.op
+                continue
+            kept[node.op] += len(arrays)
+        n_rhs = 2 * 4  # layers x RK4 stages
+        assert kept == {"graph_layer": 2 * n_rhs, "spectral_channel_mix": n_rhs}
+        del private
 
     params = [h, *parameters(*w.layers).values()]
     got = backward(loss, tape, params)
-    want = _out_of_place_backward(loss, tape, params)
+    with Tape() as full:
+        state, outputs = h, []
+        for _ in range(horizon):
+            state = solver_step(state, rhs, "rk4", 1.0)
+            outputs.append(state.reshape(1, *state.shape))
+        full_loss = tensor_sum(square(concat(outputs, axis=0)))
+    want = _out_of_place_backward(full_loss, full, params)
     for p in params:
         assert got[p.name].tobytes() == want[p.name].tobytes(), p.name
+
+
+def test_a_tape_records_only_its_own_threads_ops():
+    x = parameter(np.array([1.0, 2.0]), "x")
+    seen = {}
+
+    def elsewhere():
+        seen["recording"] = tape_recording()
+        seen["out"] = square(x)
+
+    with Tape() as tape:
+        worker = threading.Thread(target=elsewhere)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive() and tape_recording()
+    assert tape._nodes == [] and seen["recording"] is False and seen["out"]._node is None
+
+    entered, release = threading.Event(), threading.Event()
+
+    def record():
+        with Tape() as theirs:
+            seen["theirs"] = theirs
+            entered.set()
+            release.wait()
+
+    worker = threading.Thread(target=record)
+    worker.start()
+    try:
+        assert entered.wait(timeout=30)
+        recording, out = tape_recording(), square(x)
+    finally:
+        release.set()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert recording is False and out._node is None and seen["theirs"]._nodes == []
+
+
+def test_checkpoint_without_a_tape_is_the_call():
+    x = parameter(np.array([1.0, -2.0]), "x")
+    out = checkpoint(lambda t: square(t) * 3.0, x)
+    assert out._node is None and out.data.tolist() == [3.0, 12.0]
+
+
+def test_checkpoint_refuses_an_output_that_is_not_new():
+    x = parameter(np.array([1.0]), "x")
+    with Tape():
+        y = square(x)
+        for fn in (lambda t: y, lambda t: t):
+            with pytest.raises(ContractViolation, match="new tensor"):
+                checkpoint(fn, x)
+    assert x._node is None
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_non_finite_gradient_in_a_recomputed_step_names_the_op(monkeypatch, cores):
+    # The probe's VJP hands out inf in every step of the unroll; the first
+    # step replayed raises while the worker recomputes the next one, and the
+    # worker is gone when the error arrives.
+    set_cores(monkeypatch, cores)
+    threads = threading.active_count()
+    h = parameter(np.array([[1.0, 2.0]]), "h")
+    with Tape() as tape:
+        states = integrate(h, lambda s: _probe(s, np.array([[np.inf, 1.0]])), 3, substeps=2)
+        loss = tensor_sum(square(states))
+    with pytest.raises(NumericError, match="'probe'"):
+        backward(loss, tape, params=[h])
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_failed_recomputation_leaves_no_worker_thread(monkeypatch, cores):
+    # A step that fails when it runs again in backward: the error reaches
+    # the caller and no thread is left behind.
+    set_cores(monkeypatch, cores)
+    threads = threading.active_count()
+    calls = []
+
+    def step(s):
+        calls.append(len(calls))
+        if len(calls) > 3:
+            raise ContractViolation("step failed on recomputation")
+        return square(s)
+
+    h = parameter(np.array([0.5, 0.25]), "h")
+    with Tape() as tape:
+        state = h
+        for _ in range(3):
+            state = checkpoint(step, state)
+        loss = tensor_sum(state)
+    with pytest.raises(ContractViolation, match="recomputation"):
+        backward(loss, tape, params=[h])
+    assert threading.active_count() == threads
 
 
 def test_tape_surface_the_benchmark_tracer_reads():

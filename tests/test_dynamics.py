@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -9,7 +11,17 @@ import numpy as np
 import pytest
 
 from sparkpde import dynamics, evaluation, rng
-from sparkpde.autodiff import Tape, Tensor, parameters, square, tensor_sum
+from sparkpde.autodiff import (
+    Tape,
+    Tensor,
+    backward,
+    concat,
+    parameter,
+    parameters,
+    square,
+    tensor,
+    tensor_sum,
+)
 from sparkpde.config import AugmentSection, DynamicsSection, PretrainSection
 from sparkpde.datagen import EpisodeDataset
 from sparkpde.datagen.dataset import Episode
@@ -20,6 +32,7 @@ from sparkpde.dynamics import (
     init_dynamics,
     integrate,
     ode_rhs,
+    solver_step,
     train_dynamics,
 )
 from sparkpde.encoder import init_encoder_stack
@@ -27,7 +40,7 @@ from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 from sparkpde.state_dictionary import new_codebook
 
-from helpers import check_gradients, gelu, recorded_twice
+from helpers import check_gradients, gelu, recorded_twice, set_cores
 
 
 @pytest.fixture()
@@ -166,25 +179,77 @@ def test_rhs_mixes_with_the_plan_its_weights_hold(grid, monkeypatch):
 
 
 def test_rk4_step_tape_budget(grid):
-    # Each layer records two nodes, its spectral op and one fused graph layer
-    # (no separate sparse product, matmul, bias adds or activation), and
-    # ode_rhs one add per layer after the first. One RK4 step evaluates the
-    # rhs 4 times, forms 3 stage states (mul, add) and combines the slopes
-    # (3 mul, 4 add); integrate then stacks the state (reshape, concat).
+    # The outer tape keeps one checkpoint record per step, then integrate
+    # stacks the state (reshape, concat). The step's private tape, recorded
+    # when backward recomputes it, holds per layer two nodes, its spectral op
+    # and one fused graph layer (no separate sparse product, matmul, bias adds
+    # or activation), and ode_rhs one add per layer after the first. One RK4
+    # step evaluates the rhs 4 times, forms 3 stage states (mul, add) and
+    # combines the slopes (3 mul, 4 add).
     cfg = DynamicsSection(ode_layers=2, k_max=1, decoder_hidden=4)
     w = init_dynamics(rng.substream(6, "tape-budget"), cfg, grid, d_latent=3, d_obs=1)
     h = rng.substream(7, "tape-budget/h").normal_array((2, grid.n_nodes, 3))
     with Tape() as tape:
         integrate(Tensor(h), lambda s: ode_rhs(s, grid, w), 1, substeps=1)
-    ops = Counter(node.op for node in tape._nodes)
-    assert ops == {
+    assert Counter(node.op for node in tape._nodes) == {"checkpoint": 1, "reshape": 1, "concat": 1}
+    private, _ = tape._nodes[0].recompute()
+    assert Counter(node.op for node in private._nodes) == {
         "spectral_channel_mix": 4 * 2,
         "graph_layer": 4 * 2,
         "add": 4 * 1 + 3 + 4,
         "mul": 3 + 3,
-        "reshape": 1,
-        "concat": 1,
     }
+
+
+def _unrolled(h0, rhs, horizon, solver, substeps):
+    """``integrate`` with every step recorded in place on one tape."""
+    state, outputs = h0, []
+    for _ in range(horizon):
+        for _ in range(substeps):
+            state = solver_step(state, rhs, solver, 1.0 / substeps)
+        outputs.append(state.reshape(1, *state.shape))
+    return concat(outputs, axis=0)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("solver,substeps", [("rk4", 1), ("rk4", 2), ("euler", 1),
+                                             ("euler", 2)])
+def test_recomputed_steps_give_the_one_tape_gradients(grid, monkeypatch, cores, solver,
+                                                      substeps):
+    # Each step runs again in backward, on the worker thread at two cores,
+    # switching threads every 10 us; the gradients of h0 and of every ODE
+    # weight are those of the hand-unrolled tape bit for bit.
+    cfg = DynamicsSection(ode_layers=2, k_max=1, decoder_hidden=4)
+    w = init_dynamics(rng.substream(11, "recompute-oracle"), cfg, grid, d_latent=3, d_obs=1)
+    h0 = parameter(rng.substream(12, "recompute-oracle/h0").normal_array((2, grid.n_nodes, 3)),
+                   "h0")
+    params = [h0, *parameters(*w.layers).values()]
+
+    def gradients(unroll):
+        with Tape() as tape:
+            states = unroll(h0, lambda s: ode_rhs(s, grid, w), 2, solver, substeps)
+            loss = tensor_sum(square(states))
+        return backward(loss, tape, params)
+
+    want = gradients(_unrolled)
+    pools = []
+    real = tensor.ThreadPoolExecutor
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(tensor, "ThreadPoolExecutor", pool)
+    set_cores(monkeypatch, cores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = gradients(integrate)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == ([1] if cores == 2 else [])
+    for p in params:
+        assert got[p.name].tobytes() == want[p.name].tobytes(), p.name
 
 
 def test_rhs_gradient_matches_finite_differences(grid):
@@ -257,13 +322,26 @@ def test_integrate_rejects_bad_solver_settings():
         integrate(Tensor(np.zeros((2, 2))), lambda s: s, 1, solver="rk9")
     with pytest.raises(ContractViolation, match="substeps"):
         integrate(Tensor(np.zeros((2, 2))), lambda s: s, 1, substeps=0)
+    for horizon in (0, -1):
+        with pytest.raises(ContractViolation, match="horizon"):
+            integrate(Tensor(np.zeros((2, 2))), lambda s: s, horizon)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_integrate_divergence_aborts_with_time_index():
-    h0 = Tensor(np.array([[1.0]]))
-    with pytest.raises(NumericError, match="t=2"):
-        integrate(h0, lambda s: 1e200 * s * s, 3, solver="euler", substeps=1)
+def test_integrate_divergence_aborts_with_time_index(monkeypatch):
+    # The same message with no tape and under one, whose steps are
+    # checkpoints, at one core and at two.
+    message = r"^integration diverged at t=2 \(max finite \|H\| = 0\)$"
+    with pytest.raises(NumericError, match=message):
+        integrate(Tensor(np.array([[1.0]])), lambda s: 1e200 * s * s, 3, solver="euler",
+                  substeps=1)
+    threads = threading.active_count()
+    h0 = parameter(np.array([[1.0]]), "h0")
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)
+        with Tape(), pytest.raises(NumericError, match=message):
+            integrate(h0, lambda s: 1e200 * s * s, 3, solver="euler", substeps=1)
+    assert threading.active_count() == threads
 
 
 # -- decode -----------------------------------------------------------------------

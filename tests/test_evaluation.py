@@ -5,7 +5,6 @@ divergences that name their windows."""
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 
 import numpy as np
@@ -20,6 +19,8 @@ from sparkpde.dynamics import init_dynamics
 from sparkpde.encoder import init_encoder_stack
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
+
+from helpers import set_cores
 
 # The 8x8 frames are smaller than the SSIM window.
 pytestmark = pytest.mark.filterwarnings("ignore:image smaller than the SSIM window")
@@ -65,10 +66,6 @@ def _assert_same(a, b):
             assert x.tobytes() == y.tobytes()
 
 
-def _cores(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _pools(monkeypatch) -> list[int]:
     """The worker count of every thread pool evaluation starts, in order."""
     started = []
@@ -93,7 +90,7 @@ def test_outputs_do_not_depend_on_the_batch_size(model, monkeypatch):
     4 columns over 16 or more terms: at a latent width of 4 or less, a batch
     of one window takes another kernel and differs in the last bits. The
     model here is 8 wide, as the CLI's micro config is."""
-    _cores(monkeypatch, 1)
+    set_cores(monkeypatch, 1)
     results = {}
     for size in (8, 2, 1):
         monkeypatch.setattr(evaluation, "BATCH_SIZE", size)
@@ -107,7 +104,7 @@ def test_outputs_do_not_depend_on_the_batch_size(model, monkeypatch):
 def test_metrics_sum_predictions_in_c_order(model, monkeypatch, size):
     # The batches arrive T-major; the metrics must not sum in that order, or
     # the same prediction bytes give batch-size-dependent last bits.
-    _cores(monkeypatch, 1)
+    set_cores(monkeypatch, 1)
     monkeypatch.setattr(evaluation, "BATCH_SIZE", size)
     report, dump = _evaluate(model)
     assert dump.predictions.flags.c_contiguous and dump.targets.flags.c_contiguous
@@ -122,10 +119,10 @@ def test_outputs_do_not_depend_on_the_core_count(model, monkeypatch, cores):
     # Two or four workers, switching threads every 10 us, interleave the
     # batches as finely as the interpreter allows.
     pools = _pools(monkeypatch)
-    _cores(monkeypatch, 1)
+    set_cores(monkeypatch, 1)
     alone = _evaluate(model)
     assert pools == []
-    _cores(monkeypatch, cores)
+    set_cores(monkeypatch, cores)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -143,10 +140,10 @@ def test_encoded_episodes_do_not_depend_on_the_core_count(model, monkeypatch):
     ds, encoder, _ = model
     ids = [3, 0, 2, 1]
     pools = _pools(monkeypatch)
-    _cores(monkeypatch, 1)
+    set_cores(monkeypatch, 1)
     alone = evaluation.encode_episodes(ds, encoder, ids)
     assert pools == []
-    _cores(monkeypatch, 2)
+    set_cores(monkeypatch, 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -165,7 +162,7 @@ def test_one_batch_starts_no_thread(model, monkeypatch):
         raise AssertionError("a thread pool was started for one batch")
 
     monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
-    _cores(monkeypatch, 2)
+    set_cores(monkeypatch, 2)
     ds = model[0]
     first = ds.episodes[1]
     short = Episode(delta=first.delta, x=first.x[: CFG.t0 + CFG.horizon], seed=first.seed,
@@ -176,8 +173,9 @@ def test_one_batch_starts_no_thread(model, monkeypatch):
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_refused_while_a_tape_records(model, monkeypatch, cores):
-    # Worker threads would record on the one process-wide tape.
-    _cores(monkeypatch, cores)
+    # Each thread records only on its own tape, so forecasts on worker
+    # threads would escape the caller's: refused at one core and at two.
+    set_cores(monkeypatch, cores)
     with Tape() as tape, pytest.raises(ContractViolation, match="Tape"):
         _evaluate(model)
     assert tape._nodes == []
@@ -203,7 +201,7 @@ def test_divergence_names_the_split_and_windows(model, monkeypatch, cores):
     bias = Tensor(np.full(layer.b.shape, 1e308), name=layer.b.name)
     layers = [dataclasses.replace(layer, b=bias), *weights.layers[1:]]
     diverging = dataclasses.replace(weights, layers=layers)
-    _cores(monkeypatch, cores)
+    set_cores(monkeypatch, cores)
     with pytest.raises(NumericError) as err:
         evaluation.evaluate_split(ds, encoder, diverging, CFG, "out")
     message = str(err.value)
