@@ -7,11 +7,11 @@ computations (used for frozen models and data generation). ``parameters``
 enumerates a model's named tensors by walking its weight dataclasses.
 
 A tape records a ``Node`` per op: the grad keys of its operands, its VJP
-and its name. A node keeps the arrays its VJP reads and never the op's
-output: the output ``Tensor`` points at its node, the tape holds no
-reference to it, and no VJP closure captures a ``Tensor``. So an output
-lives only as long as the forward's code holds it (``add``'s VJP keeps
-shapes only, ``mul``'s the other operand's array).
+and its name. A node keeps the arrays its VJP reads, until backward replays
+it, and never the op's output: the output ``Tensor`` points at its node, the
+tape holds no reference to it, and no VJP closure captures a ``Tensor``. So
+an output lives only as long as the forward's code holds it (``add``'s VJP
+keeps shapes only, ``mul``'s the other operand's array).
 
 ``checkpoint(fn, x)`` records the one node that holds a ``Tensor``: its
 input ``x``. Backward re-runs ``fn(x)`` on a private tape, and the nodes it
@@ -23,17 +23,20 @@ only the step states.
 ``backward`` replays the tape once, in reverse recording order. Recording
 order is a topological order by construction (an op can only consume already
 created tensors), so each node's adjoint is complete when visited and every
-node is visited exactly once. Gradients of parameters never touched by the
-tape are exactly zero. ``backward`` adds a second contribution into a fresh
-array it then owns, and later ones into that array in place; arrays a VJP
-hands out (``add`` passes on g itself) are never written. VJPs return None
-for operands that need no gradient.
+node is visited exactly once. It consumes the tape: each record drops its
+VJP, and with it its arrays, as soon as it is replayed (a checkpoint record
+drops its input), so a tape can be replayed only once. Gradients of
+parameters never touched by the tape are exactly zero. ``backward`` adds a
+second contribution into a fresh array it then owns, and later ones into
+that array in place; arrays a VJP hands out (``add`` passes on g itself)
+are never written. VJPs return None for operands that need no gradient.
 
 ``graph_layer`` is one Fourier-graph ODE layer, gelu(spectral + (A x) W + b),
 and ``gnn_layer`` one GNN-encoder layer, h R + gelu(concat([h, A h]) W + b),
 each as a single node that keeps A x (or A h), the GeLU's slope and the
-weight arrays its VJP reads; their values and gradients are bit-equal to
-those of the separate ops.
+arrays of the operands its VJP reads; their values and gradients are
+bit-equal to those of the separate ops. ``gelu`` itself keeps one array, its
+slope.
 
 Complex spectral weights are represented as explicit real/imaginary tensor
 pairs. The one spectral op, ``spectral_channel_mix``, takes its DFTs with
@@ -207,6 +210,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Node] = []
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         self._previous = _STATE.tape
@@ -335,19 +339,32 @@ def _gelu_cdf(z: Array) -> Array:
 
 
 def _gelu_slope(z: Array, cdf: Array) -> Array:
-    """The GeLU's derivative Phi(z) + z phi(z), given ``cdf`` = Phi(z)."""
-    return cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))
+    """The GeLU's derivative Phi(z) + z phi(z), given ``cdf`` = Phi(z).
+
+    Built in one array, in place, with the operations of
+    ``cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))`` in that order (IEEE
+    products and sums commute), so its bits are that expression's."""
+    t = np.multiply(-0.5, z, out=np.empty(z.shape))
+    t *= z
+    np.exp(t, out=t)
+    t *= _INV_SQRT2PI
+    t *= z
+    t += cdf
+    return t
 
 
 def gelu(a) -> Tensor:
-    """Exact (erf-form) GeLU; the VJP takes the slope from the kept CDF."""
+    """Exact (erf-form) GeLU. A recorded node keeps one array, the slope at
+    the input, taken in the forward; the CDF becomes the output in place."""
     a = _as_tensor(a)
     x = a.data
     cdf = _gelu_cdf(x)
-    out = Tensor(x * cdf)
+    slope = _gelu_slope(x, cdf) if _recording((a,)) else None
+    cdf *= x
+    out = Tensor(cdf)
 
     def vjp(g):
-        return (g * _gelu_slope(x, cdf),)
+        return (g * slope,)
 
     return _record(out, (a,), vjp, "gelu")
 
@@ -705,8 +722,9 @@ def gnn_layer(h, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
     aggregate contributions in the order ``backward`` sums them for those
     ops, so values and gradients are theirs bit for bit. A recorded node
     keeps A h, the GeLU's slope and the arrays of h, w and r, never the
-    output, and rebuilds the concatenation for the gradient of w; an
-    unrecorded one keeps nothing.
+    output. Its VJP frees the gradient of the concatenation before it
+    rebuilds the concatenation for the gradient of w; an unrecorded node
+    keeps nothing.
     """
     h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
     if h.ndim < 2:
@@ -737,9 +755,17 @@ def gnn_layer(h, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
         gz = g * slope
         g_h = g_w = g_b = None
         if grad_h:
+            # (skip + self) + aggregate, as backward sums the composed ops;
+            # g_cat is freed before the concatenation is rebuilt for w.
             g_cat = gz @ w_data.swapaxes(-1, -2)
-            g_h = (g if r_data is None else g @ r_data.swapaxes(-1, -2)) + g_cat[..., :d_in]
-            g_h += _along_nodes(adjacency_t, g_cat[..., d_in:])
+            aggregate = _along_nodes(adjacency_t, g_cat[..., d_in:])
+            if r_data is None:
+                g_h = g + g_cat[..., :d_in]
+            else:
+                g_h = g @ r_data.swapaxes(-1, -2)
+                g_h += g_cat[..., :d_in]
+            g_h += aggregate
+            del g_cat, aggregate
         if grad_w:
             cat = np.concatenate([h_data, adjacent], axis=-1)
             g_w = _unbroadcast(cat.swapaxes(-1, -2) @ gz, shape_w)
@@ -827,16 +853,24 @@ def backward(
     Cotangents are keyed by the tape's records (a leaf by the tensor
     itself). A record keeps only the arrays its VJP reads, never the op's
     output, so outputs the caller dropped after the forward are already
-    freed. A ``checkpoint`` record is recomputed on a private tape, whose
-    output node is seeded with the record's cotangent and whose nodes are
-    replayed through the same loop into the same cotangents, so gradients
-    are bit-equal to those of a tape that recorded ``fn`` in place. With two
-    or more CPUs in the process's affinity, one worker thread recomputes the
-    next checkpoint record (in reverse order) while this thread replays the
-    current one; with one, they are recomputed here. Returns a map from
-    parameter name to gradient for ``params`` (zeros for parameters the loss
-    does not reach).
+    freed; it keeps those arrays until it is replayed here, and drops its
+    VJP (a checkpoint record its ``fn`` and input) once it has been. The
+    tape is consumed: a second ``backward`` on it, even after one that
+    raised while replaying it, is a ``ContractViolation``. A ``checkpoint``
+    record is recomputed on a private tape, whose output node is seeded
+    with the record's cotangent and whose nodes are replayed through the
+    same loop into the same cotangents, so gradients are bit-equal to those
+    of a tape that recorded ``fn`` in place. With two or more CPUs in the
+    process's affinity, one worker thread recomputes the next checkpoint
+    record (in reverse order) while this thread replays the current one;
+    with one, they are recomputed here. Returns a map from parameter name to
+    gradient for ``params`` (zeros for parameters the loss does not reach).
     """
+    if tape._replayed:
+        raise ContractViolation(
+            "backward: this tape was already replayed, and each record let go of its"
+            " arrays when it was; a tape can be replayed once"
+        )
     if loss.data.size != 1:
         raise ContractViolation(
             f"backward expects a scalar loss, got shape {loss.shape}"
@@ -856,29 +890,37 @@ def backward(
             g = grads.pop(id(node), None)
             owned.discard(id(node))
             if isinstance(node, _Checkpoint):
-                # A recomputation made ahead is taken with or without a cotangent.
+                # A recomputation made ahead is taken with or without a
+                # cotangent; the worker reads only the next record, so this
+                # one is released once it is resumed.
                 resume(node, g, None if ahead is None else next(ahead))
+                node.fn = node.input = None
                 continue
-            if g is None:
+            # The node lets go of its VJP, and with it the arrays it kept.
+            vjp, node.vjp = node.vjp, None
+            if g is not None:
+                accumulate(node, vjp(g))
+
+    def accumulate(node: Node, contributions: tuple) -> None:
+        """Sum ``node``'s VJP outputs into its parents' cotangents; those not
+        stored die when this returns, before the next VJP runs."""
+        for parent, contrib in zip(node.parents, contributions):
+            if contrib is None or parent is None:
                 continue
-            contributions = node.vjp(g)
-            for parent, contrib in zip(node.parents, contributions):
-                if contrib is None or parent is None:
-                    continue
-                # A sum is non-finite whenever an element is; it can also
-                # overflow on finite elements, so only then check them all.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    total = np.sum(contrib)
-                if not np.isfinite(total) and not np.all(np.isfinite(contrib)):
-                    raise NumericError(f"non-finite gradient in backward of '{node.op}'")
-                key = id(parent)
-                if key in owned:
-                    np.add(grads[key], contrib, out=grads[key])
-                elif key in grads:
-                    grads[key] = np.add(grads[key], contrib)
-                    owned.add(key)
-                else:
-                    grads[key] = contrib
+            # A sum is non-finite whenever an element is; it can also
+            # overflow on finite elements, so only then check them all.
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = np.sum(contrib)
+            if not np.isfinite(total) and not np.all(np.isfinite(contrib)):
+                raise NumericError(f"non-finite gradient in backward of '{node.op}'")
+            key = id(parent)
+            if key in owned:
+                np.add(grads[key], contrib, out=grads[key])
+            elif key in grads:
+                grads[key] = np.add(grads[key], contrib)
+                owned.add(key)
+            else:
+                grads[key] = contrib
 
     def resume(record: _Checkpoint, g: Array | None, recomputed: tuple | None) -> None:
         """Replay ``record``'s recomputed tape from its output's cotangent ``g``;
@@ -890,6 +932,7 @@ def backward(
             grads[id(out)] = g
             replay(private._nodes)
 
+    tape._replayed = True
     records = [node for node in reversed(tape._nodes) if isinstance(node, _Checkpoint)]
     if records and len(os.sched_getaffinity(0)) >= 2:
         with ThreadPoolExecutor(max_workers=1) as pool:

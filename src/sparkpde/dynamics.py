@@ -407,9 +407,13 @@ def train_dynamics(
                 augmented=decisions, aug_fn=aug_fn,
             )
             loss, mse_value = dynamics_loss(y_hat, y, weights, cfg.lambda_reg)
+        diverged = f"dynamics training diverged at epoch {epoch}, batch {index}"
         if not np.isfinite(mse_value):
-            raise NumericError(f"dynamics training diverged at epoch {epoch}, batch {index}")
-        grads = backward(loss, tape, params=params.values())
+            raise NumericError(diverged)
+        try:
+            grads = backward(loss, tape, params=params.values())
+        except NumericError as exc:
+            raise NumericError(f"{diverged}: {exc}") from exc
         adam_step(params, grads, state, lr=lr)
         return mse_value
 

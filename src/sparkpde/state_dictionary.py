@@ -225,9 +225,13 @@ def pretrain(ds: EpisodeDataset, cfg: PretrainSection, seed: int = 0) -> Pretrai
         with Tape() as tape:
             loss = step_loss(xs, deltas)
         value = loss.item()
+        diverged = f"pretraining diverged at epoch {epoch}, batch {index}"
         if not np.isfinite(value):
-            raise NumericError(f"pretraining diverged at epoch {epoch}, batch {index}")
-        grads = backward(loss, tape, params=params.values())
+            raise NumericError(diverged)
+        try:
+            grads = backward(loss, tape, params=params.values())
+        except NumericError as exc:
+            raise NumericError(f"{diverged}: {exc}") from exc
         adam_step(params, grads, state, lr=lr)
         return value
 

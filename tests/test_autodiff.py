@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ from sparkpde.autodiff import (
     tensor_mean,
     tensor_sum,
 )
-from sparkpde.autodiff.tensor import _record, mul
+from sparkpde.autodiff.tensor import _INV_SQRT2PI, _gelu_cdf, _gelu_slope, _record, mul
 from sparkpde.config import DynamicsSection, PretrainSection
 from sparkpde.datagen import EpisodeDataset
 from sparkpde.datagen.dataset import Episode
@@ -389,10 +390,20 @@ def test_gnn_layer_bit_equal_to_composed_ops(resid, lead, const):
     if resid:
         weights["r"] = gen.normal_array((3, d_out))
     cotangent = gen.normal_array(lead + (16, d_out))
+    fused_y = _assert_gnn_layer_is_composed_ops(a, a_t, h0, weights, cotangent, const != "h")
+    # The value itself, with a dense A.
+    pre = np.concatenate([h0, a.toarray() @ h0], axis=-1) @ weights["w"] + weights["b"]
+    skip = h0 @ weights["r"] if resid else h0
+    np.testing.assert_allclose(fused_y, skip + gelu_oracle(pre), rtol=1e-12, atol=1e-15)
+
+
+def _assert_gnn_layer_is_composed_ops(a, a_t, h0, weights, cotangent, grad_h):
+    """Asserts that ``gnn_layer``'s value and every gradient are the bits of
+    the composed ops'; returns the value."""
 
     def run(layer):
         params = {k: parameter(v.copy(), k) for k, v in weights.items()}
-        h = Tensor(h0.copy(), requires_grad=const != "h", name="h")
+        h = Tensor(h0.copy(), requires_grad=grad_h, name="h")
         wrt = [*params.values()] + ([h] if h.requires_grad else [])
         with Tape() as tape:
             before = tensor_sum(tanh(h))
@@ -403,13 +414,26 @@ def test_gnn_layer_bit_equal_to_composed_ops(resid, lead, const):
     fused_y, fused = run(gnn_layer)
     composed_y, composed = run(_composed_gnn_layer)
     assert fused_y.tobytes() == composed_y.tobytes()
-    # The value itself, with a dense A.
-    pre = np.concatenate([h0, a.toarray() @ h0], axis=-1) @ weights["w"] + weights["b"]
-    skip = h0 @ weights["r"] if resid else h0
-    np.testing.assert_allclose(fused_y, skip + gelu_oracle(pre), rtol=1e-12, atol=1e-15)
     assert fused.keys() == composed.keys()
     for name in composed:
         assert fused[name].tobytes() == composed[name].tobytes(), name
+    return fused_y
+
+
+@pytest.mark.parametrize("d_in", [1, 64])
+@pytest.mark.parametrize("resid", [True, False], ids=["resid", "skip"])
+def test_gnn_layer_bit_equal_to_composed_ops_at_encoder_widths(resid, d_in):
+    # d_in 1 is the Navier-Stokes encoder's first layer, where OpenBLAS
+    # takes matrix-vector kernels; 64 is a wide hidden layer.
+    a, a_t = _uneven_adjacency()
+    gen = rng.substream(83, f"gnn-layer-widths/{resid}/{d_in}")
+    d_out = 32 if resid else d_in
+    weights = {"w": gen.normal_array((2 * d_in, d_out)), "b": gen.normal_array((d_out,))}
+    if resid:
+        weights["r"] = gen.normal_array((d_in, d_out))
+    h0 = gen.normal_array((2, 16, d_in))
+    cotangent = gen.normal_array((2, 16, d_out))
+    _assert_gnn_layer_is_composed_ops(a, a_t, h0, weights, cotangent, grad_h=True)
 
 
 @pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["N-D", "B-N-D", "T-B-N-D"])
@@ -514,8 +538,9 @@ def test_backward_in_place_accumulation_keeps_shared_cotangents():
         both = u + v
         loss = tensor_sum(square(both)) + tensor_sum(squares) + tensor_sum(smooth)
         loss = loss + tensor_sum(pieces * pieces)
-    got = backward(loss, tape, params=[x, y])
+    # The reference reads the tape before backward consumes it.
     want = _out_of_place_backward(loss, tape, [x, y])
+    got = backward(loss, tape, params=[x, y])
     for name in ("x", "y"):
         assert got[name].tobytes() == want[name].tobytes(), name
 
@@ -526,6 +551,108 @@ def _vjp_arrays(node):
     cells = [cell.cell_contents for cell in node.vjp.__closure__ or ()]
     assert not any(isinstance(c, Tensor) for c in cells), node.op
     return [c for c in cells if isinstance(c, np.ndarray) and c.dtype == np.float64]
+
+
+def _reference_gelu_slope(z, cdf):
+    """The GeLU slope as one out-of-place expression."""
+    return cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))
+
+
+def test_gelu_slope_in_place_is_the_expression_bit_for_bit():
+    gen = rng.substream(89, "gelu-slope")
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, 40.0, -40.0, 41.5, -41.5, 1e3, -1e3, 1e300, -1e300,
+               5e-324, -5e-324, 1e-310, -1e-310, tiny / 2, -tiny / 2, tiny, -tiny]
+    cases = [
+        gen.normal_array((3, 257)),
+        4.0 * gen.normal_array((64, 33)),
+        np.array(special),
+        gen.normal_array((8, 6)).T,  # strided
+        np.array(1.25),
+    ]
+    for z in cases:
+        cdf = _gelu_cdf(z)
+        with np.errstate(over="ignore"):  # z * z overflows at |z| = 1e300
+            got, want = _gelu_slope(z, cdf), _reference_gelu_slope(z, cdf)
+        assert got.shape == z.shape and got.tobytes() == want.tobytes()
+
+
+def test_recorded_gelu_keeps_only_its_slope():
+    x0 = rng.substream(97, "gelu-keeps").normal_array((5, 7))
+    x = parameter(x0.copy(), "x")
+    with Tape() as tape:
+        out = gelu(x)
+        loss = tensor_sum(square(out))
+    node = out._node
+    assert node.op == "gelu" and tape._nodes[0] is node
+    (kept,) = _vjp_arrays(node)
+    assert kept.tobytes() == _reference_gelu_slope(x0, _gelu_cdf(x0)).tobytes()
+    assert out.data.tobytes() == (x0 * _gelu_cdf(x0)).tobytes()
+    free = gelu(Tensor(x0))
+    assert free._node is None and free.data.tobytes() == out.data.tobytes()
+    grads = backward(loss, tape, [x])
+    assert grads["x"].tobytes() == ((2.0 * out.data) * kept).tobytes()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_backward_frees_each_record_once_it_has_replayed_it(monkeypatch, cores):
+    # While loss lives, its node's parents link every record. So only the
+    # replay lets go of what a record keeps: by the time the first node
+    # recorded is replayed (last), the arrays the later nodes' VJPs kept,
+    # the decoder gelu's slope among them, and each checkpoint record's
+    # input state are dead. So is the slope of a gelu the loss does not
+    # read, whose node gets no cotangent.
+    set_cores(monkeypatch, cores)
+    grid = GridGraph(8, 8)
+    cfg = DynamicsSection(ode_layers=1, k_max=2, decoder_hidden=4)
+    w = init_dynamics(rng.substream(79, "replay-frees"), cfg, grid, d_latent=3, d_obs=1)
+    gen = rng.substream(79, "replay-frees/h")
+    h = parameter(gen.normal_array((2, 64, 3)), "h")
+    w_dec = parameter(gen.normal_array((3, 4)), "w_dec")
+    params = [h, w_dec, *parameters(*w.layers).values()]
+    refs, dead_when_reached = [], []
+
+    def watch(g):
+        dead_when_reached.append([ref() is None for ref in refs])
+        return (g,)
+
+    with Tape() as tape:
+        start = _record(Tensor(h.data.copy()), (h,), watch, "watch")
+        unread = gelu(start)
+        states = integrate(start, lambda s: ode_rhs(s, grid, w), 3, substeps=1)
+        loss = tensor_sum(square(gelu(matmul(states, w_dec))))
+    del start, unread, states
+    weights = {id(p.data) for p in params}
+    records = [node for node in tape._nodes if node.op == "checkpoint"]
+    slopes = [_vjp_arrays(node)[0] for node in tape._nodes if node.op == "gelu"]
+    kept = [a for node in tape._nodes if node.op not in ("checkpoint", "watch")
+            for a in _vjp_arrays(node) if id(a) not in weights]
+    assert len(slopes) == 2 and len(records) == 3
+    assert all(any(a is slope for a in kept) for slope in slopes)
+    refs += [weakref.ref(a) for a in kept]
+    refs += [weakref.ref(r.input) for r in records] + [weakref.ref(r.input.data) for r in records]
+    del slopes, kept
+    assert not any(ref() is None for ref in refs)
+    backward(loss, tape, params)
+    assert dead_when_reached == [[True] * len(refs)]
+    assert loss._node is not None and all(ref() is None for ref in refs)
+    assert all(r.fn is None and r.input is None for r in records)
+
+
+def test_backward_refuses_a_consumed_tape():
+    x = parameter(np.array([1.0, 2.0]), "x")
+    with Tape() as tape:
+        loss = tensor_sum(square(x))
+    assert backward(loss, tape, [x])["x"].tolist() == [2.0, 4.0]
+    with pytest.raises(ContractViolation, match="already replayed.*replayed once"):
+        backward(loss, tape, [x])
+    # A backward that raised partway consumed its tape too.
+    with Tape() as tape:
+        loss = tensor_sum(square(_probe(x, np.array([np.inf, 1.0]))))
+    with pytest.raises(NumericError, match="'probe'"):
+        backward(loss, tape, [x])
+    with pytest.raises(ContractViolation, match="already replayed.*replayed once"):
+        backward(loss, tape, [x])
 
 
 def test_ode_unroll_tape_keeps_only_what_its_vjps_read():

@@ -8,7 +8,8 @@ import yaml
 
 from sparkpde import cli, config, dynamics, evaluation, serialization, state_dictionary
 from sparkpde.augment import curriculum_ratio
-from sparkpde.autodiff import parameters
+from sparkpde.autodiff import Tensor, parameters
+from sparkpde.autodiff.tensor import _record
 from sparkpde.checkpoint import load_checkpoint, save_checkpoint
 from sparkpde.cli import main
 from sparkpde.config import config_to_dict, load_config, settings
@@ -214,6 +215,37 @@ def test_train_divergence_leaves_train_failed(workspace, tmp_path, monkeypatch, 
     monkeypatch.undo()
     assert main(_train_argv(workspace, out, config=config)) == 0
     assert (out / "dynamics.ckpt").exists() and not (out / "train.failed").exists()
+
+
+def _inf_gradient(loss):
+    """``loss`` through a recorded identity node whose VJP hands out inf."""
+    return _record(Tensor(loss.data.copy()), (loss,), lambda g: (np.full(g.shape, np.inf),),
+                   "probe")
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+def test_non_finite_gradient_names_epoch_batch_and_op(
+    workspace, tmp_path, monkeypatch, capsys, command
+):
+    # The 7th step (epoch 1, batch 2, as above) has a finite loss, but its
+    # backward meets an inf gradient: one message names all three.
+    out = tmp_path / command
+    if command == "pretrain":
+        config = _micro_config(tmp_path, "pretrain", batch_size=4)
+        _nan_on_call(monkeypatch, state_dictionary, "pretrain_loss", 7, _inf_gradient)
+        argv = ["pretrain", "--config", config, "--dataset", str(workspace["dataset"]),
+                "--out", str(out)]
+        message = "pretraining diverged at epoch 1, batch 2"
+    else:
+        config = _micro_config(tmp_path, "dynamics", batch_size=1)
+        _nan_on_call(monkeypatch, dynamics, "dynamics_loss", 7,
+                     lambda out: (_inf_gradient(out[0]), out[1]))
+        argv = _train_argv(workspace, out, config=config)
+        message = "dynamics training diverged at epoch 1, batch 2"
+    message += ": non-finite gradient in backward of 'probe'"
+    assert main(argv) == 3
+    assert f"numeric failure: {message}\n" in capsys.readouterr().err
+    assert (out / f"{command}.failed").read_text(encoding="utf-8") == message + "\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

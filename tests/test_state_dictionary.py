@@ -9,6 +9,7 @@ import pytest
 
 from sparkpde import rng, state_dictionary
 from sparkpde.autodiff import Tape, Tensor, backward, square, tensor_sum
+from sparkpde.autodiff.tensor import _record
 from sparkpde.config import PretrainSection
 from sparkpde.datagen import EpisodeDataset
 from sparkpde.datagen.dataset import Episode
@@ -315,6 +316,25 @@ def test_pretrain_frees_the_forward_outputs_before_backward(monkeypatch):
     monkeypatch.setattr(state_dictionary, "backward", watched)
     pretrain(_constant_dataset(), _tiny_config(epochs=1, gnn_layers=2), seed=SEED)
     assert live_ops == [[]]
+
+
+def test_non_finite_gradient_is_chained_to_the_backward_error(monkeypatch):
+    # backward's own error, naming the op, is the cause of the one that
+    # names the epoch and the batch.
+    real = state_dictionary.pretrain_loss
+
+    def nan_gradient(*args):
+        loss = real(*args)
+        return _record(Tensor(loss.data.copy()), (loss,),
+                       lambda g: (np.full(g.shape, np.nan),), "probe")
+
+    monkeypatch.setattr(state_dictionary, "pretrain_loss", nan_gradient)
+    with pytest.raises(NumericError) as err:
+        pretrain(_constant_dataset(), _tiny_config(epochs=1), seed=SEED)
+    cause = err.value.__cause__
+    assert isinstance(cause, NumericError)
+    assert str(cause) == "non-finite gradient in backward of 'probe'"
+    assert str(err.value) == f"pretraining diverged at epoch 0, batch 0: {cause}"
 
 
 def test_pretrain_requires_in_domain_episodes():
