@@ -12,7 +12,6 @@ from .tensor import (
     concat,
     gather_rows,
     gelu,
-    gnn_layer,
     graph_layer,
     matmul,
     parameter,
@@ -38,7 +37,6 @@ __all__ = [
     "concat",
     "gather_rows",
     "gelu",
-    "gnn_layer",
     "graph_layer",
     "matmul",
     "parameter",

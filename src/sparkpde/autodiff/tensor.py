@@ -31,12 +31,12 @@ second contribution into a fresh array it then owns, and later ones into
 that array in place; arrays a VJP hands out (``add`` passes on g itself)
 are never written. VJPs return None for operands that need no gradient.
 
-``graph_layer`` is one Fourier-graph ODE layer, gelu(spectral + (A x) W + b),
-and ``gnn_layer`` one GNN-encoder layer, h R + gelu(concat([h, A h]) W + b),
-each as a single node that keeps A x (or A h), the GeLU's slope and the
-arrays of the operands its VJP reads; their values and gradients are
-bit-equal to those of the separate ops. ``gelu`` itself keeps one array, its
-slope.
+``graph_layer`` is the one graph layer, gelu(base + (A x) W + b), as a
+single node that keeps A x, the GeLU's slope and W's array; its values and
+gradients are bit-equal to those of the separate ops. The Fourier-graph ODE
+layer passes its spectral branch as ``base``, and the GNN-encoder layer its
+self term h W_self (then adds its skip, h or h R, outside the node).
+``gelu`` itself keeps one array, its slope.
 
 Complex spectral weights are represented as explicit real/imaginary tensor
 pairs. The one spectral op, ``spectral_channel_mix``, takes its DFTs with
@@ -650,48 +650,43 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
     return _record(out, (x, w_real, w_imag), vjp, "spectral_channel_mix")
 
 
-# -- fused graph layers ------------------------------------------------------------
+# -- fused graph layer -------------------------------------------------------------
 
 
-def _gelu_in_place(z: Array, recording: bool) -> Array | None:
-    """Overwrite ``z`` with its exact (erf-form) GeLU, as ``gelu`` computes it;
-    returns the slope at the old ``z`` when recording, else None."""
-    cdf = _gelu_cdf(z)
-    slope = _gelu_slope(z, cdf) if recording else None
-    z *= cdf
-    return slope
-
-
-def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
+def graph_layer(base, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
                 w, b) -> Tensor:
-    """One Fourier-graph ODE layer, gelu(spectral + (A x) W + b), as one tape node.
+    """One graph layer, gelu(base + (A x) W + b), as one tape node.
 
-    spectral: (..., N, D_out), the layer's spectral branch (its own node);
-    x: (..., N, D_in); the constant sparse (N, N) ``adjacency`` applies along
-    the node axis (-2), and ``adjacency_t`` is its transpose; w: (D_in, D_out);
-    b: (D_out,).
+    base: (..., N, D_out), the term the graph branch is added to, recorded
+    before the layer: the ODE layer's spectral branch, or the GNN-encoder
+    layer's self term h W_self; x: (..., N, D_in); the constant sparse (N, N)
+    ``adjacency`` applies along the node axis (-2), and ``adjacency_t`` is its
+    transpose; w: (D_in, D_out); b: (D_out,).
 
     The pre-activation is summed in place in the order of the composed ops
-    (the sparse product, matmul, add, add, gelu), so values and gradients are
-    theirs bit for bit. A recorded node keeps only A x, the GeLU's slope and
-    w's array for its VJP, never x or the output; an unrecorded one keeps
+    (the sparse product, matmul, add, add, gelu), and the exact (erf-form)
+    GeLU is applied in place as ``gelu`` applies it, so values and gradients
+    are theirs bit for bit. A recorded node keeps only A x, the GeLU's slope
+    and w's array for its VJP, never x or the output; an unrecorded one keeps
     nothing.
     """
-    spectral, x, w, b = _as_tensor(spectral), _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    base, x, w, b = _as_tensor(base), _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim < 2:
         raise ContractViolation("graph_layer expects an (..., N, D) operand")
-    parents = (spectral, x, w, b)
+    parents = (base, x, w, b)
     recording = _recording(parents)
     adjacent = _along_nodes(adjacency, x.data)
     z = adjacent @ w.data
     if not recording:
         adjacent = None
-    z += spectral.data
+    z += base.data
     z += b.data
-    slope = _gelu_in_place(z, recording)
+    cdf = _gelu_cdf(z)
+    slope = _gelu_slope(z, cdf) if recording else None
+    z *= cdf
     out = Tensor(z)
     w_data, shape_w, shape_b = w.data, w.shape, _grad_shape(b)
-    grad_spectral, grad_x, grad_w = spectral.requires_grad, x.requires_grad, w.requires_grad
+    grad_base, grad_x, grad_w = base.requires_grad, x.requires_grad, w.requires_grad
 
     def vjp(g):
         gz = g * slope
@@ -699,84 +694,16 @@ def graph_layer(spectral, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse
         if grad_x:
             g_x = _along_nodes(adjacency_t, gz @ w_data.swapaxes(-1, -2))
         if grad_w:
-            g_w = _unbroadcast(adjacent.swapaxes(-1, -2) @ gz, shape_w)
+            # At D_in = D_out = 1 numpy takes a dot product, whose strided
+            # kernel rounds differently; a contiguous A x (N doubles per
+            # slice at D_in 1) keeps the composed matmul's bits.
+            a_x = np.ascontiguousarray(adjacent) if adjacent.shape[-1] == 1 else adjacent
+            g_w = _unbroadcast(a_x.swapaxes(-1, -2) @ gz, shape_w)
         if shape_b is not None:
             g_b = _unbroadcast(gz, shape_b)
-        return (gz if grad_spectral else None, g_x, g_w, g_b)
+        return (gz if grad_base else None, g_x, g_w, g_b)
 
     return _record(out, parents, vjp, "graph_layer")
-
-
-def gnn_layer(h, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
-              w, b, r=None) -> Tensor:
-    """One GNN-encoder layer, h R + gelu(concat([h, A h]) W + b), as one tape node.
-
-    h: (..., N, D_in); the constant sparse (N, N) ``adjacency`` applies along
-    the node axis (-2), and ``adjacency_t`` is its transpose; w: (2 D_in,
-    D_out) over the self and aggregate features; b: (D_out,); r: (D_in,
-    D_out), or None for the identity skip h + gelu(...).
-
-    One GEMM of the concatenated features, the bias and the GeLU in place,
-    then the residual, in the order of the composed ops (the sparse product,
-    concat, matmul, add, gelu, matmul, add); the VJP sums h's skip, self and
-    aggregate contributions in the order ``backward`` sums them for those
-    ops, so values and gradients are theirs bit for bit. A recorded node
-    keeps A h, the GeLU's slope and the arrays of h, w and r, never the
-    output. Its VJP frees the gradient of the concatenation before it
-    rebuilds the concatenation for the gradient of w; an unrecorded node
-    keeps nothing.
-    """
-    h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
-    if h.ndim < 2:
-        raise ContractViolation("gnn_layer expects an (..., N, D) operand")
-    r = None if r is None else _as_tensor(r)
-    parents = (h, w, b) if r is None else (h, w, b, r)
-    recording = _recording(parents)
-    d_in = h.shape[-1]
-    adjacent = _along_nodes(adjacency, h.data)
-    z = np.concatenate([h.data, adjacent], axis=-1) @ w.data
-    if not recording:
-        adjacent = None
-    z += b.data
-    slope = _gelu_in_place(z, recording)
-    if r is None:
-        z += h.data
-        out = Tensor(z)
-    else:
-        skip = h.data @ r.data
-        skip += z
-        out = Tensor(skip)
-    h_data, w_data, shape_w, shape_b = h.data, w.data, w.shape, _grad_shape(b)
-    r_data = None if r is None else r.data
-    shape_r = None if r is None else _grad_shape(r)
-    grad_h, grad_w = h.requires_grad, w.requires_grad
-
-    def vjp(g):
-        gz = g * slope
-        g_h = g_w = g_b = None
-        if grad_h:
-            # (skip + self) + aggregate, as backward sums the composed ops;
-            # g_cat is freed before the concatenation is rebuilt for w.
-            g_cat = gz @ w_data.swapaxes(-1, -2)
-            aggregate = _along_nodes(adjacency_t, g_cat[..., d_in:])
-            if r_data is None:
-                g_h = g + g_cat[..., :d_in]
-            else:
-                g_h = g @ r_data.swapaxes(-1, -2)
-                g_h += g_cat[..., :d_in]
-            g_h += aggregate
-            del g_cat, aggregate
-        if grad_w:
-            cat = np.concatenate([h_data, adjacent], axis=-1)
-            g_w = _unbroadcast(cat.swapaxes(-1, -2) @ gz, shape_w)
-        if shape_b is not None:
-            g_b = _unbroadcast(gz, shape_b)
-        if r_data is None:
-            return (g_h, g_w, g_b)
-        g_r = None if shape_r is None else _unbroadcast(h_data.swapaxes(-1, -2) @ g, shape_r)
-        return (g_h, g_w, g_b, g_r)
-
-    return _record(out, parents, vjp, "gnn_layer")
 
 
 # -- recomputation ------------------------------------------------------------------

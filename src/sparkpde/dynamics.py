@@ -271,7 +271,7 @@ def episode_latents(ds: EpisodeDataset, encoder: EncoderStack, episode_idx: int)
     ep = ds.episodes[episode_idx]
     x = ds.normalize(ep.x)
     fused = encoder.attend(x, np.tile(ep.delta, (x.shape[0], 1)), ds.grid).data
-    latents = np.empty(fused.shape[:-1] + (encoder.gnn[-1].combine_w.shape[1],))
+    latents = np.empty(fused.shape[:-1] + (encoder.gnn[-1].combine_b.shape[0],))
     for lo in range(0, fused.shape[0], ENCODE_FRAMES):
         chunk = slice(lo, lo + ENCODE_FRAMES)
         latents[chunk] = encoder.embed(fused[chunk], ds.grid).data

@@ -9,9 +9,10 @@ Three pieces:
     h = x + a1 * g1(x) + a2 * g2(x). g2 mixes channels per retained Fourier
     mode through the ``ad.SpectralPlan`` that ``init_channel_attention``
     builds with its weights;
-  * an L-layer GNN over the grid graph (neighbor-mean aggregation, residual
-    combine over the concatenated self/aggregate features), one fused tape
-    node per layer (``ad.gnn_layer``);
+  * an L-layer GNN over the grid graph: per layer, the skip (h, or h R
+    when the width changes) plus gelu(h W_self + (A h) W_neighbor + b), with
+    A the neighbor-mean adjacency; the GeLU term is ``ad.graph_layer``, the
+    op of the dynamics' ODE layers, with the matmul h W_self as its base;
   * a 2-layer MLP decoder back to observation space, the same ``MlpWeights``
     and ``reconstruct`` as the gates (and as the dynamics decoder).
 
@@ -177,7 +178,8 @@ def channel_attention(
 
 @dataclass
 class GnnLayer:
-    combine_w: Tensor  # (2*d_in, d_out)
+    self_w: Tensor  # (d_in, d_out)
+    neighbor_w: Tensor  # (d_in, d_out)
     combine_b: Tensor  # (d_out,)
     resid_w: Tensor | None  # (d_in, d_out) when dims differ, else identity skip
 
@@ -198,9 +200,14 @@ def init_gnn_encoder(
         resid = None
         if din != dout:
             resid = _init_linear(gen, din, dout, f"encoder.gnn.{i}.resid_w")
+        # W_self and W_neighbor are the top and bottom halves of one
+        # (2 d_in, d_out) draw, with that matrix's std.
+        std = np.sqrt(2.0 / (2 * din + dout))
+        self_w, neighbor_w = np.split(gen.normal_array((2 * din, dout)) * std, 2)
         layers.append(
             GnnLayer(
-                combine_w=_init_linear(gen, 2 * din, dout, f"encoder.gnn.{i}.combine_w"),
+                self_w=ad.parameter(self_w, f"encoder.gnn.{i}.self_w"),
+                neighbor_w=ad.parameter(neighbor_w, f"encoder.gnn.{i}.neighbor_w"),
                 combine_b=_zeros(dout, f"encoder.gnn.{i}.combine_b"),
                 resid_w=resid,
             )
@@ -212,17 +219,20 @@ def gnn_encode(h: Tensor | np.ndarray, grid: GridGraph, layers: list[GnnLayer]) 
     """L rounds of aggregate (neighbor mean via the normalized adjacency)
     and residual combine. h: (..., N, d) -> (..., N, D_latent).
 
-    Each round is one fused ``ad.gnn_layer`` node, h R + gelu(concat([h, A h])
-    W_c + b), so a recorded step keeps one output, A h and the GeLU's slope
-    per layer, and the frozen encoder keeps nothing.
+    Each round is (h or h R) + gelu(h W_self + (A h) W_neighbor + b): the
+    self term is one matmul node and the rest one ``ad.graph_layer`` node,
+    which keeps A h, the GeLU's slope and W_neighbor for its VJP, then the
+    skip. The frozen encoder records and keeps nothing.
     """
     h = h if isinstance(h, Tensor) else Tensor(h)
     if h.shape[-2] != grid.n_nodes:
         raise ContractViolation("node count does not match grid")
     for layer in layers:
-        h = ad.gnn_layer(
-            h, grid.adjacency, grid.adjacency_t, layer.combine_w, layer.combine_b, layer.resid_w
+        y = ad.graph_layer(
+            ad.matmul(h, layer.self_w), h, grid.adjacency, grid.adjacency_t,
+            layer.neighbor_w, layer.combine_b,
         )
+        h = (h if layer.resid_w is None else ad.matmul(h, layer.resid_w)) + y
     return h
 
 

@@ -45,7 +45,6 @@ def stored_config(snapshot: dict) -> ExperimentConfig:
 def dataset_meta(ds) -> dict:
     return {
         "channel_names": list(ds.channel_names),
-        "d_obs": ds.n_channels,
         "d_delta": ds.d_delta,
     }
 
@@ -131,8 +130,9 @@ def check_dataset_compatibility(cfg: ExperimentConfig, meta: dict, ds) -> None:
         stored, actual = getattr(grid, key), getattr(ds.grid, key)
         if stored != actual:
             problems.append(f"grid.{key}: checkpoint {stored} vs dataset {actual}")
-    if meta["d_obs"] != ds.n_channels:
-        problems.append(f"channels: checkpoint {meta['d_obs']} vs dataset {ds.n_channels}")
+    channels = len(meta["channel_names"])
+    if channels != ds.n_channels:
+        problems.append(f"channels: checkpoint {channels} vs dataset {ds.n_channels}")
     if meta["d_delta"] != ds.d_delta:
         problems.append(f"parameter dim: checkpoint {meta['d_delta']} vs dataset {ds.d_delta}")
     if problems:

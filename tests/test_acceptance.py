@@ -111,7 +111,8 @@ def test_gradient_integrity():
         for i, layer in enumerate(gnn):
             layers.append(
                 GnnLayer(
-                    combine_w=p[f"encoder.gnn.{i}.combine_w"],
+                    self_w=p[f"encoder.gnn.{i}.self_w"],
+                    neighbor_w=p[f"encoder.gnn.{i}.neighbor_w"],
                     combine_b=p[f"encoder.gnn.{i}.combine_b"],
                     resid_w=p[f"encoder.gnn.{i}.resid_w"] if layer.resid_w is not None else None,
                 )

@@ -6,6 +6,7 @@ import threading
 import weakref
 from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from sparkpde.autodiff import (
     concat,
     gather_rows,
     gelu,
-    gnn_layer,
     graph_layer,
     matmul,
     parameter,
@@ -39,7 +39,7 @@ from sparkpde.config import DynamicsSection, PretrainSection
 from sparkpde.datagen import EpisodeDataset
 from sparkpde.datagen.dataset import Episode
 from sparkpde.dynamics import init_dynamics, integrate, ode_rhs, solver_step
-from sparkpde.encoder import init_encoder_stack
+from sparkpde.encoder import GnnLayer, gnn_encode, init_encoder_stack
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 
@@ -292,29 +292,56 @@ def _check_fused_against_composed(h, k_max, batch, channels, adjacency):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
-def _composed_layer(spectral, x, a, a_t, w, b):
+def _composed_layer(base, x, a, a_t, w, b):
     """The graph layer as the separate ops it fuses."""
     spatial = matmul(sparse_matmul(a, x, a_t), w)
-    return gelu(spectral + spatial + b)
+    return gelu(base + spatial + b)
 
 
-@pytest.mark.parametrize("const", [None, "x", "spectral"], ids=["all-grad", "x-const", "spectral-const"])
-@pytest.mark.parametrize("lead", [(), (2,)], ids=["N-D", "B-N-D"])
-def test_graph_layer_bit_equal_to_composed_ops(lead, const):
-    # As in ode_rhs: x feeds the spectral op and the layer, so x's gradient
-    # accumulates across both; values and every gradient must be the same bits.
-    grid = GridGraph(4, 4)
-    gen = rng.substream(43, f"graph-layer/gelu/{len(lead)}")
-    plan = spectral_plan(4, 4, 1, grid.stencil)
-    x0 = gen.normal_array(lead + (grid.n_nodes, 3))
-    spectral0 = gen.normal_array(lead + (grid.n_nodes, 2))
+def _uneven_adjacency():
+    """Row-normalized adjacency of an 8-neighbour 4x4 grid without
+    wrap-around, and its transpose. Degrees vary (3 to 8), so A is not
+    symmetric and applying A where A.T is meant changes the result."""
+    r, c = np.divmod(np.arange(16), 4)
+    near = (np.abs(r[:, None] - r) <= 1) & (np.abs(c[:, None] - c) <= 1)
+    np.fill_diagonal(near, False)
+    a = sparse.csr_matrix(near / near.sum(axis=1, keepdims=True))
+    return a, a.T.tocsr()
+
+
+# (lead, const, d_in, d_out). "self" is the GNN encoder's layer: the base is
+# matmul(x, W_self). d_in 1 is the Navier-Stokes encoder's first layer, where
+# OpenBLAS takes matrix-vector kernels, and 64 -> 32 its last.
+_GRAPH_LAYER_CASES = [
+    pytest.param(lead, const, 3, 2, id=f"{lead_id}-{const_id}")
+    for lead_id, lead in (("N-D", ()), ("B-N-D", (2,)), ("T-B-N-D", (3, 2)))
+    for const_id, const in (
+        ("all-grad", None), ("x-const", "x"), ("spectral-const", "spectral"), ("self-base", "self")
+    )
+] + [
+    pytest.param((2,), "self", d_in, d_out, id=f"B-N-D-self-base-{d_in}to{d_out}")
+    for d_in, d_out in ((1, 64), (64, 32))
+]
+
+
+@pytest.mark.parametrize("lead,const,d_in,d_out", _GRAPH_LAYER_CASES)
+def test_graph_layer_bit_equal_to_composed_ops(lead, const, d_in, d_out):
+    # As in ode_rhs and gnn_encode: x feeds the base (the spectral op or the
+    # self matmul) and the layer, so x's gradient accumulates across both;
+    # values and every gradient must be the same bits. A is not symmetric.
+    a, a_t = _uneven_adjacency()
+    gen = rng.substream(43, f"graph-layer/{len(lead)}/{d_in}")
+    plan = spectral_plan(4, 4, 1, GridGraph(4, 4).stencil)
+    x0 = gen.normal_array(lead + (16, d_in))
+    base0 = gen.normal_array(lead + (16, d_out))
     weights = {
-        "wr": gen.normal_array((len(plan.mode_idx), 3, 2)),
-        "wi": gen.normal_array((len(plan.mode_idx), 3, 2)),
-        "w": gen.normal_array((3, 2)),
-        "b": gen.normal_array((2,)),
+        "wr": gen.normal_array((len(plan.mode_idx), d_in, d_out)),
+        "wi": gen.normal_array((len(plan.mode_idx), d_in, d_out)),
+        "ws": gen.normal_array((d_in, d_out)),
+        "w": gen.normal_array((d_in, d_out)),
+        "b": gen.normal_array((d_out,)),
     }
-    cotangent = gen.normal_array(lead + (grid.n_nodes, 2))
+    cotangent = gen.normal_array(lead + (16, d_out))
 
     def run(layer):
         params = {k: parameter(v.copy(), k) for k, v in weights.items()}
@@ -322,19 +349,22 @@ def test_graph_layer_bit_equal_to_composed_ops(lead, const):
         wrt = [*params.values()] + ([x] if x.requires_grad else [])
         with Tape() as tape:
             if const == "spectral":
-                spectral = Tensor(spectral0)
+                base = Tensor(base0)
+            elif const == "self":
+                base = matmul(x, params["ws"])
             else:
-                spectral = spectral_channel_mix(x, params["wr"], params["wi"], plan)
-            y = layer(spectral, x, grid.adjacency, grid.adjacency_t, params["w"], params["b"])
+                base = spectral_channel_mix(x, params["wr"], params["wi"], plan)
+            y = layer(base, x, a, a_t, params["w"], params["b"])
             loss = tensor_sum(mul(y, cotangent))
         return y.data, backward(loss, tape, params=wrt)
 
     fused_y, fused = run(graph_layer)
     composed_y, composed = run(_composed_layer)
     assert fused_y.tobytes() == composed_y.tobytes()
-    if const == "spectral":
-        # The value itself: gelu(spectral + (A x) W + b) with a dense A.
-        pre = spectral0 + (grid.adjacency.toarray() @ x0) @ weights["w"] + weights["b"]
+    if const in ("spectral", "self"):
+        # The value itself: gelu(base + (A x) W + b) with a dense A.
+        base = base0 if const == "spectral" else x0 @ weights["ws"]
+        pre = base + (a.toarray() @ x0) @ weights["w"] + weights["b"]
         np.testing.assert_allclose(fused_y, gelu_oracle(pre), rtol=1e-12, atol=1e-15)
     assert fused.keys() == composed.keys()
     for name in composed:
@@ -342,6 +372,9 @@ def test_graph_layer_bit_equal_to_composed_ops(lead, const):
 
 
 def test_graph_layer_gradient_matches_finite_differences():
+    # The ODE layer on the periodic grid, then the GNN encoder's layer (the
+    # base is matmul(x, W_self)) on an asymmetric A at each leading rank and
+    # at d_in 1.
     grid = GridGraph(3, 4)
     gen = rng.substream(47, "graph-layer-fd/gelu")
     values = {
@@ -357,49 +390,46 @@ def test_graph_layer_gradient_matches_finite_differences():
 
     check_gradients(loss, values)
 
-
-def _uneven_adjacency():
-    """Row-normalized adjacency of an 8-neighbour 4x4 grid without
-    wrap-around, and its transpose. Degrees vary (3 to 8), so A is not
-    symmetric and applying A where A.T is meant changes the result."""
-    r, c = np.divmod(np.arange(16), 4)
-    near = (np.abs(r[:, None] - r) <= 1) & (np.abs(c[:, None] - c) <= 1)
-    np.fill_diagonal(near, False)
-    a = sparse.csr_matrix(near / near.sum(axis=1, keepdims=True))
-    return a, a.T.tocsr()
-
-
-def _composed_gnn_layer(h, a, a_t, w, b, r):
-    """The GNN-encoder layer as the separate ops it fuses."""
-    combined = gelu(matmul(concat([h, sparse_matmul(a, h, a_t)], axis=-1), w) + b)
-    return (h if r is None else matmul(h, r)) + combined
-
-
-@pytest.mark.parametrize("const", [None, "h"], ids=["all-grad", "h-const"])
-@pytest.mark.parametrize("lead", [(), (2,)], ids=["N-D", "B-N-D"])
-@pytest.mark.parametrize("resid", [True, False], ids=["resid", "skip"])
-def test_gnn_layer_bit_equal_to_composed_ops(resid, lead, const):
-    # h also feeds an op recorded before the layer, as the encoder input
-    # feeds channel attention, so h's gradient accumulates across both;
-    # values and every gradient must be the same bits.
     a, a_t = _uneven_adjacency()
-    gen = rng.substream(59, f"gnn-layer/{resid}/{len(lead)}")
-    d_out = 2 if resid else 3
-    h0 = gen.normal_array(lead + (16, 3))
-    weights = {"w": gen.normal_array((6, d_out)), "b": gen.normal_array((d_out,))}
-    if resid:
-        weights["r"] = gen.normal_array((3, d_out))
-    cotangent = gen.normal_array(lead + (16, d_out))
-    fused_y = _assert_gnn_layer_is_composed_ops(a, a_t, h0, weights, cotangent, const != "h")
-    # The value itself, with a dense A.
-    pre = np.concatenate([h0, a.toarray() @ h0], axis=-1) @ weights["w"] + weights["b"]
-    skip = h0 @ weights["r"] if resid else h0
-    np.testing.assert_allclose(fused_y, skip + gelu_oracle(pre), rtol=1e-12, atol=1e-15)
+    for lead, d_in in (((), 3), ((2,), 3), ((3, 2), 3), ((2,), 1)):
+        values = {
+            "x": gen.normal_array(lead + (16, d_in)),
+            "ws": gen.normal_array((d_in, 2)),
+            "w": gen.normal_array((d_in, 2)),
+            "b": gen.normal_array((2,)),
+        }
+
+        def self_loss(p):
+            y = graph_layer(matmul(p["x"], p["ws"]), p["x"], a, a_t, p["w"], p["b"])
+            return tensor_sum(square(y))
+
+        check_gradients(self_loss, values)
 
 
-def _assert_gnn_layer_is_composed_ops(a, a_t, h0, weights, cotangent, grad_h):
-    """Asserts that ``gnn_layer``'s value and every gradient are the bits of
-    the composed ops'; returns the value."""
+def _uneven_graph():
+    """``_uneven_adjacency()`` as the graph ``gnn_encode`` reads."""
+    a, a_t = _uneven_adjacency()
+    return SimpleNamespace(n_nodes=16, adjacency=a, adjacency_t=a_t)
+
+
+def _gnn_layer(p):
+    """The encoder's ``GnnLayer`` of the weights ``ws``, ``wn``, ``b`` and,
+    when the width changes, ``r``."""
+    return GnnLayer(self_w=p["ws"], neighbor_w=p["wn"], combine_b=p["b"], resid_w=p.get("r"))
+
+
+def _composed_gnn_layer(h, graph, p):
+    """The GNN-encoder layer as separate ops."""
+    combined = _composed_layer(
+        matmul(h, p["ws"]), h, graph.adjacency, graph.adjacency_t, p["wn"], p["b"]
+    )
+    return (h if p.get("r") is None else matmul(h, p["r"])) + combined
+
+
+def _assert_gnn_layer_is_composed_ops(h0, weights, cotangent, grad_h):
+    """Asserts that one round of ``gnn_encode``'s value and every gradient
+    are the bits of the composed ops'; returns the value."""
+    graph = _uneven_graph()
 
     def run(layer):
         params = {k: parameter(v.copy(), k) for k, v in weights.items()}
@@ -407,11 +437,11 @@ def _assert_gnn_layer_is_composed_ops(a, a_t, h0, weights, cotangent, grad_h):
         wrt = [*params.values()] + ([h] if h.requires_grad else [])
         with Tape() as tape:
             before = tensor_sum(tanh(h))
-            y = layer(h, a, a_t, params["w"], params["b"], params.get("r"))
+            y = layer(h, graph, params)
             loss = tensor_sum(mul(y, cotangent)) + before
         return y.data, backward(loss, tape, params=wrt)
 
-    fused_y, fused = run(gnn_layer)
+    fused_y, fused = run(lambda h, graph, p: gnn_encode(h, graph, [_gnn_layer(p)]))
     composed_y, composed = run(_composed_gnn_layer)
     assert fused_y.tobytes() == composed_y.tobytes()
     assert fused.keys() == composed.keys()
@@ -420,60 +450,89 @@ def _assert_gnn_layer_is_composed_ops(a, a_t, h0, weights, cotangent, grad_h):
     return fused_y
 
 
+@pytest.mark.parametrize("const", [None, "h"], ids=["all-grad", "h-const"])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["N-D", "B-N-D"])
+@pytest.mark.parametrize("resid", [True, False], ids=["resid", "skip"])
+def test_gnn_layer_bit_equal_to_composed_ops(resid, lead, const):
+    # One encoder layer (matmul, graph_layer, then the skip) on an asymmetric
+    # A. h also feeds an op recorded before the layer, as the encoder input
+    # feeds channel attention, so h's gradient accumulates across both;
+    # values and every gradient must be the same bits.
+    gen = rng.substream(59, f"gnn-layer/{resid}/{len(lead)}")
+    d_out = 2 if resid else 3
+    h0 = gen.normal_array(lead + (16, 3))
+    weights = {
+        "ws": gen.normal_array((3, d_out)),
+        "wn": gen.normal_array((3, d_out)),
+        "b": gen.normal_array((d_out,)),
+    }
+    if resid:
+        weights["r"] = gen.normal_array((3, d_out))
+    cotangent = gen.normal_array(lead + (16, d_out))
+    fused_y = _assert_gnn_layer_is_composed_ops(h0, weights, cotangent, const != "h")
+    # The value itself, with a dense A.
+    a, _ = _uneven_adjacency()
+    pre = h0 @ weights["ws"] + (a.toarray() @ h0) @ weights["wn"] + weights["b"]
+    skip = h0 @ weights["r"] if resid else h0
+    np.testing.assert_allclose(fused_y, skip + gelu_oracle(pre), rtol=1e-12, atol=1e-15)
+
+
 @pytest.mark.parametrize("d_in", [1, 64])
 @pytest.mark.parametrize("resid", [True, False], ids=["resid", "skip"])
 def test_gnn_layer_bit_equal_to_composed_ops_at_encoder_widths(resid, d_in):
     # d_in 1 is the Navier-Stokes encoder's first layer, where OpenBLAS
     # takes matrix-vector kernels; 64 is a wide hidden layer.
-    a, a_t = _uneven_adjacency()
     gen = rng.substream(83, f"gnn-layer-widths/{resid}/{d_in}")
     d_out = 32 if resid else d_in
-    weights = {"w": gen.normal_array((2 * d_in, d_out)), "b": gen.normal_array((d_out,))}
+    weights = {
+        "ws": gen.normal_array((d_in, d_out)),
+        "wn": gen.normal_array((d_in, d_out)),
+        "b": gen.normal_array((d_out,)),
+    }
     if resid:
         weights["r"] = gen.normal_array((d_in, d_out))
     h0 = gen.normal_array((2, 16, d_in))
     cotangent = gen.normal_array((2, 16, d_out))
-    _assert_gnn_layer_is_composed_ops(a, a_t, h0, weights, cotangent, grad_h=True)
+    _assert_gnn_layer_is_composed_ops(h0, weights, cotangent, grad_h=True)
 
 
 @pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["N-D", "B-N-D", "T-B-N-D"])
 def test_gnn_layer_gradient_matches_finite_differences(lead):
-    a, a_t = _uneven_adjacency()
+    # One encoder layer on an asymmetric A, with a residual matrix and then
+    # with the identity skip.
+    graph = _uneven_graph()
     gen = rng.substream(23, "gnn-layer-fd")
-    values = {
-        "h": gen.normal_array(lead + (16, 3)),
-        "w": gen.normal_array((6, 2)),
-        "b": gen.normal_array((2,)),
-        "r": gen.normal_array((3, 2)),
-    }
 
     def loss(p):
-        return tensor_sum(square(gnn_layer(p["h"], a, a_t, p["w"], p["b"], p["r"])))
+        return tensor_sum(square(gnn_encode(p["h"], graph, [_gnn_layer(p)])))
 
-    check_gradients(loss, values)
+    h0 = gen.normal_array(lead + (16, 3))
+    for d_out, resid in ((2, True), (3, False)):
+        values = {
+            "h": h0,
+            "ws": gen.normal_array((3, d_out)),
+            "wn": gen.normal_array((3, d_out)),
+            "b": gen.normal_array((d_out,)),
+        }
+        if resid:
+            values["r"] = gen.normal_array((3, d_out))
+        check_gradients(loss, values)
 
-    def skip_loss(p):
-        return tensor_sum(square(gnn_layer(p["h"], a, a_t, p["w3"], p["b3"])))
 
-    check_gradients(skip_loss, {
-        "h": values["h"], "w3": gen.normal_array((6, 3)), "b3": gen.normal_array((3,)),
-    })
-
-
-def test_gnn_layer_unrecorded_keeps_nothing():
+def test_graph_layer_unrecorded_keeps_nothing():
     # Outside a tape (the frozen encoder) and on a tape with only constant
-    # operands, the layer is a plain value: no VJP closure holds A h or the
+    # operands, the layer is a plain value: no VJP closure holds A x or the
     # slope.
     a, a_t = _uneven_adjacency()
-    gen = rng.substream(61, "gnn-layer-unrecorded")
-    h0 = gen.normal_array((2, 16, 3))
-    w = parameter(gen.normal_array((6, 2)), "w")
+    gen = rng.substream(61, "graph-layer-unrecorded")
+    x0 = gen.normal_array((2, 16, 3))
+    base0 = gen.normal_array((2, 16, 2))
+    w = parameter(gen.normal_array((3, 2)), "w")
     b = parameter(gen.normal_array((2,)), "b")
-    r = parameter(gen.normal_array((3, 2)), "r")
     with Tape() as tape:
-        recorded = gnn_layer(Tensor(h0), a, a_t, w, b, r)
-        constant = gnn_layer(Tensor(h0), a, a_t, Tensor(w.data), Tensor(b.data), Tensor(r.data))
-    free = gnn_layer(Tensor(h0), a, a_t, w, b, r)
+        recorded = graph_layer(Tensor(base0), Tensor(x0), a, a_t, w, b)
+        constant = graph_layer(Tensor(base0), Tensor(x0), a, a_t, Tensor(w.data), Tensor(b.data))
+    free = graph_layer(Tensor(base0), Tensor(x0), a, a_t, w, b)
     assert recorded._vjp is not None and tape._nodes == [recorded._node]
     for out in (constant, free):
         assert out._vjp is None and out._node is None and not out.requires_grad
@@ -482,8 +541,8 @@ def test_gnn_layer_unrecorded_keeps_nothing():
 
 def test_pretrain_step_tape_budget(monkeypatch):
     # One pretrain step with a 2-layer GNN (the first layer with a residual
-    # matrix, the second with the identity skip) records one fused node per
-    # GNN layer, and none of the sparse products or concatenations it fuses.
+    # matrix, the second with the identity skip) records one graph_layer node
+    # per GNN layer, and none of the sparse products or concatenations it fuses.
     grid = GridGraph(4, 4)
     gen = rng.substream(67, "pretrain-tape-budget")
     episode = Episode(delta=np.array([1e-3, 2e-3]), x=gen.normal_array((4, 16, 2)), seed=0)
@@ -503,8 +562,8 @@ def test_pretrain_step_tape_budget(monkeypatch):
     state_dictionary.pretrain(ds, cfg, seed=3)
     assert len(tapes) == 1
     ops = tapes[0]
-    assert ops["gnn_layer"] == 2
-    assert ops["sparse_matmul"] == 0 and ops["concat"] == 0
+    assert ops["graph_layer"] == 2
+    assert ops["gnn_layer"] == ops["sparse_matmul"] == ops["concat"] == 0
 
 
 def _out_of_place_backward(loss, tape, params):
@@ -971,9 +1030,11 @@ def test_parameters_of_the_models_in_pinned_order():
             "g1", "g2_real", "g2_imag"]
     assert list(parameters(stack, codebook)) == [
         *(f"encoder.attn.{name}" for name in attn),
-        "encoder.gnn.0.combine_w", "encoder.gnn.0.combine_b", "encoder.gnn.0.resid_w",
-        "encoder.gnn.1.combine_w", "encoder.gnn.1.combine_b",
-        "encoder.gnn.2.combine_w", "encoder.gnn.2.combine_b", "encoder.gnn.2.resid_w",
+        "encoder.gnn.0.self_w", "encoder.gnn.0.neighbor_w", "encoder.gnn.0.combine_b",
+        "encoder.gnn.0.resid_w",
+        "encoder.gnn.1.self_w", "encoder.gnn.1.neighbor_w", "encoder.gnn.1.combine_b",
+        "encoder.gnn.2.self_w", "encoder.gnn.2.neighbor_w", "encoder.gnn.2.combine_b",
+        "encoder.gnn.2.resid_w",
         "encoder.decoder.w_a", "encoder.decoder.b_a",
         "encoder.decoder.w_b", "encoder.decoder.b_b",
         "codebook.embeddings",

@@ -787,11 +787,11 @@ def test_snapshot_stores_each_setting_once(workspace, tmp_path):
     expected.augment.max_ratio = 0.4
     expected.augment.start_epoch, expected.augment.ramp_epochs = 1, 1  # 20%, 30% of 4
     assert snapshot["experiment"] == config_to_dict(expected)
-    assert sorted(snapshot["meta"]) == ["augmented", "channel_names", "d_delta", "d_obs", "tau"]
+    assert sorted(snapshot["meta"]) == ["augmented", "channel_names", "d_delta", "tau"]
     assert snapshot["meta"]["tau"] > 0
     pre = load_checkpoint(str(workspace["pretrain_ckpt"])).config
     assert pre["experiment"] == config_to_dict(load_config(str(workspace["config"])))
-    assert sorted(pre["meta"]) == ["channel_names", "d_delta", "d_obs"]
+    assert sorted(pre["meta"]) == ["channel_names", "d_delta"]
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-k"])
@@ -848,6 +848,42 @@ def test_dynamics_checkpoint_refused_where_pretrain_expected(workspace, tmp_path
     argv = _train_argv(workspace, out, checkpoint=workspace["dynamics_ckpt"])
     assert main([command] + argv[1:]) == 4
     assert "expected a pretrain checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k", "eval"])
+def test_checkpoint_with_concatenated_gnn_weights_exits_4(workspace, tmp_path, capsys, command):
+    # A checkpoint from before the GNN layer ran on graph_layer holds each
+    # layer's self and neighbor weights as one (2 d_in, d_out) combine_w.
+    key = "dynamics_ckpt" if command == "eval" else "pretrain_ckpt"
+    ckpt = load_checkpoint(str(workspace[key]))
+    frozen = set(ckpt.frozen_names)
+    for i in range(yaml.safe_load(MICRO_CONFIG)["pretrain"]["gnn_layers"]):
+        halves = [f"encoder.gnn.{i}.self_w", f"encoder.gnn.{i}.neighbor_w"]
+        combined = f"encoder.gnn.{i}.combine_w"
+        ckpt.tensors[combined] = np.concatenate([ckpt.tensors.pop(n) for n in halves])
+        if halves[0] in frozen:
+            frozen = (frozen - set(halves)) | {combined}
+    ckpt.frozen_names = sorted(frozen)
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(ckpt, str(old))
+    out = tmp_path / "out"
+    argv = _argv(workspace, command, out)
+    argv[argv.index("--checkpoint") + 1] = str(old)
+    assert main([command] + argv) == 4
+    assert "checkpoint is missing tensor 'encoder.gnn.0.self_w'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_channel_count_must_match_dataset(workspace, tmp_path, capsys):
+    # The snapshot's channel count is that of its channel names.
+    ckpt = load_checkpoint(str(workspace["pretrain_ckpt"]))
+    ckpt.config["meta"]["channel_names"] += ["extra"]
+    wide = tmp_path / "wide.ckpt"
+    save_checkpoint(ckpt, str(wide))
+    out = tmp_path / "train"
+    assert main(_train_argv(workspace, out, checkpoint=wide)) == 4
+    assert "channels: checkpoint 2 vs dataset 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -85,3 +85,28 @@ def test_differing_values_are_named_with_their_drift(tmp_path, capsys):
     assert f"DIFF     predictions_out.npz: predictions: values differ, max |a-b| / max|a| = {drift}" in out
     assert "steps" not in out and "windows" not in out
     assert "2 file(s) differ" in out
+
+
+def test_arrays_on_one_side_are_named_and_shared_ones_still_drift(tmp_path, capsys):
+    # A renamed tensor must not hide the drift of the tensors both sides hold.
+    w = np.arange(1.0, 7.0).reshape(2, 3)
+    a = _tree(tmp_path / "a", {"seed": 1}, w, "1.5")
+    b = _tree(tmp_path / "b", {"seed": 1}, w, "1.5")
+    moved = w.copy()
+    moved[1, 2] = np.nextafter(6.0, 7.0)
+    for root, tensors in ((a, {"w": w, "old": w}), (b, {"w": moved, "new": w, "steps": w})):
+        save_checkpoint(
+            ModelCheckpoint(config={"seed": 1}, tensors=tensors, frozen_names=[]),
+            str(root / "model.ckpt"),
+        )
+    np.savez(b / "predictions_out.npz", predictions=w, extra=w, windows=np.arange(3))
+    assert compare_artifacts.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    drift = f"{(np.nextafter(6.0, 7.0) - 6.0) / 6.0:.3g}"
+    assert "DIFF     model.ckpt: old: only in a" in out
+    assert "DIFF     model.ckpt: new: only in b" in out
+    assert "DIFF     model.ckpt: steps: only in b" in out
+    assert f"DIFF     model.ckpt: w: values differ, max |a-b| / max|a| = {drift}" in out
+    assert "DIFF     predictions_out.npz: extra: only in b" in out
+    assert "predictions:" not in out and "windows" not in out
+    assert "2 file(s) differ" in out

@@ -147,10 +147,9 @@ def test_gnn_aggregate_only_matches_dense_oracle(grid):
     d_in, d_out = 2, 3
     gen = rng.substream(9, "gnn2")
     proj = gen.normal_array((d_in, d_out))
-    combine = np.zeros((2 * d_in, d_out))
-    combine[d_in:, :] = proj  # use only the aggregated half
     layer = GnnLayer(
-        combine_w=Tensor(combine, requires_grad=True, name="g.w"),
+        self_w=Tensor(np.zeros((d_in, d_out)), requires_grad=True, name="g.w_self"),
+        neighbor_w=Tensor(proj, requires_grad=True, name="g.w_neighbor"),
         combine_b=Tensor(np.zeros(d_out), requires_grad=True, name="g.b"),
         resid_w=Tensor(np.zeros((d_in, d_out)), requires_grad=True, name="g.r"),
     )
@@ -223,7 +222,8 @@ def test_gnn_gradients():
         for layer_idx, layer in enumerate(w):
             layers.append(
                 GnnLayer(
-                    combine_w=p[f"encoder.gnn.{layer_idx}.combine_w"],
+                    self_w=p[f"encoder.gnn.{layer_idx}.self_w"],
+                    neighbor_w=p[f"encoder.gnn.{layer_idx}.neighbor_w"],
                     combine_b=p[f"encoder.gnn.{layer_idx}.combine_b"],
                     resid_w=(
                         p[f"encoder.gnn.{layer_idx}.resid_w"]

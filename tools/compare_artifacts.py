@@ -16,7 +16,7 @@ side only is a difference. Per kind:
                     and bytes.
 
 Each checkpoint tensor or npz array whose values differ is named with its
-drift, max |a - b| / max |a|.
+drift, max |a - b| / max |a|, and each found on one side only is named as such.
 
 Other files (configs, logs) are listed as not compared.
 Exit status: 0 when nothing differs outside the checkpoint snapshots, 1 when
@@ -88,12 +88,15 @@ def _row_problems(rows_a: list[list[str]], rows_b: list[list[str]]) -> list[str]
 
 
 def _array_problems(arrays_a: dict, arrays_b: dict) -> list[str]:
-    """Differences between two name -> array maps, naming each array that
-    differs and, where only its values do, its drift."""
-    if sorted(arrays_a) != sorted(arrays_b):
-        return [f"arrays {sorted(arrays_a)} vs {sorted(arrays_b)}"]
-    out = []
-    for name in sorted(arrays_a):
+    """Differences between two name -> array maps: each array found on one
+    side only, and each shared array that differs with, where only its values
+    do, its drift."""
+    out = [
+        f"{name}: only in {side}"
+        for side, here, there in (("a", arrays_a, arrays_b), ("b", arrays_b, arrays_a))
+        for name in sorted(set(here) - set(there))
+    ]
+    for name in sorted(set(arrays_a) & set(arrays_b)):
         x, y = arrays_a[name], arrays_b[name]
         if (x.dtype, x.shape) != (y.dtype, y.shape):
             out.append(f"{name}: {x.dtype}{x.shape} vs {y.dtype}{y.shape}")
