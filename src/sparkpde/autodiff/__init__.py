@@ -18,6 +18,7 @@ from .tensor import (
     parameters,
     spectral_channel_mix,
     spectral_plan,
+    spectral_weights,
     square,
     stop_gradient,
     tanh,
@@ -43,6 +44,7 @@ __all__ = [
     "parameters",
     "spectral_channel_mix",
     "spectral_plan",
+    "spectral_weights",
     "square",
     "stop_gradient",
     "tanh",

@@ -41,11 +41,13 @@ self term h W_self (then adds its skip, h or h R, outside the node).
 Complex spectral weights are represented as explicit real/imaginary tensor
 pairs. The one spectral op, ``spectral_channel_mix``, takes its DFTs with
 real GEMMs: unnormalized forward and 1/(H*W) inverse, as ``np.fft.fft2`` and
-``np.fft.ifft2``. Which Fourier modes it keeps (|k| <= k_max per axis), the
-matrices it applies and the adjacency's pointwise Fourier symbol are one
-``SpectralPlan``, which ``spectral_plan`` builds once per spectral layer,
-with that layer's weights. The module keeps no state besides each thread's
-active tape: a thread records only on a tape it entered itself.
+``np.fft.ifft2``. Which Fourier modes it keeps (|k| <= k_max per axis, as the
+non-negative-column half of the spectrum, since the fields are real and
+X(-k) = conj(X(k))), the matrices it applies and the adjacency's pointwise
+Fourier symbol are one ``SpectralPlan``, which ``spectral_plan`` builds once
+per spectral layer; ``spectral_weights`` draws that layer's weights. The
+module keeps no state besides each thread's active tape: a thread records
+only on a tape it entered itself.
 """
 
 from __future__ import annotations
@@ -507,25 +509,38 @@ class SpectralPlan(NamedTuple):
 
     height: int
     width: int
-    mode_idx: Array  # (K,) flat spectrum indices kr*W + kc, row-major
+    mode_idx: Array  # (K,) flat spectrum indices kr*W + kc, row-major, kc >= 0
     shape: tuple[int, int]  # retained rows x retained columns
     symbol: Array | None  # (H*W,) real DFT of the adjacency's stencil
     dft_h: Array  # (2R, H): real field -> complex DFT along H
     dft_w: Array  # (2S, 2W): complex -> complex DFT along W
-    idft_w: Array  # (2W, 2S): complex inverse DFT along W
+    idft_w: Array  # (2W, 2S): complex inverse DFT along W, interior columns twice
     idft_h: Array  # (H, 2R): real part of the inverse along H, times 1/(H*W)
 
 
 def spectral_plan(height: int, width: int, k_max: int,
                   stencil: Array | None = None) -> SpectralPlan:
-    """The plan of the Fourier modes with |k| <= k_max per axis on an H x W grid.
+    """The plan of the Fourier modes with |k| <= k_max per axis on an H x W
+    grid, kept as their non-negative-column half.
 
-    Wavenumbers follow the DFT layout (non-negative then negative), so the
-    retained modes are the product of the retained rows and the retained
-    columns: the four corner blocks of the spectrum, K modes in all. With the
-    grid adjacency's (H, W) ``stencil``, the op keeps the retained rows of
-    A @ DFT(x) instead. Each spectral layer builds its plan once, with its
-    weights.
+    The field is real, so X(-k) = conj(X(k)), and the op keeps only the real
+    part of its inverse: a mode pair (k, -k) reaches the output only through
+    W(k) + conj(W(-k)). So the plan keeps the retained rows |kr| <= k_max
+    (DFT layout, non-negative then negative) times the columns
+    0 <= kc <= k_max: two blocks of non-negative columns, K = (2 k_max + 1)
+    (k_max + 1) modes when 2 k_max < H, as ``rfft2`` lays out a spectrum.
+    Each interior column (0 < kc < W/2) stands for itself and its conjugate
+    -kc, so ``idft_w`` counts it twice; column 0 and a Nyquist column
+    (kc = W/2 = -kc) count once. With the grid adjacency's (H, W)
+    ``stencil``, the op keeps the retained rows of A @ DFT(x) instead. Each
+    spectral layer builds its plan once, with its weights.
+
+    Some weights stay redundant, because the modes must fill a row x column
+    product set: in column 0 and a Nyquist column, the modes (kr, kc) and
+    (-kr, kc) are conjugates, so only W(kr, kc) + conj(W(-kr, kc)) matters,
+    and the imaginary weights of a self-conjugate mode (the DC mode (0, 0),
+    and (H/2, 0), (0, W/2) or (H/2, W/2) where a Nyquist row or column is
+    kept) never reach the output: their gradient is exactly 0.
 
     Precondition: A is the same stencil a at every node, A[i, j] = a[j - i]
     with grid offsets mod (H, W), as ``GridGraph``'s periodic neighbor mean
@@ -544,10 +559,8 @@ def spectral_plan(height: int, width: int, k_max: int,
                 f"spectral_plan: stencil must be ({height}, {width}), got {stencil.shape}"
             )
         symbol = np.fft.fft2(stencil).real.reshape(-1)
-    rows, cols = (
-        np.flatnonzero(np.minimum(np.arange(n), n - np.arange(n)) <= k_max)
-        for n in (height, width)
-    )
+    rows = np.flatnonzero(np.minimum(np.arange(height), height - np.arange(height)) <= k_max)
+    cols = np.arange(k_max + 1)
     mode_idx = (rows[:, None] * width + cols[None, :]).reshape(-1)
 
     cos, sin = _cos_sin(rows, height)
@@ -557,15 +570,39 @@ def spectral_plan(height: int, width: int, k_max: int,
     dft_w = np.stack(
         [np.concatenate([cos, sin], axis=1), np.concatenate([-sin, cos], axis=1)], axis=1
     ).reshape(-1, 2 * width)
+    twice = np.where((cols > 0) & (2 * cols != width), 2.0, 1.0).repeat(2)
     idft_w = np.concatenate(
         [
             np.stack([cos.T, -sin.T], axis=2).reshape(width, -1),
             np.stack([sin.T, cos.T], axis=2).reshape(width, -1),
         ]
-    )
+    ) * twice
     return SpectralPlan(
         height, width, mode_idx, (len(rows), len(cols)), symbol, dft_h, dft_w, idft_w, idft_h,
     )
+
+
+def spectral_weights(gen, plan: SpectralPlan, c_in: int, c_out: int,
+                     std: float) -> tuple[Array, Array]:
+    """Initial (K, c_in, c_out) real and imaginary weights of ``plan``, folded
+    from full-spectrum draws.
+
+    ``gen`` draws std * N(0, 1) real parts, then imaginary parts, for every
+    mode with |k| <= k_max per axis, row-major: the retained rows times the
+    columns 0..k_max, then -k_max..-1. Each interior column is folded onto
+    its conjugate partner, W'(kr, kc) = (W(kr, kc) + conj(W(-kr, -kc))) / 2,
+    so the op with W' is the full-spectrum op with W.
+    """
+    rows, cols = plan.shape
+    inner = cols - 1 - (2 * (cols - 1) == plan.width)  # the columns 0 < kc < W/2
+    w_real = gen.normal_array((rows, cols + inner, c_in, c_out)) * std
+    w_imag = gen.normal_array((rows, cols + inner, c_in, c_out)) * std
+    partner = (-np.arange(rows)) % rows  # the retained rows are closed under -kr
+    fold = slice(1, 1 + inner)
+    half_real, half_imag = w_real[:, :cols].copy(), w_imag[:, :cols].copy()
+    half_real[:, fold] = (half_real[:, fold] + w_real[partner, cols:][:, ::-1]) / 2
+    half_imag[:, fold] = (half_imag[:, fold] - w_imag[partner, cols:][:, ::-1]) / 2
+    return half_real.reshape(-1, c_in, c_out), half_imag.reshape(-1, c_in, c_out)
 
 
 def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
@@ -573,9 +610,11 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
 
     x: (..., H*W, C_in) in the row-major node layout (node r*W + c) that the
     graph layers hold; the output is (..., H*W, C_out) in the same layout.
-    w_real/w_imag: (K, C_in, C_out), the complex channel mix of each of the
-    K retained modes of ``plan`` (``plan.mode_idx`` order); every other mode
-    is zeroed. A plan built with the adjacency gives the retained rows of
+    w_real/w_imag: (K, C_in, C_out), the complex channel mix W of each of the
+    K retained modes of ``plan`` (``plan.mode_idx`` order, non-negative
+    columns). Its conjugate mode -k, when not retained, is mixed by conj(W),
+    as the real part of the inverse reads it (``spectral_plan``); every other
+    mode is zeroed. A plan built with the adjacency gives the retained rows of
     A @ DFT(x) = DFT(s * x): the field is multiplied by the plan's real
     symbol s, the DFT of the adjacency's stencil (see ``spectral_plan``), first.
 

@@ -92,18 +92,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list | tuple]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _input_file(path: str, what: str) -> str:
-    if not Path(path).exists():
-        raise ConfigError(f"{what} not found: {path}")
-    if not Path(path).is_file():
-        raise ConfigError(f"{what} is not a file: {path}")
-    return path
-
-
-def _load_dataset(path: str) -> EpisodeDataset:
-    return load_dataset(_input_file(path, "dataset"))
-
-
 def _make_dir(path: Path) -> Path:
     """Create ``path`` and its parents; a path that cannot be a directory is a
     usage error. Commands call this after their checks and before any work."""
@@ -216,7 +204,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
-    ds = _load_dataset(args.dataset)
+    ds = load_dataset(args.dataset)
     grid = cfg.dataset.grid
     if (grid.height, grid.width) != (ds.grid.height, ds.grid.width):
         raise IncompatibilityError(
@@ -258,7 +246,7 @@ def cmd_pretrain(args) -> int:
 
 def _load_checkpoint(path: str, kind: str) -> tuple[ModelCheckpoint, ExperimentConfig]:
     """A ``kind`` checkpoint and the config its snapshot records, parsed once."""
-    ckpt = load_checkpoint(_input_file(path, f"{kind} checkpoint"))
+    ckpt = load_checkpoint(path)
     if ckpt.config.get("kind") != kind:
         raise IncompatibilityError(
             f"expected a {kind} checkpoint, got {ckpt.config.get('kind')!r}"
@@ -271,7 +259,7 @@ def _load_pretrained(
 ) -> tuple[EpisodeDataset, EncoderStack, Codebook]:
     """The dataset and the pretrained encoder and codebook that ``train`` and
     ``sweep-k`` start from, checked against each other and against ``cfg``."""
-    ds = _load_dataset(args.dataset)
+    ds = load_dataset(args.dataset)
     ckpt, stored = _load_checkpoint(args.checkpoint, KIND_PRETRAIN)
     check_dataset_compatibility(stored, ckpt.config["meta"], ds)
     check_config_compatibility(stored, cfg)
@@ -320,7 +308,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt, cfg = _load_checkpoint(args.checkpoint, KIND_DYNAMICS)
-    ds = _load_dataset(args.dataset)
+    ds = load_dataset(args.dataset)
     check_dataset_compatibility(cfg, ckpt.config["meta"], ds)
     encoder, codebook = rebuild_pretrained(cfg, ckpt.tensors, ds)
     weights = rebuild_dynamics(cfg, ckpt.tensors, ds, codebook.dim)
@@ -358,7 +346,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect_codebook(args) -> int:
-    codebook = stored_codebook(load_checkpoint(_input_file(args.checkpoint, "checkpoint")).tensors)
+    codebook = stored_codebook(load_checkpoint(args.checkpoint).tensors)
     usage = codebook.usage
     if args.csv:
         _make_dir(Path(args.csv).parent)

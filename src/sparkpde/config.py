@@ -273,6 +273,10 @@ def load_config(path: str) -> ExperimentConfig:
             data = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except IsADirectoryError:
+        raise ConfigError(f"config path is not a file: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file is unreadable: {path}: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}")
     return config_from_dict(data)

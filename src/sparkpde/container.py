@@ -72,12 +72,19 @@ def write_container(path: str, body: bytes) -> None:
 
 
 def read_container(path: str, magic: bytes, kind: str) -> Reader:
-    """Read, check magic and CRC32, and return a reader placed after the magic."""
+    """Read, check magic and CRC32, and return a reader placed after the magic.
+
+    The one reader of a container path: a path that is missing, is not a file
+    or cannot be read is a ``FormatError`` naming ``kind`` and the path."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except FileNotFoundError:
         raise FormatError(f"{kind} not found: {path}")
+    except IsADirectoryError:
+        raise FormatError(f"{kind} is not a file: {path}")
+    except OSError as exc:
+        raise FormatError(f"{kind} is unreadable: {path}: {exc.strerror or exc}")
     if len(blob) < len(magic) + 4:
         raise FormatError(f"{kind} file is truncated")
     if blob[: len(magic)] != magic:

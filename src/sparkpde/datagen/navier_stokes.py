@@ -154,8 +154,8 @@ def simulate_navier_stokes(
         n2 = _nonlinear(predictor, ops)
         w_hat = decay * w_hat + 0.5 * dt * (decay * n1 + n2)
         w_hat[:, 0, 0] = 0.0
-        if not np.all(np.isfinite(w_hat.real)) or not np.all(np.isfinite(w_hat.imag)):
-            finite = np.isfinite(w_hat).all(axis=(1, 2))
+        finite = np.isfinite(w_hat).all(axis=(1, 2))  # false where either part is not
+        if not finite.all():
             raise NumericError(
                 f"vorticity diverged at step {step} in {episode(int(np.argmin(finite)))}"
             )

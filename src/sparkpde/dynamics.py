@@ -4,13 +4,14 @@ A history of frozen-encoder latents is pooled into an initial state by a
 node-wise temporal attention (scores against the tanh-transformed mean
 state), evolved by a stack of ODE layers combining a spectral branch
 (adjacency applied to Fourier coefficients, per-mode channel mixing over
-retained modes) with a spatial graph branch, and decoded to observations by
-a separate two-layer MLP. Every layer works on the (..., N, D) node
-layout at any leading rank and records two tape nodes: the spectral branch
-(``ad.spectral_channel_mix``), which computes only the retained modes by
-truncated DFTs made of real matrix products, and ``ad.graph_layer``, which
-applies the adjacency along the node axis, the spatial mix, the bias and the
-GeLU, and keeps only A H and the GeLU's slope for its VJP. The spectral
+the non-negative-column half of the retained modes) with a spatial graph
+branch, and decoded to observations by a separate two-layer MLP. Every layer
+works on the (..., N, D) node layout at any leading rank and records two tape
+nodes: the spectral branch (``ad.spectral_channel_mix``), which computes only
+the retained modes by truncated DFTs made of real matrix products, and
+``ad.graph_layer``, which applies the adjacency along the node axis, the
+spatial mix, the bias and the GeLU, and keeps only A H and the GeLU's slope
+for its VJP. The spectral
 branches of all layers share one ``ad.SpectralPlan`` (the retained modes, the
 DFT matrices and the adjacency's Fourier symbol), which ``init_dynamics``
 builds with the weights from ``GridGraph.stencil``. The adjacency is that
@@ -59,7 +60,9 @@ ENCODE_FRAMES = 4
 
 @dataclass
 class OdeLayer:
-    wf_real: Tensor  # (K, D, D) spectral channel mixing per retained mode
+    # (K, D, D) spectral channel mixing per retained mode of the
+    # half-spectrum plan (K = 153 at k_max 8 on 32x32)
+    wf_real: Tensor
     wf_imag: Tensor
     w: Tensor  # (D, D) spatial mixing
     b: Tensor  # (D,)
@@ -84,21 +87,15 @@ def init_dynamics(
 ) -> DynamicsWeights:
     """The forecaster ``cfg`` describes, for d_latent latents and d_obs channels."""
     plan = ad.spectral_plan(grid.height, grid.width, cfg.k_max, grid.stencil)
-    k = len(plan.mode_idx)
     spectral_std = 0.1 / np.sqrt(d_latent)
     spatial_std = 0.5 / np.sqrt(d_latent)
     layers = []
     for i in range(cfg.ode_layers):
+        wf_real, wf_imag = ad.spectral_weights(gen, plan, d_latent, d_latent, spectral_std)
         layers.append(
             OdeLayer(
-                wf_real=ad.parameter(
-                    gen.normal_array((k, d_latent, d_latent)) * spectral_std,
-                    f"dynamics.{i}.wf_real",
-                ),
-                wf_imag=ad.parameter(
-                    gen.normal_array((k, d_latent, d_latent)) * spectral_std,
-                    f"dynamics.{i}.wf_imag",
-                ),
+                wf_real=ad.parameter(wf_real, f"dynamics.{i}.wf_real"),
+                wf_imag=ad.parameter(wf_imag, f"dynamics.{i}.wf_imag"),
                 w=ad.parameter(
                     gen.normal_array((d_latent, d_latent)) * spatial_std,
                     f"dynamics.{i}.w",

@@ -4,6 +4,9 @@ Finite differences, the direct O(N^2) DFT, the erf-form GeLU and the
 one-word-at-a-time random draws are defined here once and kept independent
 of the implementation paths they check; ``spectral_projection`` is the one
 helper that runs the library's spectral op, for the oracles to read.
+``full_modes`` lists the full-spectrum mode set a plan halves, and
+``embed_weights`` places a plan's weights in it, so the full-spectrum
+oracles check the half-spectrum op.
 ``sparse_matmul`` records the sparse adjacency product as a separate tape
 node, for the composed-op oracles of the fused graph layers, and
 ``reference_adjacency`` builds the grid adjacency node by node, for the
@@ -187,6 +190,30 @@ def recorded_twice(call, params: dict, monkeypatch) -> tuple[list, list]:
         grads = backward(loss, tape, params=params.values())
         runs.append([out.data] + [grads[name] for name in params])
     return runs, plans
+
+
+def full_modes(plan) -> np.ndarray:
+    """Flat indices kr*W + kc of every mode with |k| <= k_max per axis, both
+    column signs, row-major: the full-spectrum mode set whose
+    non-negative-column half ``plan`` keeps."""
+    k_max = plan.shape[1] - 1
+    ky, kx = (np.minimum(np.arange(n), n - np.arange(n)) for n in (plan.height, plan.width))
+    return np.flatnonzero((ky[:, None] <= k_max) & (kx[None, :] <= k_max))
+
+
+def embed_weights(plan, weights: np.ndarray) -> np.ndarray:
+    """``plan``'s complex (K, C_in, C_out) weights on ``full_modes(plan)``:
+    c W on each of the plan's modes, with c = 2 where the mode's conjugate
+    -k is not in the plan (the plan's mode stands for both) and c = 1 where
+    it is, and zero on every other mode. The full-spectrum mix with these
+    weights is the plan's op: real(c W X e) = real(W X e + conj(W X e))."""
+    full = full_modes(plan)
+    kr, kc = np.divmod(plan.mode_idx, plan.width)
+    conj = (-kr % plan.height) * plan.width + (-kc % plan.width)
+    c = np.where(np.isin(conj, plan.mode_idx), 1.0, 2.0)
+    out = np.zeros((len(full),) + weights.shape[1:], dtype=np.complex128)
+    out[np.searchsorted(full, plan.mode_idx)] = c[:, None, None] * weights
+    return out
 
 
 def direct_spectral_mix(x: np.ndarray, weights: np.ndarray, mode_idx, h: int, w: int) -> np.ndarray:

@@ -68,7 +68,13 @@ from sparkpde.state_dictionary import (
     quantize,
 )
 
-from helpers import check_gradients, direct_spectral_mix, spectral_projection
+from helpers import (
+    check_gradients,
+    direct_spectral_mix,
+    embed_weights,
+    full_modes,
+    spectral_projection,
+)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -236,8 +242,9 @@ def test_gradient_integrity():
 
 def test_spectral_integrity():
     # On spectral_channel_mix, the model's one spectral op: the projection P
-    # onto all modes, Parseval on retained mode sets, and random per-mode
-    # weights against the direct DFT.
+    # onto all modes, Parseval on retained mode sets (the plan's modes and
+    # their conjugates), and random per-mode weights against the direct DFT
+    # of the full spectrum, with the plan's weights embedded.
     gen = rng.substream(1002, "accept/fft")
     worst_rt = 0.0
     worst_parseval = 0.0
@@ -250,7 +257,7 @@ def test_spectral_integrity():
         for k_max in (1, size // 4, size // 2):
             plan = spectral_plan(size, size, k_max)
             space = np.sum(spectral_projection(x, plan) ** 2)
-            freq = np.sum(power[:, plan.mode_idx]) / n
+            freq = np.sum(power[:, full_modes(plan)]) / n
             worst_parseval = max(worst_parseval, abs(space - freq) / freq)
     worst_oracle = 0.0
     for size in (4, 8, 16, 33):
@@ -259,7 +266,8 @@ def test_spectral_integrity():
         wr = gen.normal_array((len(plan.mode_idx), 2, 2))
         wi = gen.normal_array((len(plan.mode_idx), 2, 2))
         out = spectral_channel_mix(Tensor(x), wr, wi, plan).data
-        ref = direct_spectral_mix(x, wr + 1j * wi, plan.mode_idx, size, size)
+        ref = direct_spectral_mix(x, embed_weights(plan, wr + 1j * wi), full_modes(plan),
+                                  size, size)
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_oracle = max(worst_oracle, float(np.max(np.abs(out - ref))) / scale)
     ok = worst_rt <= 1e-10 and worst_parseval <= 1e-10 and worst_oracle <= 1e-9

@@ -43,7 +43,14 @@ from sparkpde.encoder import GnnLayer, gnn_encode, init_encoder_stack
 from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 
-from helpers import check_gradients, set_cores, sparse_matmul, tape_gradients
+from helpers import (
+    check_gradients,
+    embed_weights,
+    full_modes,
+    set_cores,
+    sparse_matmul,
+    tape_gradients,
+)
 from helpers import gelu as gelu_oracle
 
 
@@ -250,8 +257,10 @@ def _check_fused_against_composed(h, k_max, batch, channels, adjacency):
     # error d moves it by <v, d> ~ |d| for Gaussian v, so 1e-12 of the
     # Cauchy-Schwarz bound |v| |vjp(g)| catches |d| / |vjp(g)| above ~1e-10
     # at the production shape.
-    # Without k_max, the plan keeps every mode and the weights are zero off
-    # the modes [0, 2, 5, 9].
+    # Without k_max, the plan keeps every column kc >= 0 and the weights are
+    # zero off the modes [0, 2, 5, 9]. The numpy route runs the full
+    # spectrum, with the plan's weights embedded (``embed_weights``, linear
+    # in (w_real, w_imag), so the weights' adjoint identity holds through it).
     w = h
     n = h * w
     grid = GridGraph(h, w)
@@ -272,19 +281,22 @@ def _check_fused_against_composed(h, k_max, batch, channels, adjacency):
     v = gen.normal_array(lead + (n, c))
     ur, ui = gen.normal_array((k, c, c)), gen.normal_array((k, c, c))
     dense = grid.adjacency.toarray() if adjacency else None
+    full = full_modes(plan)
+
+    def composed(v, v_real, v_imag):
+        weights = embed_weights(plan, v_real + 1j * v_imag)
+        return _composed_mix(v, weights.real, weights.imag, full, h, w, dense)
 
     x = Tensor(x0, requires_grad=True)
     with Tape():
         out = spectral_channel_mix(x, wr0, wi0, plan)
-    np.testing.assert_allclose(
-        out.data, _composed_mix(x0, wr0, wi0, idx, h, w, dense), rtol=1e-12, atol=1e-12
-    )
+    np.testing.assert_allclose(out.data, composed(x0, wr0, wi0), rtol=1e-12, atol=1e-12)
 
     g_x, g_wr, g_wi = out._vjp(g)
-    lhs = np.vdot(_composed_mix(v, wr0, wi0, idx, h, w, dense), g)
+    lhs = np.vdot(composed(v, wr0, wi0), g)
     rhs = np.vdot(v, g_x)
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(g_x)
-    lhs = np.vdot(_composed_mix(x0, ur, ui, idx, h, w, dense), g)
+    lhs = np.vdot(composed(x0, ur, ui), g)
     rhs = np.vdot(ur, g_wr) + np.vdot(ui, g_wi)
     scale = np.hypot(np.linalg.norm(ur), np.linalg.norm(ui)) * np.hypot(
         np.linalg.norm(g_wr), np.linalg.norm(g_wi)

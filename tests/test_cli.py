@@ -8,7 +8,7 @@ import yaml
 
 from sparkpde import cli, config, dynamics, evaluation, serialization, state_dictionary
 from sparkpde.augment import curriculum_ratio
-from sparkpde.autodiff import Tensor, parameters
+from sparkpde.autodiff import Tensor, parameters, spectral_plan
 from sparkpde.autodiff.tensor import _record
 from sparkpde.checkpoint import load_checkpoint, save_checkpoint
 from sparkpde.cli import main
@@ -18,7 +18,7 @@ from sparkpde.grids import GridGraph
 from sparkpde.rng import Xoshiro256StarStar, derive_seed
 from sparkpde.serialization import rebuild_dynamics, rebuild_pretrained, stored_config
 
-from helpers import with_table_shape, write_parameter_lengths
+from helpers import full_modes, with_table_shape, write_parameter_lengths
 
 MICRO_CONFIG = """\
 seed: 42
@@ -488,6 +488,26 @@ def test_unreadable_config_rejected(tmp_path):
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("config", ["directory", "not-utf8"])
+@pytest.mark.parametrize("command", ["gen-data", "pretrain", "train", "sweep-k"])
+def test_config_that_cannot_be_read_exits_2(workspace, tmp_path, capsys, command, config):
+    # load_config turns a path that is not a file, or bytes that are not
+    # UTF-8, into a usage error naming the path, before any work.
+    path = tmp_path / "cfg"
+    if config == "directory":
+        path.mkdir()
+        message = f"config path is not a file: {path}"
+    else:
+        path.write_bytes(MICRO_CONFIG.encode("utf-8") + b"# \xff\n")
+        message = f"config file is unreadable: {path}"
+    out = tmp_path / "out"
+    argv = _argv(workspace, command, out)
+    argv[argv.index("--config") + 1] = str(path)
+    assert main([command] + argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # (dotted key, invalid value): every key with a rule, plus the cross-field
 # probes (k_max > min(H,W)/2 = 8, augment.k > codebook_size = 12,
 # t_total < t0 + horizon = 6, a non-positive viscosity).
@@ -872,6 +892,30 @@ def test_checkpoint_with_concatenated_gnn_weights_exits_4(workspace, tmp_path, c
     argv[argv.index("--checkpoint") + 1] = str(old)
     assert main([command] + argv) == 4
     assert "checkpoint is missing tensor 'encoder.gnn.0.self_w'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k", "eval"])
+def test_checkpoint_with_full_spectrum_weights_exits_4(workspace, tmp_path, capsys, command):
+    # A checkpoint from before the half-spectrum layout holds a weight for
+    # every mode with |k| <= k_max per axis, both column signs. Its K differs
+    # wherever the two layouts compute different things, so the tensor's
+    # shape refuses it by name, and the DFT tag stays the same.
+    key = "dynamics_ckpt" if command == "eval" else "pretrain_ckpt"
+    ckpt = load_checkpoint(str(workspace[key]))
+    k_max = yaml.safe_load(MICRO_CONFIG)["pretrain"]["k_max"]
+    k_full = len(full_modes(spectral_plan(16, 16, k_max)))
+    for part in ("real", "imag"):
+        half = ckpt.tensors[f"encoder.attn.g2_{part}"]
+        assert half.shape[0] < k_full
+        ckpt.tensors[f"encoder.attn.g2_{part}"] = np.zeros((k_full,) + half.shape[1:])
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(ckpt, str(old))
+    out = tmp_path / "out"
+    argv = _argv(workspace, command, out)
+    argv[argv.index("--checkpoint") + 1] = str(old)
+    assert main([command] + argv) == 4
+    assert "tensor 'encoder.attn.g2_real' has shape (49," in capsys.readouterr().err
     assert not out.exists()
 
 

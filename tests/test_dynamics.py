@@ -40,7 +40,7 @@ from sparkpde.errors import ContractViolation, NumericError
 from sparkpde.grids import GridGraph
 from sparkpde.state_dictionary import new_codebook
 
-from helpers import check_gradients, gelu, recorded_twice, set_cores
+from helpers import check_gradients, embed_weights, full_modes, gelu, recorded_twice, set_cores
 
 
 @pytest.fixture()
@@ -122,7 +122,8 @@ def test_rhs_constant_field(grid):
 
 
 def _dense_rhs_oracle(h, grid, w):
-    """Straight-line reference with dense DFT matrices and dense adjacency."""
+    """Straight-line reference with dense DFT matrices and dense adjacency,
+    over the full spectrum with the plan's weights embedded."""
     hg, wg = grid.height, grid.width
     n = grid.n_nodes
     d = h.shape[-1]
@@ -134,12 +135,12 @@ def _dense_rhs_oracle(h, grid, w):
     )
     f_inv = np.conj(f_mat) / n
     a_dense = grid.adjacency.toarray()
-    mode_idx = w.plan.mode_idx
+    mode_idx = full_modes(w.plan)
 
     state = h.astype(np.complex128)
     total = None
     for layer in w.layers:
-        weights_c = layer.wf_real.data + 1j * layer.wf_imag.data
+        weights_c = embed_weights(w.plan, layer.wf_real.data + 1j * layer.wf_imag.data)
         spec = a_dense @ (f_mat @ state)
         full = np.zeros((n, d), dtype=np.complex128)
         for pos, k in enumerate(mode_idx):

@@ -24,7 +24,14 @@ from sparkpde.encoder import (
 from sparkpde.errors import ContractViolation
 from sparkpde.grids import GridGraph
 
-from helpers import check_gradients, direct_spectral_mix, gelu, recorded_twice
+from helpers import (
+    check_gradients,
+    direct_spectral_mix,
+    embed_weights,
+    full_modes,
+    gelu,
+    recorded_twice,
+)
 
 
 @pytest.fixture()
@@ -61,7 +68,8 @@ def test_unit_gate_identity_g1_doubles_input(grid):
 
 def test_spectral_branch_matches_dense_dft_oracle(grid):
     # Isolate g2: a_2 = ones, a_1 = 0, then compare h - x against a direct
-    # O(N^2) DFT implementation of the truncated spectral convolution.
+    # O(N^2) DFT implementation of the truncated spectral convolution, over
+    # the full spectrum with the plan's weights embedded.
     d, k_max = 2, 2
     w = _weights(grid, d_obs=d, k_max=k_max)
     w.gate1.w_b.data[:] = 0.0
@@ -71,8 +79,8 @@ def test_spectral_branch_matches_dense_dft_oracle(grid):
     x = rng.substream(3, "x").normal_array((grid.n_nodes, d))
     out = channel_attention(x, np.array([0.5]), w, grid).data - x
 
-    weights = w.g2_real.data + 1j * w.g2_imag.data
-    expected = direct_spectral_mix(x, weights, w.plan.mode_idx, grid.height, grid.width)
+    weights = embed_weights(w.plan, w.g2_real.data + 1j * w.g2_imag.data)
+    expected = direct_spectral_mix(x, weights, full_modes(w.plan), grid.height, grid.width)
     np.testing.assert_allclose(out, expected, atol=1e-8)
 
 

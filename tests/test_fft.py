@@ -1,8 +1,11 @@
-"""Spectral transform contracts of ``spectral_plan`` and ``spectral_channel_mix``,
-the one spectral op of the model: the retained mode set, the grid
-adjacency's column order, the adjacency's Fourier symbol and its
-precondition, DFT oracle, round trip, truncated Parseval, gradients. Most
-read the op as the projection P of ``helpers.spectral_projection``.
+"""Spectral transform contracts of ``spectral_plan``, ``spectral_weights`` and
+``spectral_channel_mix``, the one spectral op of the model: the retained
+half of the mode set, the folded initial weights, the grid adjacency's
+column order, the adjacency's Fourier symbol and its precondition, DFT
+oracle, round trip, truncated Parseval, gradients and the DC mode's
+imaginary weights. Most read the op as the projection P of
+``helpers.spectral_projection``; the full-spectrum oracles read the plan's
+weights through ``helpers.embed_weights``.
 """
 
 from __future__ import annotations
@@ -11,11 +14,26 @@ import numpy as np
 import pytest
 
 from sparkpde import rng
-from sparkpde.autodiff import Tensor, spectral_channel_mix, spectral_plan, square, tensor_sum
+from sparkpde.autodiff import (
+    Tensor,
+    spectral_channel_mix,
+    spectral_plan,
+    spectral_weights,
+    square,
+    tensor_sum,
+)
 from sparkpde.errors import ContractViolation
 from sparkpde.grids import GridGraph
 
-from helpers import check_gradients, direct_spectral_mix, reference_adjacency, spectral_projection
+from helpers import (
+    check_gradients,
+    direct_spectral_mix,
+    embed_weights,
+    full_modes,
+    reference_adjacency,
+    spectral_projection,
+    tape_gradients,
+)
 
 
 def _field(stream: str, n: int, c: int) -> np.ndarray:
@@ -24,13 +42,13 @@ def _field(stream: str, n: int, c: int) -> np.ndarray:
 
 def test_constant_field_dc_coefficient():
     # P_{0} x = X_0 / (H*W): the DC coefficient of a constant c is 16c and
-    # real (weight i reads -Im(X_0)); every other mode is zero.
+    # real (weight i reads -Im(X_0)); every other mode of the plan is zero.
     c = 2.75
     x = np.full((16, 1), c)
     plan = spectral_plan(4, 4, 2)
     np.testing.assert_allclose(spectral_projection(x, plan, [0]), c, rtol=0, atol=1e-12)
     np.testing.assert_allclose(spectral_projection(x, plan, [0], weight=1j), 0.0, atol=1e-12)
-    np.testing.assert_allclose(spectral_projection(x, plan, np.arange(1, 16)), 0.0, atol=1e-12)
+    np.testing.assert_allclose(spectral_projection(x, plan, plan.mode_idx[1:]), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -39,14 +57,22 @@ def test_constant_field_dc_coefficient():
 )
 def test_plan_keeps_modes_within_k_max_per_axis(h, w, k_max):
     # |k| = min(k, n - k) in the DFT layout; the plan keeps the modes whose
-    # row and column wavenumbers both are at most k_max, in row-major order.
+    # row wavenumber is at most k_max and whose column kc is in [0, k_max],
+    # in row-major order. With their conjugates (-kr, -kc) they are the
+    # modes with both wavenumbers at most k_max.
     ky = np.minimum(np.arange(h), h - np.arange(h))
     kx = np.minimum(np.arange(w), w - np.arange(w))
-    expected = np.flatnonzero((ky[:, None] <= k_max) & (kx[None, :] <= k_max))
+    expected = np.flatnonzero((ky[:, None] <= k_max) & (np.arange(w)[None, :] <= k_max))
+    full = np.flatnonzero((ky[:, None] <= k_max) & (kx[None, :] <= k_max))
     for stencil in (None, GridGraph(h, w).stencil):
         plan = spectral_plan(h, w, k_max, stencil)
         np.testing.assert_array_equal(plan.mode_idx, expected)
+        kr, kc = np.divmod(plan.mode_idx, w)
+        conj = (-kr % h) * w + (-kc % w)
+        np.testing.assert_array_equal(np.union1d(plan.mode_idx, conj), full)
         assert (plan.height, plan.width) == (h, w)
+        assert plan.dft_w.shape == (2 * (k_max + 1), 2 * w)
+        assert plan.idft_w.shape == (2 * w, 2 * (k_max + 1))
 
 
 # Every grid shape the tests build, and the degenerate periodic ones: a single
@@ -118,20 +144,23 @@ def test_round_trip_identity(size):
 
 def test_single_sine_mode_locations():
     # sin(2*pi*c/W) = (e^{+} - e^{-}) / 2i: modes (0, 1) and (0, W-1) carry
-    # all of it, each with |X| = H*W/2, so either alone gives x/2.
+    # all of it, each with |X| = H*W/2. The plan keeps (0, 1), which stands
+    # for its conjugate (0, W-1) too, so weight 1 on it gives x, and weight
+    # 1/2 (weight 1 on one of the two in the full spectrum) gives x/2.
     h = w = 8
     plan = spectral_plan(h, w, w // 2)
+    assert w - 1 not in plan.mode_idx
     x = np.tile(np.sin(2 * np.pi * np.arange(w) / w), h).reshape(-1, 1)
-    np.testing.assert_allclose(spectral_projection(x, plan, [1, w - 1]), x, atol=1e-9)
-    np.testing.assert_allclose(spectral_projection(x, plan, [1]), x / 2, atol=1e-9)
-    np.testing.assert_allclose(spectral_projection(x, plan, [w - 1]), x / 2, atol=1e-9)
-    rest = np.setdiff1d(np.arange(h * w), [1, w - 1])
+    np.testing.assert_allclose(spectral_projection(x, plan, [1]), x, atol=1e-9)
+    np.testing.assert_allclose(spectral_projection(x, plan, [1], weight=0.5), x / 2, atol=1e-9)
+    rest = np.setdiff1d(plan.mode_idx, [1])
     np.testing.assert_allclose(spectral_projection(x, plan, rest), 0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("size", [4, 8, 16, 33])
 def test_matches_direct_dft_oracle(size):
-    # Random complex per-mode weights on a truncated and on the full mode set.
+    # Random complex per-mode weights on a truncated and on the full mode set,
+    # against the full-spectrum oracle with the plan's weights embedded.
     gen = rng.substream(2024, f"oracle/{size}")
     x = gen.normal_array((size * size, 2))
     for k_max in (size // 4, size // 2):
@@ -139,22 +168,73 @@ def test_matches_direct_dft_oracle(size):
         wr = gen.normal_array((len(plan.mode_idx), 2, 3))
         wi = gen.normal_array((len(plan.mode_idx), 2, 3))
         out = spectral_channel_mix(Tensor(x), wr, wi, plan).data
-        ref = direct_spectral_mix(x, wr + 1j * wi, plan.mode_idx, size, size)
+        ref = direct_spectral_mix(x, embed_weights(plan, wr + 1j * wi), full_modes(plan),
+                                  size, size)
         scale = max(1.0, np.max(np.abs(ref)))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9 * scale)
 
 
 @pytest.mark.parametrize("size", [4, 8, 16, 32, 33])
 def test_parseval(size):
-    # The retained set is closed under k -> -k, so P x is real and
+    # The plan's modes and their conjugates are the retained set K, closed
+    # under k -> -k, and P x is its projection, so
     # ||P x||^2 = sum_{k in K} |X_k|^2 / (H*W).
     x = _field(f"parseval/{size}", size * size, 1)
     power = np.abs(np.fft.fft2(x[:, 0].reshape(size, size))).reshape(-1) ** 2
     for k_max in (1, size // 4, size // 2):
         plan = spectral_plan(size, size, k_max)
         space = np.sum(spectral_projection(x, plan) ** 2)
-        freq = np.sum(power[plan.mode_idx]) / (size * size)
+        freq = np.sum(power[full_modes(plan)]) / (size * size)
         assert abs(space - freq) / freq < 1e-10, k_max
+
+
+@pytest.mark.parametrize("adjacency", [False, True], ids=["plain", "adjacency"])
+def test_dc_mode_imaginary_weights_get_zero_gradient(adjacency):
+    # The DC coefficient of a real field (times the real symbol) is real, so
+    # i X_0 W_imag lands in the imaginary part that the inverse drops: the DC
+    # mode's imaginary weights never reach the output (see spectral_plan).
+    # Column 0's other modes are not self-conjugate, so theirs do.
+    h = w = 8
+    plan = spectral_plan(h, w, 3, GridGraph(h, w).stencil if adjacency else None)
+    assert plan.mode_idx[0] == 0
+    gen = rng.substream(2024, f"dc/{adjacency}")
+    x = gen.normal_array((2, h * w, 2))
+    values = {name: gen.normal_array((len(plan.mode_idx), 2, 3)) for name in ("wr", "wi")}
+    grads = tape_gradients(
+        lambda p: tensor_sum(square(spectral_channel_mix(x, p["wr"], p["wi"], plan))), values
+    )
+    assert np.all(grads["wi"][0] == 0.0)
+    assert np.all(grads["wi"][1:] != 0.0) and np.all(grads["wr"] != 0.0)
+
+
+@pytest.mark.parametrize("h, w, k_max", [(32, 32, 8), (8, 8, 4), (6, 5, 2), (5, 8, 2),
+                                         (4, 9, 1), (2, 2, 1), (6, 5, 0)])
+def test_spectral_weights_fold_the_full_spectrum_draws(h, w, k_max):
+    # The real, then imaginary, std * N(0, 1) parts of every full-spectrum
+    # mode (row-major), each of the plan's modes folded with its conjugate
+    # partner when that is not in the plan: (W_k + conj(W_-k)) / 2. The
+    # generator ends where those two draws leave it.
+    plan = spectral_plan(h, w, k_max)
+    std, c_in, c_out = 0.3, 2, 3
+    gen = rng.substream(2024, f"fold/{h}x{w}/{k_max}")
+    got = spectral_weights(gen, plan, c_in, c_out, std)
+    full = full_modes(plan)
+    ref = rng.substream(2024, f"fold/{h}x{w}/{k_max}")
+    draws = [ref.normal_array((len(full), c_in, c_out)) * std for _ in range(2)]
+    position = {mode: i for i, mode in enumerate(full)}
+    want = [np.empty((len(plan.mode_idx), c_in, c_out)) for _ in range(2)]
+    for i, mode in enumerate(plan.mode_idx):
+        kr, kc = divmod(mode, w)
+        conj = (-kr % h) * w + (-kc % w)
+        for part, sign in ((0, 1.0), (1, -1.0)):
+            own = draws[part][position[mode]]
+            if conj not in plan.mode_idx:
+                own = (own + sign * draws[part][position[conj]]) / 2
+            want[part][i] = own
+    for g, r in zip(got, want):
+        assert g.shape == (len(plan.mode_idx), c_in, c_out)
+        np.testing.assert_array_equal(g, r)
+    np.testing.assert_array_equal(gen.normal_array((4,)), ref.normal_array((4,)))
 
 
 @pytest.mark.parametrize("adjacency", [False, True], ids=["plain", "adjacency"])
