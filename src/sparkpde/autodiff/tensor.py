@@ -31,9 +31,10 @@ second contribution into a fresh array it then owns, and later ones into
 that array in place; arrays a VJP hands out (``add`` passes on g itself)
 are never written. VJPs return None for operands that need no gradient.
 
-``graph_layer`` is the one graph layer, gelu(base + (A x) W + b), as a
-single node that keeps A x, the GeLU's slope and W's array; its values and
-gradients are bit-equal to those of the separate ops. The Fourier-graph ODE
+``graph_layer`` is the one graph layer, gelu(base + (A x) W + b) for a
+symmetric A, which its VJP applies again, as a single node that keeps A x,
+the GeLU's slope and W's array; its values and gradients are bit-equal to
+those of the separate ops. The Fourier-graph ODE
 layer passes its spectral branch as ``base``, and the GNN-encoder layer its
 self term h W_self (then adds its skip, h or h R, outside the node).
 ``gelu`` itself keeps one array, its slope.
@@ -692,15 +693,18 @@ def spectral_channel_mix(x, w_real, w_imag, plan: SpectralPlan) -> Tensor:
 # -- fused graph layer -------------------------------------------------------------
 
 
-def graph_layer(base, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr_matrix,
-                w, b) -> Tensor:
+def graph_layer(base, x, adjacency: _sparse.csr_matrix, w, b) -> Tensor:
     """One graph layer, gelu(base + (A x) W + b), as one tape node.
 
     base: (..., N, D_out), the term the graph branch is added to, recorded
     before the layer: the ODE layer's spectral branch, or the GNN-encoder
     layer's self term h W_self; x: (..., N, D_in); the constant sparse (N, N)
-    ``adjacency`` applies along the node axis (-2), and ``adjacency_t`` is its
-    transpose; w: (D_in, D_out); b: (D_out,).
+    ``adjacency`` applies along the node axis (-2); w: (D_in, D_out);
+    b: (D_out,).
+
+    Precondition: A is symmetric, A = A^T, as ``GridGraph``'s periodic
+    neighbor mean is by construction. So A is its own adjoint, and the VJP
+    applies the same matrix, summing each row in its stored column order.
 
     The pre-activation is summed in place in the order of the composed ops
     (the sparse product, matmul, add, add, gelu), and the exact (erf-form)
@@ -731,7 +735,7 @@ def graph_layer(base, x, adjacency: _sparse.csr_matrix, adjacency_t: _sparse.csr
         gz = g * slope
         g_x = g_w = g_b = None
         if grad_x:
-            g_x = _along_nodes(adjacency_t, gz @ w_data.swapaxes(-1, -2))
+            g_x = _along_nodes(adjacency, gz @ w_data.swapaxes(-1, -2))
         if grad_w:
             # At D_in = D_out = 1 numpy takes a dot product, whose strided
             # kernel rounds differently; a contiguous A x (N doubles per

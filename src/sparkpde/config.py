@@ -21,6 +21,7 @@ from typing import Any, Optional
 
 import yaml
 
+from .datagen.dataset import parameter_vector
 from .datagen.reaction_diffusion import FEED_RANGE, KILL_RANGE
 from .errors import ConfigError
 
@@ -56,16 +57,11 @@ _NON_NEGATIVE = _at_least(0)
 _EPOCH_OR_DEFAULT = (lambda v: v >= -1, "must be -1 (percent-of-epochs default) or >= 0")
 
 
-def _param_values(value) -> list[float] | None:
-    """The components of one parameter entry (a number or a list of finite
-    numbers, numeric strings included), or None if it is not one."""
-    values = value if isinstance(value, list) else [value]
-    out = [_finite_float(v) for v in values]
-    return out if out and None not in out else None
-
-
 def _params_ok(entries) -> bool:
-    return all(_param_values(p) is not None for p in entries)
+    """Each entry is a finite number or a non-empty list of finite numbers,
+    numeric strings included; ``parameter_vector`` reads its components."""
+    lists = [p if isinstance(p, list) else [p] for p in entries]
+    return all(values and None not in map(_finite_float, values) for values in lists)
 
 
 def setting(default, doc: str, rule: tuple | None = None):
@@ -304,14 +300,23 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"augment.k={aug.k} exceeds pretrain.codebook_size={pre.codebook_size}"
         )
-    # navier_stokes reads a viscosity, reaction_diffusion two diffusivities
+    # navier_stokes reads one viscosity, reaction_diffusion one or two
+    # diffusivities (one value gives both). An entry's vector derives its
+    # episodes' seeds, so equal entries would repeat the same episodes.
     positive = ds.generator == "navier_stokes"
-    for p in ds.params:
-        if any(v <= 0 if positive else v < 0 for v in _param_values(p)):
+    vectors = [parameter_vector(p) for p in ds.params]
+    for p, vec in zip(ds.params, vectors):
+        if len(vec) > (1 if positive else 2) or any(v <= 0 if positive else v < 0 for v in vec):
             raise ConfigError(
                 f"dataset.params entry {p!r} must be "
-                f"{'positive' if positive else 'non-negative'} for {ds.generator}"
+                f"{'one positive value' if positive else 'one or two non-negative values'} "
+                f"for {ds.generator}"
             )
+        if vectors.count(vec) > 1:
+            raise ConfigError(f"dataset.params entry {p!r} repeats another entry")
+    for p in ds.ood.out_values if ds.ood.mode == "explicit" else []:
+        if parameter_vector(p) not in vectors:
+            raise ConfigError(f"dataset.ood.out_values entry {p!r} matches no dataset.params entry")
 
 
 def _checked(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -112,6 +112,13 @@ class EpisodeDataset:
         return (x - means) / stds
 
 
+def parameter_vector(entry) -> tuple:
+    """One parameter entry (a number or a list of numbers) as the tuple of
+    floats that identifies it: two entries are the same value iff their
+    vectors are equal, in the OOD split and in the config's checks."""
+    return tuple(np.atleast_1d(np.asarray(entry, dtype=np.float64)).tolist())
+
+
 def make_ood_split(param_grid: list, ood: OodSection) -> tuple[list, list]:
     """Partition parameter values into (in-domain, out-domain) lists.
 
@@ -119,13 +126,9 @@ def make_ood_split(param_grid: list, ood: OodSection) -> tuple[list, list]:
     first parameter component with the side that is out of domain; it was
     checked when the config loaded. The partition is exhaustive and disjoint.
     """
-
-    def as_vec(p) -> tuple:
-        return tuple(np.atleast_1d(np.asarray(p, dtype=np.float64)).tolist())
-
-    params = [as_vec(p) for p in param_grid]
+    params = [parameter_vector(p) for p in param_grid]
     if ood.mode == "explicit":
-        out_set = {as_vec(p) for p in ood.out_values}
+        out_set = {parameter_vector(p) for p in ood.out_values}
         out_domain = [p for p in params if p in out_set]
     elif ood.direction == "below":
         out_domain = [p for p in params if p[0] < ood.threshold]

@@ -144,6 +144,8 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
     next layer; the returned derivative is the sum of all layer outputs. Each
     layer is two tape nodes, the spectral op on ``w.plan`` and the fused graph
     layer, whose values and gradients are those of the separate ops bit for bit.
+    A is the grid's one symmetric adjacency, so the graph layer's VJP applies A
+    itself.
     """
     state = h if isinstance(h, Tensor) else Tensor(h)
     if state.shape[-2] != grid.n_nodes:
@@ -153,9 +155,7 @@ def ode_rhs(h: Tensor | np.ndarray, grid: GridGraph, w: DynamicsWeights) -> Tens
         # Recording order sets the order gradients accumulate in, and so the
         # trained bytes: the spectral op is recorded first.
         spectral = ad.spectral_channel_mix(state, layer.wf_real, layer.wf_imag, w.plan)
-        y = ad.graph_layer(
-            spectral, state, grid.adjacency, grid.adjacency_t, layer.w, layer.b
-        )
+        y = ad.graph_layer(spectral, state, grid.adjacency, layer.w, layer.b)
         total = y if total is None else total + y
         state = y
     return total

@@ -220,16 +220,16 @@ def gnn_encode(h: Tensor | np.ndarray, grid: GridGraph, layers: list[GnnLayer]) 
 
     Each round is (h or h R) + gelu(h W_self + (A h) W_neighbor + b): the
     self term is one matmul node and the rest one ``ad.graph_layer`` node,
-    which keeps A h, the GeLU's slope and W_neighbor for its VJP, then the
-    skip. The frozen encoder records and keeps nothing.
+    which keeps A h, the GeLU's slope and W_neighbor for its VJP (A is
+    symmetric, so the VJP applies A itself), then the skip. The frozen encoder
+    records and keeps nothing.
     """
     h = h if isinstance(h, Tensor) else Tensor(h)
     if h.shape[-2] != grid.n_nodes:
         raise ContractViolation("node count does not match grid")
     for layer in layers:
         y = ad.graph_layer(
-            ad.matmul(h, layer.self_w), h, grid.adjacency, grid.adjacency_t,
-            layer.neighbor_w, layer.combine_b,
+            ad.matmul(h, layer.self_w), h, grid.adjacency, layer.neighbor_w, layer.combine_b
         )
         h = (h if layer.resid_w is None else ad.matmul(h, layer.resid_w)) + y
     return h

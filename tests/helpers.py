@@ -7,9 +7,9 @@ helper that runs the library's spectral op, for the oracles to read.
 ``full_modes`` lists the full-spectrum mode set a plan halves, and
 ``embed_weights`` places a plan's weights in it, so the full-spectrum
 oracles check the half-spectrum op.
-``sparse_matmul`` records the sparse adjacency product as a separate tape
-node, for the composed-op oracles of the fused graph layers, and
-``reference_adjacency`` builds the grid adjacency node by node, for the
+``sparse_matmul`` records a symmetric sparse adjacency's product as a
+separate tape node, for the composed-op oracles of the fused graph layers,
+and ``reference_adjacency`` builds the grid adjacency node by node, for the
 oracle of ``GridGraph``'s closed form and its column order.
 ``recorded_twice`` runs a model call twice on a tape, with the spectral
 plans it takes recorded. ``set_cores`` patches the CPU affinity the pools and
@@ -84,10 +84,10 @@ def check_gradients(build_loss, values, step=1e-6, rtol=1e-4, fd_loss=None) -> f
     return worst
 
 
-def sparse_matmul(matrix, x, matrix_t) -> Tensor:
-    """A constant sparse (N, N) ``matrix`` applied to each (N, D) slice of an
-    (..., N, D) tensor, ``matrix @ x[idx]``, as one recorded node whose VJP
-    applies ``matrix_t``, its transpose."""
+def sparse_matmul(matrix, x) -> Tensor:
+    """A constant symmetric sparse (N, N) ``matrix`` applied to each (N, D)
+    slice of an (..., N, D) tensor, ``matrix @ x[idx]``, as one recorded node
+    whose VJP applies ``matrix`` too, its own transpose."""
     x = x if isinstance(x, Tensor) else Tensor(x)
 
     def along_nodes(m, a):
@@ -98,17 +98,17 @@ def sparse_matmul(matrix, x, matrix_t) -> Tensor:
 
     return _record(
         Tensor(along_nodes(matrix, x.data)), (x,),
-        lambda g: (along_nodes(matrix_t, g),), "sparse_matmul",
+        lambda g: (along_nodes(matrix, g),), "sparse_matmul",
     )
 
 
 def reference_adjacency(height: int, width: int):
-    """(A, A^T) of the periodic H x W 4-neighbour mean, built node by node:
-    a COO matrix of each node's distinct neighbours, its duplicates summed and
-    reset to 1, row-normalized by ``diags(1 / degree) @ binary``, transposed
-    by ``A.T.tocsr()``. The CSR rows hold their columns in the order scipy's
-    sparse product and transpose emit them, the order every trained byte was
-    summed in before ``GridGraph`` built both matrices in closed form."""
+    """A of the periodic H x W 4-neighbour mean, built node by node: a COO
+    matrix of each node's distinct neighbours, its duplicates summed and
+    reset to 1, row-normalized by ``diags(1 / degree) @ binary``. The CSR
+    rows hold their columns in the order scipy's sparse product emits them,
+    the order every forward pass summed in before ``GridGraph`` built A in
+    closed form."""
     n = height * width
     rows, cols = [], []
     for r in range(height):
@@ -124,8 +124,7 @@ def reference_adjacency(height: int, width: int):
     binary.data[:] = 1.0
     binary = binary.tocsr()
     degrees = np.asarray(binary.sum(axis=1)).reshape(-1)
-    adjacency = (sparse.diags(1.0 / degrees) @ binary).tocsr()
-    return adjacency, adjacency.T.tocsr()
+    return (sparse.diags(1.0 / degrees) @ binary).tocsr()
 
 
 _erf = np.vectorize(math.erf, otypes=[np.float64])

@@ -304,21 +304,24 @@ def _check_fused_against_composed(h, k_max, batch, channels, adjacency):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
-def _composed_layer(base, x, a, a_t, w, b):
+def _composed_layer(base, x, a, w, b):
     """The graph layer as the separate ops it fuses."""
-    spatial = matmul(sparse_matmul(a, x, a_t), w)
+    spatial = matmul(sparse_matmul(a, x), w)
     return gelu(base + spatial + b)
 
 
 def _uneven_adjacency():
-    """Row-normalized adjacency of an 8-neighbour 4x4 grid without
-    wrap-around, and its transpose. Degrees vary (3 to 8), so A is not
-    symmetric and applying A where A.T is meant changes the result."""
+    """Symmetrically normalized adjacency D^-1/2 B D^-1/2 of an 8-neighbour
+    4x4 grid without wrap-around. Degrees vary (3 to 8), so the weights vary
+    along each row, unlike the grid's neighbour mean; A equals A.T bit for
+    bit, since each entry is one product of two commuting factors."""
     r, c = np.divmod(np.arange(16), 4)
     near = (np.abs(r[:, None] - r) <= 1) & (np.abs(c[:, None] - c) <= 1)
     np.fill_diagonal(near, False)
-    a = sparse.csr_matrix(near / near.sum(axis=1, keepdims=True))
-    return a, a.T.tocsr()
+    scale = 1.0 / np.sqrt(near.sum(axis=1))
+    a = sparse.csr_matrix(near * (scale[:, None] * scale[None, :]))
+    assert (a != a.T).nnz == 0
+    return a
 
 
 # (lead, const, d_in, d_out). "self" is the GNN encoder's layer: the base is
@@ -340,8 +343,8 @@ _GRAPH_LAYER_CASES = [
 def test_graph_layer_bit_equal_to_composed_ops(lead, const, d_in, d_out):
     # As in ode_rhs and gnn_encode: x feeds the base (the spectral op or the
     # self matmul) and the layer, so x's gradient accumulates across both;
-    # values and every gradient must be the same bits. A is not symmetric.
-    a, a_t = _uneven_adjacency()
+    # values and every gradient must be the same bits. A's rows are uneven.
+    a = _uneven_adjacency()
     gen = rng.substream(43, f"graph-layer/{len(lead)}/{d_in}")
     plan = spectral_plan(4, 4, 1, GridGraph(4, 4).stencil)
     x0 = gen.normal_array(lead + (16, d_in))
@@ -366,7 +369,7 @@ def test_graph_layer_bit_equal_to_composed_ops(lead, const, d_in, d_out):
                 base = matmul(x, params["ws"])
             else:
                 base = spectral_channel_mix(x, params["wr"], params["wi"], plan)
-            y = layer(base, x, a, a_t, params["w"], params["b"])
+            y = layer(base, x, a, params["w"], params["b"])
             loss = tensor_sum(mul(y, cotangent))
         return y.data, backward(loss, tape, params=wrt)
 
@@ -385,8 +388,8 @@ def test_graph_layer_bit_equal_to_composed_ops(lead, const, d_in, d_out):
 
 def test_graph_layer_gradient_matches_finite_differences():
     # The ODE layer on the periodic grid, then the GNN encoder's layer (the
-    # base is matmul(x, W_self)) on an asymmetric A at each leading rank and
-    # at d_in 1.
+    # base is matmul(x, W_self)) on an uneven symmetric A at each leading
+    # rank and at d_in 1.
     grid = GridGraph(3, 4)
     gen = rng.substream(47, "graph-layer-fd/gelu")
     values = {
@@ -397,12 +400,12 @@ def test_graph_layer_gradient_matches_finite_differences():
     }
 
     def loss(p):
-        y = graph_layer(p["spectral"], p["x"], grid.adjacency, grid.adjacency_t, p["w"], p["b"])
+        y = graph_layer(p["spectral"], p["x"], grid.adjacency, p["w"], p["b"])
         return tensor_sum(square(y))
 
     check_gradients(loss, values)
 
-    a, a_t = _uneven_adjacency()
+    a = _uneven_adjacency()
     for lead, d_in in (((), 3), ((2,), 3), ((3, 2), 3), ((2,), 1)):
         values = {
             "x": gen.normal_array(lead + (16, d_in)),
@@ -412,7 +415,7 @@ def test_graph_layer_gradient_matches_finite_differences():
         }
 
         def self_loss(p):
-            y = graph_layer(matmul(p["x"], p["ws"]), p["x"], a, a_t, p["w"], p["b"])
+            y = graph_layer(matmul(p["x"], p["ws"]), p["x"], a, p["w"], p["b"])
             return tensor_sum(square(y))
 
         check_gradients(self_loss, values)
@@ -420,8 +423,7 @@ def test_graph_layer_gradient_matches_finite_differences():
 
 def _uneven_graph():
     """``_uneven_adjacency()`` as the graph ``gnn_encode`` reads."""
-    a, a_t = _uneven_adjacency()
-    return SimpleNamespace(n_nodes=16, adjacency=a, adjacency_t=a_t)
+    return SimpleNamespace(n_nodes=16, adjacency=_uneven_adjacency())
 
 
 def _gnn_layer(p):
@@ -432,9 +434,7 @@ def _gnn_layer(p):
 
 def _composed_gnn_layer(h, graph, p):
     """The GNN-encoder layer as separate ops."""
-    combined = _composed_layer(
-        matmul(h, p["ws"]), h, graph.adjacency, graph.adjacency_t, p["wn"], p["b"]
-    )
+    combined = _composed_layer(matmul(h, p["ws"]), h, graph.adjacency, p["wn"], p["b"])
     return (h if p.get("r") is None else matmul(h, p["r"])) + combined
 
 
@@ -466,10 +466,10 @@ def _assert_gnn_layer_is_composed_ops(h0, weights, cotangent, grad_h):
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["N-D", "B-N-D"])
 @pytest.mark.parametrize("resid", [True, False], ids=["resid", "skip"])
 def test_gnn_layer_bit_equal_to_composed_ops(resid, lead, const):
-    # One encoder layer (matmul, graph_layer, then the skip) on an asymmetric
-    # A. h also feeds an op recorded before the layer, as the encoder input
-    # feeds channel attention, so h's gradient accumulates across both;
-    # values and every gradient must be the same bits.
+    # One encoder layer (matmul, graph_layer, then the skip) on an uneven
+    # symmetric A. h also feeds an op recorded before the layer, as the
+    # encoder input feeds channel attention, so h's gradient accumulates
+    # across both; values and every gradient must be the same bits.
     gen = rng.substream(59, f"gnn-layer/{resid}/{len(lead)}")
     d_out = 2 if resid else 3
     h0 = gen.normal_array(lead + (16, 3))
@@ -483,7 +483,7 @@ def test_gnn_layer_bit_equal_to_composed_ops(resid, lead, const):
     cotangent = gen.normal_array(lead + (16, d_out))
     fused_y = _assert_gnn_layer_is_composed_ops(h0, weights, cotangent, const != "h")
     # The value itself, with a dense A.
-    a, _ = _uneven_adjacency()
+    a = _uneven_adjacency()
     pre = h0 @ weights["ws"] + (a.toarray() @ h0) @ weights["wn"] + weights["b"]
     skip = h0 @ weights["r"] if resid else h0
     np.testing.assert_allclose(fused_y, skip + gelu_oracle(pre), rtol=1e-12, atol=1e-15)
@@ -510,8 +510,8 @@ def test_gnn_layer_bit_equal_to_composed_ops_at_encoder_widths(resid, d_in):
 
 @pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["N-D", "B-N-D", "T-B-N-D"])
 def test_gnn_layer_gradient_matches_finite_differences(lead):
-    # One encoder layer on an asymmetric A, with a residual matrix and then
-    # with the identity skip.
+    # One encoder layer on an uneven symmetric A, with a residual matrix and
+    # then with the identity skip.
     graph = _uneven_graph()
     gen = rng.substream(23, "gnn-layer-fd")
 
@@ -535,16 +535,16 @@ def test_graph_layer_unrecorded_keeps_nothing():
     # Outside a tape (the frozen encoder) and on a tape with only constant
     # operands, the layer is a plain value: no VJP closure holds A x or the
     # slope.
-    a, a_t = _uneven_adjacency()
+    a = _uneven_adjacency()
     gen = rng.substream(61, "graph-layer-unrecorded")
     x0 = gen.normal_array((2, 16, 3))
     base0 = gen.normal_array((2, 16, 2))
     w = parameter(gen.normal_array((3, 2)), "w")
     b = parameter(gen.normal_array((2,)), "b")
     with Tape() as tape:
-        recorded = graph_layer(Tensor(base0), Tensor(x0), a, a_t, w, b)
-        constant = graph_layer(Tensor(base0), Tensor(x0), a, a_t, Tensor(w.data), Tensor(b.data))
-    free = graph_layer(Tensor(base0), Tensor(x0), a, a_t, w, b)
+        recorded = graph_layer(Tensor(base0), Tensor(x0), a, w, b)
+        constant = graph_layer(Tensor(base0), Tensor(x0), a, Tensor(w.data), Tensor(b.data))
+    free = graph_layer(Tensor(base0), Tensor(x0), a, w, b)
     assert recorded._vjp is not None and tape._nodes == [recorded._node]
     for out in (constant, free):
         assert out._vjp is None and out._node is None and not out.requires_grad

@@ -510,7 +510,9 @@ def test_config_that_cannot_be_read_exits_2(workspace, tmp_path, capsys, command
 
 # (dotted key, invalid value): every key with a rule, plus the cross-field
 # probes (k_max > min(H,W)/2 = 8, augment.k > codebook_size = 12,
-# t_total < t0 + horizon = 6, a non-positive viscosity).
+# t_total < t0 + horizon = 6, a non-positive viscosity, a viscosity with two
+# components, a repeated parameter, an out-of-domain value that is no
+# parameter).
 INVALID_VALUES = [
     ("seed", -1),
     ("seed", 2**64),
@@ -520,8 +522,12 @@ INVALID_VALUES = [
     ("dataset.params", []),
     ("dataset.params", ["fast"]),
     ("dataset.params", [1.0e-2, -1.0e-3]),
+    ("dataset.params", [[1.0e-2, 7.0], 1.0e-3]),
+    ("dataset.params", [1.0e-2, 1.0e-3, 1.0e-3]),
     ("dataset.ood.mode", "random"),
     ("dataset.ood.out_values", [[1.0e-3, "x"]]),
+    ("dataset.ood.out_values", [5.0e-5]),
+    ("dataset.ood.out_values", [1.0e-3, 5.0e-5]),
     ("dataset.ood.direction", "sideways"),
     ("dataset.episodes_per_param", 0),
     ("dataset.t_total", 0),

@@ -110,3 +110,25 @@ def test_arrays_on_one_side_are_named_and_shared_ones_still_drift(tmp_path, caps
     assert "DIFF     predictions_out.npz: extra: only in b" in out
     assert "predictions:" not in out and "windows" not in out
     assert "2 file(s) differ" in out
+
+
+def test_frozen_names_and_refused_checkpoints_are_differences(tmp_path, capsys):
+    # The frozen list is compared as the reader returns it, and a checkpoint
+    # the reader refuses is a difference that carries the reader's message.
+    w = np.arange(6.0).reshape(2, 3)
+    a = _tree(tmp_path / "a", {"seed": 1}, w, "1.5")
+    b = _tree(tmp_path / "b", {"seed": 1}, w, "1.5")
+    save_checkpoint(
+        ModelCheckpoint(config={"seed": 1}, tensors={"w": w}, frozen_names=[]),
+        str(b / "model.ckpt"),
+    )
+    assert compare_artifacts.main([str(a), str(b)]) == 1
+    assert "DIFF     model.ckpt: frozen names ['w'] vs []" in capsys.readouterr().out
+
+    blob = bytearray((b / "model.ckpt").read_bytes())
+    blob[-5] ^= 0xFF
+    (b / "model.ckpt").write_bytes(bytes(blob))
+    assert compare_artifacts.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "DIFF     model.ckpt: unreadable checkpoint: " in out
+    assert "checksum" in out and "1 file(s) differ" in out

@@ -62,6 +62,31 @@ def test_validation_catches_short_episodes():
         config_from_dict({"dataset": {"t_total": 4}})
 
 
+def test_params_checked_against_their_generator_and_each_other():
+    # Gray-Scott reads one value (both diffusivities) or two, Navier-Stokes
+    # one; entries equal as vectors derive the same episode seeds, in any
+    # spelling; an explicit out-of-domain value must be one of the entries.
+    rd = {"generator": "reaction_diffusion", "params": [1e-5, [1e-5, 2e-5]]}
+    assert config_from_dict({"dataset": rd}).dataset.params == [1e-5, [1e-5, 2e-5]]
+    bad = [
+        ({**rd, "params": [[1e-5, 2e-5, 3e-5]]}, "one or two non-negative values for reaction"),
+        ({**rd, "params": [[1e-5, -2e-5]]}, "one or two non-negative values for reaction"),
+        ({"params": [[1e-3, 7.0]]}, "must be one positive value for navier_stokes"),
+        ({"params": [1e-3, ["1.0e-3"]]}, "repeats another entry"),
+        ({**rd, "params": [[1e-5, 2e-5], [1e-5, 2e-5]]}, "repeats another entry"),
+        ({"params": [1e-3, 1e-4], "ood": {"out_values": [[1e-4, 1e-4]]}},
+         "out_values entry .* matches no dataset.params entry"),
+    ]
+    for dataset, message in bad:
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"dataset": dataset})
+    # A threshold rule reads no out_values; an empty list loads (gen-data then
+    # warns that the out-domain set is empty).
+    threshold = {"mode": "threshold", "out_values": [5.0], "threshold": 2e-3}
+    config_from_dict({"dataset": {"params": [1e-3, 1e-2], "ood": threshold}})
+    config_from_dict({"dataset": {"params": [1e-3], "ood": {"out_values": []}}})
+
+
 def test_tau_accepts_null_and_number():
     cfg = config_from_dict({"augment": {"tau": None}})
     assert cfg.augment.tau is None

@@ -174,9 +174,7 @@ def _permuted_grid(grid, perm):
     p_mat = np.zeros((n, n))
     p_mat[np.arange(n), perm] = 1.0
     permuted = copy.copy(grid)
-    a_perm = sparse.csr_matrix(p_mat @ grid.adjacency.toarray() @ p_mat.T)
-    permuted.adjacency = a_perm
-    permuted.adjacency_t = a_perm.T.tocsr()
+    permuted.adjacency = sparse.csr_matrix(p_mat @ grid.adjacency.toarray() @ p_mat.T)
     return permuted
 
 

@@ -85,18 +85,27 @@ GRIDS = [(1, 4), (1, 5), (2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (4, 5), (4, 9),
 @pytest.mark.parametrize("h, w", GRIDS + [(1, 2), (2, 1), (7, 1)])
 def test_adjacency_rows_fix_the_summation_order(h, w):
     # A sparse product sums each row in stored order, so the column order is
-    # part of the bytes: descending in A (the forward), ascending in A^T (the
-    # VJP), each equal to the node-by-node build of the oracle bit for bit.
-    grid = GridGraph(h, w)
-    for matrix, reference, step in zip((grid.adjacency, grid.adjacency_t),
-                                       reference_adjacency(h, w), (-1, 1)):
-        for i in range(grid.n_nodes):
-            row = matrix.indices[matrix.indptr[i]:matrix.indptr[i + 1]]
-            assert np.all(np.sign(np.diff(row)) == step), (i, row)
-        for field in ("indptr", "indices", "data"):
-            got, want = getattr(matrix, field), getattr(reference, field)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
-        assert type(matrix) is type(reference) and matrix.shape == reference.shape
+    # part of the bytes: descending in A, which every forward pass and every
+    # VJP applies, equal to the node-by-node build of the oracle bit for bit.
+    matrix, reference = GridGraph(h, w).adjacency, reference_adjacency(h, w)
+    for i in range(matrix.shape[0]):
+        row = matrix.indices[matrix.indptr[i]:matrix.indptr[i + 1]]
+        assert np.all(np.diff(row) < 0), (i, row)
+    for field in ("indptr", "indices", "data"):
+        got, want = getattr(matrix, field), getattr(reference, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+    assert type(matrix) is type(reference) and matrix.shape == reference.shape
+
+
+@pytest.mark.parametrize("h, w", [(1, 2), (1, 5), (2, 2), (2, 3), (3, 3), (4, 4), (5, 8),
+                                  (6, 5), (16, 16), (32, 32)])
+def test_grid_adjacency_is_its_own_transpose(h, w):
+    # graph_layer's precondition: its VJP applies A where A^T is meant, so A
+    # must equal A^T bit for bit, in values and in sparsity.
+    a = GridGraph(h, w).adjacency
+    got, want = a.sorted_indices(), a.T.tocsr().sorted_indices()
+    for field in ("indptr", "indices", "data"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 @pytest.mark.parametrize("h, w, message", [(0, 4, "positive"), (3, 0, "positive"),

@@ -6,10 +6,11 @@ Files are paired by their path relative to each root. A file present on one
 side only is a difference. Per kind:
 
   *.spds            byte for byte;
-  *.ckpt            the header, the tensor table, the payloads and the frozen
-                    table byte for byte; the JSON config snapshot is diffed by
-                    key path and reported on its own (the trailing CRC covers
-                    the snapshot, so it is not compared by itself);
+  *.ckpt            read with the package's checkpoint reader: the tensors
+                    (names, order, dtypes, shapes and bytes) and the frozen
+                    names; the config snapshot is diffed by key path and
+                    reported on its own. A checkpoint the reader refuses is a
+                    difference carrying the reader's message;
   *.csv             line for line, without any ``wallclock`` column;
   manifest.txt      line for line, without its ``generated_at:`` line;
   predictions_*.npz the same array names, each with the same dtype, shape
@@ -25,8 +26,6 @@ something does, 2 on a usage error.
 
 from __future__ import annotations
 
-import json
-import struct
 import sys
 from pathlib import Path
 
@@ -35,21 +34,9 @@ import numpy as np
 # Checkpoint tensors are read with the package's own reader, from this checkout.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from sparkpde.checkpoint import load_checkpoint  # noqa: E402
+from sparkpde.errors import SparkError  # noqa: E402
 
-CKPT_MAGIC = b"SPARKCK1"
 _ABSENT = "<absent>"
-
-
-def split_checkpoint(blob: bytes) -> tuple[bytes, dict, bytes]:
-    """(header, snapshot, tables) of a checkpoint: magic, version and DFT tag;
-    the parsed JSON config; everything after it up to the trailing CRC."""
-    if blob[:8] != CKPT_MAGIC:
-        raise ValueError("not a checkpoint")
-    (tag_len,) = struct.unpack_from("<I", blob, 12)
-    at = 16 + tag_len
-    (json_len,) = struct.unpack_from("<I", blob, at)
-    snapshot = json.loads(blob[at + 4 : at + 4 + json_len].decode("utf-8"))
-    return blob[:at], snapshot, blob[at + 4 + json_len : -4]
 
 
 def json_diff(a, b, path: str = "") -> list[str]:
@@ -120,17 +107,16 @@ def compare_file(a: Path, b: Path) -> tuple[list[str], list[str]] | None:
     if name.endswith(".spds"):
         return ([] if a.read_bytes() == b.read_bytes() else ["bytes differ"]), []
     if name.endswith(".ckpt"):
-        head_a, snap_a, tables_a = split_checkpoint(a.read_bytes())
-        head_b, snap_b, tables_b = split_checkpoint(b.read_bytes())
-        problems = []
-        if head_a != head_b:
-            problems.append("header differs")
-        if tables_a != tables_b:
-            problems.append("tensor table, payloads or frozen table differ")
-            problems += _array_problems(
-                load_checkpoint(str(a)).tensors, load_checkpoint(str(b)).tensors
-            )
-        return problems, json_diff(snap_a, snap_b)
+        try:
+            ckpt_a, ckpt_b = load_checkpoint(str(a)), load_checkpoint(str(b))
+        except SparkError as exc:
+            return [f"unreadable checkpoint: {exc}"], []
+        problems = _array_problems(ckpt_a.tensors, ckpt_b.tensors)
+        if not problems and list(ckpt_a.tensors) != list(ckpt_b.tensors):
+            problems.append("tensor order differs")
+        if ckpt_a.frozen_names != ckpt_b.frozen_names:
+            problems.append(f"frozen names {ckpt_a.frozen_names} vs {ckpt_b.frozen_names}")
+        return problems, json_diff(ckpt_a.config, ckpt_b.config)
     if name.endswith(".csv"):
         return _row_problems(_csv_rows(a), _csv_rows(b)), []
     if name == "manifest.txt":
