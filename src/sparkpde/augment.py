@@ -9,6 +9,8 @@ weights (k = 1 reduces exactly to snap).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .config import AugmentSection
@@ -47,12 +49,24 @@ def interpolate_topk(h: np.ndarray, cb: Codebook, k: int, tau: float) -> np.ndar
     return blended.reshape(h.shape)
 
 
-def calibrate_tau(latents: np.ndarray, cb: Codebook) -> float:
-    """Mean squared nearest-neighbor distance of ``latents`` to the codebook."""
-    flat = np.asarray(latents, dtype=np.float64).reshape(-1, cb.dim)
-    idx = nearest_indices(flat, cb.embeddings.data)
-    # The difference form, not _squared_distances: it rounds differently.
-    d2 = np.sum((flat - cb.embeddings.data[idx]) ** 2, axis=1)
+def calibrate_tau(episodes: Sequence[np.ndarray], cb: Codebook) -> float:
+    """Mean squared nearest-neighbor distance to the codebook of the latents
+    of ``episodes``, one array per episode.
+
+    The distances fill one (Q,) vector an episode at a time, so the
+    transients are an episode's. Each latent's distance is its own GEMM row
+    and row sum, so the vector, and its mean, are those of the episodes
+    concatenated.
+    """
+    entries = cb.embeddings.data
+    d2 = np.empty(sum(z.size // cb.dim for z in episodes))
+    lo = 0
+    for z in episodes:
+        flat = np.asarray(z, dtype=np.float64).reshape(-1, cb.dim)
+        idx = nearest_indices(flat, entries)
+        # The difference form, not _squared_distances: it rounds differently.
+        d2[lo : lo + len(flat)] = np.sum((flat - entries[idx]) ** 2, axis=1)
+        lo += len(flat)
     return float(max(d2.mean(), 1e-12))
 
 

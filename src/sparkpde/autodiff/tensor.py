@@ -337,8 +337,16 @@ def square(a) -> Tensor:
 
 
 def _gelu_cdf(z: Array) -> Array:
-    """Phi(z), the standard normal CDF: the exact GeLU is z Phi(z)."""
-    return 0.5 * (1.0 + _erf(z * _INV_SQRT2))
+    """Phi(z), the standard normal CDF: the exact GeLU is z Phi(z).
+
+    Built in one array, in place, with the operations of
+    ``0.5 * (1.0 + erf(z * _INV_SQRT2))`` (IEEE products and sums commute),
+    so its bits are that expression's."""
+    t = np.multiply(z, _INV_SQRT2, out=np.empty(z.shape))
+    _erf(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
 
 
 def _gelu_slope(z: Array, cdf: Array) -> Array:
@@ -813,6 +821,72 @@ def _recomputed_ahead(records: list[_Checkpoint], pool: ThreadPoolExecutor) -> I
 # -- backward pass ----------------------------------------------------------------
 
 
+class _Cotangents:
+    """The cotangents of one ``backward`` and the loop that replays records
+    into them. Its methods call each other through ``self``, so they form no
+    reference cycle (nested functions that call each other would), and the
+    cotangents are freed as soon as ``backward`` returns or raises."""
+
+    __slots__ = ("grads", "owned")
+
+    def __init__(self, loss: Tensor):
+        # Keyed by the id of a grad key (a node, or a leaf tensor), each kept
+        # alive by its tape until the key is popped.
+        self.grads: dict[int, Array] = {id(_grad_key(loss)): np.ones_like(loss.data)}
+        # Keys whose array backward allocated itself and may add into in
+        # place. Any other array may be shared: VJPs such as add's hand out g
+        # itself.
+        self.owned: set[int] = set()
+
+    def replay(self, nodes: list[Node], ahead: Iterator | None = None) -> None:
+        for node in reversed(nodes):
+            g = self.grads.pop(id(node), None)
+            self.owned.discard(id(node))
+            if isinstance(node, _Checkpoint):
+                # A recomputation made ahead is taken with or without a
+                # cotangent; the worker reads only the next record, so this
+                # one is released once it is resumed.
+                self.resume(node, g, None if ahead is None else next(ahead))
+                node.fn = node.input = None
+                continue
+            # The node lets go of its VJP, and with it the arrays it kept.
+            vjp, node.vjp = node.vjp, None
+            if g is not None:
+                self.accumulate(node, vjp(g))
+
+    def accumulate(self, node: Node, contributions: tuple) -> None:
+        """Sum ``node``'s VJP outputs into its parents' cotangents; those not
+        stored die when this returns, before the next VJP runs."""
+        grads, owned = self.grads, self.owned
+        for parent, contrib in zip(node.parents, contributions):
+            if contrib is None or parent is None:
+                continue
+            # A sum is non-finite whenever an element is; it can also
+            # overflow on finite elements, so only then check them all.
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = np.sum(contrib)
+            if not np.isfinite(total) and not np.all(np.isfinite(contrib)):
+                raise NumericError(f"non-finite gradient in backward of '{node.op}'")
+            key = id(parent)
+            if key in owned:
+                np.add(grads[key], contrib, out=grads[key])
+            elif key in grads:
+                grads[key] = np.add(grads[key], contrib)
+                owned.add(key)
+            else:
+                grads[key] = contrib
+
+    def resume(self, record: _Checkpoint, g: Array | None, recomputed: tuple | None) -> None:
+        """Replay ``record``'s recomputed tape from its output's cotangent ``g``;
+        the tape is freed on return."""
+        if g is None:
+            return
+        private, out = recomputed or record.recompute()
+        if out is not None:
+            self.grads[id(out)] = g
+            self.replay(private._nodes)
+
+
 def backward(
     loss: Tensor,
     tape: Tape,
@@ -848,71 +922,20 @@ def backward(
     if not np.isfinite(loss.data):
         raise NumericError("backward called on a non-finite loss")
 
-    # Cotangents are keyed by the id of a grad key (a node, or a leaf
-    # tensor), each kept alive by its tape until the key is popped.
-    grads: dict[int, Array] = {id(_grad_key(loss)): np.ones_like(loss.data)}
-    # Keys whose array backward allocated itself and may add into in place.
-    # Any other array may be shared: VJPs such as add's hand out g itself.
-    owned: set[int] = set()
-
-    def replay(nodes: list[Node], ahead: Iterator | None = None) -> None:
-        for node in reversed(nodes):
-            g = grads.pop(id(node), None)
-            owned.discard(id(node))
-            if isinstance(node, _Checkpoint):
-                # A recomputation made ahead is taken with or without a
-                # cotangent; the worker reads only the next record, so this
-                # one is released once it is resumed.
-                resume(node, g, None if ahead is None else next(ahead))
-                node.fn = node.input = None
-                continue
-            # The node lets go of its VJP, and with it the arrays it kept.
-            vjp, node.vjp = node.vjp, None
-            if g is not None:
-                accumulate(node, vjp(g))
-
-    def accumulate(node: Node, contributions: tuple) -> None:
-        """Sum ``node``'s VJP outputs into its parents' cotangents; those not
-        stored die when this returns, before the next VJP runs."""
-        for parent, contrib in zip(node.parents, contributions):
-            if contrib is None or parent is None:
-                continue
-            # A sum is non-finite whenever an element is; it can also
-            # overflow on finite elements, so only then check them all.
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = np.sum(contrib)
-            if not np.isfinite(total) and not np.all(np.isfinite(contrib)):
-                raise NumericError(f"non-finite gradient in backward of '{node.op}'")
-            key = id(parent)
-            if key in owned:
-                np.add(grads[key], contrib, out=grads[key])
-            elif key in grads:
-                grads[key] = np.add(grads[key], contrib)
-                owned.add(key)
-            else:
-                grads[key] = contrib
-
-    def resume(record: _Checkpoint, g: Array | None, recomputed: tuple | None) -> None:
-        """Replay ``record``'s recomputed tape from its output's cotangent ``g``;
-        the tape is freed on return."""
-        if g is None:
-            return
-        private, out = recomputed or record.recompute()
-        if out is not None:
-            grads[id(out)] = g
-            replay(private._nodes)
-
+    cotangents = _Cotangents(loss)
     tape._replayed = True
     records = [node for node in reversed(tape._nodes) if isinstance(node, _Checkpoint)]
     if records and len(os.sched_getaffinity(0)) >= 2:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            replay(tape._nodes, _recomputed_ahead(records, pool))
+            cotangents.replay(tape._nodes, _recomputed_ahead(records, pool))
     else:
-        replay(tape._nodes)
+        cotangents.replay(tape._nodes)
 
     result = {}
     for p in params:
         if p.name is None:
             raise ContractViolation("parameters passed to backward must be named")
-        result[p.name] = grads.get(id(_grad_key(p)), np.zeros(p.shape, dtype=np.float64))
+        result[p.name] = cotangents.grads.get(
+            id(_grad_key(p)), np.zeros(p.shape, dtype=np.float64)
+        )
     return result

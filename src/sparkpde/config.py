@@ -314,7 +314,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             )
         if vectors.count(vec) > 1:
             raise ConfigError(f"dataset.params entry {p!r} repeats another entry")
-    for p in ds.ood.out_values if ds.ood.mode == "explicit" else []:
+    if ds.ood.mode == "threshold" and ds.ood.out_values:
+        raise ConfigError(
+            "dataset.ood.out_values must be empty under dataset.ood.mode threshold,"
+            f" which never reads it (got {ds.ood.out_values!r})"
+        )
+    for p in ds.ood.out_values:
         if parameter_vector(p) not in vectors:
             raise ConfigError(f"dataset.ood.out_values entry {p!r} matches no dataset.params entry")
 

@@ -383,13 +383,18 @@ def train_dynamics(
     aug_calls = 0
     if aug is not None:
         decision_gen = substream(derive_seed(seed, "augment"), "curriculum")
-        all_latents = np.concatenate([z.reshape(-1, d_latent) for z in latents.values()])
-        tau = aug.tau if aug.tau is not None else calibrate_tau(all_latents, codebook)
+        tau = aug.tau if aug.tau is not None else calibrate_tau(list(latents.values()), codebook)
 
         def aug_fn(window, _tau=tau):
             nonlocal aug_calls
             aug_calls += 1
             return augment_latents(window, codebook, aug, _tau)
+
+    # No window's history reaches an episode's last ``horizon`` frames
+    # (``_windows``), so once tau has read them they are dropped, an episode
+    # at a time.
+    for e in latents:
+        latents[e] = latents[e][: -cfg.horizon].copy()
 
     params = ad.parameters(weights)
     state = AdamState()

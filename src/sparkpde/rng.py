@@ -101,7 +101,9 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view("<u8").astype(np.uint64).T.copy()
 
 
-# _JUMPS[i] is T^(LANE_WORDS * 2**i) over GF(2), as a 0/1 float64 matrix.
+# _JUMPS[i] is T^(LANE_WORDS * 2**i) over GF(2), as a 0/1 uint8 matrix; each
+# use widens it to float64, whose products of 0/1 matrices are exact (every
+# sum is <= 256).
 _JUMPS: list[np.ndarray] = []
 
 
@@ -111,10 +113,10 @@ def _jump(i: int) -> np.ndarray:
         basis = _from_bits(np.eye(256))
         for _ in range(LANE_WORDS):
             _step_lanes(basis)
-        _JUMPS.append(_to_bits(basis))
+        _JUMPS.append(_to_bits(basis).astype(np.uint8))
     while len(_JUMPS) <= i:
-        # Float64 products of 0/1 matrices are exact (every sum is <= 256).
-        _JUMPS.append((_JUMPS[-1] @ _JUMPS[-1]) % 2.0)
+        last = _JUMPS[-1].astype(np.float64)
+        _JUMPS.append(((last @ last) % 2.0).astype(np.uint8))
     return _JUMPS[i]
 
 
@@ -123,7 +125,7 @@ def _lane_starts(state: list[int], lanes: int) -> np.ndarray:
     bits = _to_bits(np.array(state, dtype=np.uint64).reshape(4, 1))
     i = 0
     while bits.shape[1] < lanes:
-        ahead = (_jump(i) @ bits[:, : lanes - bits.shape[1]]) % 2.0
+        ahead = (_jump(i).astype(np.float64) @ bits[:, : lanes - bits.shape[1]]) % 2.0
         bits = np.concatenate([bits, ahead], axis=1)
         i += 1
     return _from_bits(bits)

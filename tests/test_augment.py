@@ -17,7 +17,7 @@ from sparkpde.augment import (
 )
 from sparkpde.config import AugmentSection
 from sparkpde.errors import ContractViolation
-from sparkpde.state_dictionary import new_codebook
+from sparkpde.state_dictionary import nearest_indices, new_codebook
 
 
 def _codebook(m=4, d=3, seed=55):
@@ -135,7 +135,26 @@ def test_decisions_reproducible():
 def test_calibrate_tau_positive_and_scale():
     cb = _codebook(m=6, d=3)
     h = rng.substream(10, "cal").normal_array((200, 3))
-    tau = calibrate_tau(h, cb)
+    tau = calibrate_tau([h[:120], h[120:]], cb)
     assert tau > 0
     idx_err = h - snap(h, cb)
     assert tau == pytest.approx(np.mean(np.sum(idx_err**2, axis=1)))
+
+
+def _concatenated_tau(episodes, cb) -> float:
+    """tau as one formula over all the episodes' latents at once."""
+    flat = np.concatenate([z.reshape(-1, cb.dim) for z in episodes])
+    idx = nearest_indices(flat, cb.embeddings.data)
+    d2 = np.sum((flat - cb.embeddings.data[idx]) ** 2, axis=1)
+    return float(max(d2.mean(), 1e-12))
+
+
+def test_calibrate_tau_per_episode_is_the_concatenated_formula_bit_for_bit():
+    # Episodes of uneven lengths, (T, N, D) as training holds them, at the
+    # train workloads' widths (D 32, M 64) and a small one.
+    for m, d in ((64, 32), (6, 3)):
+        cb = _codebook(m=m, d=d, seed=56)
+        gen = rng.substream(11, f"cal-episodes/{d}")
+        episodes = [gen.normal_array((t, 37, d)) for t in (1, 7, 20, 3)]
+        tau = calibrate_tau(episodes, cb)
+        assert np.float64(tau).tobytes() == np.float64(_concatenated_tau(episodes, cb)).tobytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import weakref
 from collections import Counter
@@ -11,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.special import erf
 
 from sparkpde import rng, state_dictionary
 from sparkpde.autodiff import (
@@ -34,7 +36,7 @@ from sparkpde.autodiff import (
     tensor_mean,
     tensor_sum,
 )
-from sparkpde.autodiff.tensor import _INV_SQRT2PI, _gelu_cdf, _gelu_slope, _record, mul
+from sparkpde.autodiff.tensor import _INV_SQRT2, _INV_SQRT2PI, _gelu_cdf, _gelu_slope, _record, mul
 from sparkpde.config import DynamicsSection, PretrainSection
 from sparkpde.datagen import EpisodeDataset
 from sparkpde.datagen.dataset import Episode
@@ -629,19 +631,29 @@ def _reference_gelu_slope(z, cdf):
     return cdf + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))
 
 
-def test_gelu_slope_in_place_is_the_expression_bit_for_bit():
+def _gelu_cases() -> list[np.ndarray]:
     gen = rng.substream(89, "gelu-slope")
     tiny = np.finfo(np.float64).tiny
     special = [0.0, -0.0, 40.0, -40.0, 41.5, -41.5, 1e3, -1e3, 1e300, -1e300,
                5e-324, -5e-324, 1e-310, -1e-310, tiny / 2, -tiny / 2, tiny, -tiny]
-    cases = [
+    return [
         gen.normal_array((3, 257)),
         4.0 * gen.normal_array((64, 33)),
         np.array(special),
         gen.normal_array((8, 6)).T,  # strided
         np.array(1.25),
     ]
-    for z in cases:
+
+
+def test_gelu_cdf_in_place_is_the_expression_bit_for_bit():
+    for z in _gelu_cases():
+        got = _gelu_cdf(z)
+        assert got.shape == z.shape
+        assert got.tobytes() == (0.5 * (1.0 + erf(z * _INV_SQRT2))).tobytes()
+
+
+def test_gelu_slope_in_place_is_the_expression_bit_for_bit():
+    for z in _gelu_cases():
         cdf = _gelu_cdf(z)
         with np.errstate(over="ignore"):  # z * z overflows at |z| = 1e300
             got, want = _gelu_slope(z, cdf), _reference_gelu_slope(z, cdf)
@@ -724,6 +736,47 @@ def test_backward_refuses_a_consumed_tape():
         backward(loss, tape, [x])
     with pytest.raises(ContractViolation, match="already replayed.*replayed once"):
         backward(loss, tape, [x])
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_backward_leaves_no_reference_cycle(monkeypatch, cores):
+    # With the cyclic collector off, reference counting alone frees what
+    # backward made once its result, or the error it raised, is dropped: a
+    # returned gradient at once, and a cotangent it held when a later VJP
+    # raised. The first tape recomputes two checkpoint records.
+    set_cores(monkeypatch, cores)
+    x = parameter(np.array([1.0, 2.0]), "x")
+    fired = []
+    gc.collect()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            y = checkpoint(lambda s: gelu(2.0 * s), x)
+            loss = tensor_sum(square(checkpoint(gelu, y)))
+        grads = backward(loss, tape, [x])
+        weakref.finalize(grads["x"], fired.append, "gradient")
+        del grads
+        assert fired == ["gradient"]
+
+        held = np.array([3.0, 4.0])
+        weakref.finalize(held, fired.append, "cotangent")
+        with Tape() as tape:
+            early = _probe(x, np.array([np.inf, 1.0]))
+            late = _probe(x, held)
+            loss = tensor_sum(square(early)) + tensor_sum(late)
+        del held
+        # Replayed in reverse: late's VJP hands ``held`` on as x's cotangent,
+        # then early's raises.
+        try:
+            backward(loss, tape, [x])
+        except NumericError:
+            pass
+        else:
+            pytest.fail("backward did not raise")
+        assert fired == ["gradient", "cotangent"]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ode_unroll_tape_keeps_only_what_its_vjps_read():

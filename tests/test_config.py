@@ -76,13 +76,18 @@ def test_params_checked_against_their_generator_and_each_other():
         ({**rd, "params": [[1e-5, 2e-5], [1e-5, 2e-5]]}, "repeats another entry"),
         ({"params": [1e-3, 1e-4], "ood": {"out_values": [[1e-4, 1e-4]]}},
          "out_values entry .* matches no dataset.params entry"),
+        # A threshold rule never reads out_values, so a non-empty list is
+        # refused, even one that matches an entry.
+        ({"params": [1e-3, 1e-2], "ood": {"mode": "threshold", "out_values": [1e-2],
+                                          "threshold": 2e-3}},
+         r"dataset\.ood\.out_values must be empty under dataset\.ood\.mode threshold"),
     ]
     for dataset, message in bad:
         with pytest.raises(ConfigError, match=message):
             config_from_dict({"dataset": dataset})
-    # A threshold rule reads no out_values; an empty list loads (gen-data then
-    # warns that the out-domain set is empty).
-    threshold = {"mode": "threshold", "out_values": [5.0], "threshold": 2e-3}
+    # A threshold rule loads with no out_values; an empty list loads (gen-data
+    # then warns that the out-domain set is empty).
+    threshold = {"mode": "threshold", "threshold": 2e-3}
     config_from_dict({"dataset": {"params": [1e-3, 1e-2], "ood": threshold}})
     config_from_dict({"dataset": {"params": [1e-3], "ood": {"out_values": []}}})
 

@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparkpde import dynamics, evaluation, rng
 from sparkpde.autodiff import (
@@ -23,7 +25,7 @@ from sparkpde.autodiff import (
     tensor_sum,
 )
 from sparkpde.config import AugmentSection, DynamicsSection, PretrainSection
-from sparkpde.datagen import EpisodeDataset
+from sparkpde.datagen import SPLIT_IN, EpisodeDataset
 from sparkpde.datagen.dataset import Episode
 from sparkpde.dynamics import (
     decode,
@@ -523,6 +525,49 @@ def test_training_deterministic():
         return [row.train_mse for row in result.history]
 
     assert run() == run()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t_total=st.integers(2, 30), t0=st.integers(1, 8), horizon=st.integers(1, 8),
+    stride=st.integers(1, 6),
+)
+def test_no_window_history_reaches_the_last_horizon_frames(t_total, t0, horizon, stride):
+    # train_dynamics drops each episode's last ``horizon`` latent frames
+    # after tau, because no history frame s .. s + t0 - 1 reaches them.
+    assume(t_total >= t0 + horizon)
+    grid = GridGraph(1, 2)
+    ds = _constant_dataset(grid, episodes=1, t_total=t_total)
+    cfg = DynamicsSection(t0=t0, horizon=horizon)
+    windows = dynamics._windows(ds, cfg, SPLIT_IN, stride)
+    assert windows and windows[0] == (0, 0)
+    for _, start in windows:
+        assert start + t0 - 1 < t_total - horizon
+    # A stride-1 run reaches the last kept frame.
+    if stride == 1:
+        assert windows[-1][1] + t0 - 1 == t_total - horizon - 1
+
+
+@pytest.mark.parametrize("aug", [None, AugmentSection(mode="snap", start_epoch=0, ramp_epochs=1)])
+def test_training_keeps_only_the_latent_frames_histories_read(monkeypatch, aug):
+    # Each episode's latents keep their first t_total - horizon frames, in an
+    # array of their own (a view would keep the whole episode alive), for the
+    # training and validation batches alike.
+    grid = GridGraph(8, 8)
+    ds = _constant_dataset(grid, episodes=2, t_total=9)
+    encoder, codebook = _frozen_stack(grid)
+    forecast_batch = dynamics._forecast_batch
+    seen = []
+
+    def spy(latents, *args, **kwargs):
+        seen.append({e: (z.shape[0], z.base is None) for e, z in latents.items()})
+        return forecast_batch(latents, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_forecast_batch", spy)
+    monkeypatch.setattr(evaluation, "_forecast_batch", spy)
+    cfg = _tiny_dyn_config(epochs=2, horizon=3)
+    train_dynamics(ds, encoder, codebook, cfg, seed=SEED, aug=aug)
+    assert seen and all(s == {0: (6, True), 1: (6, True)} for s in seen)
 
 
 # -- episode latents ------------------------------------------------------------

@@ -122,6 +122,16 @@ def test_array_draws_match_scalar_stream_bit_for_bit(seed):
         _assert_same_state(gen, ref)
 
 
+def test_jump_matrices_are_cached_as_bits():
+    # The cache holds 0/1 uint8 matrices (64 KiB each, not 512 KiB of
+    # float64); the draws above check the words they give.
+    rng.substream(3, "jumps").next_words(64 * L)
+    assert len(rng._JUMPS) >= 6
+    for jump in rng._JUMPS:
+        assert jump.dtype == np.uint8 and jump.shape == (256, 256)
+        assert set(np.unique(jump).tolist()) == {0, 1}
+
+
 def test_normal_stream_frozen():
     # Frozen from the one-word-at-a-time generator; guards the stream (and the
     # state left after the draw) independently of the test helpers. The size
